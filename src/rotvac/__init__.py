@@ -21,11 +21,10 @@ from .cf_continuous import (CFValue, CoincidenceError, em_cf_continuous,
                             em_cf_tensor_quadrature, phi_kernel_integral,
                             scalar_cf_continuous, scalar_cf_quadrature,
                             sin_power_integral)
-from .cf_discrete import (DiscreteKernel, ResonanceError, ThermalSplit,
-                          cubic_ladder_split, cubic_ladder_sum_closed,
-                          em_cf_discrete, linear_ladder_split,
-                          linear_ladder_sum_closed, rotation_temperature,
-                          scalar_cf_discrete)
+from .cf_discrete import (ResonanceError, ThermalSplit, cubic_ladder_split,
+                          cubic_ladder_sum_closed, em_cf_discrete,
+                          linear_ladder_split, linear_ladder_sum_closed,
+                          rotation_temperature, scalar_cf_discrete)
 from .thermo import (CasimirResult, ForcePoint, HadronEstimate, ThermoReport,
                      casimir_force, em_energy_density, hadron_estimates,
                      scalar_bath_thermal_density, scalar_energy_density,

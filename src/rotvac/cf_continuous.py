@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .fields import projection_matrix
+from .fields import diag_bracket, projection_matrix
 from .kinematics import RotationParams, lab_position
 from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_sphere
 
@@ -135,35 +135,15 @@ def _closed_form_11(params: RotationParams, delta: float, dt_lab: float) -> floa
     )
 
 
-def _diag_bracket(pair: Tuple[int, int], params: RotationParams, delta: float):
-    """Angular bracket (coefficients of 1, ky, kx^2, ky^2) for diagonal pairs."""
-    b, g = params.beta, params.gamma
-    ch, sh = math.cos(delta / 2.0), math.sin(delta / 2.0)
-    cd = math.cos(delta)
-    if pair == (1, 1):
-        return (g * g * cd, 2.0 * b * g * g * ch,
-                g * g * (b * b - ch * ch), g * g * (b * b + sh * sh))
-    if pair == (2, 2):
-        return (cd, 0.0, sh * sh, -ch * ch)
-    if pair == (3, 3):
-        return (g * g * b * b * cd, -2.0 * b * g * g * ch,
-                g * g * (1.0 - b * b * ch * ch), g * g * (1.0 + b * b * sh * sh))
-    raise ValueError(f"no angular bracket for pair {pair!r}")
-
-
 def _bracket_quadrature(pair, params, delta, dt_lab, spec) -> float:
     """Stationary quadrature path: angular integral of the printed bracket
     against the regularized radial factor (1 + k ky)^-4."""
-    c0, cy, cxx, cyy = _diag_bracket(pair, params, delta)
     k = shape_constant(params, delta)
     const = params.constants
 
     def integrand(theta, phi):
-        st = np.sin(theta)
-        kx = st * np.cos(phi)
-        ky = st * np.sin(phi)
-        bracket = c0 + cy * ky + cxx * kx * kx + cyy * ky * ky
-        return bracket / (1.0 + k * ky) ** 4
+        ky = np.sin(theta) * np.sin(phi)
+        return diag_bracket(pair, params, delta, theta, phi) / (1.0 + k * ky) ** 4
 
     val, _ = integrate_sphere(integrand, spec)
     pref = const.hbar * const.c / (4.0 * math.pi**2) * 6.0 / (const.c * dt_lab) ** 4

@@ -37,14 +37,11 @@ from .numerics import (DEFAULT_SPEC, QuadratureError, QuadratureSpec,
 
 __all__ = [
     "ResonanceError",
-    "DiscreteKernel",
     "ThermalSplit",
     "rotation_temperature",
     "ladder_phase",
-    "make_kernel",
     "cubic_ladder_sum_closed",
     "linear_ladder_sum_closed",
-    "cubic_ladder_partial_fraction",
     "thermal_ladder_integral",
     "cubic_ladder_split",
     "linear_ladder_split",
@@ -68,16 +65,6 @@ class ResonanceError(ValueError):
 
 
 @dataclass(frozen=True)
-class DiscreteKernel:
-    """Direction-resolved phase bookkeeping for the harmonic ladder."""
-
-    phase: float      # dimensionless; omega * time_lag
-    time_lag: float   # s
-    omega0: float     # rad/s
-    k0: float         # 1/m, omega0 / c
-
-
-@dataclass(frozen=True)
 class ThermalSplit:
     """Zero-point (regularized) and thermal (convergent) parts; total is their sum."""
 
@@ -98,16 +85,6 @@ def rotation_temperature(params: RotationParams) -> float:
 def ladder_phase(delta, ky, params: RotationParams):
     """phase(delta, ky) = delta - 2 beta ky sin(delta/2); vectorized in ky."""
     return delta - 2.0 * params.beta * np.asarray(ky) * math.sin(delta / 2.0)
-
-
-def make_kernel(delta: float, ky: float, params: RotationParams) -> DiscreteKernel:
-    ph = float(ladder_phase(delta, ky, params))
-    return DiscreteKernel(
-        phase=ph,
-        time_lag=ph / params.omega,
-        omega0=params.omega,
-        k0=params.omega / params.constants.c,
-    )
 
 
 def _distance_to_resonance(phase):
@@ -138,16 +115,6 @@ def linear_ladder_sum_closed(phase):
     s2 = np.sin(phase / 2.0) ** 2
     out = -1.0 / (4.0 * s2)
     return float(out) if out.ndim == 0 else out
-
-
-def cubic_ladder_partial_fraction(phase: float, n_terms: int = 10000) -> float:
-    """Partial-fraction series 6 sum_{m in Z} (phase + 2 pi m)^-4, truncated.
-
-    Independent route to cubic_ladder_sum_closed; converges like n_terms^-3.
-    """
-    m = np.arange(1, n_terms + 1, dtype=float)
-    tail = np.sum((2.0 * math.pi * m + phase) ** -4 + (2.0 * math.pi * m - phase) ** -4)
-    return 6.0 * (phase**-4 + float(tail))
 
 
 def _stable_thermal_term(u, phase, p):

@@ -204,7 +204,9 @@ def cmd_force_curve(args) -> int:
             pt = thermo.vacuum_force_density(params, float(r), sphere_radius=args.sphere_radius)
             wt = thermo.em_thermal_density_at(args.omega, float(r), const)
             F = pt.F_sphere if pt.F_sphere is not None else ""
-            Fg = (pt.F_sphere / const.gev_per_fermi) if pt.F_sphere is not None else ""
+            # natural units carry no electronvolt scale
+            Fg = (pt.F_sphere / const.gev_per_fermi
+                  if pt.F_sphere is not None and args.units == "SI" else "")
             rows.append([float(r), pt.x, wt, pt.f_vac, F, Fg, "ok"])
         except LuminalOrbitError as exc:
             rows.append([float(r), float(r) / r0, "", "", "", "", f"rejected: {exc}"])

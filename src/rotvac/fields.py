@@ -1,24 +1,32 @@
-"""Field projection into the comoving tetrad, polarization machinery, and the
-angular weight kernel shared by the quadrature and Monte Carlo paths."""
+"""Field projection into the comoving tetrad, the polarization basis shared
+by the Monte Carlo mode grid, and the diagonal angular brackets: the bracket
+quadrature of the continuous CFs and the angular weight kernel of the
+periodic CF evaluate the same table.
+
+The independent field-tensor projection and the polarization completeness
+sum, which only check this module, live with the tests (tests/oracles.py).
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from .kinematics import RotationParams, frenet_serret_tetrad
+from .kinematics import RotationParams
 
 __all__ = [
     "FrameError",
     "Direction",
     "FieldTriplet",
+    "projection_matrix",
     "project_fields_to_tetrad",
-    "field_tensor",
-    "project_fields_via_tensor",
+    "polarization_grid",
     "polarization_basis",
-    "polarization_sum_matrix",
+    "diag_bracket",
+    "angular_weight_kernel_grid",
     "angular_weight_kernel",
 ]
 
@@ -87,93 +95,68 @@ def project_fields_to_tetrad(lab: FieldTriplet, params: RotationParams, tau: flo
     return FieldTriplet(E=out[:3], H=out[3:], frame="tetrad", tau=tau)
 
 
-def field_tensor(E, H) -> np.ndarray:
-    """Antisymmetric field tensor F_ik on (x, y, z, ct) slots.
-
-    Convention fixed by the identity-frame reduction: F_4k = E_k and
-    (F_23, F_31, F_12) = (H_1, H_2, H_3).
-    """
-    E = np.asarray(E, dtype=float)
-    H = np.asarray(H, dtype=float)
-    F = np.zeros((4, 4))
-    F[3, 0], F[3, 1], F[3, 2] = E
-    F[0, 3], F[1, 3], F[2, 3] = -E
-    F[1, 2], F[2, 1] = H[0], -H[0]
-    F[2, 0], F[0, 2] = H[1], -H[1]
-    F[0, 1], F[1, 0] = H[2], -H[2]
-    return F
-
-
-def project_fields_via_tensor(lab: FieldTriplet, params: RotationParams, tau: float) -> FieldTriplet:
-    """Independent projection path: contract mu_(a) mu_(b) with the field tensor.
-
-    Used as an oracle for project_fields_to_tetrad; the two must agree to
-    roundoff for every input.
-    """
-    if lab.frame != "lab":
-        raise FrameError("project_fields_via_tensor expects a lab-frame triplet")
-    mu = frenet_serret_tetrad(params, tau).matrix()
-    F = field_tensor(lab.E, lab.H)
-    Fab = mu @ F @ mu.T
-    E = np.array([Fab[3, 0], Fab[3, 1], Fab[3, 2]])
-    H = np.array([Fab[1, 2], Fab[2, 0], Fab[0, 1]])
-    return FieldTriplet(E=E, H=H, frame="tetrad", tau=tau)
-
-
-def polarization_basis(direction: Direction):
-    """Two unit polarization vectors orthogonal to the propagation direction.
+def polarization_grid(khat):
+    """Two unit polarization vectors orthogonal to each row of khat (M, 3).
 
     Near the poles (within POLE_TOL of +/- z) the basis is pinned to (x, y);
     only the lambda-summed completeness relation enters the physics, so no
     continuity requirement exists.
     """
-    k = direction.unit_vector
-    e1 = np.cross(np.array([0.0, 0.0, 1.0]), k)
-    norm = np.linalg.norm(e1)
-    if norm < POLE_TOL:
-        e1 = np.array([1.0, 0.0, 0.0])
-    else:
-        e1 = e1 / norm
-    e2 = np.cross(k, e1)
-    e2 = e2 / np.linalg.norm(e2)
+    zhat = np.array([0.0, 0.0, 1.0])
+    e1 = np.cross(np.broadcast_to(zhat, khat.shape), khat)
+    norms = np.linalg.norm(e1, axis=1)
+    polar = norms < POLE_TOL
+    e1[polar] = [1.0, 0.0, 0.0]
+    e1[~polar] /= norms[~polar, None]
+    e2 = np.cross(khat, e1)
+    e2 /= np.linalg.norm(e2, axis=1)[:, None]
     return e1, e2
 
 
-def polarization_sum_matrix(direction: Direction) -> np.ndarray:
-    """Sum over polarizations of eps_i eps_j; equals delta_ij - khat_i khat_j."""
-    e1, e2 = polarization_basis(direction)
-    return np.outer(e1, e1) + np.outer(e2, e2)
+def polarization_basis(direction: Direction):
+    """polarization_grid for a single direction."""
+    e1, e2 = polarization_grid(direction.unit_vector[None, :])
+    return e1[0], e2[0]
 
 
-def angular_weight_kernel(direction: Direction, delta: float, params: RotationParams) -> float:
-    """Angular weight multiplying the spectral ladder in the periodic CF.
+def diag_bracket(pair: Tuple[int, int], params: RotationParams, delta: float, theta, phi):
+    """Angular bracket c0 + cy ky + cxx kx^2 + cyy ky^2 of the diagonal pair
+    (a, a) at the directions (theta, phi); vectorized in the angles.
 
-    delta is the dimensionless lab-angle separation omega gamma (tau2 - tau1).
-    Normalized so the beta = 0, delta = 0 kernel integrates to 1 over the
-    sphere.  Single source of truth for both the quadrature and Monte Carlo
-    evaluations.
+    It is the polarization-summed kernel of the tetrad components a at lags
+    0 and delta, seen in the frame rotated by delta/2 about z.  delta is the
+    angular lag omega gamma (tau2 - tau1).
     """
     b, g = params.beta, params.gamma
-    k = direction.unit_vector
-    kx, ky = k[0], k[1]
-    return (3.0 / (8.0 * math.pi)) * g**2 * (
-        math.cos(delta)
-        + 2.0 * b * math.cos(delta / 2.0) * ky
-        + (b**2 - math.cos(delta / 2.0) ** 2) * kx**2
-        + (b**2 + math.sin(delta / 2.0) ** 2) * ky**2
-    )
-
-
-def angular_weight_kernel_grid(theta, phi, delta: float, params: RotationParams):
-    """Vectorized angular weight on (theta, phi) arrays; same formula as
-    angular_weight_kernel."""
-    b, g = params.beta, params.gamma
+    ch, sh = math.cos(delta / 2.0), math.sin(delta / 2.0)
+    cd = math.cos(delta)
+    if pair == (1, 1):
+        c0, cy, cxx, cyy = (g * g * cd, 2.0 * b * g * g * ch,
+                            g * g * (b * b - ch * ch), g * g * (b * b + sh * sh))
+    elif pair == (2, 2):
+        c0, cy, cxx, cyy = (cd, 0.0, sh * sh, -ch * ch)
+    elif pair == (3, 3):
+        c0, cy, cxx, cyy = (g * g * b * b * cd, 2.0 * b * g * g * ch,
+                            g * g * (1.0 - b * b * ch * ch), g * g * (1.0 + b * b * sh * sh))
+    else:
+        raise ValueError(f"no angular bracket for pair {pair!r}")
     st = np.sin(theta)
     kx = st * np.cos(phi)
     ky = st * np.sin(phi)
-    return (3.0 / (8.0 * math.pi)) * g**2 * (
-        np.cos(delta)
-        + 2.0 * b * math.cos(delta / 2.0) * ky
-        + (b**2 - math.cos(delta / 2.0) ** 2) * kx**2
-        + (b**2 + math.sin(delta / 2.0) ** 2) * ky**2
-    )
+    return c0 + cy * ky + cxx * kx * kx + cyy * ky * ky
+
+
+def angular_weight_kernel_grid(theta, phi, delta: float, params: RotationParams):
+    """Angular weight multiplying the spectral ladder in the periodic CF, on
+    (theta, phi) arrays: 3 / (8 pi) times the (1, 1) bracket.
+
+    delta is the dimensionless lab-angle separation omega gamma (tau2 - tau1).
+    Normalized so the beta = 0, delta = 0 kernel integrates to 1 over the
+    sphere.
+    """
+    return (3.0 / (8.0 * math.pi)) * diag_bracket((1, 1), params, delta, theta, phi)
+
+
+def angular_weight_kernel(direction: Direction, delta: float, params: RotationParams) -> float:
+    """angular_weight_kernel_grid for a single direction."""
+    return float(angular_weight_kernel_grid(direction.theta, direction.phi, delta, params))

@@ -30,8 +30,9 @@ from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, Philox
 
 from .cf_continuous import CFValue
-from .fields import FieldTriplet, projection_matrix
+from .fields import FieldTriplet, polarization_grid, projection_matrix
 from .kinematics import RotationParams, lab_position
+from .numerics import sphere_nodes
 
 __all__ = [
     "ModeSet",
@@ -116,30 +117,6 @@ class EmpiricalEnergyDensity:
     n_seeds: int
 
 
-def _angular_grid(n_theta: int, n_phi: int):
-    x, wx = leggauss(n_theta)
-    theta = np.arccos(x)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    w = np.outer(wx, np.full(n_phi, 2.0 * np.pi / n_phi)).reshape(-1)
-    st = np.sin(th).reshape(-1)
-    khat = np.stack([st * np.cos(ph.reshape(-1)), st * np.sin(ph.reshape(-1)),
-                     np.cos(th).reshape(-1)], axis=-1)
-    return khat, w
-
-
-def _polarization_grid(khat):
-    zhat = np.array([0.0, 0.0, 1.0])
-    e1 = np.cross(np.broadcast_to(zhat, khat.shape), khat)
-    norms = np.linalg.norm(e1, axis=1)
-    polar = norms < 1e-8
-    e1[polar] = [1.0, 0.0, 0.0]
-    e1[~polar] /= norms[~polar, None]
-    e2 = np.cross(khat, e1)
-    e2 /= np.linalg.norm(e2, axis=1)[:, None]
-    return e1, e2
-
-
 def build_mode_set(params: RotationParams, spectrum: str = "discrete",
                    n_max: int = 10, n_theta: int = 16, n_phi: int = 32,
                    omega_cutoff: Optional[float] = None,
@@ -154,8 +131,12 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
     const = params.constants
     if n_theta < MIN_THETA_NODES or n_phi < MIN_PHI_NODES:
         raise ValueError(f"angular grid below the {MIN_THETA_NODES}x{MIN_PHI_NODES} minimum")
-    khat, w = _angular_grid(n_theta, n_phi)
-    e1, e2 = _polarization_grid(khat)
+    th, ph, wx, wphi = sphere_nodes(n_theta, n_phi)
+    w = np.outer(wx, np.full(n_phi, wphi)).reshape(-1)
+    st = np.sin(th).reshape(-1)
+    khat = np.stack([st * np.cos(ph.reshape(-1)), st * np.sin(ph.reshape(-1)),
+                     np.cos(th).reshape(-1)], axis=-1)
+    e1, e2 = polarization_grid(khat)
     k0 = params.omega / const.c if params.omega > 0 else 0.0
 
     if spectrum == "discrete":

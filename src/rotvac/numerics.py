@@ -29,6 +29,7 @@ __all__ = [
     "abel_sum",
     "abel_plana_check",
     "neville_to_zero",
+    "sphere_nodes",
 ]
 
 # default eta grid 0.1 * 2^-j; j > 6 is roundoff-dominated for cubic-growth
@@ -87,12 +88,22 @@ def integrate_1d(f: Callable[[float], float], a: float, b: float,
     return value, err
 
 
-def _sphere_level(f, n_theta: int, n_phi: int):
+def sphere_nodes(n_theta: int, n_phi: int):
+    """Gauss-Legendre x periodic-trapezoid product grid on the sphere.
+
+    Returns (theta, phi) node arrays of shape (n_theta, n_phi), the
+    Gauss-Legendre weights in cos(theta) (the sin(theta) of the area element
+    is absorbed) and the uniform azimuthal weight.
+    """
     x, wx = leggauss(n_theta)
-    theta = np.arccos(x)                      # sin(theta) absorbed by d(cos)
+    theta = np.arccos(x)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * np.pi / n_phi
     th, ph = np.meshgrid(theta, phi, indexing="ij")
+    return th, ph, wx, 2.0 * np.pi / n_phi
+
+
+def _sphere_level(f, n_theta: int, n_phi: int):
+    th, ph, wx, wphi = sphere_nodes(n_theta, n_phi)
     vals = np.broadcast_to(np.asarray(f(th, ph), dtype=float), th.shape)
     total = float(np.einsum("i,ij->", wx, vals) * wphi)
     l1 = float(np.einsum("i,ij->", wx, np.abs(vals)) * wphi)

@@ -1,270 +1,100 @@
-"""Acceptance criteria, one test per criterion, at the stated tolerances.
+"""Acceptance criteria, one test per criterion.
 
-Each test prints a single pass/fail line (visible with -s or in the failure
-report).  Criterion 11 reproduces the quoted hadron-scale numbers with the
-rounded textbook constant set that yields them, and checks that the CODATA
-evaluation differs from it only by the constant ratios.  Criterion 9
-measures the scalar thermal-part ratio by sphere quadrature; the measurement
-gives (4 gamma^2 - 1) / 3, not the stated 2 (4 gamma^2 - 1) / 9, so it fails
-until the paper's definition of the scalar energy density is in the
-repository (README, "Known check failures").  The companion identities are
-asserted in the module test suites.
+The criteria are implemented once, by the check_* functions of
+rotvac.validation that `rotvac validate` runs; each test calls them at its
+own Monte Carlo settings, bounds the elapsed time where a criterion states a
+bound, prints a single pass/fail line (visible with -s or in the failure
+report) and asserts that every returned row passes.  Criterion 9 measures the
+scalar thermal-part ratio by sphere quadrature; the measurement gives
+(4 gamma^2 - 1) / 3, not the stated 2 (4 gamma^2 - 1) / 9, so it fails until
+the paper's definition of the scalar energy density is in the repository
+(README, "Known check failures").
 """
 
-import math
 import time
 
-import numpy as np
-import pytest
-
-from conftest import delta_to_tau
-from rotvac import cf_continuous as cfc
-from rotvac import cf_discrete as cfd
-from rotvac import montecarlo as mc
-from rotvac import thermo
-from rotvac.constants import NATURAL, ROUNDED, SI
-from rotvac.kinematics import RotationParams
-from rotvac.numerics import abel_plana_check, abel_sum, integrate_1d
+from rotvac import validation as v
 
 
-def report(tag, ok, detail=""):
+def assert_rows(tag, rows, max_seconds=None, elapsed=0.0):
+    ok = all(r.passed for r in rows) and (max_seconds is None or elapsed < max_seconds)
+    detail = ", ".join(f"{r.name} {r.measured:.3g}" for r in rows)
+    if max_seconds is not None:
+        detail += f", {elapsed:.1f}s (bound {max_seconds:g}s)"
     print(f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} {detail}")
-    return ok
+    assert ok, "failed rows: " + "; ".join(
+        f"{r.name} measured {r.measured!r}, target {r.target!r}, tolerance {r.tolerance!r}"
+        for r in rows if not r.passed)
 
 
-def rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+def timed(check, **kwargs):
+    t0 = time.monotonic()
+    rows = check(**kwargs)
+    return rows, time.monotonic() - t0
 
 
 def test_c01_sine_power_integrals():
-    t0 = time.monotonic()
-    exact = {1: 2.0, 3: 4.0 / 3.0, 5: 16.0 / 15.0}
-    for p, target in exact.items():
-        assert cfc.sin_power_integral(p, 0.0) == pytest.approx(target, abs=1e-15)
-    worst = 0.0
-    for k in (0.0, 0.3, 0.7, 0.9, 0.99):
-        for p in exact:
-            closed = cfc.sin_power_integral(p, k)
-            quad, _ = integrate_1d(
-                lambda th: math.sin(th) ** p / (1.0 - k * k * math.sin(th) ** 2) ** 3.5,
-                0.0, math.pi)
-            worst = max(worst, rel(closed, quad))
-    elapsed = time.monotonic() - t0
-    ok = worst < 1e-9 and elapsed < 1.0
-    assert report("c01 sine-power-integrals", ok,
-                  f"worst rel {worst:.2e}, {elapsed:.2f}s")
+    rows, elapsed = timed(v.check_sine_power_integrals, exact_tol=1e-15)
+    assert_rows("c01 sine-power-integrals", rows, 1.0, elapsed)
 
 
 def test_c02_phi_kernels():
-    worst = 0.0
-    for b in (0.0, 0.3, -0.3, 0.8, -0.8):
-        for m in (0, 1, 2):
-            closed = cfc.phi_kernel_integral(m, b)
-            quad, _ = integrate_1d(
-                lambda ph: math.sin(ph) ** m / (1.0 + b * math.sin(ph)) ** 4,
-                0.0, 2.0 * math.pi)
-            worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
-    assert report("c02 phi-kernels", worst < 1e-9, f"worst rel {worst:.2e}")
+    assert_rows("c02 phi-kernels", v.check_phi_kernels())
 
 
 def test_c03_em_cf_continuous():
-    t0 = time.monotonic()
-    worst = 0.0
-    for beta in (0.1, 0.5, 0.9):
-        p = RotationParams.from_beta(1.0, beta, NATURAL)
-        for delta in (0.5, 1.0, 2.0, 5.0):
-            tau2 = delta_to_tau(p, delta)
-            closed = cfc.em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "closed-form")
-            quad = cfc.em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "quadrature")
-            worst = max(worst, rel(closed.value, quad.value))
-    p = RotationParams.from_beta(1.0, 0.5, NATURAL)
-    tau2 = delta_to_tau(p, 1.0)
-    shift = 0.77
-    a = cfc.em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "quadrature")
-    b = cfc.em_cf_continuous((1, 1), "EE", shift, tau2 + shift, p, "quadrature")
-    drift = rel(a.value, b.value)
-    elapsed = time.monotonic() - t0
-    ok = worst < 1e-8 and drift < 1e-12 and elapsed < 10.0
-    assert report("c03 em-cf-continuous", ok,
-                  f"worst rel {worst:.2e}, drift {drift:.2e}, {elapsed:.1f}s")
+    rows, elapsed = timed(v.check_em_cf_continuous)
+    assert_rows("c03 em-cf-continuous", rows, 10.0, elapsed)
 
 
 def test_c04_offdiagonal_nullity():
-    # quadrature and Monte Carlo nullity for the pairs where it holds at
-    # separated times, plus the coincidence nullity of every pair; the (1,2)
-    # pair is nonzero at separated times (see README) and is checked at
-    # coincidence only
-    p = RotationParams.from_beta(1.0, 0.5, NATURAL)
-    tau2 = delta_to_tau(p, 1.0)
-    diag = abs(cfc.em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "closed-form").value)
-    worst_quad = 0.0
-    for pair in ((1, 3), (3, 1), (2, 3), (3, 2)):
-        v = cfc.em_cf_tensor_quadrature(pair, "EE", 0.0, tau2, p).value
-        worst_quad = max(worst_quad, abs(v) / diag)
-
-    pm = RotationParams.from_beta(1.0, 0.3, NATURAL)
-    ms = mc.build_mode_set(pm, n_max=6, n_theta=16, n_phi=32)
-    tau2m = delta_to_tau(pm, math.pi / 2.0)
-    worst_pull = 0.0
-    for pair in ((1, 3), (2, 3)):
-        cf = mc.empirical_cf(pair, "EE", 0.0, tau2m, pm, ms, n_seeds=1000, seed=20240817)
-        worst_pull = max(worst_pull, abs(cf.value) / cf.stat_error)
-    for pair in ((1, 2), (1, 3), (2, 3)):
-        cf = mc.empirical_cf(pair, "EE", 0.4, 0.4, pm, ms, n_seeds=1000, seed=20240818)
-        worst_pull = max(worst_pull, abs(cf.value) / cf.stat_error)
-    ok = worst_quad < 1e-12 and worst_pull < 3.0
-    assert report("c04 offdiagonal-nullity", ok,
-                  f"quad {worst_quad:.2e} of diagonal, worst MC pull {worst_pull:.2f}")
+    rows = (v.check_offdiagonal_nullity(n_seeds=1000, n_theta=16, n_phi=32, n_max=6,
+                                        seed=20240817)
+            + v.check_coincidence_nullity())
+    assert_rows("c04 offdiagonal-nullity", rows)
 
 
 def test_c05_scalar_cf():
-    worst = 0.0
-    for beta in (0.1, 0.5, 0.9):
-        p = RotationParams.from_beta(1.0, beta, NATURAL)
-        for delta in (0.5, 1.0, 2.0, 5.0):
-            tau2 = delta_to_tau(p, delta)
-            closed = cfc.scalar_cf_continuous(0.0, tau2, p)
-            quad = cfc.scalar_cf_quadrature(0.0, tau2, p)
-            worst = max(worst, rel(closed.value, quad.value))
-    p0 = RotationParams(omega=1.0, radius=0.0, constants=NATURAL)
-    tau = 1.7
-    reduction = rel(cfc.scalar_cf_continuous(0.0, tau, p0).value,
-                    -1.0 / (math.pi * tau * tau))
-    ok = worst < 1e-8 and reduction < 1e-14
-    assert report("c05 scalar-cf", ok, f"worst rel {worst:.2e}, r=0 rel {reduction:.2e}")
+    assert_rows("c05 scalar-cf", v.check_scalar_cf())
 
 
 def test_c06_abel_plana_machinery():
-    worst_ap = max(abel_plana_check(lambda x, s=s: x**3 * np.exp(-s * x))
-                   for s in (0.5, 1.0, 2.0))
-    ok = worst_ap < 1e-8
-
-    for phase, target in ((math.pi, 0.125), (2.0 * math.pi / 3.0, 1.0 / 3.0)):
-        closed = cfd.cubic_ladder_sum_closed(phase)
-        oracle = abel_sum(lambda n, ph=phase: n**3 * np.cos(n * ph)).value
-        ok = ok and abs(closed - target) < 1e-12 and abs(oracle - closed) < 1e-6
-
-    worst_split = 0.0
-    for phase in (0.5, 1.0, 2.0, math.pi, 4.0, 5.0, 6.0):
-        split = cfd.cubic_ladder_split(phase)
-        worst_split = max(worst_split, rel(split.total, cfd.cubic_ladder_sum_closed(phase)))
-    ok = ok and worst_split < 1e-8
-    assert report("c06 abel-plana", ok,
-                  f"identity {worst_ap:.2e}, split rel {worst_split:.2e}")
+    assert_rows("c06 abel-plana", v.check_abel_plana())
 
 
 def test_c07_planck_factor_emergence():
-    p = RotationParams.from_beta(100.0, 0.4, SI)
-    T = cfd.rotation_temperature(p)
-    w = np.linspace(0.5, 8.0, 16) * p.omega
-    lag = 0.3 / p.omega
-    ident = float(np.max(np.abs(cfd.thermal_integrand_rotation(w, lag, p.omega)
-                                / cfd.thermal_integrand_planck(w, lag, T, SI) - 1.0)))
-    coin = float(np.max(np.abs(cfd.thermal_integrand_rotation(w, 0.0, p.omega)
-                               / cfd.inertial_thermal_cf_integrand(w, 0.0, T, SI) - 1.0)))
-    t = 0.83 / p.omega
-    zp = float(np.max(np.abs(cfd.zero_point_integrand(w, t) - w**3 * np.cos(w * t))))
-    zp_rel = zp / float(np.max(np.abs(w**3)))
-    ok = ident < 1e-12 and coin < 1e-12 and zp_rel < 1e-12
-    assert report("c07 planck-factor", ok,
-                  f"identity {ident:.2e}, coincidence {coin:.2e}, zp {zp_rel:.2e}")
+    assert_rows("c07 planck-factor", v.check_planck_identity())
 
 
 def test_c08_em_energy_density():
-    t0 = time.monotonic()
-    p = RotationParams.from_beta(1.0, 0.3, NATURAL)
-    rep = thermo.em_energy_density(p, cutoff_n_max=20)
-    ident = rel(thermo.em_thermal_density_quadrature(p), rep.w_thermal)
-
-    ms = mc.build_mode_set(p, n_max=20, n_theta=64, n_phi=128)
-    est = mc.empirical_energy_density(p, ms, n_seeds=1000, seed=4321, n_workers=4)
-    w_pull = abs(est.w - rep.w_zp_cutoff) / est.w_err
-    eq_pull = float(np.max(np.abs(est.lab_e2 - est.lab_h2)
-                           / np.sqrt(est.lab_e2_err**2 + est.lab_h2_err**2)))
-    mixed_pull = abs(est.mixed) / est.mixed_err
-    elapsed = time.monotonic() - t0
-    ok = (ident < 1e-10 and w_pull < 3.0 and eq_pull < 3.0 and mixed_pull < 3.0
-          and elapsed < 300.0)
-    assert report("c08 em-energy-density", ok,
-                  f"identity {ident:.2e}, pulls w {w_pull:.2f} / E2=H2 {eq_pull:.2f} "
-                  f"/ mixed {mixed_pull:.2f}, {elapsed:.0f}s")
+    rows, elapsed = timed(v.check_em_energy_density, n_seeds=1000, n_theta=64, n_phi=128,
+                          n_max=20, seed=4321, n_workers=4)
+    assert_rows("c08 em-energy-density", rows, 300.0, elapsed)
 
 
 def test_c09_scalar_energy_ratio():
-    # stated target: thermal-part ratio 2 (4 gamma^2 - 1) / 9 at rel 1e-10.
-    # The rotating thermal density is measured by sphere quadrature of the
-    # periodic scalar CF's thermal part and divided by the inertial bath
-    # reference at T_rot.  The measurement gives (4 gamma^2 - 1) / 3 (asserted
-    # at 1e-12 in test_thermo), so this criterion fails as stated until the
-    # paper's definition of the scalar energy density is in the repository.
-    p = RotationParams.from_beta(1.0, 0.6, NATURAL)
-    bath = thermo.scalar_bath_thermal_density(cfd.rotation_temperature(p), NATURAL)
-    measured = thermo.scalar_thermal_density_quadrature(p) / bath
-    claimed = 2.0 * (4.0 * p.gamma**2 - 1.0) / 9.0
-    ok = rel(measured, claimed) < 1e-10
-    report("c09 scalar-energy-ratio", ok,
-           f"measured {measured:.12f}, stated {claimed:.12f}, "
-           f"(4 g^2 - 1)/3 = {(4.0 * p.gamma**2 - 1.0) / 3.0:.12f}")
-    assert ok, (
-        f"thermal-part ratio measured by sphere quadrature is {measured:.12f}; "
-        f"the stated factor {claimed:.12f} is not reproduced by the defining "
+    # stated target: thermal-part ratio 2 (4 gamma^2 - 1) / 9 at rel 1e-10;
+    # the measurement gives (4 gamma^2 - 1) / 3 (asserted at 1e-12 in
+    # test_thermo), so this criterion fails as stated
+    (row,) = v.check_scalar_ratio()
+    print(f"ACCEPTANCE c09 scalar-energy-ratio: {'PASS' if row.passed else 'FAIL'} "
+          f"measured {row.measured:.12f}, stated {row.target:.12f}, {row.detail}")
+    assert row.passed, (
+        f"thermal-part ratio measured by sphere quadrature is {row.measured:.12f}; "
+        f"the stated factor {row.target:.12f} is not reproduced by the defining "
         "spectral formulas (documented known failure)"
     )
 
 
 def test_c10_vacuum_force():
-    omega = 2.0e3
-    r0 = SI.c / omega
-    p = RotationParams(omega=omega, radius=0.0, constants=SI)
-    worst = 0.0
-    for x in (0.1, 0.5, 0.9):
-        r = x * r0
-        h = 1e-6 * r0
-        fd = -(thermo.em_thermal_density_at(omega, r + h)
-               - thermo.em_thermal_density_at(omega, r - h)) / (2.0 * h)
-        worst = max(worst, rel(fd, thermo.vacuum_force_density(p, r).f_vac))
-    fs = np.array([thermo.vacuum_force_density(p, x * r0).f_vac
-                   for x in np.linspace(0.005, 0.995, 100)])
-    shape_ok = bool(np.all(fs < 0.0) and np.all(np.diff(fs) < 0.0))
-    ok = worst < 1e-6 and shape_ok
-    assert report("c10 vacuum-force", ok,
-                  f"fd rel {worst:.2e}, monotone negative {shape_ok}")
+    assert_rows("c10 vacuum-force", v.check_vacuum_force())
 
 
 def test_c11_hadron_reproduction():
-    # stated targets: F = -0.44 GeV/fermi (5%) and T_rot = 3.4e11 K (3%).
-    # They follow from the hadron formulas with the rounded textbook constants
-    # (ROUNDED); CODATA gives -0.46527 GeV/fermi and 3.6445e11 K, pinned in
-    # test_thermo.  The two evaluations must differ only by the constant
-    # ratios: T_rot scales as hbar c / k_B and F as hbar c / e.
-    orbit = dict(a_sphere=1e-18, r0=1e-15, x=1.0 - 1e-6)
-    est = thermo.hadron_estimates(**orbit, const=ROUNDED)
-    codata = thermo.hadron_estimates(**orbit, const=SI)
-    force_ok = abs(est.force_gev_per_fermi - (-0.44)) <= 0.05 * 0.44
-    temp_ok = abs(est.T_rot - 3.4e11) <= 0.03 * 3.4e11
-    t_scale = (ROUNDED.hbar * ROUNDED.c / ROUNDED.k_B) / (SI.hbar * SI.c / SI.k_B)
-    f_scale = (ROUNDED.hbar * ROUNDED.c / ROUNDED.e) / (SI.hbar * SI.c / SI.e)
-    t_scaling = rel(est.T_rot / codata.T_rot, t_scale)
-    f_scaling = rel(est.force_gev_per_fermi / codata.force_gev_per_fermi, f_scale)
-    scaling_ok = max(t_scaling, f_scaling) < 1e-12
-    ok = force_ok and temp_ok and scaling_ok
-    report("c11 hadron-reproduction", ok,
-           f"F {est.force_gev_per_fermi:.5f} GeV/fermi vs -0.44, "
-           f"T {est.T_rot:.4e} K vs 3.4e11, "
-           f"scaling rel T {t_scaling:.1e} / F {f_scaling:.1e}")
-    assert ok, (
-        f"rounded constants give F = {est.force_gev_per_fermi:.5f} GeV/fermi "
-        f"({abs(est.force_gev_per_fermi + 0.44) / 0.44:.1%} from the quoted -0.44) and "
-        f"T_rot = {est.T_rot:.4e} K ({abs(est.T_rot - 3.4e11) / 3.4e11:.1%} from the "
-        f"quoted 3.4e11); CODATA scaling residuals T {t_scaling:.1e}, F {f_scaling:.1e}"
-    )
+    assert_rows("c11 hadron-reproduction", v.check_hadron_estimates())
 
 
 def test_c12_mc_determinism():
-    p = RotationParams.from_beta(1.0, 0.3, NATURAL)
-    ms = mc.build_mode_set(p, n_max=6, n_theta=16, n_phi=32)
-    runs = [mc.empirical_energy_density(p, ms, n_seeds=100, seed=7, n_workers=k)
-            for k in (1, 3, 8)]
-    ok = all(r.w == runs[0].w and np.array_equal(r.e2, runs[0].e2)
-             and r.mixed == runs[0].mixed for r in runs[1:])
-    assert report("c12 mc-determinism", ok, "bit-identical across 1/3/8 workers")
+    rows = v.check_determinism(n_seeds=100, seed=7, workers=(1, 3, 8), n_max=6,
+                               n_theta=16, n_phi=32)
+    assert_rows("c12 mc-determinism", rows)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import delta_to_tau
-from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous,
-                                  em_cf_tensor_quadrature, phi_kernel_integral,
-                                  scalar_cf_continuous, scalar_cf_quadrature,
-                                  shape_constant, sin_power_integral)
+from rotvac.cf_continuous import (CoincidenceError, _lab_kernel_rows,
+                                  em_cf_continuous, em_cf_tensor_quadrature,
+                                  phi_kernel_integral, scalar_cf_continuous,
+                                  scalar_cf_quadrature, shape_constant,
+                                  sin_power_integral)
 from rotvac.constants import NATURAL
+from rotvac.fields import diag_bracket, projection_matrix
 from rotvac.kinematics import RotationParams
 from rotvac.numerics import integrate_1d
 
@@ -109,6 +111,35 @@ class TestEmContinuous:
             ee = em_cf_continuous(pair, "EE", 0.0, tau2, p, "quadrature")
             hh = em_cf_continuous(pair, "HH", 0.0, tau2, p, "quadrature")
             assert hh.value == pytest.approx(ee.value, rel=1e-9)
+
+    @pytest.mark.parametrize("pair", [(1, 1), (2, 2), (3, 3)])
+    def test_bracket_is_rotated_lab_kernel(self, pair):
+        # the bracket polynomial at k' is the polarization-summed lab kernel
+        # of the projection rows at phases 0 and delta, at k = R_z(delta/2) k'
+        rng = np.random.default_rng(20240818)
+        k = rng.normal(size=(64, 3))
+        k /= np.linalg.norm(k, axis=1)[:, None]
+        theta, phi = np.arccos(k[:, 2]), np.arctan2(k[:, 1], k[:, 0])
+        row = pair[0] - 1
+        for beta in (0.2, 0.6, 0.9):
+            p = RotationParams.from_beta(1.0, beta, NATURAL)
+            for delta in (0.3, 1.3, 4.0):
+                c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
+                rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+                lab = _lab_kernel_rows(k @ rot.T, projection_matrix(0.0, beta)[row],
+                                       projection_matrix(delta, beta)[row])
+                bracket = diag_bracket(pair, p, delta, theta, phi)
+                assert np.max(np.abs(bracket - lab)) < 1e-13
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.9])
+    def test_bracket_quadrature_matches_tensor_route(self, beta):
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        for delta in (0.3, 2.0):
+            tau2 = delta_to_tau(p, delta)
+            for pair in ((2, 2), (3, 3)):
+                bracket = em_cf_continuous(pair, "EE", 0.0, tau2, p, "quadrature").value
+                tensor = em_cf_tensor_quadrature(pair, "EE", 0.0, tau2, p).value
+                assert bracket == pytest.approx(tensor, rel=1e-10)
 
     def test_z_coupled_off_diagonals_vanish(self):
         p = RotationParams.from_beta(1.0, 0.5, NATURAL)

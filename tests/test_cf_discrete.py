@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import delta_to_tau
+from oracles import cubic_ladder_partial_fraction, make_kernel
 from rotvac.cf_continuous import CoincidenceError
-from rotvac.cf_discrete import (ResonanceError, cubic_ladder_partial_fraction,
-                                cubic_ladder_split, cubic_ladder_sum_closed,
-                                em_cf_discrete, inertial_thermal_cf_integrand,
-                                ladder_phase, linear_ladder_split,
-                                linear_ladder_sum_closed, make_kernel,
+from rotvac.cf_discrete import (ResonanceError, cubic_ladder_split,
+                                cubic_ladder_sum_closed, em_cf_discrete,
+                                inertial_thermal_cf_integrand, ladder_phase,
+                                linear_ladder_split, linear_ladder_sum_closed,
                                 rotation_temperature, scalar_cf_discrete,
                                 thermal_integrand_planck,
                                 thermal_integrand_rotation,

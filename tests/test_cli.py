@@ -117,6 +117,13 @@ class TestForceCurve:
         _, _, rows = parse_table(out)
         assert any(r["flag"].startswith("rejected") for r in rows)
 
+    def test_natural_units_leave_gev_column_empty(self, capsys):
+        code, out = run_cli(capsys, "force-curve", "--omega", "1", "--units", "natural",
+                            "--r-steps", "3", "--r-max", "0.5", "--sphere-radius", "1e-3")
+        assert code == 0
+        _, _, rows = parse_table(out)
+        assert all(r["F_sphere"] != "" and r["F_gev_per_fermi"] == "" for r in rows)
+
     def test_hadron_scale_point(self, capsys):
         # consistency with the hadron estimator at the same orbit
         r0 = 1e-15

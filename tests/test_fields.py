@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotvac.constants import NATURAL
+from oracles import polarization_sum_matrix, project_fields_via_tensor
 from rotvac.fields import (Direction, FieldTriplet, FrameError,
                            angular_weight_kernel, angular_weight_kernel_grid,
-                           polarization_basis, polarization_sum_matrix,
-                           project_fields_to_tetrad, project_fields_via_tensor)
+                           polarization_basis, project_fields_to_tetrad)
 from rotvac.kinematics import RotationParams
 from rotvac.numerics import integrate_sphere
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import scalar_lab_stress_diagonal
 from rotvac.cf_discrete import rotation_temperature
 from rotvac.constants import NATURAL, SI
 from rotvac.kinematics import LuminalOrbitError, RotationParams
@@ -11,7 +12,7 @@ from rotvac.thermo import (CASIMIR_MODEL_C, casimir_force, em_anisotropy_factor,
                            em_energy_density, em_thermal_density_at,
                            em_thermal_density_quadrature, hadron_estimates,
                            scalar_bath_factor, scalar_bath_thermal_density,
-                           scalar_energy_density, scalar_lab_stress_diagonal,
+                           scalar_energy_density,
                            scalar_thermal_density_quadrature, vacuum_force_density)
 
 # frozen CODATA arithmetic for the hadron-scale checkpoint
@@ -64,9 +65,13 @@ class TestEmEnergyDensity:
         assert w2 > w1
 
     def test_mixed_moment_cross_check(self):
+        # the report carries the analytic 0; the angular integral behind
+        # <E1 H3> - <E3 H1>, eps_{3 a 1} khat_a summed over both orderings,
+        # is odd in ky and vanishes by quadrature too
         p = RotationParams.from_beta(1.0, 0.3, NATURAL)
-        rep = em_energy_density(p, cutoff_n_max=4)
-        assert abs(rep.mixed_moment_residual) < 1e-12
+        assert em_energy_density(p, cutoff_n_max=4).mixed_moment_residual == 0.0
+        val, _ = integrate_sphere(lambda th, ph: -2.0 * np.sin(th) * np.sin(ph))
+        assert abs(val) < 1e-12
 
     def test_total_is_sum(self):
         p = RotationParams.from_beta(1.0, 0.5, NATURAL)
