@@ -142,8 +142,10 @@ def _bracket_quadrature(pair, params, delta, dt_lab, spec) -> float:
     const = params.constants
 
     def integrand(theta, phi):
-        ky = np.sin(theta) * np.sin(phi)
-        return diag_bracket(pair, params, delta, theta, phi) / (1.0 + k * ky) ** 4
+        st = np.sin(theta)
+        kx = st * np.cos(phi)
+        ky = st * np.sin(phi)
+        return diag_bracket(pair, params, delta, kx, ky) / (1.0 + k * ky) ** 4
 
     val, _ = integrate_sphere(integrand, spec)
     pref = const.hbar * const.c / (4.0 * math.pi**2) * 6.0 / (const.c * dt_lab) ** 4

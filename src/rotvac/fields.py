@@ -119,9 +119,9 @@ def polarization_basis(direction: Direction):
     return e1[0], e2[0]
 
 
-def diag_bracket(pair: Tuple[int, int], params: RotationParams, delta: float, theta, phi):
+def diag_bracket(pair: Tuple[int, int], params: RotationParams, delta: float, kx, ky):
     """Angular bracket c0 + cy ky + cxx kx^2 + cyy ky^2 of the diagonal pair
-    (a, a) at the directions (theta, phi); vectorized in the angles.
+    (a, a) at the unit-vector components (kx, ky); vectorized in them.
 
     It is the polarization-summed kernel of the tetrad components a at lags
     0 and delta, seen in the frame rotated by delta/2 about z.  delta is the
@@ -140,9 +140,6 @@ def diag_bracket(pair: Tuple[int, int], params: RotationParams, delta: float, th
                             g * g * (1.0 - b * b * ch * ch), g * g * (1.0 + b * b * sh * sh))
     else:
         raise ValueError(f"no angular bracket for pair {pair!r}")
-    st = np.sin(theta)
-    kx = st * np.cos(phi)
-    ky = st * np.sin(phi)
     return c0 + cy * ky + cxx * kx * kx + cyy * ky * ky
 
 
@@ -154,7 +151,10 @@ def angular_weight_kernel_grid(theta, phi, delta: float, params: RotationParams)
     Normalized so the beta = 0, delta = 0 kernel integrates to 1 over the
     sphere.
     """
-    return (3.0 / (8.0 * math.pi)) * diag_bracket((1, 1), params, delta, theta, phi)
+    st = np.sin(theta)
+    kx = st * np.cos(phi)
+    ky = st * np.sin(phi)
+    return (3.0 / (8.0 * math.pi)) * diag_bracket((1, 1), params, delta, kx, ky)
 
 
 def angular_weight_kernel(direction: Direction, delta: float, params: RotationParams) -> float:

@@ -116,6 +116,13 @@ class EmpiricalEnergyDensity:
     mixed_err: float
     n_seeds: int
 
+    def pulls(self, w_target: float):
+        """Pulls of w against w_target, of each lab <E_i^2> against <H_i^2>
+        (an array of 3), and of the mixed moment against 0."""
+        eh = (np.abs(self.lab_e2 - self.lab_h2)
+              / np.sqrt(self.lab_e2_err**2 + self.lab_h2_err**2))
+        return abs(self.w - w_target) / self.w_err, eh, abs(self.mixed) / self.mixed_err
+
 
 def build_mode_set(params: RotationParams, spectrum: str = "discrete",
                    n_max: int = 10, n_theta: int = 16, n_phi: int = 32,

@@ -63,7 +63,7 @@ class ThermoReport:
     w_total_cutoff: float    # w_zp_cutoff + w_thermal
     anisotropy_factor: float
     cutoff_n_max: int
-    mixed_moment_residual: float = 0.0  # <E1 H3> - <E3 H1>; vanishes by symmetry
+    mixed_moment_residual: float = 0.0  # <E1 H3> - <E3 H1> cross-check
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,25 @@ def _bose_integrand(u: float) -> float:
     return u**3 * math.exp(-u) / (1.0 - math.exp(-u)) if u > 0.0 else 0.0
 
 
-def em_energy_density(params: RotationParams, cutoff_n_max: int) -> ThermoReport:
+def _mixed_moment_residual(spec: QuadratureSpec) -> float:
+    """Angular integral behind <E1 H3> - <E3 H1> at one point; identically
+    zero (odd integrand), evaluated by quadrature as a cross-check."""
+    def integrand(theta, phi):
+        ky = np.sin(theta) * np.sin(phi)
+        return -2.0 * ky  # eps_{3 a 1} khat_a summed over both orderings
+    val, _ = integrate_sphere(integrand, spec)
+    return val
+
+
+def em_energy_density(params: RotationParams, cutoff_n_max: int,
+                      spec: QuadratureSpec = DEFAULT_SPEC) -> ThermoReport:
     """Electromagnetic energy density seen on the rotating worldline.
 
     w_thermal is the exact closed form anisotropy * (4 sigma / c) T_rot^4.
     w_zp_cutoff is the zero-point ladder truncated at n_max with the same
     prefactor bookkeeping, anisotropy * (hbar omega^4 / (2 pi^2 c^3))
     * sum n^3; it grows without bound as the cutoff is raised and is always
-    reported together with the cutoff.  mixed_moment_residual is the
-    analytic 0: the angular integrand of <E1 H3> - <E3 H1> is odd in k_y.
+    reported together with the cutoff.
     """
     if cutoff_n_max < 1:
         raise ValueError("cutoff_n_max must be >= 1")
@@ -133,10 +143,11 @@ def em_energy_density(params: RotationParams, cutoff_n_max: int) -> ThermoReport
     w_t = aniso * 4.0 * const.sigma / const.c * T**4
     w_zp = aniso * const.hbar * params.omega**4 / (2.0 * math.pi**2 * const.c**3) \
         * _ladder_cubic_sum(cutoff_n_max)
+    resid = _mixed_moment_residual(spec)
     return ThermoReport(
         field_kind="em", T_rot=T, w_zp_cutoff=w_zp, w_thermal=w_t,
         w_total_cutoff=w_zp + w_t, anisotropy_factor=aniso,
-        cutoff_n_max=cutoff_n_max,
+        cutoff_n_max=cutoff_n_max, mixed_moment_residual=resid,
     )
 
 

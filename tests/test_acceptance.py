@@ -34,8 +34,10 @@ def timed(check, **kwargs):
 
 
 def test_c01_sine_power_integrals():
-    rows, elapsed = timed(v.check_sine_power_integrals, exact_tol=1e-15)
+    rows, elapsed = timed(v.check_sine_power_integrals)
     assert_rows("c01 sine-power-integrals", rows, 1.0, elapsed)
+    exact = [r for r in rows if r.name.endswith("-exact")]
+    assert len(exact) == 3 and all(abs(r.measured - r.target) < 1e-15 for r in exact)
 
 
 def test_c02_phi_kernels():

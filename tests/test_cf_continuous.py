@@ -119,7 +119,6 @@ class TestEmContinuous:
         rng = np.random.default_rng(20240818)
         k = rng.normal(size=(64, 3))
         k /= np.linalg.norm(k, axis=1)[:, None]
-        theta, phi = np.arccos(k[:, 2]), np.arctan2(k[:, 1], k[:, 0])
         row = pair[0] - 1
         for beta in (0.2, 0.6, 0.9):
             p = RotationParams.from_beta(1.0, beta, NATURAL)
@@ -128,7 +127,7 @@ class TestEmContinuous:
                 rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
                 lab = _lab_kernel_rows(k @ rot.T, projection_matrix(0.0, beta)[row],
                                        projection_matrix(delta, beta)[row])
-                bracket = diag_bracket(pair, p, delta, theta, phi)
+                bracket = diag_bracket(pair, p, delta, k[:, 0], k[:, 1])
                 assert np.max(np.abs(bracket - lab)) < 1e-13
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.9])

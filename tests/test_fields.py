@@ -149,7 +149,14 @@ class TestAngularWeight:
 
     def test_grid_matches_scalar(self, params_mid):
         th = np.array([0.4, 1.3]); ph = np.array([0.2, 5.0])
-        grid = angular_weight_kernel_grid(th, ph, 1.1, params_mid)
+        delta, b, g = 1.1, params_mid.beta, params_mid.gamma
+        grid = angular_weight_kernel_grid(th, ph, delta, params_mid)
         for i in range(2):
-            scalar = angular_weight_kernel(Direction(th[i], ph[i]), 1.1, params_mid)
-            assert grid[i] == pytest.approx(scalar, rel=1e-15)
+            d = Direction(th[i], ph[i])
+            kx, ky, _ = d.unit_vector
+            expect = 3.0 / (8.0 * math.pi) * g * g * (
+                math.cos(delta) + 2.0 * b * math.cos(delta / 2.0) * ky
+                + (b * b - math.cos(delta / 2.0) ** 2) * kx * kx
+                + (b * b + math.sin(delta / 2.0) ** 2) * ky * ky)
+            assert grid[i] == pytest.approx(expect, rel=1e-14)
+            assert angular_weight_kernel(d, delta, params_mid) == pytest.approx(expect, rel=1e-14)
