@@ -11,7 +11,9 @@ The resulting ladder sums
 have closed forms away from phase in 2 pi Z, and the Abel-Plana identity
 splits each into a divergent zero-point integral (carried by its regularized
 value) plus a convergent integral whose weight is exactly the Planck
-occupancy at the rotation temperature T = hbar omega / (2 pi k_B).
+occupancy at the rotation temperature T = hbar omega / (2 pi k_B).  That
+thermal integral is evaluated in closed form through the polygamma function;
+its QUADPACK evaluation is the independent oracle of the tests.
 
 ``phase`` here is the direction-dependent quantity
 
@@ -27,13 +29,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import polygamma
 
 from .constants import Constants, planck_occupancy
 from .cf_continuous import COINCIDENCE_TOL, CFValue, CoincidenceError
 from .fields import angular_weight_kernel_grid
 from .kinematics import RotationParams
-from .numerics import (DEFAULT_SPEC, QuadratureError, QuadratureSpec,
-                       integrate_1d, integrate_sphere)
+from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_sphere
 
 __all__ = [
     "ResonanceError",
@@ -117,25 +119,26 @@ def linear_ladder_sum_closed(phase):
     return float(out) if out.ndim == 0 else out
 
 
-def _stable_thermal_term(u, phase, p):
-    # 2 u^p cosh(u phase) / (e^{2 pi u} - 1) without overflow, |phase| < 2 pi
-    decay = -np.expm1(-2.0 * math.pi * u)
-    return u**p * (np.exp(-(2.0 * math.pi - phase) * u) + np.exp(-(2.0 * math.pi + phase) * u)) / decay
+def thermal_ladder_integral(phase, p: int = 3):
+    """int_0^inf 2 u^p cosh(u phase) / (e^(2 pi u) - 1) du, |phase| < 2 pi.
 
-
-def thermal_ladder_integral(phase: float, p: int = 3,
-                            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """int_0^inf 2 u^p cosh(u phase) / (e^(2 pi u) - 1) du, |phase| < 2 pi."""
-    if abs(phase) >= 2.0 * math.pi:
+    Evaluated in closed form, (2 pi)^-(p+1) [psi_p(1 + x) + psi_p(1 - x)]
+    with x = phase / 2 pi and psi_p the polygamma function (DLMF 5.15.1),
+    for odd p >= 1; vectorized in phase.
+    """
+    if p < 1 or p % 2 == 0:
+        raise ValueError(f"closed form holds for odd p >= 1, got p = {p!r}")
+    phase = np.asarray(phase, dtype=float)
+    if np.any(np.abs(phase) >= 2.0 * math.pi):
         raise ResonanceError(
-            f"thermal integral diverges for |phase| = {abs(phase)!r} >= 2 pi"
+            f"thermal integral diverges for |phase| = {float(np.max(np.abs(phase)))!r} >= 2 pi"
         )
-    val, _ = integrate_1d(lambda u: _stable_thermal_term(u, phase, p), 0.0, math.inf, spec)
-    return val
+    x = phase / (2.0 * math.pi)
+    out = (polygamma(p, 1.0 + x) + polygamma(p, 1.0 - x)) / (2.0 * math.pi) ** (p + 1)
+    return float(out) if out.ndim == 0 else out
 
 
-def cubic_ladder_split(phase: float, omega0: float = 1.0,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> ThermalSplit:
+def cubic_ladder_split(phase: float, omega0: float = 1.0) -> ThermalSplit:
     """Zero-point / thermal split of the cubic ladder sum, in omega0^4 units.
 
     zero_point_part is the regularized frequency integral 6 / time_lag^4;
@@ -143,19 +146,18 @@ def cubic_ladder_split(phase: float, omega0: float = 1.0,
     reproduces cubic_ladder_sum_closed(phase).
     """
     zp = omega0**4 * 6.0 / phase**4
-    th = omega0**4 * thermal_ladder_integral(phase, p=3, spec=spec)
+    th = omega0**4 * thermal_ladder_integral(phase, p=3)
     return ThermalSplit(zero_point_part=zp, thermal_part=th)
 
 
-def linear_ladder_split(phase: float, omega0: float = 1.0,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> ThermalSplit:
+def linear_ladder_split(phase: float, omega0: float = 1.0) -> ThermalSplit:
     """Split of the linear ladder sum (scalar case), in omega0^2 units.
 
     The zero-point part carries the regularized value -1/time_lag^2 and the
     thermal part enters with a minus sign.
     """
     zp = -(omega0**2) / phase**2
-    th = -(omega0**2) * thermal_ladder_integral(phase, p=1, spec=spec)
+    th = -(omega0**2) * thermal_ladder_integral(phase, p=1)
     return ThermalSplit(zero_point_part=zp, thermal_part=th)
 
 
@@ -182,30 +184,6 @@ def inertial_thermal_cf_integrand(omega, t, temperature: float, const: Constants
     rest-frame Planck-spectrum correlation function."""
     w = np.asarray(omega, dtype=float)
     return 2.0 * w**3 * np.cos(w * t) * planck_occupancy(w, temperature, const)
-
-
-def _thermal_on_grid(phase_grid, p: int):
-    """Elementwise thermal_ladder_integral over a phase array."""
-    ph = np.asarray(phase_grid, dtype=float)
-    out = np.empty_like(ph)
-    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15, max_subdivisions=200)
-    it = np.nditer(ph, flags=["multi_index"])
-    for val in it:
-        out[it.multi_index] = thermal_ladder_integral(float(val), p=p, spec=spec)
-    return out
-
-
-def _two_level_sphere(f, n_low: int = 32, n_high: int = 48) -> float:
-    """Fixed two-level product-rule sphere integral (split exposure only;
-    integrands are smooth and the levels agree to ~1e-8 relative)."""
-    from .numerics import _sphere_level
-
-    lo, _ = _sphere_level(f, n_low, 2 * n_low)
-    hi, _ = _sphere_level(f, n_high, 2 * n_high)
-    if abs(hi - lo) > 1e-6 * max(1.0, abs(hi)):
-        raise QuadratureError("split sphere levels disagree",
-                              best_estimate=hi, error_estimate=abs(hi - lo))
-    return hi
 
 
 def _resonance_scan(delta: float, params: RotationParams):
@@ -244,6 +222,40 @@ def _check_resonances(delta: float, params: RotationParams):
     return lo, hi
 
 
+def _ladder_cf(kind: str, pair, pref: float, tau1, tau2, params: RotationParams,
+               spec: QuadratureSpec, split: bool, weight, ladder, zero_point,
+               p: int, sign: float):
+    """CF whose value is pref times the sphere integral of
+    weight(theta, phi, delta) times ladder(phase(delta, k_y)).  With
+    split=True also returns the same integrals of zero_point(phase) and of
+    sign * thermal_ladder_integral(phase, p) as a ThermalSplit.
+    """
+    delta = params.alpha(tau2) - params.alpha(tau1)
+    if abs(delta) < COINCIDENCE_TOL:
+        raise CoincidenceError("discrete CF diverges at coincidence; use the energy-density split")
+    lo, hi = _check_resonances(delta, params)
+
+    def over_sphere(f):
+        def integrand(theta, phi):
+            ky = np.sin(theta) * np.sin(phi)
+            return weight(theta, phi, delta) * f(ladder_phase(delta, ky, params))
+        val, _ = integrate_sphere(integrand, spec)
+        return pref * val
+
+    cf = CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
+                 spectrum="discrete", value=over_sphere(ladder), method="quadrature")
+    if not split:
+        return cf
+    if max(abs(lo), abs(hi)) >= 2.0 * math.pi:
+        raise ResonanceError(
+            "zero-point/thermal split undefined: |phase| reaches 2 pi on the sphere "
+            f"(range [{lo:.6f}, {hi:.6f}]); the closed-form total remains valid"
+        )
+    return cf, ThermalSplit(
+        zero_point_part=over_sphere(zero_point),
+        thermal_part=over_sphere(lambda ph: sign * thermal_ladder_integral(ph, p)))
+
+
 def em_cf_discrete(tau1, tau2, params: RotationParams,
                    spec: QuadratureSpec = DEFAULT_SPEC, split: bool = False):
     """Periodic electromagnetic CF (first tetrad axis, electric pair).
@@ -257,43 +269,11 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
     ResonanceError carrying the offending directions.
     """
     const = params.constants
-    delta = params.alpha(tau2) - params.alpha(tau1)
-    if abs(delta) < COINCIDENCE_TOL:
-        raise CoincidenceError("discrete CF diverges at coincidence; use the energy-density split")
-    lo, hi = _check_resonances(delta, params)
     pref = 2.0 * const.hbar * params.omega**4 / (3.0 * math.pi * const.c**3)
-
-    def integrand(theta, phi):
-        ky = np.sin(theta) * np.sin(phi)
-        ph = ladder_phase(delta, ky, params)
-        return angular_weight_kernel_grid(theta, phi, delta, params) * cubic_ladder_sum_closed(ph)
-
-    val, _ = integrate_sphere(integrand, spec)
-    cf = CFValue(kind="EE", pair=(1, 1), tau1=tau1, tau2=tau2,
-                 spectrum="discrete", value=pref * val, method="quadrature")
-    if not split:
-        return cf
-    if max(abs(lo), abs(hi)) >= 2.0 * math.pi:
-        raise ResonanceError(
-            "zero-point/thermal split undefined: |phase| reaches 2 pi on the sphere "
-            f"(range [{lo:.6f}, {hi:.6f}]); the closed-form total remains valid"
-        )
-
-    def zp_integrand(theta, phi):
-        ky = np.sin(theta) * np.sin(phi)
-        ph = ladder_phase(delta, ky, params)
-        return angular_weight_kernel_grid(theta, phi, delta, params) * 6.0 / ph**4
-
-    def th_integrand(theta, phi):
-        ky = np.sin(theta) * np.sin(phi)
-        ph = ladder_phase(delta, ky, params)
-        K = angular_weight_kernel_grid(theta, phi, delta, params)
-        return K * _thermal_on_grid(ph, p=3)
-
-    zp_val, _ = integrate_sphere(zp_integrand, spec)
-    th_val = _two_level_sphere(th_integrand)
-    parts = ThermalSplit(zero_point_part=pref * zp_val, thermal_part=pref * th_val)
-    return cf, parts
+    return _ladder_cf(
+        "EE", (1, 1), pref, tau1, tau2, params, spec, split,
+        weight=lambda theta, phi, delta: angular_weight_kernel_grid(theta, phi, delta, params),
+        ladder=cubic_ladder_sum_closed, zero_point=lambda ph: 6.0 / ph**4, p=3, sign=1.0)
 
 
 def scalar_cf_discrete(tau1, tau2, params: RotationParams,
@@ -305,37 +285,9 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams,
     the (negative) Planck-weighted thermal part.
     """
     const = params.constants
-    delta = params.alpha(tau2) - params.alpha(tau1)
-    if abs(delta) < COINCIDENCE_TOL:
-        raise CoincidenceError("discrete CF diverges at coincidence; use the energy-density split")
-    lo, hi = _check_resonances(delta, params)
     k0 = params.omega / const.c
     pref = const.hbar * const.c * k0**2 / (4.0 * math.pi**2)
-
-    def integrand(theta, phi):
-        ky = np.sin(theta) * np.sin(phi)
-        return linear_ladder_sum_closed(ladder_phase(delta, ky, params))
-
-    val, _ = integrate_sphere(integrand, spec)
-    cf = CFValue(kind="scalar", pair=(0, 0), tau1=tau1, tau2=tau2,
-                 spectrum="discrete", value=pref * val, method="quadrature")
-    if not split:
-        return cf
-    if max(abs(lo), abs(hi)) >= 2.0 * math.pi:
-        raise ResonanceError(
-            "zero-point/thermal split undefined: |phase| reaches 2 pi on the sphere"
-        )
-
-    def zp_integrand(theta, phi):
-        ky = np.sin(theta) * np.sin(phi)
-        return -1.0 / ladder_phase(delta, ky, params) ** 2
-
-    def th_integrand(theta, phi):
-        ky = np.sin(theta) * np.sin(phi)
-        ph = ladder_phase(delta, ky, params)
-        return -_thermal_on_grid(ph, p=1)
-
-    zp_val, _ = integrate_sphere(zp_integrand, spec)
-    th_val = _two_level_sphere(th_integrand)
-    parts = ThermalSplit(zero_point_part=pref * zp_val, thermal_part=pref * th_val)
-    return cf, parts
+    return _ladder_cf(
+        "scalar", (0, 0), pref, tau1, tau2, params, spec, split,
+        weight=lambda theta, phi, delta: 1.0,
+        ladder=linear_ladder_sum_closed, zero_point=lambda ph: -1.0 / ph**2, p=1, sign=-1.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -38,10 +39,18 @@ def _params(args) -> RotationParams:
     return RotationParams(omega=args.omega, radius=args.radius, constants=const)
 
 
-def _spec(args) -> QuadratureSpec:
-    if args.tol is None:
-        return QuadratureSpec()
-    return QuadratureSpec(rel_tol=args.tol, abs_tol=args.tol * 1e-4)
+def _int_in(lo: int, hi: float = math.inf):
+    """argparse type: an integer n with lo <= n < hi."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if not lo <= n < hi:
+            raise argparse.ArgumentTypeError(f"expected an integer in [{lo}, {hi}), got {n}")
+        return n
+    return integer
+
+
+SEED = _int_in(0, 2**64)     # Philox keys are uint64
+SEED_COUNT = _int_in(2)      # a standard error needs two seeds
 
 
 def _emit(args, meta: dict, header: List[str], rows: List[list], flagged: bool) -> int:
@@ -100,7 +109,8 @@ def cmd_cf(args) -> int:
     const = params.constants
     pair = (int(args.pair[0]), int(args.pair[1]))
     deltas = np.linspace(args.delta_min, args.delta_max, args.delta_steps)
-    spec = _spec(args)
+    spec = (QuadratureSpec() if args.tol is None
+            else QuadratureSpec(rel_tol=args.tol, abs_tol=args.tol * 1e-4))
     header = ["delta", "method", "value", "stat_error", "flag"]
     rows, flagged = [], False
     ms = None
@@ -152,7 +162,6 @@ def cmd_cf(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = _params(args)
-    spec = _spec(args)
     phases = np.linspace(args.phase_min, args.phase_max, args.phase_steps)
     header = ["phase", "ladder_sum_closed", "zero_point_part", "thermal_part",
               "total", "rel_consistency", "flag"]
@@ -160,7 +169,7 @@ def cmd_spectrum(args) -> int:
     for ph in phases:
         try:
             closed = cfd.cubic_ladder_sum_closed(float(ph))
-            split = cfd.cubic_ladder_split(float(ph), spec=spec)
+            split = cfd.cubic_ladder_split(float(ph))
             rel = abs(split.total - closed) / abs(closed)
             rows.append([float(ph), closed, split.zero_point_part,
                          split.thermal_part, split.total, rel, "ok"])
@@ -194,6 +203,8 @@ def cmd_energy(args) -> int:
 def cmd_force_curve(args) -> int:
     const = _constants(args)
     params = RotationParams(omega=args.omega, radius=0.0, constants=const)
+    if args.omega == 0.0:
+        raise ValueError("force-curve needs --omega > 0 (the radius scale is c / omega)")
     r0 = const.c / args.omega
     rs = np.linspace(args.r_min * r0, args.r_max * r0, args.r_steps)
     header = ["r", "x", "w_thermal", "f_vac", "F_sphere", "F_gev_per_fermi", "flag"]
@@ -248,7 +259,8 @@ def cmd_mc_validate(args) -> int:
                                     n_workers=max(2, args.workers))
     same = est.w == b.w
     rows.append(["worker_determinism", est.w, b.w, "ok" if same else "MISMATCH"])
-    flagged = any(x > 3.0 for x in (pull, *eh, mixed_pull)) or not same
+    # "not <=" so that a NaN pull flags instead of passing
+    flagged = any(not x <= 3.0 for x in (pull, *eh, mixed_pull)) or not same
     meta = _meta_common(args, params)
     meta["manifest"] = json.dumps(mc.run_manifest(params, ms, args.seeds, args.seed))
     return _emit(args, meta, header, rows, flagged)
@@ -277,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, motion=True):
         sp.add_argument("--units", choices=("SI", "natural"), default="natural")
-        sp.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if motion:
@@ -304,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta-min", type=float, default=0.5)
     sp.add_argument("--delta-max", type=float, default=5.0)
     sp.add_argument("--delta-steps", type=int, default=10)
+    sp.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
     sp.add_argument("--n-max", type=int, default=6)
-    sp.add_argument("--seeds", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seeds", type=SEED_COUNT, default=200)
+    sp.add_argument("--seed", type=SEED, default=0)
     sp.add_argument("--mc-theta", type=int, default=16)
     sp.add_argument("--mc-phi", type=int, default=32)
     sp.set_defaults(func=cmd_cf)
@@ -344,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mc-validate", help="Monte Carlo cross-checks")
     common(sp)
     sp.add_argument("--n-max", type=int, default=6)
-    sp.add_argument("--seeds", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seeds", type=SEED_COUNT, default=200)
+    sp.add_argument("--seed", type=SEED, default=0)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--mc-theta", type=int, default=16)
     sp.add_argument("--mc-phi", type=int, default=32)
@@ -353,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run the acceptance checks")
     sp.add_argument("--suite", choices=("quick", "full"), default="quick")
-    sp.add_argument("--seed", type=int, default=20240817)
+    sp.add_argument("--seed", type=SEED, default=20240817)
     sp.add_argument("--sigma-perturb", type=float, default=1.0,
                     help="multiply the Stefan-Boltzmann constant (negative control)")
     sp.add_argument("--out", default=None)

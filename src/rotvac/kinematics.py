@@ -55,8 +55,8 @@ class RotationParams:
     constants: Constants = SI
 
     def __post_init__(self):
-        if self.omega < 0 or self.radius < 0:
-            raise ValueError("omega and radius must be non-negative")
+        if not (0 <= self.omega < math.inf and 0 <= self.radius < math.inf):
+            raise ValueError("omega and radius must be finite and non-negative")
         if self.beta >= 1.0 - BETA_GUARD:
             raise LuminalOrbitError(
                 f"orbital speed beta = {self.beta!r} too close to 1"

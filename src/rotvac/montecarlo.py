@@ -183,6 +183,8 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
 
 def draw_phases(mode_set: ModeSet, seed: int, index: int = 0) -> PhaseEnsemble:
     """Counter-based phase draw; (seed, index) keys an independent stream."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
     gen = Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
     shape = (mode_set.khat.shape[0], mode_set.wavenumbers.shape[0], 2)
     return PhaseEnsemble(seed=seed, phases=2.0 * np.pi * gen.random(shape))
@@ -233,6 +235,8 @@ def empirical_cf(pair: Tuple[int, int], kind: str, tau1: float, tau2: float,
     """
     if kind not in ("EE", "HH", "EH"):
         raise ValueError(f"unknown kind {kind!r}")
+    if n_seeds < 2:
+        raise ValueError(f"a standard error needs n_seeds >= 2, got {n_seeds}")
     a, b = pair
     m1 = projection_matrix(params.alpha(tau1), params.beta)
     m2 = projection_matrix(params.alpha(tau2), params.beta)
@@ -250,7 +254,7 @@ def empirical_cf(pair: Tuple[int, int], kind: str, tau1: float, tau2: float,
     vals = np.empty(n_seeds)
     _seed_loop(work, n_seeds, n_workers, vals)
     mean = float(vals.mean())
-    err = float(vals.std(ddof=1) / math.sqrt(n_seeds)) if n_seeds > 1 else math.inf
+    err = float(vals.std(ddof=1) / math.sqrt(n_seeds))
     return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
                    spectrum=mode_set.spectrum, value=mean,
                    method="monte-carlo", stat_error=err)
@@ -265,6 +269,8 @@ def empirical_energy_density(params: RotationParams, mode_set: ModeSet,
     (1/8 pi) sum(<E_(a)^2> + <H_(a)^2>), and the mixed moment
     <E1 H3> - <E3 H1>, each with standard errors.
     """
+    if n_seeds < 2:
+        raise ValueError(f"a standard error needs n_seeds >= 2, got {n_seeds}")
     m = projection_matrix(params.alpha(tau), params.beta)
 
     def work(i):

@@ -202,7 +202,7 @@ def scalar_thermal_density_quadrature(params: RotationParams,
         return g2 * (1.0 - beta * ky) ** 2
 
     weight, _ = integrate_sphere(doppler_weight, spec)
-    return pref * k0**2 * thermal_ladder_integral(0.0, p=3, spec=spec) * weight
+    return pref * k0**2 * thermal_ladder_integral(0.0, p=3) * weight
 
 
 def scalar_energy_density(params: RotationParams, cutoff_n_max: int,

@@ -3,8 +3,9 @@
 Each one reaches a number that the package computes by another route: the
 field-tensor contraction checks the projection matrix, the polarization sum
 checks the basis, the partial-fraction series checks the closed ladder sum,
-the quadrature stress moments check the scalar isotropy, and the kernel
-record checks the ladder phase bookkeeping.
+the QUADPACK Planck-weighted integral checks the polygamma form of the
+thermal ladder integral, the quadrature stress moments check the scalar
+isotropy, and the kernel record checks the ladder phase bookkeeping.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from rotvac.cf_discrete import ladder_phase
 from rotvac.fields import Direction, FieldTriplet, FrameError, polarization_basis
 from rotvac.kinematics import RotationParams, frenet_serret_tetrad
-from rotvac.numerics import integrate_sphere
+from rotvac.numerics import QuadratureSpec, integrate_1d, integrate_sphere
 
 
 def field_tensor(E, H) -> np.ndarray:
@@ -61,6 +62,22 @@ def cubic_ladder_partial_fraction(phase: float, n_terms: int = 10000) -> float:
     m = np.arange(1, n_terms + 1, dtype=float)
     tail = np.sum((2.0 * math.pi * m + phase) ** -4 + (2.0 * math.pi * m - phase) ** -4)
     return 6.0 * (phase**-4 + float(tail))
+
+
+def _stable_thermal_term(u, phase, p):
+    # 2 u^p cosh(u phase) / (e^{2 pi u} - 1) without overflow, |phase| < 2 pi
+    decay = -np.expm1(-2.0 * math.pi * u)
+    return u**p * (np.exp(-(2.0 * math.pi - phase) * u) + np.exp(-(2.0 * math.pi + phase) * u)) / decay
+
+
+def thermal_ladder_quadpack(phase: float, p: int) -> float:
+    """int_0^inf 2 u^p cosh(u phase) / (e^(2 pi u) - 1) du by QUADPACK.
+
+    Independent route to thermal_ladder_integral; |phase| < 2 pi.
+    """
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15, max_subdivisions=200)
+    val, _ = integrate_1d(lambda u: _stable_thermal_term(u, phase, p), 0.0, math.inf, spec)
+    return val
 
 
 def scalar_lab_stress_diagonal(params: RotationParams, cutoff_n_max: int):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import delta_to_tau
-from oracles import cubic_ladder_partial_fraction, make_kernel
+from oracles import (cubic_ladder_partial_fraction, make_kernel,
+                     thermal_ladder_quadpack)
 from rotvac.cf_continuous import CoincidenceError
 from rotvac.cf_discrete import (ResonanceError, cubic_ladder_split,
                                 cubic_ladder_sum_closed, em_cf_discrete,
@@ -81,7 +82,7 @@ class TestLadderSums:
 
 
 class TestThermalSplit:
-    @pytest.mark.parametrize("phase", [0.5, 1.0, 2.0, math.pi, 4.0, 5.0, 6.0])
+    @pytest.mark.parametrize("phase", [1e-3, 0.5, 1.0, 2.0, math.pi, 4.0, 5.0, 6.0])
     def test_cubic_total_matches_closed(self, phase):
         split = cubic_ladder_split(phase)
         assert split.total == pytest.approx(cubic_ladder_sum_closed(phase), rel=1e-8)
@@ -101,10 +102,36 @@ class TestThermalSplit:
         with pytest.raises(ResonanceError):
             cubic_ladder_split(6.5)
 
-    @pytest.mark.parametrize("phase", [0.5, 2.0, math.pi, 5.0])
+    @pytest.mark.parametrize("phase", [1e-3, 0.5, 2.0, math.pi, 5.0])
     def test_linear_total_matches_closed(self, phase):
         split = linear_ladder_split(phase)
         assert split.total == pytest.approx(linear_ladder_sum_closed(phase), rel=1e-8)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_closed_form_matches_quadpack_oracle(self, p):
+        mags = np.concatenate([np.logspace(-6, 0, 7), np.linspace(1.5, 6.0, 10), [6.2]])
+        for ph in np.concatenate([[0.0], mags, -mags]):
+            assert thermal_ladder_integral(float(ph), p) == pytest.approx(
+                thermal_ladder_quadpack(float(ph), p), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_array_call_matches_scalar_calls(self, p):
+        phases = np.linspace(-6.2, 6.2, 12).reshape(3, 4)
+        out = thermal_ladder_integral(phases, p)
+        assert isinstance(thermal_ladder_integral(1.0, p), float)
+        assert out.shape == phases.shape
+        assert all(out[i] == thermal_ladder_integral(float(phases[i]), p)
+                   for i in np.ndindex(phases.shape))
+
+    def test_array_with_divergent_phase_raises(self):
+        for bad in (2.0 * math.pi, -7.0):
+            with pytest.raises(ResonanceError):
+                thermal_ladder_integral(np.array([0.5, 1.0, bad]), p=3)
+
+    def test_even_power_rejected(self):
+        # the polygamma form holds for odd powers only
+        with pytest.raises(ValueError):
+            thermal_ladder_integral(1.0, p=2)
 
     def test_linear_parts_signs(self):
         split = linear_ladder_split(2.0)

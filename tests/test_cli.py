@@ -188,6 +188,34 @@ class TestMcValidate:
         assert v1[0]["measured"] == v2[0]["measured"]  # fixed seed, identical output
 
 
+class TestInputErrors:
+    """Bad input exits 2 with a message, never a traceback or a NaN row."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cf", "--method", "monte-carlo", "--seed", "-1"],
+        ["validate", "--seed", "-1"],
+        ["mc-validate", "--seeds", "1"],
+        ["energy", "--tol", "1e-8"],
+    ], ids=["cf-negative-seed", "validate-negative-seed", "mc-validate-one-seed",
+            "energy-tol"])
+    def test_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["force-curve", "--omega", "0"],
+        ["energy", "--omega", "nan"],
+        ["cf", "--tol", "nan"],
+    ], ids=["force-curve-zero-omega", "energy-nan-omega", "cf-nan-tol"])
+    def test_domain_errors(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 class TestValidate:
     def test_quick_suite_known_failures_only(self, capsys):
         code, out = run_cli(capsys, "validate", "--suite", "quick")

@@ -44,6 +44,11 @@ class TestRotationParams:
         with pytest.raises(ValueError):
             RotationParams(omega=1.0, radius=-0.1, constants=NATURAL)
 
+    def test_non_finite_inputs_rejected(self):
+        for omega, radius in ((math.nan, 0.1), (1.0, math.nan), (math.inf, 0.0), (0.0, math.inf)):
+            with pytest.raises(ValueError):
+                RotationParams(omega=omega, radius=radius, constants=NATURAL)
+
     def test_from_beta(self):
         p = RotationParams.from_beta(4.0, 0.8, NATURAL)
         assert p.beta == pytest.approx(0.8, rel=1e-15)

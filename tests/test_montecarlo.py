@@ -97,6 +97,11 @@ class TestPhases:
         ph = draw_phases(modes, seed=1).phases
         assert ph.min() >= 0.0 and ph.max() < 2.0 * math.pi
 
+    def test_seed_outside_uint64_rejected(self, modes):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                draw_phases(modes, seed=seed)
+
     def test_moment_laws(self, params):
         # >= 1e4 iid phases: <cos> -> 0 and <cos^2> -> 1/2 within 5 sigma
         big = build_mode_set(params, n_max=10, n_theta=16, n_phi=32)
@@ -186,6 +191,13 @@ class TestFieldEvaluation:
 
 
 class TestEmpiricalCF:
+    def test_single_seed_rejected(self, params, modes):
+        # one seed has no standard error; it must not pass as a zero pull
+        with pytest.raises(ValueError):
+            empirical_cf((1, 1), "EE", 0.0, 1.0, params, modes, n_seeds=1)
+        with pytest.raises(ValueError):
+            empirical_energy_density(params, modes, n_seeds=1)
+
     def test_offdiagonal_null_pairs(self, params, modes):
         tau2 = delta_to_tau(params, math.pi / 2.0)
         for pair in ((1, 3), (2, 3)):

@@ -123,3 +123,8 @@ def test_neville_extrapolation_linear():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            QuadratureSpec(rel_tol=bad)
+        with pytest.raises(ValueError):
+            QuadratureSpec(abs_tol=bad)
