@@ -141,43 +141,25 @@ def _bracket_quadrature(pair, params, delta, dt_lab, spec) -> float:
     k = shape_constant(params, delta)
     const = params.constants
 
-    def integrand(theta, phi):
-        st = np.sin(theta)
-        kx = st * np.cos(phi)
-        ky = st * np.sin(phi)
-        return diag_bracket(pair, params, delta, kx, ky) / (1.0 + k * ky) ** 4
+    def integrand(khat):
+        ky = khat[..., 1]
+        return diag_bracket(pair, params, delta, khat[..., 0], ky) / (1.0 + k * ky) ** 4
 
     val, _ = integrate_sphere(integrand, spec)
     pref = const.hbar * const.c / (4.0 * math.pi**2) * 6.0 / (const.c * dt_lab) ** 4
     return pref * val
 
 
-# lab-frame polarization-summed kernel blocks: P = 1 - khat khat^T for EE/HH,
-# the cross-product matrix for EH/HE
 def _lab_kernel_rows(khat, row1, row2):
-    """row1^T M(khat) row2 for khat of shape (..., 3); rows are 6-vectors."""
-    kx, ky, kz = khat[..., 0], khat[..., 1], khat[..., 2]
-    out = 0.0
-    # EE and HH blocks: delta_ij - k_i k_j
-    for base in (0, 3):
-        for i in range(3):
-            for j in range(3):
-                cij = row1[base + i] * row2[base + j]
-                if cij != 0.0:
-                    out = out + cij * ((1.0 if i == j else 0.0) - khat[..., i] * khat[..., j])
-    # EH block: <E_i H_j> ~ eps_{j a i} k_a ; HE block is its negative transpose
-    eh = [[None, kz, -ky], [-kz, None, kx], [ky, -kx, None]]
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            c_eh = row1[i] * row2[3 + j]
-            c_he = row1[3 + i] * row2[j]
-            if c_eh != 0.0:
-                out = out + c_eh * eh[i][j]
-            if c_he != 0.0:
-                out = out - c_he * eh[i][j]
-    return out
+    """row1^T M(khat) row2 for khat of shape (..., 3); rows are 6-vectors (E, H).
+
+    M is the lab-frame polarization-summed kernel: 1 - khat khat^T in the EE
+    and HH blocks, <E_i H_j> ~ eps_{ijl} khat_l in the EH block and its
+    negative transpose in the HE block.
+    """
+    e1, h1, e2, h2 = row1[:3], row1[3:], row2[:3], row2[3:]
+    return (e1 @ e2 + h1 @ h2 - (khat @ e1) * (khat @ e2) - (khat @ h1) * (khat @ h2)
+            + khat @ (np.cross(e1, h2) - np.cross(h1, e2)))
 
 
 def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
@@ -203,13 +185,13 @@ def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
     dr = np.array([x1 - x2, y1 - y2, 0.0])
     cdt = const.c * (t1 - t2)
 
-    def integrand(theta, phi):
-        st = np.sin(theta)
-        khat = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    def integrand(khat):
         geom = khat @ dr - cdt
         return _lab_kernel_rows(khat, row1, row2) * 6.0 / geom**4
 
-    val, _ = integrate_sphere(integrand, spec)
+    # the phase depends on the direction only through khat . dr: put the pole
+    # of the rule on the chord (any axis at delta in 2 pi Z, where dr = 0)
+    val, _ = integrate_sphere(integrand, spec, axis=dr if dr.any() else (0.0, 1.0, 0.0))
     value = const.hbar * const.c / (4.0 * math.pi**2) * val
     return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
                    spectrum="continuous", value=value, method="quadrature")
@@ -275,7 +257,7 @@ def scalar_cf_quadrature(tau1, tau2, params: RotationParams,
     """Scalar CF via angular quadrature of the regularized radial integral.
 
     The radial integral int_0^inf k cos(k G) dk carries its regularized value
-    -1/G^2 with G the direction-dependent phase coefficient; theta and phi
+    -1/G^2 with G the direction-dependent phase coefficient; the directions
     are integrated numerically.  Oracle for scalar_cf_continuous.
     """
     delta, dt_lab = _lag(params, tau1, tau2)
@@ -283,8 +265,8 @@ def scalar_cf_quadrature(tau1, tau2, params: RotationParams,
     B = const.c * dt_lab
     E0 = 2.0 * params.radius * math.sin(delta / 2.0)
 
-    def integrand(theta, phi):
-        G = B - E0 * np.sin(theta) * np.sin(phi)
+    def integrand(khat):
+        G = B - E0 * khat[..., 1]
         return -1.0 / G**2
 
     val, _ = integrate_sphere(integrand, spec)

@@ -211,7 +211,7 @@ def _check_resonances(delta: float, params: RotationParams):
             {"ky": c["ky"], "multiple": c["multiple"],
              "description": ("entire sphere (phase is constant at a multiple of 2 pi)"
                              if c["ky"] is None else
-                             f"directions with sin(theta) sin(phi) = {c['ky']:.6f}")}
+                             f"directions with k_y = {c['ky']:.6f}")}
             for c in crossings
         ]
         raise ResonanceError(
@@ -226,7 +226,7 @@ def _ladder_cf(kind: str, pair, pref: float, tau1, tau2, params: RotationParams,
                spec: QuadratureSpec, split: bool, weight, ladder, zero_point,
                p: int, sign: float):
     """CF whose value is pref times the sphere integral of
-    weight(theta, phi, delta) times ladder(phase(delta, k_y)).  With
+    weight(k_x, k_y, delta) times ladder(phase(delta, k_y)).  With
     split=True also returns the same integrals of zero_point(phase) and of
     sign * thermal_ladder_integral(phase, p) as a ThermalSplit.
     """
@@ -236,9 +236,9 @@ def _ladder_cf(kind: str, pair, pref: float, tau1, tau2, params: RotationParams,
     lo, hi = _check_resonances(delta, params)
 
     def over_sphere(f):
-        def integrand(theta, phi):
-            ky = np.sin(theta) * np.sin(phi)
-            return weight(theta, phi, delta) * f(ladder_phase(delta, ky, params))
+        def integrand(khat):
+            ky = khat[..., 1]
+            return weight(khat[..., 0], ky, delta) * f(ladder_phase(delta, ky, params))
         val, _ = integrate_sphere(integrand, spec)
         return pref * val
 
@@ -272,7 +272,7 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
     pref = 2.0 * const.hbar * params.omega**4 / (3.0 * math.pi * const.c**3)
     return _ladder_cf(
         "EE", (1, 1), pref, tau1, tau2, params, spec, split,
-        weight=lambda theta, phi, delta: angular_weight_kernel_grid(theta, phi, delta, params),
+        weight=lambda kx, ky, delta: angular_weight_kernel_grid(kx, ky, delta, params),
         ladder=cubic_ladder_sum_closed, zero_point=lambda ph: 6.0 / ph**4, p=3, sign=1.0)
 
 
@@ -289,5 +289,5 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams,
     pref = const.hbar * const.c * k0**2 / (4.0 * math.pi**2)
     return _ladder_cf(
         "scalar", (0, 0), pref, tau1, tau2, params, spec, split,
-        weight=lambda theta, phi, delta: 1.0,
+        weight=lambda kx, ky, delta: 1.0,
         ladder=linear_ladder_sum_closed, zero_point=lambda ph: -1.0 / ph**2, p=1, sign=-1.0)

@@ -24,7 +24,7 @@ from . import thermo
 from .constants import NATURAL, SI
 from .kinematics import (LuminalOrbitError, RotationParams, fermi_walker_tetrad,
                          frenet_serret_tetrad)
-from .numerics import QuadratureSpec
+from .numerics import QuadratureError, QuadratureSpec
 from .validation import KNOWN_FAILING, run_suite
 
 
@@ -148,7 +148,8 @@ def cmd_cf(args) -> int:
                     cf = cfc.em_cf_continuous(pair, args.kind, 0.0, tau2, params, method, spec)
                 rows.append([float(delta), cf.method, cf.value,
                              cf.stat_error if cf.stat_error is not None else "", "ok"])
-            except (cfc.CoincidenceError, cfd.ResonanceError, ValueError) as exc:
+            except (cfc.CoincidenceError, cfd.ResonanceError, ValueError,
+                    QuadratureError) as exc:
                 rows.append([float(delta), method, "", "", f"error: {exc}"])
                 flagged = True
     meta = _meta_common(args, params)

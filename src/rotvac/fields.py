@@ -143,20 +143,19 @@ def diag_bracket(pair: Tuple[int, int], params: RotationParams, delta: float, kx
     return c0 + cy * ky + cxx * kx * kx + cyy * ky * ky
 
 
-def angular_weight_kernel_grid(theta, phi, delta: float, params: RotationParams):
-    """Angular weight multiplying the spectral ladder in the periodic CF, on
-    (theta, phi) arrays: 3 / (8 pi) times the (1, 1) bracket.
+def angular_weight_kernel_grid(kx, ky, delta: float, params: RotationParams):
+    """Angular weight multiplying the spectral ladder in the periodic CF at the
+    unit-vector components (kx, ky), vectorized in them: 3 / (8 pi) times the
+    (1, 1) bracket.
 
     delta is the dimensionless lab-angle separation omega gamma (tau2 - tau1).
     Normalized so the beta = 0, delta = 0 kernel integrates to 1 over the
     sphere.
     """
-    st = np.sin(theta)
-    kx = st * np.cos(phi)
-    ky = st * np.sin(phi)
     return (3.0 / (8.0 * math.pi)) * diag_bracket((1, 1), params, delta, kx, ky)
 
 
 def angular_weight_kernel(direction: Direction, delta: float, params: RotationParams) -> float:
     """angular_weight_kernel_grid for a single direction."""
-    return float(angular_weight_kernel_grid(direction.theta, direction.phi, delta, params))
+    kx, ky, _ = direction.unit_vector
+    return float(angular_weight_kernel_grid(kx, ky, delta, params))

@@ -32,7 +32,6 @@ from numpy.random import Generator, Philox
 from .cf_continuous import CFValue
 from .fields import FieldTriplet, polarization_grid, projection_matrix
 from .kinematics import RotationParams, lab_position
-from .numerics import sphere_nodes
 
 __all__ = [
     "ModeSet",
@@ -138,8 +137,10 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
     const = params.constants
     if n_theta < MIN_THETA_NODES or n_phi < MIN_PHI_NODES:
         raise ValueError(f"angular grid below the {MIN_THETA_NODES}x{MIN_PHI_NODES} minimum")
-    th, ph, wx, wphi = sphere_nodes(n_theta, n_phi)
-    w = np.outer(wx, np.full(n_phi, wphi)).reshape(-1)
+    # Gauss-Legendre in cos(theta) (its weights absorb sin(theta)) x trapezoid in phi
+    x, wx = leggauss(n_theta)
+    th, ph = np.meshgrid(np.arccos(x), 2.0 * np.pi * np.arange(n_phi) / n_phi, indexing="ij")
+    w = np.outer(wx, np.full(n_phi, 2.0 * np.pi / n_phi)).reshape(-1)
     st = np.sin(th).reshape(-1)
     khat = np.stack([st * np.cos(ph.reshape(-1)), st * np.sin(ph.reshape(-1)),
                      np.cos(th).reshape(-1)], axis=-1)

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .constants import SI, Constants
 from .cf_discrete import rotation_temperature, thermal_ladder_integral
 from .kinematics import LuminalOrbitError, RotationParams
@@ -118,9 +116,8 @@ def _bose_integrand(u: float) -> float:
 def _mixed_moment_residual(spec: QuadratureSpec) -> float:
     """Angular integral behind <E1 H3> - <E3 H1> at one point; identically
     zero (odd integrand), evaluated by quadrature as a cross-check."""
-    def integrand(theta, phi):
-        ky = np.sin(theta) * np.sin(phi)
-        return -2.0 * ky  # eps_{3 a 1} khat_a summed over both orderings
+    def integrand(khat):
+        return -2.0 * khat[..., 1]  # eps_{3 a 1} khat_a summed over both orderings
     val, _ = integrate_sphere(integrand, spec)
     return val
 
@@ -197,9 +194,8 @@ def scalar_thermal_density_quadrature(params: RotationParams,
     g2 = params.gamma**2
     beta = params.beta
 
-    def doppler_weight(theta, phi):
-        ky = np.sin(theta) * np.sin(phi)
-        return g2 * (1.0 - beta * ky) ** 2
+    def doppler_weight(khat):
+        return g2 * (1.0 - beta * khat[..., 1]) ** 2
 
     weight, _ = integrate_sphere(doppler_weight, spec)
     return pref * k0**2 * thermal_ladder_integral(0.0, p=3) * weight

@@ -91,10 +91,8 @@ def scalar_lab_stress_diagonal(params: RotationParams, cutoff_n_max: int):
     base = const.hbar * params.omega**4 / (math.pi * const.c**3) * ladder
     out = []
     for i in range(3):
-        def integrand(theta, phi, i=i):
-            st = np.sin(theta)
-            k = [st * np.cos(phi), st * np.sin(phi), np.cos(theta)][i]
-            return k * k
+        def integrand(k, i=i):
+            return k[..., i] ** 2
         moment, _ = integrate_sphere(integrand)
         out.append(base * moment / (4.0 * math.pi))
     out.append(base)

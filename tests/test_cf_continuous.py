@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import delta_to_tau
 from rotvac.cf_continuous import (CoincidenceError, _lab_kernel_rows,
@@ -273,3 +275,51 @@ class TestScalarContinuous:
         p = RotationParams.from_beta(1.0, 0.5, NATURAL)
         with pytest.raises(CoincidenceError):
             scalar_cf_continuous(0.5, 0.5, p)
+
+
+# near-luminal orbits: the width 1 - |k| of the (1 + k k_y)^-4 peak falls to
+# 1.1e-4 at beta = 0.99999, delta = 0.1
+NEAR_LUMINAL = [(beta, delta) for beta in (0.999, 0.99999) for delta in (0.1, 1.0)]
+
+
+class TestNearLuminal:
+    @pytest.mark.parametrize("beta,delta", NEAR_LUMINAL)
+    def test_em_11_quadrature_routes(self, beta, delta):
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        tau2 = delta_to_tau(p, delta)
+        closed = em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "closed-form").value
+        bracket = em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "quadrature").value
+        tensor = em_cf_tensor_quadrature((1, 1), "EE", 0.0, tau2, p).value
+        assert bracket == pytest.approx(closed, rel=1e-11)
+        assert tensor == pytest.approx(closed, rel=1e-11)
+
+    @pytest.mark.parametrize("beta,delta", NEAR_LUMINAL)
+    def test_scalar_quadrature(self, beta, delta):
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        tau2 = delta_to_tau(p, delta)
+        closed = scalar_cf_continuous(0.0, tau2, p).value
+        assert scalar_cf_quadrature(0.0, tau2, p).value == pytest.approx(closed, rel=1e-11)
+
+
+def em_11_size(p, delta):
+    """Size of the (1,1) CF at lag delta: the bracket-quadrature prefactor
+    times gamma^2 times the integral of (1 + k k_y)^-4 over the sphere."""
+    k = shape_constant(p, delta)
+    mass = (4.0 * math.pi if k == 0.0 else
+            2.0 * math.pi * ((1.0 - k) ** -3 - (1.0 + k) ** -3) / (3.0 * k))
+    dt_lab = delta / p.omega
+    return 6.0 / (4.0 * math.pi**2 * dt_lab**4) * p.gamma**2 * mass
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(beta=st.floats(0.0, 0.99999), delta=st.floats(0.05, 6.2))
+def test_quadrature_routes_match_closed_forms(beta, delta):
+    # the (1,1) CF crosses zero twice per turn, so its agreement is also
+    # allowed 1e-10 of the CF's size there
+    p = RotationParams.from_beta(1.0, beta, NATURAL)
+    tau2 = delta_to_tau(p, delta)
+    closed = em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "closed-form").value
+    bracket = em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "quadrature").value
+    assert bracket == pytest.approx(closed, rel=1e-10, abs=1e-10 * em_11_size(p, delta))
+    scalar = scalar_cf_continuous(0.0, tau2, p).value
+    assert scalar_cf_quadrature(0.0, tau2, p).value == pytest.approx(scalar, rel=1e-10)

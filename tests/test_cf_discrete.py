@@ -202,6 +202,13 @@ class TestEmDiscrete:
         assert parts.total == pytest.approx(cf.value, rel=1e-6)
         assert parts.thermal_part > 0.0
 
+    @pytest.mark.parametrize("beta", [0.999, 0.99999])
+    @pytest.mark.parametrize("delta", [0.1, 1.0])
+    def test_near_luminal_split_sums_to_total(self, beta, delta):
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        cf, parts = em_cf_discrete(0.0, delta_to_tau(p, delta), p, split=True)
+        assert parts.total == pytest.approx(cf.value, rel=1e-11)
+
     def test_resonant_lag_rejected(self):
         p = RotationParams.from_beta(1.0, 0.3, NATURAL)
         with pytest.raises(ResonanceError) as exc:

@@ -98,6 +98,24 @@ class TestCfCommand:
         _, _, rows = parse_table(out)
         assert rows[0]["flag"].startswith("error")
 
+    def test_near_luminal_quadrature_row(self, capsys):
+        code, out = run_cli(capsys, "cf", "--beta", "0.999", "--method", "quadrature",
+                            "--delta-min", "0.1", "--delta-max", "0.1", "--delta-steps", "1")
+        assert code == 0
+        _, _, rows = parse_table(out)
+        assert rows[0]["flag"] == "ok"
+        assert math.isfinite(float(rows[0]["value"]))
+
+    def test_unconverged_quadrature_row_flagged(self, capsys):
+        # 1e-15 is below what the tensor route reaches at beta = 0.99999
+        code, out = run_cli(capsys, "cf", "--beta", "0.99999", "--pair", "12",
+                            "--method", "quadrature", "--tol", "1e-15",
+                            "--delta-min", "0.1", "--delta-max", "0.1", "--delta-steps", "1")
+        assert code == 1
+        _, _, rows = parse_table(out)
+        assert rows[0]["value"] == ""
+        assert rows[0]["flag"].startswith("error: sphere quadrature did not converge")
+
 
 class TestForceCurve:
     def test_monotone_negative_and_rejection(self, capsys):

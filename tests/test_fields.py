@@ -120,13 +120,15 @@ class TestAngularWeight:
 
     def test_unit_normalization_at_rest(self):
         p = RotationParams(0.0, 0.0, NATURAL)
-        val, _ = integrate_sphere(lambda th, ph: angular_weight_kernel_grid(th, ph, 0.0, p))
+        val, _ = integrate_sphere(
+            lambda k: angular_weight_kernel_grid(k[..., 0], k[..., 1], 0.0, p))
         assert val == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("beta", [0.2, 0.5, 0.9])
     def test_coincidence_moment(self, beta):
         p = RotationParams.from_beta(1.0, beta, NATURAL)
-        val, _ = integrate_sphere(lambda th, ph: angular_weight_kernel_grid(th, ph, 0.0, p))
+        val, _ = integrate_sphere(
+            lambda k: angular_weight_kernel_grid(k[..., 0], k[..., 1], 0.0, p))
         assert val == pytest.approx(p.gamma**2 * (1.0 + beta**2), rel=1e-10)
 
     def test_azimuth_mirror_invariance(self, params_mid):
@@ -148,12 +150,12 @@ class TestAngularWeight:
             assert shifted == pytest.approx(reflected, rel=1e-12)
 
     def test_grid_matches_scalar(self, params_mid):
-        th = np.array([0.4, 1.3]); ph = np.array([0.2, 5.0])
+        dirs = [Direction(0.4, 0.2), Direction(1.3, 5.0)]
+        k = np.array([d.unit_vector for d in dirs])
         delta, b, g = 1.1, params_mid.beta, params_mid.gamma
-        grid = angular_weight_kernel_grid(th, ph, delta, params_mid)
-        for i in range(2):
-            d = Direction(th[i], ph[i])
-            kx, ky, _ = d.unit_vector
+        grid = angular_weight_kernel_grid(k[:, 0], k[:, 1], delta, params_mid)
+        for i, d in enumerate(dirs):
+            kx, ky, _ = k[i]
             expect = 3.0 / (8.0 * math.pi) * g * g * (
                 math.cos(delta) + 2.0 * b * math.cos(delta / 2.0) * ky
                 + (b * b - math.cos(delta / 2.0) ** 2) * kx * kx

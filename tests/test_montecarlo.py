@@ -211,11 +211,10 @@ class TestEmpiricalCF:
         delta = math.pi / 2.0
         tau2 = delta_to_tau(params, delta)
 
-        def truncated(th, ph):
-            ky = np.sin(th) * np.sin(ph)
-            phase = ladder_phase(delta, ky, params)
+        def truncated(k):
+            phase = ladder_phase(delta, k[..., 1], params)
             ladder = sum(m**3 * np.cos(m * phase) for m in range(1, 7))
-            return angular_weight_kernel_grid(th, ph, delta, params) * ladder
+            return angular_weight_kernel_grid(k[..., 0], k[..., 1], delta, params) * ladder
 
         val, _ = integrate_sphere(truncated)
         analytic = 2.0 / (3.0 * math.pi) * params.omega**4 * val

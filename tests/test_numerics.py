@@ -55,18 +55,80 @@ class TestIntegrate1D:
         assert hits >= 95
 
 
+# rule axes: the default (y) and a tilted one, both in the xy plane
+AXES = [(0.0, 1.0, 0.0), (math.cos(0.7), math.sin(0.7), 0.0)]
+
+
+def peaked_integral(k):
+    """Exact integral of (1 + k u)^-4 over the sphere, u = khat . n."""
+    return 2.0 * math.pi * ((1.0 - k) ** -3 - (1.0 + k) ** -3) / (3.0 * k)
+
+
 class TestIntegrateSphere:
     def test_unit_function(self):
-        val, _ = integrate_sphere(lambda th, ph: np.ones_like(th))
+        val, _ = integrate_sphere(lambda k: np.ones(k.shape[:-1]))
         assert val == pytest.approx(4.0 * math.pi, rel=1e-12)
 
     def test_odd_component_vanishes(self):
-        val, _ = integrate_sphere(lambda th, ph: np.sin(th) * np.sin(ph))
+        val, _ = integrate_sphere(lambda k: k[..., 1])
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_second_moment(self):
-        val, _ = integrate_sphere(lambda th, ph: (np.sin(th) * np.cos(ph)) ** 2)
+        val, _ = integrate_sphere(lambda k: k[..., 0] ** 2)
         assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
+
+    def test_moments_about_tilted_axis(self):
+        val, _ = integrate_sphere(lambda k: np.ones(k.shape[:-1]), axis=AXES[1])
+        assert val == pytest.approx(4.0 * math.pi, rel=1e-12)
+        val, _ = integrate_sphere(lambda k: k[..., 1], axis=AXES[1])
+        assert val == pytest.approx(0.0, abs=1e-12)
+        val, _ = integrate_sphere(lambda k: k[..., 0] ** 2, axis=AXES[1])
+        assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("axis", AXES)
+    def test_near_luminal_peak_on_axis(self, axis):
+        # (1 + k u)^-4 peaks at u = 1 with width 1 - |k| = 1e-5.  The node u
+        # itself carries a rounding of eps near |u| = 1, which the peak
+        # amplifies to 4 eps / (1 - |k|) = 4.4e-11 relative: the bound below
+        # is that conditioning, not the rule's discretization error
+        k = -0.99999
+        n = np.array(axis)
+        val, _ = integrate_sphere(lambda kh: (1.0 + k * (kh @ n)) ** -4, axis=axis)
+        assert val == pytest.approx(peaked_integral(k), rel=1e-10)
+
+    @pytest.mark.parametrize("axis", AXES)
+    def test_odd_in_kz_cancels_to_roundoff(self, axis):
+        # about an in-plane axis the nodes pair exactly under k_z -> -k_z, so
+        # every level cancels to roundoff however poorly the peak on n is
+        # resolved
+        k, n = -0.99999, np.array(AXES[1])
+        levels = []
+
+        def odd(kh):
+            levels.append(kh.reshape(-1, 3))
+            return kh[..., 2] * (1.0 + k * (kh @ n)) ** -4
+
+        val, err = integrate_sphere(odd, axis=axis)
+        floor = 100.0 * np.finfo(float).eps * peaked_integral(k)
+        assert abs(val) <= floor
+        assert err <= floor
+        for nodes in levels:
+            mirrored = nodes * [1.0, 1.0, -1.0]
+            assert np.array_equal(nodes[np.lexsort(nodes.T)],
+                                  mirrored[np.lexsort(mirrored.T)])
+
+    def test_node_budget_raises_with_estimate(self):
+        spec = QuadratureSpec(max_subdivisions=1)
+        with pytest.raises(QuadratureError) as exc:
+            integrate_sphere(lambda kh: (1.0 - 0.99 * kh[..., 1]) ** -4, spec)
+        assert math.isfinite(exc.value.best_estimate)
+        assert math.isfinite(exc.value.error_estimate)
+
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0),
+                                      (0.0, 0.0, 1.0)])
+    def test_bad_axis_rejected(self, axis):
+        with pytest.raises(ValueError):
+            integrate_sphere(lambda k: k[..., 0], axis=axis)
 
 
 class TestAbelSum:

@@ -51,10 +51,8 @@ class TestEmEnergyDensity:
     def test_angular_moment_behind_factor(self):
         # int dO (1 - khat_i^2) = 8 pi / 3 for each axis
         for i in range(3):
-            def integrand(theta, phi, i=i):
-                st = np.sin(theta)
-                k = [st * np.cos(phi), st * np.sin(phi), np.cos(theta)][i]
-                return 1.0 - k * k
+            def integrand(k, i=i):
+                return 1.0 - k[..., i] ** 2
             val, _ = integrate_sphere(integrand)
             assert val == pytest.approx(8.0 * math.pi / 3.0, rel=1e-10)
 
