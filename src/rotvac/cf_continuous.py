@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .fields import diag_bracket, projection_matrix
+from .fields import diag_bracket, projection_rows
 from .kinematics import RotationParams, lab_position
 from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_sphere
 
@@ -172,13 +172,9 @@ def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
     and for kinds "EE", "HH", "EH"; serves as the independent oracle for the
     closed forms and brackets.
     """
+    row1, row2 = projection_rows(pair, kind, params, tau1, tau2)
     delta, dt_lab = _lag(params, tau1, tau2)
     const = params.constants
-    m1 = projection_matrix(params.alpha(tau1), params.beta)
-    m2 = projection_matrix(params.alpha(tau2), params.beta)
-    a, bidx = pair
-    row1 = m1[a - 1 if kind[0] == "E" else 2 + a]
-    row2 = m2[bidx - 1 if kind[1] == "E" else 2 + bidx]
 
     t1, x1, y1, _ = lab_position(params, tau1)
     t2, x2, y2, _ = lab_position(params, tau2)
@@ -213,11 +209,7 @@ def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
     for separated times (it is antisymmetric under swapping the component
     order and only dies at coincidence), so it is computed honestly.
     """
-    if kind not in ("EE", "HH", "EH"):
-        raise ValueError(f"unknown kind {kind!r}")
-    a, bidx = pair
-    if not (1 <= a <= 3 and 1 <= bidx <= 3):
-        raise ValueError(f"component indices must be 1..3, got {pair!r}")
+    projection_rows(pair, kind, params, tau1, tau2)  # validates pair and kind
     delta, dt_lab = _lag(params, tau1, tau2)
 
     if method == "closed-form":

@@ -53,6 +53,14 @@ SEED = _int_in(0, 2**64)     # Philox keys are uint64
 SEED_COUNT = _int_in(2)      # a standard error needs two seeds
 
 
+def PAIR(text: str):
+    """argparse type: two tetrad components, each 1, 2 or 3, such as 13."""
+    if len(text) != 2 or not set(text) <= set("123"):
+        raise argparse.ArgumentTypeError(
+            f"expected two components from 1, 2, 3 such as 13, got {text!r}")
+    return int(text[0]), int(text[1])
+
+
 def _emit(args, meta: dict, header: List[str], rows: List[list], flagged: bool) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -107,7 +115,7 @@ def cmd_tetrad(args) -> int:
 def cmd_cf(args) -> int:
     params = _params(args)
     const = params.constants
-    pair = (int(args.pair[0]), int(args.pair[1]))
+    pair = args.pair
     deltas = np.linspace(args.delta_min, args.delta_max, args.delta_steps)
     spec = (QuadratureSpec() if args.tol is None
             else QuadratureSpec(rel_tol=args.tol, abs_tol=args.tol * 1e-4))
@@ -309,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cf", help="correlation functions vs angular lag")
     common(sp)
     sp.add_argument("--kind", choices=("EE", "HH", "EH", "scalar"), default="EE")
-    sp.add_argument("--pair", default="11", help="component pair, e.g. 11")
+    sp.add_argument("--pair", type=PAIR, default="11", help="component pair, e.g. 11")
     sp.add_argument("--spectrum", choices=("continuous", "discrete"), default="continuous")
     sp.add_argument("--method", choices=("closed-form", "quadrature", "monte-carlo", "all"),
                     default="closed-form")
@@ -377,7 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # argparse before Python 3.12 reads "--option=--" as an empty list; no
+    # option here takes a list
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except (ValueError, LuminalOrbitError) as exc:

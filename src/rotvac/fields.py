@@ -22,6 +22,7 @@ __all__ = [
     "Direction",
     "FieldTriplet",
     "projection_matrix",
+    "projection_rows",
     "project_fields_to_tetrad",
     "polarization_grid",
     "polarization_basis",
@@ -84,6 +85,24 @@ def projection_matrix(alpha: float, beta: float) -> np.ndarray:
     m[4, 3], m[4, 4] = -sa, ca
     m[5, 5], m[5, 0], m[5, 1] = g, -beta * g * ca, -beta * g * sa
     return m
+
+
+def projection_rows(pair, kind: str, params: RotationParams, tau1: float,
+                    tau2: float) -> np.ndarray:
+    """The two rows of projection_matrix that a two-point function of
+    (kind, pair) contracts: tetrad component pair[0] of field kind[0] at
+    tau1, and component pair[1] of field kind[1] at tau2.  Shape (2, 6).
+
+    Raises ValueError unless kind is "EE", "HH" or "EH" and both components
+    are 1, 2 or 3.
+    """
+    if kind not in ("EE", "HH", "EH"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if len(pair) != 2 or not all(a in (1, 2, 3) for a in pair):
+        raise ValueError(f"component indices must be 1..3, got {pair!r}")
+    return np.array([
+        projection_matrix(params.alpha(tau), params.beta)[int(a) - 1 + (3 if field == "H" else 0)]
+        for field, a, tau in zip(kind, pair, (tau1, tau2))])
 
 
 def project_fields_to_tetrad(lab: FieldTriplet, params: RotationParams, tau: float) -> FieldTriplet:

@@ -14,7 +14,9 @@ comparisons against those include an explicit factor 2.
 Phases are drawn from counter-based Philox streams keyed by
 (master seed, seed index), so any parallel split over seeds is
 order-independent and runs are bit-reproducible for a fixed worker count or
-any other.
+any other.  The two-time CFs evaluate whole blocks of seeds against one
+design matrix of both proper times; the one-point moments evaluate the
+fields seed by seed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, Philox
 
 from .cf_continuous import CFValue
-from .fields import FieldTriplet, polarization_grid, projection_matrix
+from .fields import FieldTriplet, polarization_grid, projection_matrix, projection_rows
 from .kinematics import RotationParams, lab_position
 
 __all__ = [
@@ -48,6 +50,10 @@ __all__ = [
 
 MIN_THETA_NODES = 8
 MIN_PHI_NODES = 16
+# phases per seed block of empirical_cf: the block size follows from the mode
+# count alone, never from the worker count, so that results are bit-identical
+# for any worker count
+BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -210,19 +216,46 @@ def eval_lab_fields(mode_set: ModeSet, phases: PhaseEnsemble,
     return FieldTriplet(E=E, H=H, frame="lab", tau=tau)
 
 
-def _seed_loop(work, n_seeds: int, n_workers: int, out: np.ndarray):
-    """Fill out[i] = work(i) for every seed index, optionally with threads.
+def _seed_loop(work, n_items: int, n_workers: int, out):
+    """Fill out[i] = work(i) for every index i < n_items, optionally with
+    threads.
 
-    Results land in a preallocated array indexed by seed, then any reduction
-    happens in index order, so the outcome is bit-identical for any worker
-    count.
+    Results land in a preallocated array or list indexed like the work, then
+    any reduction happens in index order, so the outcome is bit-identical for
+    any worker count.
     """
     if n_workers <= 1:
-        for i in range(n_seeds):
+        for i in range(n_items):
             out[i] = work(i)
         return
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        list(pool.map(lambda i: out.__setitem__(i, work(i)), range(n_seeds)))
+        list(pool.map(lambda i: out.__setitem__(i, work(i)), range(n_items)))
+
+
+def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus) -> np.ndarray:
+    """Stacked (2N x 6T) design of the lab (E, H) at the T proper times taus.
+
+    With b = k . r - c k t the base phase of a mode at a time, cos(b - phi) =
+    cos b cos phi + sin b sin phi, so [cos phi, sin phi] @ design is the
+    (E, H) of eval_lab_fields at every time.  Row n of the upper half holds
+    amp cos b [eps, khat x eps] for each time, the lower half sin b in place
+    of cos b; modes run in the (node, radial, polarization) order of
+    draw_phases.
+    """
+    const = params.constants
+    k = mode_set.wavenumbers
+    base = np.empty(mode_set.amp2.shape + (len(taus),))
+    for j, tau in enumerate(taus):
+        t, x, y, z = lab_position(params, tau)
+        base[:, :, j] = np.outer(mode_set.khat @ np.array([x, y, z]), k) - const.c * t * k
+    pol = np.stack([np.concatenate([eps, np.cross(mode_set.khat, eps)], axis=1)
+                    for eps in (mode_set.eps1, mode_set.eps2)], axis=1)
+    amp = np.sqrt(mode_set.amp2)[:, :, None]
+    design = np.empty((2,) + mode_set.amp2.shape + (2, len(taus), 6))
+    for half, trig in enumerate((np.cos, np.sin)):
+        np.multiply((amp * trig(base))[:, :, None, :, None], pol[:, None, :, None, :],
+                    out=design[half])
+    return design.reshape(2 * mode_set.mode_count, 6 * len(taus))
 
 
 def empirical_cf(pair: Tuple[int, int], kind: str, tau1: float, tau2: float,
@@ -233,27 +266,31 @@ def empirical_cf(pair: Tuple[int, int], kind: str, tau1: float, tau2: float,
     Carries the mode set's energy-density normalization (twice the analytic
     correlation-function convention).  stat_error is the standard error of
     the seed mean.
+
+    Seeds run in blocks of about BLOCK_ELEMENTS phases: one cos/sin pass over
+    a block's phases, then one GEMM against the design of both proper times
+    gives every seed's lab (E, H) at tau1 and tau2.
     """
-    if kind not in ("EE", "HH", "EH"):
-        raise ValueError(f"unknown kind {kind!r}")
+    rows = projection_rows(pair, kind, params, tau1, tau2)
     if n_seeds < 2:
         raise ValueError(f"a standard error needs n_seeds >= 2, got {n_seeds}")
-    a, b = pair
-    m1 = projection_matrix(params.alpha(tau1), params.beta)
-    m2 = projection_matrix(params.alpha(tau2), params.beta)
+    design = _lab_field_design(mode_set, params, (tau1, tau2))
+    n_modes = mode_set.mode_count
+    per_block = max(1, BLOCK_ELEMENTS // n_modes)
+    starts = range(0, n_seeds, per_block)
 
-    def work(i):
-        ph = draw_phases(mode_set, seed, i)
-        f1 = eval_lab_fields(mode_set, ph, params, tau1)
-        f2 = eval_lab_fields(mode_set, ph, params, tau2)
-        v1 = m1 @ np.concatenate([f1.E, f1.H])
-        v2 = m2 @ np.concatenate([f2.E, f2.H])
-        c1 = v1[a - 1] if kind[0] == "E" else v1[2 + a]
-        c2 = v2[b - 1] if kind[1] == "E" else v2[2 + b]
-        return c1 * c2
+    def work(j):
+        idx = range(starts[j], min(starts[j] + per_block, n_seeds))
+        phases = np.stack([draw_phases(mode_set, seed, i).phases.reshape(-1) for i in idx])
+        trig = np.empty((len(idx), 2 * n_modes))
+        np.cos(phases, out=trig[:, :n_modes])
+        np.sin(phases, out=trig[:, n_modes:])
+        comps = ((trig @ design).reshape(len(idx), 2, 6) * rows).sum(axis=2)
+        return comps[:, 0] * comps[:, 1]
 
-    vals = np.empty(n_seeds)
-    _seed_loop(work, n_seeds, n_workers, vals)
+    blocks = [None] * len(starts)
+    _seed_loop(work, len(starts), n_workers, blocks)
+    vals = np.concatenate(blocks)
     mean = float(vals.mean())
     err = float(vals.std(ddof=1) / math.sqrt(n_seeds))
     return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,

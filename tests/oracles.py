@@ -5,7 +5,8 @@ field-tensor contraction checks the projection matrix, the polarization sum
 checks the basis, the partial-fraction series checks the closed ladder sum,
 the QUADPACK Planck-weighted integral checks the polygamma form of the
 thermal ladder integral, the quadrature stress moments check the scalar
-isotropy, and the kernel record checks the ladder phase bookkeeping.
+isotropy, the kernel record checks the ladder phase bookkeeping, and the
+per-seed field evaluation checks the seed-block Monte Carlo CF engine.
 """
 
 import math
@@ -14,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from rotvac.cf_discrete import ladder_phase
-from rotvac.fields import Direction, FieldTriplet, FrameError, polarization_basis
+from rotvac.fields import (Direction, FieldTriplet, FrameError, polarization_basis,
+                           project_fields_to_tetrad)
 from rotvac.kinematics import RotationParams, frenet_serret_tetrad
+from rotvac.montecarlo import ModeSet, draw_phases, eval_lab_fields
 from rotvac.numerics import QuadratureSpec, integrate_1d, integrate_sphere
 
 
@@ -113,3 +116,22 @@ def make_kernel(delta: float, ky: float, params: RotationParams) -> DiscreteKern
     ph = float(ladder_phase(delta, ky, params))
     return DiscreteKernel(phase=ph, time_lag=ph / params.omega, omega0=params.omega,
                           k0=params.omega / params.constants.c)
+
+
+def empirical_cf_per_seed(pair, kind, tau1, tau2, params: RotationParams,
+                          mode_set: ModeSet, n_seeds: int, seed: int) -> np.ndarray:
+    """Per-seed products c1(tau1) c2(tau2) of the tetrad components, one seed
+    at a time: draw the phases, evaluate the lab fields mode by mode at each
+    time, project them into the tetrad.
+
+    Reference for montecarlo.empirical_cf, whose mean and standard error
+    are those of these values.
+    """
+    a, b = pair
+    vals = np.empty(n_seeds)
+    for i in range(n_seeds):
+        ph = draw_phases(mode_set, seed, i)
+        f1, f2 = (project_fields_to_tetrad(eval_lab_fields(mode_set, ph, params, tau),
+                                           params, tau) for tau in (tau1, tau2))
+        vals[i] = getattr(f1, kind[0])[a - 1] * getattr(f2, kind[1])[b - 1]
+    return vals

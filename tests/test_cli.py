@@ -1,8 +1,12 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotvac.cli import main
 
@@ -214,8 +218,13 @@ class TestInputErrors:
         ["validate", "--seed", "-1"],
         ["mc-validate", "--seeds", "1"],
         ["energy", "--tol", "1e-8"],
+        ["cf", "--pair", "1"],
+        ["cf", "--pair", "123"],
+        ["cf", "--pair", "04", "--method", "monte-carlo"],
+        ["cf", "--omega=--"],
     ], ids=["cf-negative-seed", "validate-negative-seed", "mc-validate-one-seed",
-            "energy-tol"])
+            "energy-tol", "cf-one-digit-pair", "cf-three-digit-pair", "cf-zero-component",
+            "cf-double-dash-value"])
     def test_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -232,6 +241,30 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["EE", "HH", "EH", "scalar"])
+@pytest.mark.parametrize("method", ["monte-carlo", "quadrature"])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(pair=st.text(alphabet="01234", min_size=2, max_size=2) | st.text(min_size=2, max_size=2))
+def test_cf_pair_property(method, kind, pair):
+    # no traceback, an exit code in {0, 1, 2}, and an ok row only for a
+    # pair in {1,2,3}^2, with a finite value
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(["cf", "--beta", "0.3", "--kind", kind, f"--pair={pair}",
+                         "--method", method, "--delta-steps", "1", "--delta-min", "1.0",
+                         "--delta-max", "1.0", "--seeds", "2", "--n-max", "1",
+                         "--mc-theta", "8", "--mc-phi", "16"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    _, _, rows = parse_table(out.getvalue())
+    for row in rows:
+        if row["flag"] == "ok":
+            assert set(pair) <= set("123")
+            assert math.isfinite(float(row["value"]))
 
 
 class TestValidate:

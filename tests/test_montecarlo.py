@@ -6,11 +6,13 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import delta_to_tau
+from oracles import empirical_cf_per_seed
+from rotvac.cf_continuous import em_cf_continuous, em_cf_tensor_quadrature
 from rotvac.cf_discrete import em_cf_discrete, ladder_phase
 from rotvac.constants import NATURAL
 from rotvac.fields import angular_weight_kernel_grid
 from rotvac.kinematics import RotationParams, lab_position
-from rotvac.montecarlo import (ModeSet, build_mode_set, draw_phases,
+from rotvac.montecarlo import (BLOCK_ELEMENTS, ModeSet, build_mode_set, draw_phases,
                                empirical_cf, empirical_energy_density,
                                eval_lab_fields, run_manifest, write_manifest)
 from rotvac.numerics import integrate_sphere
@@ -251,6 +253,59 @@ class TestEmpiricalCF:
                              n_seeds=n, seed=2).stat_error for n in ns]
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
+
+
+class TestSeedBlockEngine:
+    """empirical_cf against the per-seed oracle: one phase draw, the lab
+    fields mode by mode at each time, the tetrad projection."""
+
+    @pytest.fixture(scope="class")
+    def band(self, params):
+        return build_mode_set(params, spectrum="continuous", omega_cutoff=4.0,
+                              n_radial=4, n_theta=8, n_phi=16)
+
+    @pytest.mark.parametrize("spectrum", ["discrete", "continuous"])
+    @pytest.mark.parametrize("taus", [(0.0, 1.1), (0.4, 0.4)], ids=["separated", "coincident"])
+    @pytest.mark.parametrize("pair", [(1, 1), (1, 3), (2, 3), (3, 2)], ids=str)
+    @pytest.mark.parametrize("kind", ["EE", "HH", "EH"])
+    def test_matches_per_seed_oracle(self, params, modes, band, spectrum, taus, pair, kind):
+        ms = modes if spectrum == "discrete" else band
+        # one block plus one seed: the seeds span two blocks
+        n_seeds = BLOCK_ELEMENTS // ms.mode_count + 1
+        cf = empirical_cf(pair, kind, *taus, params, ms, n_seeds=n_seeds, seed=17)
+        vals = empirical_cf_per_seed(pair, kind, *taus, params, ms, n_seeds, 17)
+        assert abs(cf.value - vals.mean()) <= 1e-12 * cf.stat_error
+        assert cf.stat_error == pytest.approx(vals.std(ddof=1) / math.sqrt(n_seeds),
+                                              rel=1e-12)
+
+    def test_bit_identical_across_workers(self, params, modes):
+        n_seeds = 3 * (BLOCK_ELEMENTS // modes.mode_count) + 2
+        a = empirical_cf((1, 2), "EH", 0.0, 0.9, params, modes, n_seeds=n_seeds,
+                         seed=4, n_workers=1)
+        b = empirical_cf((1, 2), "EH", 0.0, 0.9, params, modes, n_seeds=n_seeds,
+                         seed=4, n_workers=3)
+        assert a.value == b.value
+        assert a.stat_error == b.stat_error
+
+
+class TestPairValidation:
+    """Every CF route rejects a component outside 1..3 and an unknown kind."""
+
+    ROUTES = {
+        "monte-carlo": lambda pair, kind, params, ms: empirical_cf(
+            pair, kind, 0.0, 1.0, params, ms, n_seeds=2),
+        "tensor": lambda pair, kind, params, ms: em_cf_tensor_quadrature(
+            pair, kind, 0.0, 1.0, params),
+        "continuous": lambda pair, kind, params, ms: em_cf_continuous(
+            pair, kind, 0.0, 1.0, params, "quadrature"),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("pair, kind", [((4, 1), "HH"), ((0, 1), "EE"), ((1, -1), "EE"),
+                                            ((1, 2, 3), "EE"), ((1, 1), "XX"), ((1, 1), "HE")])
+    def test_rejected(self, params, modes, route, pair, kind):
+        with pytest.raises(ValueError):
+            self.ROUTES[route](pair, kind, params, modes)
 
 
 class TestEmpiricalEnergyDensity:
