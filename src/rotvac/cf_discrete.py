@@ -138,26 +138,26 @@ def thermal_ladder_integral(phase, p: int = 3):
     return float(out) if out.ndim == 0 else out
 
 
-def cubic_ladder_split(phase: float, omega0: float = 1.0) -> ThermalSplit:
-    """Zero-point / thermal split of the cubic ladder sum, in omega0^4 units.
+def cubic_ladder_split(phase: float) -> ThermalSplit:
+    """Zero-point / thermal split of the cubic ladder sum at a phase.
 
-    zero_point_part is the regularized frequency integral 6 / time_lag^4;
-    thermal_part is the convergent Planck-weighted integral.  total / omega0^4
+    zero_point_part is the regularized frequency integral 6 / phase^4;
+    thermal_part is the convergent Planck-weighted integral; the total
     reproduces cubic_ladder_sum_closed(phase).
     """
-    zp = omega0**4 * 6.0 / phase**4
-    th = omega0**4 * thermal_ladder_integral(phase, p=3)
+    zp = 6.0 / phase**4
+    th = thermal_ladder_integral(phase, p=3)
     return ThermalSplit(zero_point_part=zp, thermal_part=th)
 
 
-def linear_ladder_split(phase: float, omega0: float = 1.0) -> ThermalSplit:
-    """Split of the linear ladder sum (scalar case), in omega0^2 units.
+def linear_ladder_split(phase: float) -> ThermalSplit:
+    """Split of the linear ladder sum (scalar case) at a phase.
 
-    The zero-point part carries the regularized value -1/time_lag^2 and the
+    The zero-point part carries the regularized value -1/phase^2 and the
     thermal part enters with a minus sign.
     """
-    zp = -(omega0**2) / phase**2
-    th = -(omega0**2) * thermal_ladder_integral(phase, p=1)
+    zp = -1.0 / phase**2
+    th = -thermal_ladder_integral(phase, p=1)
     return ThermalSplit(zero_point_part=zp, thermal_part=th)
 
 

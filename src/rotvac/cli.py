@@ -113,6 +113,8 @@ def cmd_tetrad(args) -> int:
 
 
 def cmd_cf(args) -> int:
+    if args.omega == 0.0:
+        raise ValueError("cf needs --omega > 0 (its lags are the angles omega gamma tau)")
     params = _params(args)
     const = params.constants
     pair = args.pair
@@ -396,6 +398,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, LuminalOrbitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: float64 overflow: {exc}", file=sys.stderr)
         return 2
 
 

@@ -151,11 +151,13 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
     khat = np.stack([st * np.cos(ph.reshape(-1)), st * np.sin(ph.reshape(-1)),
                      np.cos(th).reshape(-1)], axis=-1)
     e1, e2 = polarization_grid(khat)
-    k0 = params.omega / const.c if params.omega > 0 else 0.0
+    k0 = params.omega / const.c
 
     if spectrum == "discrete":
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if params.omega == 0.0:
+            raise ValueError("the discrete ladder needs omega > 0 (wavenumbers n omega / c)")
         harmonics = np.arange(1, n_max + 1, dtype=float)
         wavenumbers = k0 * harmonics
         # oscillation of k . r across the azimuth grows like n_max * beta
@@ -170,6 +172,8 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
     elif spectrum == "continuous":
         if omega_cutoff is None or n_radial is None:
             raise ValueError("continuous spectrum needs omega_cutoff and n_radial")
+        if not omega_cutoff > 0.0:
+            raise ValueError(f"omega_cutoff must be > 0, got {omega_cutoff!r}")
         x, wx = leggauss(n_radial)
         k_cut = omega_cutoff / const.c
         wavenumbers = 0.5 * k_cut * (x + 1.0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -34,7 +34,7 @@ __all__ = [
     "neville_to_zero",
 ]
 
-# default eta grid 0.1 * 2^-j; j > 6 is roundoff-dominated for cubic-growth
+# Abel eta grid 0.1 * 2^-j; j > 6 is roundoff-dominated for cubic-growth
 # oscillatory terms even in 80-bit floats
 ABEL_ETA_GRID = tuple(0.1 * 2.0**-j for j in range(7))
 
@@ -201,8 +201,7 @@ def _abel_eta_sum(terms, eta: float) -> np.longdouble:
     return t.sum(dtype=np.longdouble)
 
 
-def abel_sum(terms: Callable, eta_grid: Optional[Sequence[float]] = None,
-             mode: str = "auto") -> SeriesSumResult:
+def abel_sum(terms: Callable, mode: str = "auto") -> SeriesSumResult:
     """Regularized value of sum_{n>=1} a_n for polynomially bounded a_n.
 
     ``terms`` maps an array of indices n to a_n.  In "direct" mode the series
@@ -221,9 +220,7 @@ def abel_sum(terms: Callable, eta_grid: Optional[Sequence[float]] = None,
                 "series did not pass the convergence check; use abel mode",
                 diagnostics={"partial_sum": total, "tail": tail},
             )
-    etas = list(eta_grid) if eta_grid is not None else list(ABEL_ETA_GRID)
-    if sorted(etas, reverse=True) != etas:
-        etas = sorted(etas, reverse=True)
+    etas = list(ABEL_ETA_GRID)
     sums = [_abel_eta_sum(terms, eta) for eta in etas]
     value, err = neville_to_zero(etas, sums)
     if not math.isfinite(value) or err > 1e-4 * max(1.0, abs(value)):

@@ -1,18 +1,14 @@
 """Energy densities with zero-point/thermal split, the vacuum force curve,
 the Casimir-model comparison, and hadron-scale estimates.
 
-The rotating detector's electromagnetic energy density follows the harmonic
-ladder; its convergent thermal part equals the blackbody density at the
-rotation temperature times the anisotropy factor 2 (4 gamma^2 - 1) / 3.  The
-divergent zero-point part is always reported with its cutoff attached.
-
-For the massless scalar the analogous factor relating the detector's density
-to the inertial thermal-bath reference is (4 gamma^2 - 1) / 3.  The bath
-reference is computed from the thermal spectral function, and
-scalar_thermal_density_quadrature measures the detector's thermal density
-independently, by sphere quadrature of the periodic scalar correlation
-function's thermal part; their ratio reproduces (4 gamma^2 - 1) / 3 and not
-the 2 (4 gamma^2 - 1) / 9 stated in the paper's abstract.
+Each thermal density has two routes.  The closed forms are the EM factor
+2 (4 gamma^2 - 1) / 3 times the blackbody density (4 sigma / c) T_rot^4, and
+the scalar factor (4 gamma^2 - 1) / 3 times the inertial bath, whose Planck
+integral is pi^4 / 15.  The quadrature route integrates the comoving Doppler
+weight gamma^2 (1 - beta k_y)^2 over the sphere on the thermal ladder and
+uses neither factor nor sigma.  The scalar ratio it measures is
+(4 gamma^2 - 1) / 3, not the 2 (4 gamma^2 - 1) / 9 of the paper's abstract.
+The divergent zero-point parts are always reported with their cutoff.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from typing import Optional
 from .constants import SI, Constants
 from .cf_discrete import rotation_temperature, thermal_ladder_integral
 from .kinematics import LuminalOrbitError, RotationParams
-from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_1d, integrate_sphere
+from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_sphere
 
 __all__ = [
     "ThermoReport",
@@ -95,10 +91,8 @@ def em_anisotropy_factor(params: RotationParams) -> float:
 
 
 def scalar_bath_factor(params: RotationParams) -> float:
-    """(4 gamma^2 - 1) / 3: ratio of the rotating scalar energy density to
-    the inertial thermal-bath reference at T_rot (both the zero-point and
-    thermal parts scale with this same factor); the thermal part is measured
-    by scalar_thermal_density_quadrature."""
+    """(4 gamma^2 - 1) / 3: the rotating scalar energy density over the
+    inertial bath at T_rot, for the zero-point and thermal parts alike."""
     g2 = params.gamma**2
     return (4.0 * g2 - 1.0) / 3.0
 
@@ -108,9 +102,30 @@ def _ladder_cubic_sum(n_max: int) -> float:
     return n_max * n_max * (n_max + 1.0) * (n_max + 1.0) / 4.0
 
 
-def _bose_integrand(u: float) -> float:
-    # u^3 / (e^u - 1), overflow-safe at the large arguments quadrature probes
-    return u**3 * math.exp(-u) / (1.0 - math.exp(-u)) if u > 0.0 else 0.0
+def _finite(value: float, name: str) -> float:
+    """value, or OverflowError when a product has left the float64 range."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} is {value!r}")
+    return value
+
+
+def _blackbody(factor: float, T: float, const: Constants) -> float:
+    """factor * (4 sigma / c) T^4, multiplied left to right."""
+    return factor * 4.0 * const.sigma / const.c * T**4
+
+
+def _doppler_ladder_integral(params: RotationParams, spec: QuadratureSpec) -> float:
+    """thermal_ladder_integral(0, p=3) * int dOmega gamma^2 (1 - beta k_y)^2:
+    the thermal ladder at coincidence in every direction, times the squared
+    rate k0 gamma (1 - beta k_y) of its phase per unit c tau over k0."""
+    g2 = params.gamma**2
+    beta = params.beta
+
+    def doppler_weight(khat):
+        return g2 * (1.0 - beta * khat[..., 1]) ** 2
+
+    weight, _ = integrate_sphere(doppler_weight, spec)
+    return thermal_ladder_integral(0.0, p=3) * weight
 
 
 def _mixed_moment_residual(spec: QuadratureSpec) -> float:
@@ -127,82 +142,56 @@ def em_energy_density(params: RotationParams, cutoff_n_max: int,
     """Electromagnetic energy density seen on the rotating worldline.
 
     w_thermal is the exact closed form anisotropy * (4 sigma / c) T_rot^4.
-    w_zp_cutoff is the zero-point ladder truncated at n_max with the same
-    prefactor bookkeeping, anisotropy * (hbar omega^4 / (2 pi^2 c^3))
-    * sum n^3; it grows without bound as the cutoff is raised and is always
-    reported together with the cutoff.
+    w_zp_cutoff is the zero-point ladder truncated at n_max,
+    anisotropy * (hbar omega^4 / (2 pi^2 c^3)) * sum n^3; it grows without
+    bound with the cutoff and is always reported together with it.
     """
     if cutoff_n_max < 1:
         raise ValueError("cutoff_n_max must be >= 1")
     const = params.constants
     T = rotation_temperature(params)
     aniso = em_anisotropy_factor(params)
-    w_t = aniso * 4.0 * const.sigma / const.c * T**4
+    w_t = _blackbody(aniso, T, const)
     w_zp = aniso * const.hbar * params.omega**4 / (2.0 * math.pi**2 * const.c**3) \
         * _ladder_cubic_sum(cutoff_n_max)
     resid = _mixed_moment_residual(spec)
     return ThermoReport(
         field_kind="em", T_rot=T, w_zp_cutoff=w_zp, w_thermal=w_t,
-        w_total_cutoff=w_zp + w_t, anisotropy_factor=aniso,
+        w_total_cutoff=_finite(w_zp + w_t, "w_total_cutoff"), anisotropy_factor=aniso,
         cutoff_n_max=cutoff_n_max, mixed_moment_residual=resid,
     )
 
 
 def em_thermal_density_quadrature(params: RotationParams,
                                   spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """w_thermal evaluated by integrating the Planck spectrum numerically;
-    oracle for the sigma T^4 closed form."""
+    """w_thermal by the Doppler quadrature, oracle for em_anisotropy_factor
+    and sigma: hbar omega^4 / (2 pi^2 c^3) times 2 polarizations times the
+    sphere average (the 1 / 4 pi)."""
     const = params.constants
-    T = rotation_temperature(params)
-    if T == 0.0:
-        return 0.0
-    scale = const.k_B * T / const.hbar
-    val, _ = integrate_1d(_bose_integrand, 0.0, math.inf, spec)
-    bose = scale**4 * val
-    return em_anisotropy_factor(params) * const.hbar / (const.c**3 * math.pi**2) * bose
+    return (const.hbar * params.omega**4 / (2.0 * math.pi**2 * const.c**3)
+            * 2.0 / (4.0 * math.pi) * _doppler_ladder_integral(params, spec))
 
 
-def scalar_bath_thermal_density(temperature: float, const: Constants = SI,
-                                spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Thermal part of the inertial scalar-bath energy density at T.
-
-    Computed from the thermal spectral function: (2 hbar / pi c^3) times the
-    Planck-weighted cubic frequency integral.
-    """
-    if temperature == 0.0:
-        return 0.0
+def scalar_bath_thermal_density(temperature: float, const: Constants = SI) -> float:
+    """Thermal part of the inertial scalar-bath energy density at T:
+    (2 hbar / pi c^3) (k_B T / hbar)^4 int u^3 / (e^u - 1) du, the integral
+    being pi^4 / 15."""
     scale = const.k_B * temperature / const.hbar
-    val, _ = integrate_1d(_bose_integrand, 0.0, math.inf, spec)
-    return 2.0 * const.hbar / (math.pi * const.c**3) * scale**4 * val
+    return 2.0 * const.hbar / (math.pi * const.c**3) * scale**4 * math.pi**4 / 15.0
 
 
 def scalar_thermal_density_quadrature(params: RotationParams,
                                       spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Thermal part of the rotating scalar energy density, measured from the
-    periodic scalar correlation function; oracle for scalar_bath_factor.
-
-    The thermal part of the linear ladder, differentiated twice in the lag at
-    coincidence, is thermal_ladder_integral(0, p=3) in every direction; the
-    lag enters through the ladder phase, whose rate per unit c tau there is
-    k0 gamma (1 - beta k_y).  The comoving Doppler weight
-    gamma^2 (1 - beta k_y)^2 is integrated over the sphere and scaled by the
-    scalar CF prefactor hbar c k0^2 / (4 pi^2) and by k0^2.
-    """
+    """Thermal part of the rotating scalar energy density, measured by the
+    Doppler quadrature with the scalar CF prefactor hbar c k0^4 / (4 pi^2);
+    oracle for scalar_bath_factor."""
     const = params.constants
     k0 = params.omega / const.c
-    pref = const.hbar * const.c * k0**2 / (4.0 * math.pi**2)
-    g2 = params.gamma**2
-    beta = params.beta
-
-    def doppler_weight(khat):
-        return g2 * (1.0 - beta * khat[..., 1]) ** 2
-
-    weight, _ = integrate_sphere(doppler_weight, spec)
-    return pref * k0**2 * thermal_ladder_integral(0.0, p=3) * weight
+    return (const.hbar * const.c * k0**4 / (4.0 * math.pi**2)
+            * _doppler_ladder_integral(params, spec))
 
 
-def scalar_energy_density(params: RotationParams, cutoff_n_max: int,
-                          spec: QuadratureSpec = DEFAULT_SPEC) -> ThermoReport:
+def scalar_energy_density(params: RotationParams, cutoff_n_max: int) -> ThermoReport:
     """Massless-scalar energy density on the rotating worldline.
 
     The thermal part equals scalar_bath_factor(params) times the bath
@@ -214,12 +203,12 @@ def scalar_energy_density(params: RotationParams, cutoff_n_max: int,
     const = params.constants
     T = rotation_temperature(params)
     factor = scalar_bath_factor(params)
-    w_t = factor * scalar_bath_thermal_density(T, const, spec)
+    w_t = factor * scalar_bath_thermal_density(T, const)
     w_zp = factor * const.hbar * params.omega**4 / (math.pi * const.c**3) \
         * _ladder_cubic_sum(cutoff_n_max)
     return ThermoReport(
         field_kind="scalar", T_rot=T, w_zp_cutoff=w_zp, w_thermal=w_t,
-        w_total_cutoff=w_zp + w_t, anisotropy_factor=factor,
+        w_total_cutoff=_finite(w_zp + w_t, "w_total_cutoff"), anisotropy_factor=factor,
         cutoff_n_max=cutoff_n_max,
     )
 
@@ -228,7 +217,7 @@ def em_thermal_density_at(omega: float, r: float, const: Constants = SI) -> floa
     """w_thermal as a function of orbit radius at fixed angular velocity."""
     params = RotationParams(omega=omega, radius=r, constants=const)
     T = rotation_temperature(params)
-    return em_anisotropy_factor(params) * 4.0 * const.sigma / const.c * T**4
+    return _finite(_blackbody(em_anisotropy_factor(params), T, const), "w_thermal")
 
 
 def vacuum_force_density(params: RotationParams, r: float,
@@ -243,19 +232,20 @@ def vacuum_force_density(params: RotationParams, r: float,
     omega = params.omega
     if omega <= 0:
         raise ValueError("vacuum force requires omega > 0")
+    if sphere_radius is not None and not 0.0 < sphere_radius < math.inf:
+        raise ValueError(f"sphere radius must be finite and positive, got {sphere_radius!r}")
     r0 = const.c / omega
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be non-negative")
     if r >= r0:
-        raise LuminalOrbitError(
-            f"no orbit at r = {r!r} >= c/omega = {r0!r}"
-        )
+        raise LuminalOrbitError(f"no orbit at r = {r!r} >= c/omega = {r0!r}")
     T = rotation_temperature(params)
     x = r / r0
-    f = -(8.0 / 3.0) * (omega / const.c) ** 2 * 2.0 * r / (1.0 - x * x) ** 2 \
-        * 4.0 * const.sigma / const.c * T**4
+    f = _blackbody(-(8.0 / 3.0) * (omega / const.c) ** 2 * 2.0 * r / (1.0 - x * x) ** 2,
+                   T, const)
     F = f * (4.0 / 3.0) * math.pi * sphere_radius**3 if sphere_radius is not None else None
-    return ForcePoint(r=r, x=x, f_vac=f, F_sphere=F)
+    return ForcePoint(r=r, x=x, f_vac=_finite(f, "f_vac"),
+                      F_sphere=None if F is None else _finite(F, "F_sphere"))
 
 
 def casimir_force(a_shell: float, C: float = CASIMIR_MODEL_C,
@@ -284,12 +274,14 @@ def hadron_estimates(a_sphere: float, r0: float, x: float,
     """
     if not 0.0 < x < 1.0:
         raise ValueError("x must be in (0, 1)")
-    if a_sphere <= 0 or r0 <= 0:
-        raise ValueError("radii must be positive")
+    # the prefactor divides by r0^5, which must not underflow
+    if not (0.0 < a_sphere < math.inf and 0.0 < r0**5 < math.inf):
+        raise ValueError(f"radii must be finite and positive, got a = {a_sphere!r}, r0 = {r0!r}")
     omega = const.c / r0
     params = RotationParams(omega=omega, radius=x * r0, constants=const)
     point = vacuum_force_density(params, x * r0, sphere_radius=a_sphere)
-    prefactor = 4.0 * const.c * const.hbar / (135.0 * math.pi) * a_sphere**3 / r0**5
+    prefactor = _finite(4.0 * const.c * const.hbar / (135.0 * math.pi) * a_sphere**3 / r0**5,
+                        "prefactor_j_per_m")
     T = const.hbar * const.c / (2.0 * math.pi * const.k_B * r0)
     return HadronEstimate(
         force_newton=point.F_sphere,

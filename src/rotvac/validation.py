@@ -217,7 +217,7 @@ def check_em_energy_density(n_seeds: int = 200, n_theta: int = 16, n_phi: int = 
     closed = rep.w_thermal * sigma_perturb
     ident = _rel(quad_wt, closed)
     rows = [CheckResult("em-thermal-closed-form", ident < 1e-10, ident, 0.0, 1e-10,
-                        detail="quadrature Planck integral vs sigma T^4 form")]
+                        detail="Doppler quadrature vs 2 (4 g^2 - 1) / 3 sigma T^4 form")]
 
     ms = mc.build_mode_set(params, n_max=n_max, n_theta=n_theta, n_phi=n_phi)
     est = mc.empirical_energy_density(params, ms, n_seeds=n_seeds, seed=seed,

@@ -3,8 +3,9 @@
 Each one reaches a number that the package computes by another route: the
 field-tensor contraction checks the projection matrix, the polarization sum
 checks the basis, the partial-fraction series checks the closed ladder sum,
-the QUADPACK Planck-weighted integral checks the polygamma form of the
-thermal ladder integral, the quadrature stress moments check the scalar
+the QUADPACK Planck-weighted integrals check the polygamma form of the
+thermal ladder integral and the pi^4 / 15 closed form of the scalar bath,
+the quadrature stress moments check the scalar
 isotropy, the kernel record checks the ladder phase bookkeeping, and the
 per-seed field evaluation checks the seed-block Monte Carlo CF engine.
 """
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rotvac.cf_discrete import ladder_phase
+from rotvac.constants import SI, Constants
 from rotvac.fields import (Direction, FieldTriplet, FrameError, polarization_basis,
                            project_fields_to_tetrad)
 from rotvac.kinematics import RotationParams, frenet_serret_tetrad
@@ -81,6 +83,24 @@ def thermal_ladder_quadpack(phase: float, p: int) -> float:
     spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15, max_subdivisions=200)
     val, _ = integrate_1d(lambda u: _stable_thermal_term(u, phase, p), 0.0, math.inf, spec)
     return val
+
+
+def _bose_integrand(u: float) -> float:
+    # u^3 / (e^u - 1), overflow-safe at the large arguments quadrature probes
+    return u**3 * math.exp(-u) / (1.0 - math.exp(-u)) if u > 0.0 else 0.0
+
+
+def scalar_bath_quadpack(temperature: float, const: Constants = SI) -> float:
+    """(2 hbar / pi c^3) (k_B T / hbar)^4 int_0^inf u^3 / (e^u - 1) du by
+    QUADPACK.
+
+    Independent route to the closed scalar_bath_thermal_density.
+    """
+    if temperature == 0.0:
+        return 0.0
+    scale = const.k_B * temperature / const.hbar
+    val, _ = integrate_1d(_bose_integrand, 0.0, math.inf)
+    return 2.0 * const.hbar / (math.pi * const.c**3) * scale**4 * val
 
 
 def scalar_lab_stress_diagonal(params: RotationParams, cutoff_n_max: int):

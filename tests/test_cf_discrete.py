@@ -87,11 +87,6 @@ class TestThermalSplit:
         split = cubic_ladder_split(phase)
         assert split.total == pytest.approx(cubic_ladder_sum_closed(phase), rel=1e-8)
 
-    def test_scaling_with_omega(self):
-        a = cubic_ladder_split(1.5, omega0=1.0)
-        b = cubic_ladder_split(1.5, omega0=3.0)
-        assert b.total == pytest.approx(81.0 * a.total, rel=1e-12)
-
     def test_thermal_low_phase_limit(self):
         # cosh -> 1: the pure Bose integral 2 Gamma(4) zeta(4) / (2 pi)^4
         assert thermal_ladder_integral(0.0, p=3) == pytest.approx(1.0 / 120.0, rel=1e-10)

@@ -235,7 +235,21 @@ class TestInputErrors:
         ["force-curve", "--omega", "0"],
         ["energy", "--omega", "nan"],
         ["cf", "--tol", "nan"],
-    ], ids=["force-curve-zero-omega", "energy-nan-omega", "cf-nan-tol"])
+        ["force-curve", "--omega", "2e3", "--sphere-radius", "nan"],
+        ["force-curve", "--omega", "2e3", "--r-max", "0.9", "--sphere-radius=-1e-9"],
+        ["estimate-hadron", "--a", "nan"],
+        ["estimate-hadron", "--a", "inf"],
+        ["cf", "--omega", "0"],
+        ["mc-validate", "--omega", "0"],
+        ["energy", "--omega", "1e300", "--units", "SI"],
+        ["energy", "--omega", "1e77"],
+        ["force-curve", "--omega", "1e80", "--r-steps", "3", "--r-max", "0.9"],
+        ["estimate-hadron", "--r0", "1e-66", "--one-minus-x", "0.5", "--a", "1e-70"],
+    ], ids=["force-curve-zero-omega", "energy-nan-omega", "cf-nan-tol",
+            "force-curve-nan-sphere-radius", "force-curve-negative-sphere-radius",
+            "estimate-hadron-nan-a", "estimate-hadron-inf-a", "cf-zero-omega",
+            "mc-validate-zero-omega", "energy-overflow", "energy-infinite-product",
+            "force-curve-infinite-product", "estimate-hadron-r0-underflow"])
     def test_domain_errors(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -265,6 +279,45 @@ def test_cf_pair_property(method, kind, pair):
         if row["flag"] == "ok":
             assert set(pair) <= set("123")
             assert math.isfinite(float(row["value"]))
+
+
+# NaN, infinities, zeros, negatives and magnitudes up to 1e300
+FLOATS = (st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1e-9, 1e300])
+          | st.floats(min_value=-1e300, max_value=1e300))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["energy-em", "energy-scalar", "force-curve",
+                                "estimate-hadron"]),
+       units=st.sampled_from(["SI", "natural"]), omega=FLOATS,
+       motion=st.tuples(st.sampled_from(["--beta", "--radius"]), FLOATS),
+       sphere_radius=FLOATS, a=FLOATS, r0=FLOATS, one_minus_x=FLOATS)
+def test_thermal_commands_property(command, units, omega, motion, sphere_radius, a, r0,
+                                   one_minus_x):
+    # no traceback, an exit code in {0, 1, 2}, and no non-finite value in a
+    # row flagged ok; energy and estimate-hadron rows carry no flag and count
+    # as ok.  Values go in --opt=value form so that a negative one is no flag.
+    if command.startswith("energy"):
+        argv = ["energy", f"--field={command[7:]}", f"--units={units}",
+                f"--omega={omega!r}", f"{motion[0]}={motion[1]!r}"]
+    elif command == "force-curve":
+        argv = ["force-curve", f"--units={units}", f"--omega={omega!r}", "--r-steps=5",
+                f"--sphere-radius={sphere_radius!r}"]
+    else:
+        argv = ["estimate-hadron", f"--a={a!r}", f"--r0={r0!r}",
+                f"--one-minus-x={one_minus_x!r}"]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    for row in parse_table(out.getvalue())[2]:
+        if row.get("flag", "ok") == "ok":
+            values = [v for k, v in row.items() if k not in ("quantity", "flag")]
+            assert all(math.isfinite(float(v)) for v in values
+                       if v not in ("", "em", "scalar")), (argv, row)
 
 
 class TestValidate:

@@ -54,6 +54,16 @@ class TestModeSet:
         with pytest.raises(ValueError):
             build_mode_set(p, n_max=40, n_theta=16, n_phi=32)
 
+    def test_zero_band_rejected(self, params):
+        # a ladder at omega = 0 or an empty band has no amplitude, so every
+        # standard error would be 0
+        with pytest.raises(ValueError, match="omega > 0"):
+            build_mode_set(RotationParams(0.0, 1.0, NATURAL), n_max=2, n_theta=8, n_phi=16)
+        for cutoff in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="omega_cutoff"):
+                build_mode_set(params, spectrum="continuous", omega_cutoff=cutoff,
+                               n_radial=4, n_theta=8, n_phi=16)
+
     def test_one_point_normalization_sum_rule(self, modes, params):
         # deterministic (not statistical): the per-mode amplitudes reproduce
         # the transverse angular moment of the truncated ladder exactly

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import scalar_lab_stress_diagonal
+from oracles import scalar_bath_quadpack, scalar_lab_stress_diagonal
+from rotvac import thermo
 from rotvac.cf_discrete import rotation_temperature
 from rotvac.constants import NATURAL, SI
 from rotvac.kinematics import LuminalOrbitError, RotationParams
+from rotvac.validation import check_em_energy_density
 from rotvac.numerics import integrate_sphere
 from rotvac.thermo import (CASIMIR_MODEL_C, casimir_force, em_anisotropy_factor,
                            em_energy_density, em_thermal_density_at,
@@ -34,6 +36,25 @@ class TestEmEnergyDensity:
         p = RotationParams.from_beta(1.0, 0.3, NATURAL)
         rep = em_energy_density(p, cutoff_n_max=5)
         assert em_thermal_density_quadrature(p) == pytest.approx(rep.w_thermal, rel=1e-10)
+
+    @pytest.mark.parametrize("const, omega", [(NATURAL, 1.0), (SI, 1.0e6)],
+                             ids=["natural", "SI"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.9, 0.999, 0.99999])
+    def test_doppler_route_vs_closed_form(self, const, omega, beta):
+        p = (RotationParams(omega, 0.0, const) if beta == 0.0
+             else RotationParams.from_beta(omega, beta, const))
+        assert em_thermal_density_quadrature(p) == pytest.approx(
+            em_energy_density(p, cutoff_n_max=5).w_thermal, rel=1e-13)
+
+    def test_doppler_route_measures_the_factor(self, monkeypatch):
+        # with the scalar's (4 g^2 - 1) / 3 in place of the EM factor, only the
+        # closed form moves, so the check comparing the two routes must fail
+        monkeypatch.setattr(thermo, "em_anisotropy_factor",
+                            lambda params: (4.0 * params.gamma**2 - 1.0) / 3.0)
+        rows = check_em_energy_density(n_seeds=2, n_theta=8, n_phi=16, n_max=1)
+        row = next(r for r in rows if r.name == "em-thermal-closed-form")
+        assert not row.passed
+        assert row.measured == pytest.approx(0.5, rel=1e-12)
 
     def test_blackbody_arithmetic(self):
         # at T = 3.4e11 K the blackbody density is about 1.01e31 J/m^3
@@ -91,6 +112,16 @@ class TestScalarEnergyDensity:
             assert measured / bath == pytest.approx(scalar_bath_factor(p), rel=1e-12)
             assert measured == pytest.approx(
                 scalar_energy_density(p, cutoff_n_max=4).w_thermal, rel=1e-12)
+
+    @pytest.mark.parametrize("const, temperatures", [
+        (NATURAL, (1e-3, 0.1, 1.0, 7.5, 1e3)),
+        (SI, (2.7, 300.0, 1.0e6, 3.4e11)),
+    ], ids=["natural", "SI"])
+    def test_closed_bath_vs_quadpack(self, const, temperatures):
+        for T in temperatures:
+            assert scalar_bath_thermal_density(T, const) == pytest.approx(
+                scalar_bath_quadpack(T, const), rel=1e-13)
+        assert scalar_bath_thermal_density(0.0, const) == 0.0
 
     def test_static_limit(self):
         p = RotationParams(omega=0.0, radius=0.5, constants=NATURAL)
