@@ -150,16 +150,19 @@ def _bracket_quadrature(pair, params, delta, dt_lab, spec) -> float:
     return pref * val
 
 
-def _lab_kernel_rows(khat, row1, row2):
-    """row1^T M(khat) row2 for khat of shape (..., 3); rows are 6-vectors (E, H).
+def _lab_kernel(row1, row2):
+    """The function khat -> row1^T M(khat) row2 for khat of shape (..., 3);
+    rows are 6-vectors (E, H).
 
     M is the lab-frame polarization-summed kernel: 1 - khat khat^T in the EE
     and HH blocks, <E_i H_j> ~ eps_{ijl} khat_l in the EH block and its
     negative transpose in the HE block.
     """
     e1, h1, e2, h2 = row1[:3], row1[3:], row2[:3], row2[3:]
-    return (e1 @ e2 + h1 @ h2 - (khat @ e1) * (khat @ e2) - (khat @ h1) * (khat @ h2)
-            + khat @ (np.cross(e1, h2) - np.cross(h1, e2)))
+    const = e1 @ e2 + h1 @ h2
+    eh = np.cross([e1, -h1], [h2, e2]).sum(axis=0)   # e1 x h2 - h1 x e2
+    return lambda khat: (const - (khat @ e1) * (khat @ e2) - (khat @ h1) * (khat @ h2)
+                         + khat @ eh)
 
 
 def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
@@ -180,15 +183,18 @@ def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
     t2, x2, y2, _ = lab_position(params, tau2)
     dr = np.array([x1 - x2, y1 - y2, 0.0])
     cdt = const.c * (t1 - t2)
+    kernel = _lab_kernel(row1, row2)
 
     def integrand(khat):
-        geom = khat @ dr - cdt
-        return _lab_kernel_rows(khat, row1, row2) * 6.0 / geom**4
+        # the phase coefficient over c dt, so that the integrand is
+        # dimensionless and abs_tol means the same in every unit system
+        geom = khat @ (dr / cdt) - 1.0
+        return kernel(khat) * 6.0 / geom**4
 
     # the phase depends on the direction only through khat . dr: put the pole
     # of the rule on the chord (any axis at delta in 2 pi Z, where dr = 0)
     val, _ = integrate_sphere(integrand, spec, axis=dr if dr.any() else (0.0, 1.0, 0.0))
-    value = const.hbar * const.c / (4.0 * math.pi**2) * val
+    value = const.hbar * const.c / (4.0 * math.pi**2) * val / cdt**4
     return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
                    spectrum="continuous", value=value, method="quadrature")
 
@@ -258,10 +264,10 @@ def scalar_cf_quadrature(tau1, tau2, params: RotationParams,
     E0 = 2.0 * params.radius * math.sin(delta / 2.0)
 
     def integrand(khat):
-        G = B - E0 * khat[..., 1]
-        return -1.0 / G**2
+        # G / B, dimensionless as in em_cf_tensor_quadrature
+        return -1.0 / (1.0 - (E0 / B) * khat[..., 1]) ** 2
 
     val, _ = integrate_sphere(integrand, spec)
-    value = const.hbar * const.c / (4.0 * math.pi**2) * val
+    value = const.hbar * const.c / (4.0 * math.pi**2) * val / B**2
     return CFValue(kind="scalar", pair=(0, 0), tau1=tau1, tau2=tau2,
                    spectrum="continuous", value=value, method="quadrature")

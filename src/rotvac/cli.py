@@ -61,6 +61,17 @@ def PAIR(text: str):
     return int(text[0]), int(text[1])
 
 
+def _sweep(args, name: str, scale: float = 1.0):
+    """--NAME-steps points from --NAME-min to --NAME-max, times scale;
+    ValueError (exit 2) unless the ends and the span are finite."""
+    lo, hi = (getattr(args, f"{name}_{end}") * scale for end in ("min", "max"))
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise ValueError(f"--{name}-min {getattr(args, name + '_min')!r} and "
+                         f"--{name}-max {getattr(args, name + '_max')!r} "
+                         "must give a finite sweep")
+    return np.linspace(lo, hi, getattr(args, f"{name}_steps"))
+
+
 def _emit(args, meta: dict, header: List[str], rows: List[list], flagged: bool) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -98,7 +109,7 @@ def _meta_common(args, params: Optional[RotationParams] = None) -> dict:
 
 def cmd_tetrad(args) -> int:
     params = _params(args)
-    taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
+    taus = _sweep(args, "tau")
     build = fermi_walker_tetrad if args.kind == "fermi-walker" else frenet_serret_tetrad
     header = ["tau"] + [f"mu{a}_{c}" for a in range(1, 5) for c in "xyzt"] + ["residual"]
     rows, flagged = [], False
@@ -118,7 +129,7 @@ def cmd_cf(args) -> int:
     params = _params(args)
     const = params.constants
     pair = args.pair
-    deltas = np.linspace(args.delta_min, args.delta_max, args.delta_steps)
+    deltas = _sweep(args, "delta")
     spec = (QuadratureSpec() if args.tol is None
             else QuadratureSpec(rel_tol=args.tol, abs_tol=args.tol * 1e-4))
     header = ["delta", "method", "value", "stat_error", "flag"]
@@ -173,7 +184,7 @@ def cmd_cf(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = _params(args)
-    phases = np.linspace(args.phase_min, args.phase_max, args.phase_steps)
+    phases = _sweep(args, "phase")
     header = ["phase", "ladder_sum_closed", "zero_point_part", "thermal_part",
               "total", "rel_consistency", "flag"]
     rows, flagged = [], False
@@ -217,7 +228,9 @@ def cmd_force_curve(args) -> int:
     if args.omega == 0.0:
         raise ValueError("force-curve needs --omega > 0 (the radius scale is c / omega)")
     r0 = const.c / args.omega
-    rs = np.linspace(args.r_min * r0, args.r_max * r0, args.r_steps)
+    if not math.isfinite(r0):
+        raise ValueError(f"r0 = c / omega = {r0!r} is not finite at --omega {args.omega!r}")
+    rs = _sweep(args, "r", scale=r0)
     header = ["r", "x", "w_thermal", "f_vac", "F_sphere", "F_gev_per_fermi", "flag"]
     rows, flagged = [], False
     for r in rs:

@@ -4,17 +4,19 @@ Abel-Plana identity checker.
 
 The 1-D integrator wraps QUADPACK (scipy.integrate.quad).  The sphere rule is
 the one place that parametrizes directions: tanh-sinh (Takahashi & Mori 1974)
-in u = k . axis times a periodic trapezoid in the azimuth about axis, refined
-by doubling until two successive levels agree.  Integrands receive unit
-vectors k (trailing axis of 3); the double-exponential grading towards
-u = +/-1 resolves the near-luminal (1 + k u)^-4 peaks when the axis is the
-one the integrand depends on.  Abel summation evaluates sum a_n e^(-eta n) on
-a geometric eta grid in extended precision and extrapolates eta -> 0 with a
-Neville table.
+in u = k . axis times a periodic trapezoid in the azimuth about axis.  It is
+nested: the error estimates come from subsets of the evaluated grid, each
+direction is refined on its own while its estimate is too large, and no node
+is evaluated twice.  Integrands receive unit vectors k (trailing axis of 3);
+the double-exponential grading towards u = +/-1 resolves the near-luminal
+(1 + k u)^-4 peaks when the axis is the one the integrand depends on.  Abel
+summation evaluates sum a_n e^(-eta n) on a geometric eta grid in extended
+precision and extrapolates eta -> 0 with a Neville table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -96,28 +98,29 @@ def integrate_1d(f: Callable[[float], float], a: float, b: float,
     return value, err
 
 
-def _sphere_level(f, frame, level: int):
-    """Tanh-sinh x trapezoid rule at step SPHERE_H0 / 2^level in t and
-    4 * 2^level azimuths; returns (integral, integral of |f|, node count)."""
-    a, e1, e2 = frame
-    h = SPHERE_H0 / 2**level
-    n = int(round(SPHERE_T_MAX / h))
-    t = np.arange(-n, n + 1) * h
-    x = 0.5 * np.pi * np.sinh(t)
-    s = 1.0 / np.cosh(x)                      # sqrt(1 - u^2) without cancellation
-    w = h * 0.5 * np.pi * np.cosh(t) * s * s  # du/dt
-    # sin(psi) from one quarter turn, so that psi -> -psi and psi -> pi - psi
-    # map nodes onto nodes exactly and odd integrands cancel at every level
-    m = 4 * 2**level
+@functools.lru_cache(maxsize=16)
+def _azimuths(m: int):
+    """sin and cos of the m azimuths 2 pi j / m, from one quarter turn of
+    sines, so that psi -> -psi and psi -> pi - psi map nodes onto nodes
+    exactly and odd integrands cancel on every subset of the grid.  Cached,
+    so read-only."""
     q = np.sin(np.arange(m // 4 + 1) * (2.0 * np.pi / m))
     sin = np.concatenate([q, q[-2::-1], -q[1:], -q[-2:0:-1]])
     cos = np.roll(sin, -(m // 4))
-    k = (np.tanh(x)[:, None, None] * a
-         + s[:, None, None] * (cos[:, None] * e1 + sin[:, None] * e2))
-    vals = np.broadcast_to(np.asarray(f(k), dtype=float), k.shape[:-1])
-    total = float(w @ vals.sum(axis=1)) * (2.0 * np.pi / m)
-    l1 = float(w @ np.abs(vals).sum(axis=1)) * (2.0 * np.pi / m)
-    return total, l1, vals.size
+    sin.flags.writeable = cos.flags.writeable = False
+    return sin, cos
+
+
+def _interleave(even, odd, axis: int):
+    """even and odd merged along axis, even first: the grid after a step is
+    halved, from the old nodes and the new ones between them."""
+    shape = list(even.shape)
+    shape[axis] += odd.shape[axis]
+    out = np.empty(shape)
+    lead = (slice(None),) * axis
+    out[lead + (slice(0, None, 2),)] = even
+    out[lead + (slice(1, None, 2),)] = odd
+    return out
 
 
 def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0)):
@@ -129,29 +132,66 @@ def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0
     u = k . axis, graded double-exponentially towards u = +/-1, times a
     trapezoid in the azimuth psi about axis, with k_z = sqrt(1 - u^2) sin(psi)
     exactly; integrands peaked along +/-axis are resolved up to |u| -> 1.
-    Both directions are refined by doubling until two successive levels agree
-    to spec tolerances; for cancelling integrands the achievable floor is the
-    roundoff of the absolute mass, which caps the demanded accuracy.
-    Returns (value, error_estimate).
+
+    The grid starts at step SPHERE_H0 / 2 in t with 8 azimuths, and every
+    node is evaluated once.  Both error estimates come from subsets of it:
+    against the grid with every other t node and every other azimuth (t and
+    psi together), and against every other azimuth alone (psi).  Each
+    direction is refined by halving its step, evaluating only the new nodes,
+    while its estimate exceeds the tolerance; an integrand that is a trig
+    polynomial of degree <= 3 in psi never doubles its 8 azimuths.  The
+    tolerance is max(abs_tol, rel_tol |I|, 100 eps (L1 - |I|)) with L1 the
+    integral of |f|: the roundoff floor covers only the cancelled share of
+    the mass, so cancelling integrands return at roundoff while a
+    sign-definite one is held to the demanded accuracy.  Raises
+    QuadratureError, carrying the best estimate, once the grid exceeds
+    64 * spec.max_subdivisions nodes.  Returns (value, error_estimate).
     """
     a = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(a)
     if a.shape != (3,) or a[2] != 0.0 or not 0.0 < norm < math.inf:
         raise ValueError(f"axis must be a finite non-zero vector in the xy plane, got {axis!r}")
     a = a / norm
-    frame = (a, np.array([a[1], -a[0], 0.0]), np.array([0.0, 0.0, 1.0]))
-    prev, _, _ = _sphere_level(f, frame, 0)
-    for level in range(1, 9):
-        cur, l1, nodes = _sphere_level(f, frame, level)
-        err = abs(cur - prev)
-        floor = 100.0 * np.finfo(float).eps * l1
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(cur), floor):
+    e1, e2 = np.array([a[1], -a[0], 0.0]), np.array([0.0, 0.0, 1.0])
+
+    def evaluate(t, sin, cos):
+        """f on the nodes t x azimuths."""
+        x = 0.5 * np.pi * np.sinh(t)
+        s = 1.0 / np.cosh(x)                  # sqrt(1 - u^2) without cancellation
+        k = (np.tanh(x)[:, None, None] * a
+             + s[:, None, None] * (cos[:, None] * e1 + sin[:, None] * e2))
+        return np.broadcast_to(np.asarray(f(k), dtype=float), k.shape[:-1])
+
+    h = SPHERE_H0 / 2
+    n = int(round(SPHERE_T_MAX / h))
+    t = np.arange(-n, n + 1) * h
+    sin, cos = _azimuths(8)
+    vals = evaluate(t, sin, cos)
+    while True:
+        w = 0.5 * np.pi * np.cosh(t) / np.cosh(0.5 * np.pi * np.sinh(t)) ** 2  # du/dt
+        m = vals.shape[1]
+        rows, half = vals.sum(axis=1), vals[:, ::2].sum(axis=1)
+        cur = h * (2.0 * np.pi / m) * float(w @ rows)
+        err_psi = abs(cur - h * (4.0 * np.pi / m) * float(w @ half))
+        err_t = abs(cur - 2.0 * h * (4.0 * np.pi / m) * float(w[::2] @ half[::2]))
+        l1 = h * (2.0 * np.pi / m) * float(w @ np.abs(vals).sum(axis=1))
+        floor = 100.0 * np.finfo(float).eps * (l1 - abs(cur))
+        tol = max(spec.abs_tol, spec.rel_tol * abs(cur), floor)
+        err = max(err_t, err_psi)
+        if err <= tol:
             return cur, err
-        if nodes > 64 * spec.max_subdivisions:
+        if vals.size > 64 * spec.max_subdivisions:
             break
-        prev = cur
+        if err_t > tol:
+            h /= 2
+            mid = t[:-1] + h                  # exact: multiples of h
+            vals = _interleave(vals, evaluate(mid, sin, cos), 0)
+            t = _interleave(t, mid, 0)
+        if err_psi > tol:
+            sin, cos = _azimuths(2 * m)
+            vals = _interleave(vals, evaluate(t, sin[1::2], cos[1::2]), 1)
     raise QuadratureError(
-        f"sphere quadrature did not converge at {nodes} nodes",
+        f"sphere quadrature did not converge at {vals.size} nodes",
         best_estimate=cur, error_estimate=err,
     )
 

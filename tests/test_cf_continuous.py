@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import delta_to_tau
-from rotvac.cf_continuous import (CoincidenceError, _lab_kernel_rows,
+from rotvac.cf_continuous import (CoincidenceError, _lab_kernel,
                                   em_cf_continuous, em_cf_tensor_quadrature,
                                   phi_kernel_integral, scalar_cf_continuous,
                                   scalar_cf_quadrature, shape_constant,
                                   sin_power_integral)
-from rotvac.constants import NATURAL
+from rotvac.constants import NATURAL, SI
 from rotvac.fields import diag_bracket, projection_matrix
 from rotvac.kinematics import RotationParams
 from rotvac.numerics import integrate_1d
@@ -127,8 +127,8 @@ class TestEmContinuous:
             for delta in (0.3, 1.3, 4.0):
                 c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
                 rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-                lab = _lab_kernel_rows(k @ rot.T, projection_matrix(0.0, beta)[row],
-                                       projection_matrix(delta, beta)[row])
+                lab = _lab_kernel(projection_matrix(0.0, beta)[row],
+                                  projection_matrix(delta, beta)[row])(k @ rot.T)
                 bracket = diag_bracket(pair, p, delta, k[:, 0], k[:, 1])
                 assert np.max(np.abs(bracket - lab)) < 1e-13
 
@@ -299,6 +299,20 @@ class TestNearLuminal:
         tau2 = delta_to_tau(p, delta)
         closed = scalar_cf_continuous(0.0, tau2, p).value
         assert scalar_cf_quadrature(0.0, tau2, p).value == pytest.approx(closed, rel=1e-11)
+
+    @pytest.mark.parametrize("beta,delta", [(0.99, 0.1)] + NEAR_LUMINAL)
+    def test_routes_in_si_units(self, beta, delta):
+        # the integrands are dimensionless, so the absolute tolerance of the
+        # sphere rule does not swallow an SI-sized integral (values ~1e-48,
+        # hence abs=0 in the comparisons too)
+        p = RotationParams.from_beta(1.0, beta, SI)
+        tau2 = delta_to_tau(p, delta)
+        closed = em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "closed-form").value
+        tensor = em_cf_tensor_quadrature((1, 1), "EE", 0.0, tau2, p).value
+        assert tensor == pytest.approx(closed, rel=1e-11, abs=0.0)
+        scalar = scalar_cf_continuous(0.0, tau2, p).value
+        assert scalar_cf_quadrature(0.0, tau2, p).value == pytest.approx(scalar, rel=1e-11,
+                                                                         abs=0.0)
 
 
 def em_11_size(p, delta):

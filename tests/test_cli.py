@@ -120,6 +120,18 @@ class TestCfCommand:
         assert rows[0]["value"] == ""
         assert rows[0]["flag"].startswith("error: sphere quadrature did not converge")
 
+    def test_sign_definite_tight_tolerance_flagged(self, capsys):
+        # the rounding floor covers only the cancelled share of the mass: at
+        # beta = 0.999 the (1,2) tensor route cannot reach 1e-15, and the row
+        # says so instead of passing at about 3e-13
+        code, out = run_cli(capsys, "cf", "--beta", "0.999", "--pair", "12",
+                            "--method", "quadrature", "--tol", "1e-15",
+                            "--delta-min", "0.1", "--delta-max", "0.1", "--delta-steps", "1")
+        assert code == 1
+        _, _, rows = parse_table(out)
+        assert rows[0]["value"] == ""
+        assert rows[0]["flag"].startswith("error: sphere quadrature did not converge")
+
 
 class TestForceCurve:
     def test_monotone_negative_and_rejection(self, capsys):
@@ -256,6 +268,23 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, cause", [
+        (["spectrum", "--phase-min", "nan", "--phase-steps", "2"], "--phase-min nan"),
+        (["cf", "--delta-min", "nan", "--delta-steps", "1"], "--delta-min nan"),
+        (["tetrad", "--tau-min", "nan", "--tau-steps", "1"], "--tau-min nan"),
+        (["tetrad", "--tau-min=-1e308", "--tau-max", "1e308"], "finite sweep"),
+        (["force-curve", "--omega", "2e3", "--r-min", "nan"], "--r-min nan"),
+        (["force-curve", "--omega", "2e3", "--r-max", "inf"], "--r-max inf"),
+        (["force-curve", "--omega", "1e-300"], "r0 = c / omega = inf"),
+    ], ids=["spectrum-nan-phase", "cf-nan-delta", "tetrad-nan-tau", "tetrad-span-overflow",
+            "force-curve-nan-r-min", "force-curve-inf-r-max", "force-curve-r0-overflow"])
+    def test_errors_name_their_cause(self, capsys, argv, cause):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert cause in captured.err
+
 
 @pytest.mark.parametrize("kind", ["EE", "HH", "EH", "scalar"])
 @pytest.mark.parametrize("method", ["monte-carlo", "quadrature"])
@@ -318,6 +347,35 @@ def test_thermal_commands_property(command, units, omega, motion, sphere_radius,
             values = [v for k, v in row.items() if k not in ("quantity", "flag")]
             assert all(math.isfinite(float(v)) for v in values
                        if v not in ("", "em", "scalar")), (argv, row)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["cf-closed-form", "cf-quadrature", "spectrum", "tetrad"]),
+       lo=FLOATS, hi=FLOATS, steps=st.integers(min_value=0, max_value=3))
+def test_sweep_bounds_property(command, lo, hi, steps):
+    # no traceback, an exit code in {0, 1, 2}, and no non-finite value in a
+    # row that passes: flagged ok for cf and spectrum, a residual <= 1e-10
+    # for tetrad
+    name = {"cf": "delta", "spectrum": "phase", "tetrad": "tau"}[command.split("-")[0]]
+    argv = [command.split("-")[0], "--beta=0.3", f"--{name}-min={lo!r}",
+            f"--{name}-max={hi!r}", f"--{name}-steps={steps}"]
+    if command.startswith("cf"):
+        argv.append(f"--method={command[3:]}")
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if not all(math.isfinite(x) for x in (lo, hi, hi - lo)):
+        assert code == 2, argv
+    for row in parse_table(out.getvalue())[2]:
+        passes = (float(row["residual"]) <= 1e-10 if command == "tetrad"
+                  else row["flag"] == "ok")
+        if passes:
+            values = [v for k, v in row.items() if k not in ("method", "flag")]
+            assert all(math.isfinite(float(v)) for v in values if v != ""), (argv, row)
 
 
 class TestValidate:

@@ -117,6 +117,58 @@ class TestIntegrateSphere:
             assert np.array_equal(nodes[np.lexsort(nodes.T)],
                                   mirrored[np.lexsort(mirrored.T)])
 
+    def test_stationary_bracket_node_count(self, monkeypatch):
+        # the (1,1) bracket is a trig polynomial of degree 2 in the azimuth,
+        # so its 8 azimuths never double and only the new t nodes of each
+        # level are evaluated: 1,032 nodes, where doubling both directions
+        # together and evaluating every level afresh took 5,500
+        from rotvac import cf_continuous as cfc
+        from rotvac.constants import NATURAL
+        from rotvac.kinematics import RotationParams
+
+        seen = []
+
+        def counting(f, *args, **kwargs):
+            def wrapped(k):
+                seen.append(k.reshape(-1, 3))
+                return f(k)
+            return integrate_sphere(wrapped, *args, **kwargs)
+
+        monkeypatch.setattr(cfc, "integrate_sphere", counting)
+        params = RotationParams.from_beta(1.0, 0.3, NATURAL)
+        cfc.em_cf_continuous((1, 1), "EE", 0.0, 1.0 / params.gamma, params, "quadrature")
+        nodes = np.concatenate(seen)
+        assert len(nodes) <= 1100
+        assert len(np.unique(nodes, axis=0)) == len(nodes)
+
+    @pytest.mark.parametrize("axis", AXES)
+    def test_azimuth_dependent_integrands(self, axis):
+        # neither integrand is a low trig polynomial in the azimuth about the
+        # rule's axis, so the azimuth refinement must engage to reach them
+        azimuths = set()
+
+        def record(k):
+            e1 = np.array([axis[1], -axis[0], 0.0]) / np.hypot(*axis[:2])
+            azimuths.update(np.round(np.arctan2(k[..., 2], k @ e1), 12).ravel())
+
+        def exp_kz(k):
+            record(k)
+            return np.exp(3.0 * k[..., 2])
+
+        val, _ = integrate_sphere(exp_kz, axis=axis)
+        assert val == pytest.approx(4.0 * math.pi * math.sinh(3.0) / 3.0, rel=1e-10)
+        assert len(azimuths) > 8
+        n = np.array([0.6, 0.0, 0.8])   # off the xy plane, so off every rule axis
+        azimuths.clear()
+
+        def off_axis_peak(k):
+            record(k)
+            return (1.0 - 0.9 * (k @ n)) ** -4
+
+        val, _ = integrate_sphere(off_axis_peak, axis=axis)
+        assert val == pytest.approx(peaked_integral(-0.9), rel=1e-10)
+        assert len(azimuths) > 8
+
     def test_node_budget_raises_with_estimate(self):
         spec = QuadratureSpec(max_subdivisions=1)
         with pytest.raises(QuadratureError) as exc:

@@ -43,8 +43,9 @@ class TestEmEnergyDensity:
     def test_doppler_route_vs_closed_form(self, const, omega, beta):
         p = (RotationParams(omega, 0.0, const) if beta == 0.0
              else RotationParams.from_beta(omega, beta, const))
+        # abs=0: the SI densities are about 1e-38, below approx's default abs
         assert em_thermal_density_quadrature(p) == pytest.approx(
-            em_energy_density(p, cutoff_n_max=5).w_thermal, rel=1e-13)
+            em_energy_density(p, cutoff_n_max=5).w_thermal, rel=1e-13, abs=0.0)
 
     def test_doppler_route_measures_the_factor(self, monkeypatch):
         # with the scalar's (4 g^2 - 1) / 3 in place of the EM factor, only the
