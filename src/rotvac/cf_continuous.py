@@ -235,6 +235,12 @@ def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
                    spectrum="continuous", value=value, method=method)
 
 
+def _scalar_closed_form(params: RotationParams, delta: float, dt_lab: float) -> float:
+    const = params.constants
+    denom = (const.c * dt_lab) ** 2 - 4.0 * params.radius**2 * math.sin(delta / 2.0) ** 2
+    return -const.hbar * const.c / math.pi / denom
+
+
 def scalar_cf_continuous(tau1, tau2, params: RotationParams) -> CFValue:
     """Massless-scalar two-point CF, closed form.
 
@@ -242,10 +248,7 @@ def scalar_cf_continuous(tau1, tau2, params: RotationParams) -> CFValue:
                        - 4 r^2 sin^2(omega gamma (tau2 - tau1) / 2) ].
     The denominator is positive for all separations while beta < 1.
     """
-    delta, dt_lab = _lag(params, tau1, tau2)
-    const = params.constants
-    denom = (const.c * dt_lab) ** 2 - 4.0 * params.radius**2 * math.sin(delta / 2.0) ** 2
-    value = -const.hbar * const.c / math.pi / denom
+    value = _scalar_closed_form(params, *_lag(params, tau1, tau2))
     return CFValue(kind="scalar", pair=(0, 0), tau1=tau1, tau2=tau2,
                    spectrum="continuous", value=value, method="closed-form")
 

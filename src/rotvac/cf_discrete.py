@@ -13,7 +13,9 @@ splits each into a divergent zero-point integral (carried by its regularized
 value) plus a convergent integral whose weight is exactly the Planck
 occupancy at the rotation temperature T = hbar omega / (2 pi k_B).  That
 thermal integral is evaluated in closed form through the polygamma function;
-its QUADPACK evaluation is the independent oracle of the tests.
+its QUADPACK evaluation is the independent oracle of the tests.  Over the
+directions the zero-point part integrates to the continuous-spectrum CF at
+the same lag, which the split takes from the closed forms of cf_continuous.
 
 ``phase`` here is the direction-dependent quantity
 
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.special import polygamma
 
 from .constants import Constants, planck_occupancy
-from .cf_continuous import COINCIDENCE_TOL, CFValue, CoincidenceError
+from .cf_continuous import CFValue, _closed_form_11, _lag, _scalar_closed_form
 from .fields import angular_weight_kernel_grid
 from .kinematics import RotationParams
 from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_sphere
@@ -186,34 +188,25 @@ def inertial_thermal_cf_integrand(omega, t, temperature: float, const: Constants
     return 2.0 * w**3 * np.cos(w * t) * planck_occupancy(w, temperature, const)
 
 
-def _resonance_scan(delta: float, params: RotationParams):
-    """Range of phase over the sphere and any 2 pi multiples crossed by it."""
+def _check_resonances(delta: float, params: RotationParams):
+    """Range (lo, hi) of phase over the sphere; ResonanceError carrying the
+    offending directions if it meets a multiple of 2 pi."""
     half = 2.0 * abs(params.beta * math.sin(delta / 2.0))
     lo, hi = delta - half, delta + half
-    m_lo = math.ceil(lo / (2.0 * math.pi) - 1e-12)
-    m_hi = math.floor(hi / (2.0 * math.pi) + 1e-12)
-    crossings = []
-    for m in range(m_lo, m_hi + 1):
+    region = []
+    for m in range(math.ceil(lo / (2.0 * math.pi) - 1e-12),
+                   math.floor(hi / (2.0 * math.pi) + 1e-12) + 1):
         target = 2.0 * math.pi * m
-        if lo - RESONANCE_TOL <= target <= hi + RESONANCE_TOL:
-            if half > RESONANCE_TOL:
-                ky = (delta - target) / (2.0 * params.beta * math.sin(delta / 2.0))
-            else:
-                ky = None  # phase is constant over the sphere
-            crossings.append({"multiple": m, "ky": ky})
-    return lo, hi, crossings
-
-
-def _check_resonances(delta: float, params: RotationParams):
-    lo, hi, crossings = _resonance_scan(delta, params)
-    if crossings:
-        region = [
-            {"ky": c["ky"], "multiple": c["multiple"],
-             "description": ("entire sphere (phase is constant at a multiple of 2 pi)"
-                             if c["ky"] is None else
-                             f"directions with k_y = {c['ky']:.6f}")}
-            for c in crossings
-        ]
+        if not lo - RESONANCE_TOL <= target <= hi + RESONANCE_TOL:
+            continue
+        if half > RESONANCE_TOL:
+            ky = (delta - target) / (2.0 * params.beta * math.sin(delta / 2.0))
+            description = f"directions with k_y = {ky:.6f}"
+        else:
+            ky = None  # phase is constant over the sphere
+            description = "entire sphere (phase is constant at a multiple of 2 pi)"
+        region.append({"ky": ky, "multiple": m, "description": description})
+    if region:
         raise ResonanceError(
             f"phase range [{lo:.6f}, {hi:.6f}] crosses the resonance manifold; "
             "the ladder sum has non-integrable poles there",
@@ -223,16 +216,15 @@ def _check_resonances(delta: float, params: RotationParams):
 
 
 def _ladder_cf(kind: str, pair, pref: float, tau1, tau2, params: RotationParams,
-               spec: QuadratureSpec, split: bool, weight, ladder, zero_point,
+               spec: QuadratureSpec, split: bool, weight, ladder, continuous,
                p: int, sign: float):
     """CF whose value is pref times the sphere integral of
     weight(k_x, k_y, delta) times ladder(phase(delta, k_y)).  With
-    split=True also returns the same integrals of zero_point(phase) and of
-    sign * thermal_ladder_integral(phase, p) as a ThermalSplit.
+    split=True also returns a ThermalSplit of the continuous CF
+    continuous(params, delta, dt_lab) and the same sphere integral of
+    sign * thermal_ladder_integral(phase, p).
     """
-    delta = params.alpha(tau2) - params.alpha(tau1)
-    if abs(delta) < COINCIDENCE_TOL:
-        raise CoincidenceError("discrete CF diverges at coincidence; use the energy-density split")
+    delta, dt_lab = _lag(params, tau1, tau2)
     lo, hi = _check_resonances(delta, params)
 
     def over_sphere(f):
@@ -252,7 +244,7 @@ def _ladder_cf(kind: str, pair, pref: float, tau1, tau2, params: RotationParams,
             f"(range [{lo:.6f}, {hi:.6f}]); the closed-form total remains valid"
         )
     return cf, ThermalSplit(
-        zero_point_part=over_sphere(zero_point),
+        zero_point_part=continuous(params, delta, dt_lab),
         thermal_part=over_sphere(lambda ph: sign * thermal_ladder_integral(ph, p)))
 
 
@@ -262,8 +254,8 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
 
     Value is (2 hbar omega^4 / (3 pi c^3)) times the sphere integral of the
     angular weight kernel against the cubic ladder sum at the direction-
-    dependent phase.  With split=True also returns the angular integrals of
-    the zero-point and thermal parts (requires |phase| < 2 pi everywhere).
+    dependent phase.  With split=True also returns its zero-point part (the
+    continuous (1,1) CF) and thermal part (requires |phase| < 2 pi everywhere).
 
     Periodic in delta with period 2 pi; resonant configurations raise
     ResonanceError carrying the offending directions.
@@ -273,7 +265,7 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
     return _ladder_cf(
         "EE", (1, 1), pref, tau1, tau2, params, spec, split,
         weight=lambda kx, ky, delta: angular_weight_kernel_grid(kx, ky, delta, params),
-        ladder=cubic_ladder_sum_closed, zero_point=lambda ph: 6.0 / ph**4, p=3, sign=1.0)
+        ladder=cubic_ladder_sum_closed, continuous=_closed_form_11, p=3, sign=1.0)
 
 
 def scalar_cf_discrete(tau1, tau2, params: RotationParams,
@@ -281,7 +273,7 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams,
     """Periodic massless-scalar CF.
 
     (hbar c k0^2 / (4 pi^2)) times the sphere integral of the linear ladder
-    sum; the split exposes the regularized zero-point part -1/time_lag^2 and
+    sum; the split exposes the zero-point part, the continuous scalar CF, and
     the (negative) Planck-weighted thermal part.
     """
     const = params.constants
@@ -290,4 +282,4 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams,
     return _ladder_cf(
         "scalar", (0, 0), pref, tau1, tau2, params, spec, split,
         weight=lambda kx, ky, delta: 1.0,
-        ladder=linear_ladder_sum_closed, zero_point=lambda ph: -1.0 / ph**2, p=1, sign=-1.0)
+        ladder=linear_ladder_sum_closed, continuous=_scalar_closed_form, p=1, sign=-1.0)

@@ -132,6 +132,8 @@ def cmd_cf(args) -> int:
     deltas = _sweep(args, "delta")
     spec = (QuadratureSpec() if args.tol is None
             else QuadratureSpec(rel_tol=args.tol, abs_tol=args.tol * 1e-4))
+    if args.kind == "scalar" and args.method == "monte-carlo":
+        raise ValueError("no Monte Carlo route for the scalar field")
     header = ["delta", "method", "value", "stat_error", "flag"]
     rows, flagged = [], False
     ms = None
@@ -144,9 +146,12 @@ def cmd_cf(args) -> int:
                                    omega_cutoff=args.n_max * params.omega,
                                    n_radial=4 * args.n_max,
                                    n_theta=args.mc_theta, n_phi=args.mc_phi)
-    methods = (["closed-form", "quadrature"] if args.method == "all" else [args.method])
-    if args.method == "all" and ms is not None:
-        methods.append("monte-carlo")
+    # on the discrete spectrum closed-form and quadrature are one route
+    methods = [args.method]
+    if args.method == "all":
+        methods = ["quadrature"] if args.spectrum == "discrete" else ["closed-form", "quadrature"]
+        if ms is not None:
+            methods.append("monte-carlo")
     for delta in deltas:
         tau2 = float(delta) / (params.omega * params.gamma)
         for method in methods:
@@ -176,7 +181,9 @@ def cmd_cf(args) -> int:
     meta = _meta_common(args, params)
     meta.update(kind=args.kind, pair=f"{pair[0]}{pair[1]}", spectrum=args.spectrum)
     if ms is not None:
-        meta["mc_note"] = ("band-limited estimate in the energy-density "
+        estimate = (f"estimate on the ladder truncated at n_max = {args.n_max}"
+                    if args.spectrum == "discrete" else "band-limited estimate")
+        meta["mc_note"] = (f"{estimate} in the energy-density "
                            "normalization (2x the correlation convention)")
         meta["mc_modes"] = ms.mode_count
     return _emit(args, meta, header, rows, flagged)

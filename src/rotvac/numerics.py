@@ -10,8 +10,9 @@ direction is refined on its own while its estimate is too large, and no node
 is evaluated twice.  Integrands receive unit vectors k (trailing axis of 3);
 the double-exponential grading towards u = +/-1 resolves the near-luminal
 (1 + k u)^-4 peaks when the axis is the one the integrand depends on.  Abel
-summation evaluates sum a_n e^(-eta n) on a geometric eta grid in extended
-precision and extrapolates eta -> 0 with a Neville table.
+summation evaluates the terms once, in extended precision, sums
+a_n e^(-eta n) over a prefix of them for each eta of a geometric grid, and
+extrapolates eta -> 0 with a Neville table.
 """
 
 from __future__ import annotations
@@ -232,15 +233,6 @@ def _converges_directly(terms, probe: int = 4096, tol: float = 1e-14):
     return tail <= tol * max(1.0, abs(total)), total, tail
 
 
-def _abel_eta_sum(terms, eta: float) -> np.longdouble:
-    eta_l = np.longdouble(eta)
-    n_peak = max(4.0, 3.0 / eta)
-    n_stop = int((3.0 * math.log(n_peak) + 80.0) / eta) + 10
-    n = np.arange(1, n_stop + 1, dtype=np.longdouble)
-    t = np.asarray(terms(n), dtype=np.longdouble) * np.exp(-eta_l * n)
-    return t.sum(dtype=np.longdouble)
-
-
 def abel_sum(terms: Callable, mode: str = "auto") -> SeriesSumResult:
     """Regularized value of sum_{n>=1} a_n for polynomially bounded a_n.
 
@@ -261,7 +253,12 @@ def abel_sum(terms: Callable, mode: str = "auto") -> SeriesSumResult:
                 diagnostics={"partial_sum": total, "tail": tail},
             )
     etas = list(ABEL_ETA_GRID)
-    sums = [_abel_eta_sum(terms, eta) for eta in etas]
+    # each eta sums a prefix of the terms, up to where e^(-eta n) buries them
+    stops = [int((3.0 * math.log(max(4.0, 3.0 / eta)) + 80.0) / eta) + 10 for eta in etas]
+    n = np.arange(1, max(stops) + 1, dtype=np.longdouble)
+    a = np.asarray(terms(n), dtype=np.longdouble)
+    sums = [(a[:stop] * np.exp(-np.longdouble(eta) * n[:stop])).sum(dtype=np.longdouble)
+            for eta, stop in zip(etas, stops)]
     value, err = neville_to_zero(etas, sums)
     if not math.isfinite(value) or err > 1e-4 * max(1.0, abs(value)):
         raise SeriesError(

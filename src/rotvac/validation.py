@@ -336,6 +336,7 @@ def run_suite(suite: str = "quick", seed: int = 20240817,
     rows += check_offdiagonal_nullity(n_seeds=max(1000, cfg["mc_seeds"]),
                                       n_theta=cfg["mc_theta"], n_phi=cfg["mc_phi"],
                                       n_max=cfg["mc_nmax"], seed=seed)
+    rows += check_coincidence_nullity()
     rows += check_scalar_cf()
     rows += check_abel_plana()
     rows += check_planck_identity()

@@ -6,7 +6,8 @@ import pytest
 from conftest import delta_to_tau
 from oracles import (cubic_ladder_partial_fraction, make_kernel,
                      thermal_ladder_quadpack)
-from rotvac.cf_continuous import CoincidenceError
+from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous,
+                                  scalar_cf_quadrature)
 from rotvac.cf_discrete import (ResonanceError, cubic_ladder_split,
                                 cubic_ladder_sum_closed, em_cf_discrete,
                                 inertial_thermal_cf_integrand, ladder_phase,
@@ -255,3 +256,20 @@ class TestScalarDiscrete:
         expect = (p.constants.hbar * p.constants.c * k0**2 / (4.0 * math.pi**2)
                   * 4.0 * math.pi * linear_ladder_sum_closed(delta))
         assert cf.value == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("const", [NATURAL, SI], ids=["natural", "SI"])
+@pytest.mark.parametrize("beta", [0.3, 0.9, 0.999, 0.99999])
+@pytest.mark.parametrize("delta", [0.1, 1.0, 2.5])
+def test_split_zero_point_is_continuous_quadrature(const, beta, delta):
+    # the split takes its zero point from the continuous closed forms; the
+    # sphere integrals of the regularized 6/phase^4 and -1/phase^2 stay their
+    # cross-check (SI values ~1e-48, hence abs=0)
+    p = RotationParams.from_beta(1.0, beta, const)
+    tau2 = delta_to_tau(p, delta)
+    _, em = em_cf_discrete(0.0, tau2, p, split=True)
+    em_quad = em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "quadrature").value
+    assert em.zero_point_part == pytest.approx(em_quad, rel=1e-12, abs=0.0)
+    _, scalar = scalar_cf_discrete(0.0, tau2, p, split=True)
+    assert scalar.zero_point_part == pytest.approx(scalar_cf_quadrature(0.0, tau2, p).value,
+                                                   rel=1e-12, abs=0.0)

@@ -102,6 +102,30 @@ class TestCfCommand:
         _, _, rows = parse_table(out)
         assert rows[0]["flag"].startswith("error")
 
+    def test_discrete_all_runs_each_route_once(self, capsys):
+        # on the discrete spectrum closed-form and quadrature are one route,
+        # the ladder quadrature; Monte Carlo is the second (EM only)
+        args = ["cf", "--beta", "0.3", "--spectrum", "discrete", "--method", "all",
+                "--delta-steps", "2", "--delta-min", "0.5", "--delta-max", "2.0"]
+        code, out = run_cli(capsys, *args, "--seeds", "4", "--n-max", "2",
+                            "--mc-theta", "8", "--mc-phi", "16")
+        assert code == 0
+        meta, _, rows = parse_table(out)
+        assert [r["method"] for r in rows] == ["quadrature", "monte-carlo"] * 2
+        assert meta["mc_note"].startswith("estimate on the ladder truncated at n_max = 2")
+        code, out = run_cli(capsys, *args, "--kind", "scalar")
+        assert code == 0
+        assert [r["method"] for r in parse_table(out)[2]] == ["quadrature"] * 2
+
+    @pytest.mark.parametrize("spectrum", ["continuous", "discrete"])
+    def test_scalar_monte_carlo_rejected(self, capsys, spectrum):
+        code = main(["cf", "--beta", "0.3", "--kind", "scalar", "--spectrum", spectrum,
+                     "--method", "monte-carlo", "--delta-steps", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no Monte Carlo route for the scalar field" in captured.err
+
     def test_near_luminal_quadrature_row(self, capsys):
         code, out = run_cli(capsys, "cf", "--beta", "0.999", "--method", "quadrature",
                             "--delta-min", "0.1", "--delta-max", "0.1", "--delta-steps", "1")
@@ -389,6 +413,16 @@ class TestValidate:
         assert status["hadron-temperature-reference"] == "pass"
         unexpected = [k for k, v in status.items() if v == "FAIL"]
         assert unexpected == []
+
+    def test_quick_suite_runs_every_criterion_4_row(self, capsys):
+        code, out = run_cli(capsys, "validate", "--suite", "quick", "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        status = {row[0]: row[1] for row in doc["rows"]}
+        for name in ("offdiag-quadrature-null", "offdiag-mc-null",
+                     "offdiag-mc-null-coincidence"):
+            assert status[name] == "pass"
+        assert doc["meta"]["checks"] == len(doc["rows"])
 
     def test_sigma_perturbation_negative_control(self, capsys):
         code, out = run_cli(capsys, "validate", "--suite", "quick",

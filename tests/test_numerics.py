@@ -207,6 +207,18 @@ class TestAbelSum:
         with pytest.raises(SeriesError):
             abel_sum(lambda n: n**3 * np.cos(n * 1.0), mode="direct")
 
+    def test_terms_evaluated_once_per_route(self):
+        # once for the direct-convergence probe, once for the whole eta grid
+        calls = []
+
+        def terms(n):
+            calls.append(len(n))
+            return n**3 * np.cos(n * 2.0)
+
+        res = abel_sum(terms)
+        assert res.regularization == "abel"
+        assert len(calls) == 2
+
     def test_non_stabilizing_raises(self):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SeriesError):

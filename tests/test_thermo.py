@@ -35,7 +35,7 @@ class TestEmEnergyDensity:
     def test_thermal_closed_form_vs_quadrature(self):
         p = RotationParams.from_beta(1.0, 0.3, NATURAL)
         rep = em_energy_density(p, cutoff_n_max=5)
-        assert em_thermal_density_quadrature(p) == pytest.approx(rep.w_thermal, rel=1e-10)
+        assert em_thermal_density_quadrature(p) == pytest.approx(rep.w_thermal, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("const, omega", [(NATURAL, 1.0), (SI, 1.0e6)],
                              ids=["natural", "SI"])
@@ -55,12 +55,12 @@ class TestEmEnergyDensity:
         rows = check_em_energy_density(n_seeds=2, n_theta=8, n_phi=16, n_max=1)
         row = next(r for r in rows if r.name == "em-thermal-closed-form")
         assert not row.passed
-        assert row.measured == pytest.approx(0.5, rel=1e-12)
+        assert row.measured == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_blackbody_arithmetic(self):
         # at T = 3.4e11 K the blackbody density is about 1.01e31 J/m^3
         assert 4.0 * SI.sigma / SI.c * (3.4e11) ** 4 == pytest.approx(
-            BLACKBODY_AT_3P4E11, rel=1e-12)
+            BLACKBODY_AT_3P4E11, rel=1e-12, abs=0.0)
 
     def test_thermal_closed_identity(self):
         # w_thermal / (4 sigma T^4 / c) is exactly the anisotropy factor
@@ -68,7 +68,7 @@ class TestEmEnergyDensity:
         rep = em_energy_density(p, cutoff_n_max=3)
         blackbody = 4.0 * SI.sigma / SI.c * rep.T_rot**4
         assert rep.w_thermal / blackbody == pytest.approx(
-            em_anisotropy_factor(p), rel=1e-14)
+            em_anisotropy_factor(p), rel=1e-14, abs=0.0)
 
     def test_angular_moment_behind_factor(self):
         # int dO (1 - khat_i^2) = 8 pi / 3 for each axis
@@ -76,7 +76,7 @@ class TestEmEnergyDensity:
             def integrand(k, i=i):
                 return 1.0 - k[..., i] ** 2
             val, _ = integrate_sphere(integrand)
-            assert val == pytest.approx(8.0 * math.pi / 3.0, rel=1e-10)
+            assert val == pytest.approx(8.0 * math.pi / 3.0, rel=1e-10, abs=0.0)
 
     def test_cutoff_monotone(self):
         p = RotationParams.from_beta(1.0, 0.3, NATURAL)
@@ -110,9 +110,9 @@ class TestScalarEnergyDensity:
                  else RotationParams.from_beta(1.0, beta, NATURAL))
             measured = scalar_thermal_density_quadrature(p)
             bath = scalar_bath_thermal_density(rotation_temperature(p), NATURAL)
-            assert measured / bath == pytest.approx(scalar_bath_factor(p), rel=1e-12)
+            assert measured / bath == pytest.approx(scalar_bath_factor(p), rel=1e-12, abs=0.0)
             assert measured == pytest.approx(
-                scalar_energy_density(p, cutoff_n_max=4).w_thermal, rel=1e-12)
+                scalar_energy_density(p, cutoff_n_max=4).w_thermal, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("const, temperatures", [
         (NATURAL, (1e-3, 0.1, 1.0, 7.5, 1e3)),
@@ -121,7 +121,7 @@ class TestScalarEnergyDensity:
     def test_closed_bath_vs_quadpack(self, const, temperatures):
         for T in temperatures:
             assert scalar_bath_thermal_density(T, const) == pytest.approx(
-                scalar_bath_quadpack(T, const), rel=1e-13)
+                scalar_bath_quadpack(T, const), rel=1e-13, abs=0.0)
         assert scalar_bath_thermal_density(0.0, const) == 0.0
 
     def test_static_limit(self):
@@ -132,9 +132,9 @@ class TestScalarEnergyDensity:
     def test_lab_stress_isotropy(self):
         p = RotationParams.from_beta(1.0, 0.4, NATURAL)
         t11, t22, t33, t44 = scalar_lab_stress_diagonal(p, cutoff_n_max=6)
-        assert t11 == pytest.approx(t44 / 3.0, rel=1e-10)
-        assert t22 == pytest.approx(t44 / 3.0, rel=1e-10)
-        assert t33 == pytest.approx(t44 / 3.0, rel=1e-10)
+        assert t11 == pytest.approx(t44 / 3.0, rel=1e-10, abs=0.0)
+        assert t22 == pytest.approx(t44 / 3.0, rel=1e-10, abs=0.0)
+        assert t33 == pytest.approx(t44 / 3.0, rel=1e-10, abs=0.0)
 
     def test_cutoff_monotone(self):
         p = RotationParams.from_beta(1.0, 0.4, NATURAL)
@@ -155,7 +155,7 @@ class TestVacuumForce:
         r = x * r0
         h = 1e-6 * r0
         fd = -(em_thermal_density_at(omega, r + h) - em_thermal_density_at(omega, r - h)) / (2.0 * h)
-        assert vacuum_force_density(p, r).f_vac == pytest.approx(fd, rel=1e-6)
+        assert vacuum_force_density(p, r).f_vac == pytest.approx(fd, rel=1e-6, abs=0.0)
 
     def test_linear_small_radius_regime(self):
         omega = 2.0e3
@@ -163,7 +163,7 @@ class TestVacuumForce:
         p = RotationParams(omega=omega, radius=0.0, constants=SI)
         ratios = [vacuum_force_density(p, x * r0).f_vac / (x * r0)
                   for x in (1e-4, 2e-4)]
-        assert ratios[1] == pytest.approx(ratios[0], rel=1e-6)
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-6, abs=0.0)
 
     def test_monotone_negative(self):
         omega = 2.0e3
@@ -184,7 +184,7 @@ class TestVacuumForce:
         r0 = SI.c / omega
         p = RotationParams(omega=omega, radius=0.0, constants=SI)
         pt = vacuum_force_density(p, 0.5 * r0, sphere_radius=2.0)
-        assert pt.F_sphere == pytest.approx(pt.f_vac * (4.0 / 3.0) * math.pi * 8.0, rel=1e-14)
+        assert pt.F_sphere == pytest.approx(pt.f_vac * (4.0 / 3.0) * math.pi * 8.0, rel=1e-14, abs=0.0)
 
 
 class TestCasimirModel:
@@ -201,7 +201,7 @@ class TestCasimirModel:
     def test_energy_force_relation(self):
         a = 3.7e-9
         res = casimir_force(a)
-        assert abs(res.force) == pytest.approx(abs(res.energy) / a, rel=1e-14)
+        assert abs(res.force) == pytest.approx(abs(res.energy) / a, rel=1e-14, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -211,19 +211,19 @@ class TestCasimirModel:
 class TestHadronEstimates:
     def test_checkpoint_values(self):
         est = hadron_estimates(a_sphere=1e-18, r0=1e-15, x=1.0 - 1e-6)
-        assert est.force_gev_per_fermi == pytest.approx(HADRON_FORCE_GEV_PER_FERMI, rel=1e-10)
-        assert est.force_newton == pytest.approx(HADRON_FORCE_NEWTON, rel=1e-10)
-        assert est.T_rot == pytest.approx(HADRON_T_ROT, rel=1e-10)
+        assert est.force_gev_per_fermi == pytest.approx(HADRON_FORCE_GEV_PER_FERMI, rel=1e-10, abs=0.0)
+        assert est.force_newton == pytest.approx(HADRON_FORCE_NEWTON, rel=1e-10, abs=0.0)
+        assert est.T_rot == pytest.approx(HADRON_T_ROT, rel=1e-10, abs=0.0)
 
     def test_compound_formula_consistency(self):
         # the printed compound form equals the force-density route exactly
         est = hadron_estimates(a_sphere=1e-18, r0=1e-15, x=0.5)
         direct = -est.x / (1.0 - est.x**2) ** 2 * est.prefactor_j_per_m
-        assert est.force_newton == pytest.approx(direct, rel=1e-12)
+        assert est.force_newton == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_prefactor_value(self):
         est = hadron_estimates(a_sphere=1e-18, r0=1e-15, x=0.5)
-        assert est.prefactor_j_per_m == pytest.approx(2.981763636855521e-07, rel=1e-12)
+        assert est.prefactor_j_per_m == pytest.approx(2.981763636855521e-07, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
