@@ -81,7 +81,10 @@ def _emit(args, meta: dict, header: List[str], rows: List[list], flagged: bool) 
         else:
             out.write(f"# rotvac {args.command} v{__version__}\n")
             for key in sorted(meta):
-                out.write(f"# {key} = {meta[key]}\n")
+                value = meta[key]
+                if isinstance(value, dict):
+                    value = " ".join(f"{k}={v}" for k, v in value.items())
+                out.write(f"# {key} = {value}\n")
             out.write(",".join(header) + "\n")
             for row in rows:
                 out.write(",".join(_fmt(v) for v in row) + "\n")
@@ -152,20 +155,23 @@ def cmd_cf(args) -> int:
         methods = ["quadrature"] if args.spectrum == "discrete" else ["closed-form", "quadrature"]
         if ms is not None:
             methods.append("monte-carlo")
-    for delta in deltas:
-        tau2 = float(delta) / (params.omega * params.gamma)
+    tau2s = [float(delta) / (params.omega * params.gamma) for delta in deltas]
+    if ms is not None:
+        # one call for every lag: each seed is drawn and its trig done once
+        [mc_cfs] = mc.empirical_cfs([pair], args.kind, 0.0, tau2s, params, ms,
+                                    n_seeds=args.seeds, seed=args.seed)
+    for j, (delta, tau2) in enumerate(zip(deltas, tau2s)):
         for method in methods:
             try:
-                if args.kind == "scalar":
+                if method == "monte-carlo":
+                    cf = mc_cfs[j]
+                elif args.kind == "scalar":
                     if args.spectrum == "discrete":
                         cf = cfd.scalar_cf_discrete(0.0, tau2, params, spec)
                     elif method == "quadrature":
                         cf = cfc.scalar_cf_quadrature(0.0, tau2, params, spec)
                     else:
                         cf = cfc.scalar_cf_continuous(0.0, tau2, params)
-                elif method == "monte-carlo":
-                    cf = mc.empirical_cf(pair, args.kind, 0.0, tau2, params, ms,
-                                         n_seeds=args.seeds, seed=args.seed)
                 elif args.spectrum == "discrete":
                     if pair != (1, 1) or args.kind != "EE":
                         raise ValueError("discrete spectrum implements the (1,1) EE pair")
@@ -176,10 +182,14 @@ def cmd_cf(args) -> int:
                              cf.stat_error if cf.stat_error is not None else "", "ok"])
             except (cfc.CoincidenceError, cfd.ResonanceError, ValueError,
                     QuadratureError) as exc:
-                rows.append([float(delta), method, "", "", f"error: {exc}"])
+                # label the route that ran, as the ok rows do
+                route = "quadrature" if args.spectrum == "discrete" else method
+                rows.append([float(delta), route, "", "", f"error: {exc}"])
                 flagged = True
     meta = _meta_common(args, params)
-    meta.update(kind=args.kind, pair=f"{pair[0]}{pair[1]}", spectrum=args.spectrum)
+    meta.update(kind=args.kind, spectrum=args.spectrum)
+    if args.kind != "scalar":     # scalar rows belong to no pair
+        meta["pair"] = f"{pair[0]}{pair[1]}"
     if ms is not None:
         estimate = (f"estimate on the ladder truncated at n_max = {args.n_max}"
                     if args.spectrum == "discrete" else "band-limited estimate")
@@ -298,7 +308,8 @@ def cmd_mc_validate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    results = run_suite(args.suite, seed=args.seed, sigma_perturb=args.sigma_perturb)
+    results, seconds = run_suite(args.suite, seed=args.seed,
+                                 sigma_perturb=args.sigma_perturb)
     header = ["check", "status", "measured", "target", "tolerance", "detail"]
     rows = []
     n_fail = 0
@@ -308,7 +319,8 @@ def cmd_validate(args) -> int:
             n_fail += 1
         rows.append([r.name, status, r.measured, r.target, r.tolerance, r.detail])
     meta = {"suite": args.suite, "seed": args.seed, "checks": len(results),
-            "failures": n_fail, "known_failing": ",".join(KNOWN_FAILING)}
+            "failures": n_fail, "known_failing": ",".join(KNOWN_FAILING),
+            "check_seconds": {name: round(t, 3) for name, t in seconds.items()}}
     return _emit(args, meta, header, rows, n_fail > 0)
 
 

@@ -6,7 +6,8 @@ checks the basis, the partial-fraction series checks the closed ladder sum,
 the QUADPACK Planck-weighted integrals check the polygamma form of the
 thermal ladder integral and the pi^4 / 15 closed form of the scalar bath,
 the quadrature stress moments check the scalar
-isotropy, the kernel record checks the ladder phase bookkeeping, and the
+isotropy, the kernel record checks the ladder phase bookkeeping, the
+mode-by-mode field sum checks eval_lab_fields and the ModeSet arrays, and the
 per-seed field evaluation checks the seed-block Monte Carlo CF engine.
 """
 
@@ -19,7 +20,7 @@ from rotvac.cf_discrete import ladder_phase
 from rotvac.constants import SI, Constants
 from rotvac.fields import (Direction, FieldTriplet, FrameError, polarization_basis,
                            project_fields_to_tetrad)
-from rotvac.kinematics import RotationParams, frenet_serret_tetrad
+from rotvac.kinematics import RotationParams, frenet_serret_tetrad, lab_position
 from rotvac.montecarlo import ModeSet, draw_phases, eval_lab_fields
 from rotvac.numerics import QuadratureSpec, integrate_1d, integrate_sphere
 
@@ -136,6 +137,29 @@ def make_kernel(delta: float, ky: float, params: RotationParams) -> DiscreteKern
     ph = float(ladder_phase(delta, ky, params))
     return DiscreteKernel(phase=ph, time_lag=ph / params.omega, omega0=params.omega,
                           k0=params.omega / params.constants.c)
+
+
+def lab_fields_mode_sum(mode_set: ModeSet, phases: np.ndarray, params: RotationParams,
+                        tau: float):
+    """Lab (E, H) at the detector as a plain sum over modes of
+    sqrt(amp2) cos(k . r - c k t - phi) [eps, khat x eps].
+
+    Reference for montecarlo.eval_lab_fields; reads neither it nor the
+    ModeSet's precomputed amplitudes and polarization columns.
+    """
+    t, x, y, z = lab_position(params, tau)
+    c = params.constants.c
+    E, H = np.zeros(3), np.zeros(3)
+    for m, khat in enumerate(mode_set.khat):
+        kr = khat[0] * x + khat[1] * y + khat[2] * z
+        for lam, eps in enumerate((mode_set.eps1[m], mode_set.eps2[m])):
+            heps = np.cross(khat, eps)
+            for q, k in enumerate(mode_set.wavenumbers):
+                a = math.sqrt(mode_set.amp2[m, q]) * math.cos(k * kr - c * k * t
+                                                              - phases[m, q, lam])
+                E += a * eps
+                H += a * heps
+    return E, H
 
 
 def empirical_cf_per_seed(pair, kind, tau1, tau2, params: RotationParams,

@@ -117,6 +117,53 @@ class TestCfCommand:
         assert code == 0
         assert [r["method"] for r in parse_table(out)[2]] == ["quadrature"] * 2
 
+    def test_discrete_error_rows_name_the_route_that_ran(self, capsys):
+        # the default closed-form request runs the ladder quadrature on the
+        # discrete spectrum, so its resonant row is labelled like its ok row
+        code, out = run_cli(capsys, "cf", "--beta", "0.3", "--spectrum", "discrete",
+                            "--delta-min", "0", "--delta-max", str(2.0 * math.pi),
+                            "--delta-steps", "2")
+        assert code == 1
+        _, _, rows = parse_table(out)
+        assert [r["method"] for r in rows] == ["quadrature", "quadrature"]
+        assert all(r["flag"].startswith("error") for r in rows)
+        code, out = run_cli(capsys, "cf", "--beta", "0.3", "--spectrum", "discrete",
+                            "--delta-min", "0", "--delta-max", "1.5", "--delta-steps", "2")
+        _, _, rows = parse_table(out)
+        assert [(r["method"], r["flag"][:5]) for r in rows] == [("quadrature", "error"),
+                                                                ("quadrature", "ok")]
+
+    def test_scalar_preamble_names_no_pair(self, capsys):
+        args = ["cf", "--beta", "0.3", "--kind", "scalar", "--pair", "23",
+                "--delta-steps", "1"]
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        meta, _, _ = parse_table(out)
+        assert "pair" not in meta and meta["kind"] == "scalar"
+        code, out = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        assert "pair" not in json.loads(out)["meta"]
+        _, out = run_cli(capsys, "cf", "--beta", "0.3", "--pair", "23", "--delta-steps", "1")
+        assert parse_table(out)[0]["pair"] == "23"
+
+    def test_monte_carlo_lags_match_single_lag_calls(self, capsys):
+        # one call over every lag gives each lag's row of a one-lag call, up
+        # to the roundoff of the wider matrix product
+        args = ["cf", "--beta", "0.3", "--method", "monte-carlo", "--seeds", "20",
+                "--n-max", "2", "--mc-theta", "8", "--mc-phi", "16"]
+        code, out = run_cli(capsys, *args, "--delta-min", "0.5", "--delta-max", "2.0",
+                            "--delta-steps", "4")
+        assert code == 0
+        _, _, rows = parse_table(out)
+        for row in rows:
+            _, one = run_cli(capsys, *args, "--delta-min", row["delta"],
+                             "--delta-max", row["delta"], "--delta-steps", "1")
+            [single] = parse_table(one)[2]
+            assert float(row["value"]) == pytest.approx(float(single["value"]), rel=1e-12,
+                                                        abs=1e-12 * float(single["stat_error"]))
+            assert float(row["stat_error"]) == pytest.approx(float(single["stat_error"]),
+                                                             rel=1e-12)
+
     @pytest.mark.parametrize("spectrum", ["continuous", "discrete"])
     def test_scalar_monte_carlo_rejected(self, capsys, spectrum):
         code = main(["cf", "--beta", "0.3", "--kind", "scalar", "--spectrum", spectrum,
@@ -413,6 +460,11 @@ class TestValidate:
         assert status["hadron-temperature-reference"] == "pass"
         unexpected = [k for k, v in status.items() if v == "FAIL"]
         assert unexpected == []
+        # one preamble line with the wall time of every check group
+        [line] = [ln for ln in out.splitlines() if ln.startswith("# check_seconds = ")]
+        groups = dict(item.split("=") for item in line.split(" = ", 1)[1].split())
+        assert "offdiagonal_nullity" in groups and len(groups) == 13
+        assert all(float(t) >= 0.0 for t in groups.values())
 
     def test_quick_suite_runs_every_criterion_4_row(self, capsys):
         code, out = run_cli(capsys, "validate", "--suite", "quick", "--format", "json")
@@ -423,6 +475,9 @@ class TestValidate:
                      "offdiag-mc-null-coincidence"):
             assert status[name] == "pass"
         assert doc["meta"]["checks"] == len(doc["rows"])
+        seconds = doc["meta"]["check_seconds"]
+        assert len(seconds) == 13 and all(t >= 0.0 for t in seconds.values())
+        assert seconds["em_energy_density"] > 0.0
 
     def test_sigma_perturbation_negative_control(self, capsys):
         code, out = run_cli(capsys, "validate", "--suite", "quick",

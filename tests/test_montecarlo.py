@@ -6,14 +6,15 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import delta_to_tau
-from oracles import empirical_cf_per_seed
+from oracles import empirical_cf_per_seed, lab_fields_mode_sum
+from rotvac import montecarlo
 from rotvac.cf_continuous import em_cf_continuous, em_cf_tensor_quadrature
 from rotvac.cf_discrete import em_cf_discrete, ladder_phase
 from rotvac.constants import NATURAL
 from rotvac.fields import angular_weight_kernel_grid
 from rotvac.kinematics import RotationParams, lab_position
 from rotvac.montecarlo import (BLOCK_ELEMENTS, ModeSet, build_mode_set, draw_phases,
-                               empirical_cf, empirical_energy_density,
+                               empirical_cf, empirical_cfs, empirical_energy_density,
                                eval_lab_fields, run_manifest, write_manifest)
 from rotvac.numerics import integrate_sphere
 from rotvac.thermo import em_energy_density
@@ -95,6 +96,42 @@ class TestModeSet:
         path = tmp_path / "run.json"
         write_manifest(path, run_manifest(params, modes, 5, 1))
         assert json.loads(path.read_text())["n_seeds"] == 5
+
+
+class TestModeSetInvariants:
+    """amp and pol are computed once on construction, by hand or by
+    build_mode_set."""
+
+    @staticmethod
+    def hand_built():
+        rng = np.random.default_rng(3)
+        khat = rng.standard_normal((5, 3))
+        khat /= np.linalg.norm(khat, axis=1)[:, None]
+        eps1 = np.cross(khat, [0.0, 0.0, 1.0])
+        eps1 /= np.linalg.norm(eps1, axis=1)[:, None]
+        return ModeSet(spectrum="continuous", k0=1.0, wavenumbers=np.array([0.5, 1.5]),
+                       harmonics=np.array([]), khat=khat, weights=np.ones(5),
+                       eps1=eps1, eps2=np.cross(khat, eps1), amp2=rng.random((5, 2)),
+                       n_theta=1, n_phi=5)
+
+    @pytest.mark.parametrize("source", ["built", "by-hand"])
+    def test_match_their_definitions(self, modes, source):
+        ms = modes if source == "built" else self.hand_built()
+        assert np.array_equal(ms.amp, np.sqrt(ms.amp2))
+        assert ms.pol.shape == (2, 2) + ms.eps1.shape
+        for lam, eps in enumerate((ms.eps1, ms.eps2)):
+            assert np.array_equal(ms.pol[lam, 0], eps)
+            assert np.array_equal(ms.pol[lam, 1], np.cross(ms.khat, eps))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.7, 3.1])
+    def test_eval_lab_fields_matches_mode_sum(self, params, tau):
+        for ms in (build_mode_set(params, n_max=3, n_theta=8, n_phi=16), self.hand_built()):
+            ph = draw_phases(ms, seed=12, index=3)
+            f = eval_lab_fields(ms, ph, params, tau)
+            E, H = lab_fields_mode_sum(ms, ph.phases, params, tau)
+            scale = max(np.abs(E).max(), np.abs(H).max())
+            assert np.abs(f.E - E).max() <= 1e-12 * scale
+            assert np.abs(f.H - H).max() <= 1e-12 * scale
 
 
 class TestPhases:
@@ -189,6 +226,18 @@ class TestFieldEvaluation:
         vals = np.array(vals)
         pull = abs(vals.mean() - expect) / (vals.std(ddof=1) / math.sqrt(n_seeds))
         assert pull < 3.0
+
+    def test_caller_buffers_give_the_same_fields(self, params, modes):
+        # the energy path reuses one phase and one field buffer per thread
+        phases = np.full(modes.amp2.shape + (2,), np.nan)
+        work = np.full((2,) + modes.amp2.shape, np.nan)
+        for index in (0, 1):
+            fresh = draw_phases(modes, seed=8, index=index)
+            reused = draw_phases(modes, seed=8, index=index, out=phases)
+            assert reused.phases is phases and np.array_equal(reused.phases, fresh.phases)
+            a = eval_lab_fields(modes, fresh, params, 0.6)
+            b = eval_lab_fields(modes, reused, params, 0.6, work=work)
+            assert np.array_equal(a.E, b.E) and np.array_equal(a.H, b.H)
 
     def test_stationary_marginals(self, params, modes):
         # distribution of a field component does not depend on tau
@@ -296,6 +345,50 @@ class TestSeedBlockEngine:
                          seed=4, n_workers=3)
         assert a.value == b.value
         assert a.stat_error == b.stat_error
+
+
+class TestSharedDrawEngine:
+    """empirical_cfs: several pairs and lags from one draw per seed."""
+
+    def test_pairs_equal_separate_calls(self, params, modes):
+        pairs = [(1, 1), (1, 3), (2, 3), (3, 2)]
+        n_seeds = 2 * (BLOCK_ELEMENTS // modes.mode_count) + 3
+        batch = empirical_cfs(pairs, "EH", 0.2, [1.3], params, modes, n_seeds=n_seeds,
+                              seed=9)
+        for pair, (cf,) in zip(pairs, batch):
+            one = empirical_cf(pair, "EH", 0.2, 1.3, params, modes, n_seeds=n_seeds, seed=9)
+            assert (cf.value, cf.stat_error, cf.pair, cf.tau2) == \
+                (one.value, one.stat_error, one.pair, one.tau2)
+
+    def test_lags_in_two_groups_match_per_seed_oracle(self, params, modes, monkeypatch):
+        # a budget of three times per design puts the three lags in two
+        # groups; one block plus one seed spans two blocks
+        per_time = 2 * modes.mode_count * 6 * 8
+        monkeypatch.setattr(montecarlo, "DESIGN_BYTES", 3 * per_time)
+        designs = []
+        build = montecarlo._lab_field_design
+        monkeypatch.setattr(montecarlo, "_lab_field_design",
+                            lambda *a: designs.append(a[2]) or build(*a))
+        pairs, lags = [(1, 1), (2, 3)], [0.3, 0.9, 2.2]
+        n_seeds = BLOCK_ELEMENTS // modes.mode_count + 1
+        batch = empirical_cfs(pairs, "EE", 0.1, lags, params, modes, n_seeds=n_seeds,
+                              seed=23)
+        assert [len(taus) for taus in designs] == [3, 2]
+        for pair, row in zip(pairs, batch):
+            for tau2, cf in zip(lags, row):
+                vals = empirical_cf_per_seed(pair, "EE", 0.1, tau2, params, modes,
+                                             n_seeds, 23)
+                assert (cf.pair, cf.tau2) == (pair, tau2)
+                assert abs(cf.value - vals.mean()) <= 1e-12 * cf.stat_error
+                assert cf.stat_error == pytest.approx(
+                    vals.std(ddof=1) / math.sqrt(n_seeds), rel=1e-12)
+
+    def test_bit_identical_across_workers(self, params, modes):
+        n_seeds = 3 * (BLOCK_ELEMENTS // modes.mode_count) + 2
+        a, b = (empirical_cfs([(1, 2), (3, 3)], "HH", 0.0, [0.4, 1.7, 5.0], params, modes,
+                              n_seeds=n_seeds, seed=6, n_workers=k) for k in (1, 3))
+        assert [[(c.value, c.stat_error) for c in row] for row in a] == \
+            [[(c.value, c.stat_error) for c in row] for row in b]
 
 
 class TestPairValidation:
