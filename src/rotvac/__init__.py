@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 
 from .constants import NATURAL, SI, Constants
 from .kinematics import (FourVector, LuminalOrbitError, RotationParams, Tetrad,
-                         fermi_walker_tetrad, four_velocity, frenet_serret_tetrad,
-                         lab_position, tetrad_acceleration)
-from .fields import (Direction, FieldTriplet, angular_weight_kernel,
-                     polarization_basis, project_fields_to_tetrad)
+                         fermi_walker_tetrad, frenet_serret_tetrad, lab_position)
+from .fields import (Direction, FieldTriplet, polarization_basis,
+                     project_fields_to_tetrad)
 from .numerics import (QuadratureError, QuadratureSpec, SeriesSumResult,
                        abel_plana_check, abel_sum, integrate_1d, integrate_sphere)
 from .cf_continuous import (CFValue, CoincidenceError, em_cf_continuous,

@@ -110,6 +110,12 @@ def _lag(params: RotationParams, tau1: float, tau2: float):
             "two-point functions diverge there"
         )
     dt_lab = params.gamma * (tau2 - tau1)
+    # every CF carries hbar c / (c dt)^p, p <= 4: keep (c dt)^4 and the EM scale in range
+    hbar_c, cdt = params.constants.hbar * params.constants.c, params.constants.c * dt_lab
+    log_cdt4 = 4.0 * math.log2(abs(cdt))
+    if not (abs(log_cdt4) < 1000.0 and abs(math.log2(hbar_c) - log_cdt4) < 1000.0):
+        raise ValueError(f"lag c dt = c delta / (omega gamma) = {cdt!r} puts the CF "
+                         "scale hbar c / (c dt)^4 outside the float64 range")
     return delta, dt_lab
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "polarization_basis",
     "diag_bracket",
     "angular_weight_kernel_grid",
-    "angular_weight_kernel",
 ]
 
 POLE_TOL = 1e-8  # directions this close to +/- z use the (x, y) basis
@@ -173,8 +172,3 @@ def angular_weight_kernel_grid(kx, ky, delta: float, params: RotationParams):
     """
     return (3.0 / (8.0 * math.pi)) * diag_bracket((1, 1), params, delta, kx, ky)
 
-
-def angular_weight_kernel(direction: Direction, delta: float, params: RotationParams) -> float:
-    """angular_weight_kernel_grid for a single direction."""
-    kx, ky, _ = direction.unit_vector
-    return float(angular_weight_kernel_grid(kx, ky, delta, params))

@@ -27,12 +27,9 @@ __all__ = [
     "FourVector",
     "Tetrad",
     "METRIC",
-    "four_velocity",
-    "coordinate_acceleration",
     "lab_position",
     "frenet_serret_tetrad",
     "fermi_walker_tetrad",
-    "tetrad_acceleration",
 ]
 
 # g_ik = diag(1, 1, 1, -1) on (x, y, z, ct) slots
@@ -55,11 +52,13 @@ class RotationParams:
     constants: Constants = SI
 
     def __post_init__(self):
-        if not (0 <= self.omega < math.inf and 0 <= self.radius < math.inf):
-            raise ValueError("omega and radius must be finite and non-negative")
+        for name in ("omega", "radius"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)!r}")
         if self.beta >= 1.0 - BETA_GUARD:
             raise LuminalOrbitError(
-                f"orbital speed beta = {self.beta!r} too close to 1"
+                f"orbital speed beta = omega radius / c = {self.beta!r} too close to 1"
             )
 
     @property
@@ -73,9 +72,14 @@ class RotationParams:
     @classmethod
     def from_beta(cls, omega: float, beta: float, constants: Constants = SI):
         """Build from (omega, beta); radius follows as beta c / omega."""
-        if omega <= 0:
-            raise ValueError("from_beta requires omega > 0")
-        return cls(omega=omega, radius=beta * constants.c / omega, constants=constants)
+        if not 0 < omega < math.inf:
+            raise ValueError(f"from_beta requires a finite omega > 0, got {omega!r}")
+        if not 0 <= beta < math.inf:
+            raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
+        radius = beta * constants.c / omega
+        if radius == math.inf:
+            raise ValueError(f"radius = beta c / omega overflows at omega {omega!r}, beta {beta!r}")
+        return cls(omega=omega, radius=radius, constants=constants)
 
     def alpha(self, tau: float) -> float:
         """Rotation phase omega gamma tau at proper time tau."""
@@ -127,21 +131,6 @@ class Tetrad:
         return float(np.max(np.abs(m @ METRIC @ m.T - METRIC)))
 
 
-def four_velocity(params: RotationParams, tau: float) -> FourVector:
-    """4-velocity c (-beta gamma sin a, beta gamma cos a, 0, gamma), a = omega gamma tau."""
-    b, g, c = params.beta, params.gamma, params.constants.c
-    a = params.alpha(tau)
-    return FourVector(-c * b * g * math.sin(a), c * b * g * math.cos(a), 0.0, c * g)
-
-
-def coordinate_acceleration(params: RotationParams, tau: float) -> FourVector:
-    """dU/dtau along the worldline."""
-    g, c = params.gamma, params.constants.c
-    a = params.alpha(tau)
-    mag = params.radius * params.omega**2 * g**2
-    return FourVector(-mag * math.cos(a), -mag * math.sin(a), 0.0, 0.0)
-
-
 def lab_position(params: RotationParams, tau: float):
     """Lab (t, x, y, z) of the detector at proper time tau."""
     a = params.alpha(tau)
@@ -189,14 +178,3 @@ def fermi_walker_tetrad(params: RotationParams, tau: float) -> Tetrad:
         kind="fermi-walker",
     )
 
-
-def tetrad_acceleration(params: RotationParams, tau: float, kind: str = "frenet-serret") -> np.ndarray:
-    """Acceleration components mu_(a) . dU/dtau in the chosen comoving frame."""
-    if kind == "frenet-serret":
-        frame = frenet_serret_tetrad(params, tau)
-    elif kind == "fermi-walker":
-        frame = fermi_walker_tetrad(params, tau)
-    else:
-        raise ValueError(f"unknown tetrad kind {kind!r}")
-    acc = coordinate_acceleration(params, tau).as_array()
-    return frame.matrix() @ METRIC @ acc

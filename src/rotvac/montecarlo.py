@@ -24,7 +24,6 @@ reusing its own phase and field buffers, so a seed allocates no array.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +49,6 @@ __all__ = [
     "empirical_cfs",
     "empirical_energy_density",
     "run_manifest",
-    "write_manifest",
 ]
 
 MIN_THETA_NODES = 8
@@ -433,8 +431,3 @@ def run_manifest(params: RotationParams, mode_set: ModeSet, n_seeds: int,
         d.update(extra)
     return d
 
-
-def write_manifest(path, manifest: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")

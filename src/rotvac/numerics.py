@@ -12,7 +12,8 @@ the double-exponential grading towards u = +/-1 resolves the near-luminal
 (1 + k u)^-4 peaks when the axis is the one the integrand depends on.  Abel
 summation evaluates the terms once, in extended precision, sums
 a_n e^(-eta n) over a prefix of them for each eta of a geometric grid, and
-extrapolates eta -> 0 with a Neville table.
+extrapolates eta -> 0 with a Neville table; the weights e^(-eta n) of each
+eta come from two short exponential ladders, in blocks of ABEL_BLOCK terms.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
 # Abel eta grid 0.1 * 2^-j; j > 6 is roundoff-dominated for cubic-growth
 # oscillatory terms even in 80-bit floats
 ABEL_ETA_GRID = tuple(0.1 * 2.0**-j for j in range(7))
+ABEL_BLOCK = 256  # Abel weights e^(-eta n) are built in blocks of this many terms
 
 # tanh-sinh sphere rule: coarsest step in t, and the half-width of the t range.
 # Beyond it 1 - |u| < 2e-37, which leaves out less than 1e-28 of the integral
@@ -233,12 +235,26 @@ def _converges_directly(terms, probe: int = 4096, tol: float = 1e-14):
     return tail <= tol * max(1.0, abs(total)), total, tail
 
 
+def _abel_weights(eta: float, stop: int) -> np.ndarray:
+    """e^(-eta n), n = 1..stop, in extended precision from two short ladders:
+    with n = q B + r and B = ABEL_BLOCK it is e^(-eta B q) e^(-eta r).  Both
+    arguments are exact while q < 2^11 and the product rounds once, so each
+    weight is within a few 80-bit ulp of e^(-eta n)."""
+    eta = np.longdouble(eta)
+    q = np.arange(stop // ABEL_BLOCK + 1, dtype=np.longdouble)
+    r = np.arange(ABEL_BLOCK, dtype=np.longdouble)
+    w = np.multiply.outer(np.exp(-(eta * ABEL_BLOCK) * q), np.exp(-eta * r))
+    return w.ravel()[1:stop + 1]
+
+
 def abel_sum(terms: Callable, mode: str = "auto") -> SeriesSumResult:
     """Regularized value of sum_{n>=1} a_n for polynomially bounded a_n.
 
     ``terms`` maps an array of indices n to a_n.  In "direct" mode the series
     must converge absolutely; "abel" evaluates sum a_n e^(-eta n) on a
     decreasing eta grid and extrapolates eta -> 0.  "auto" tries direct first.
+    The terms are evaluated once, in extended precision; each eta weighs its
+    prefix by _abel_weights: stop / ABEL_BLOCK + ABEL_BLOCK exps, not stop.
     The n = 0 term of the target ladders vanishes identically and is omitted.
     """
     if mode not in ("auto", "direct", "abel"):
@@ -257,7 +273,7 @@ def abel_sum(terms: Callable, mode: str = "auto") -> SeriesSumResult:
     stops = [int((3.0 * math.log(max(4.0, 3.0 / eta)) + 80.0) / eta) + 10 for eta in etas]
     n = np.arange(1, max(stops) + 1, dtype=np.longdouble)
     a = np.asarray(terms(n), dtype=np.longdouble)
-    sums = [(a[:stop] * np.exp(-np.longdouble(eta) * n[:stop])).sum(dtype=np.longdouble)
+    sums = [(a[:stop] * _abel_weights(eta, stop)).sum(dtype=np.longdouble)
             for eta, stop in zip(etas, stops)]
     value, err = neville_to_zero(etas, sums)
     if not math.isfinite(value) or err > 1e-4 * max(1.0, abs(value)):

@@ -14,6 +14,7 @@ The divergent zero-point parts are always reported with their cutoff.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,11 +103,27 @@ def _ladder_cubic_sum(n_max: int) -> float:
     return n_max * n_max * (n_max + 1.0) * (n_max + 1.0) / 4.0
 
 
-def _finite(value: float, name: str) -> float:
-    """value, or OverflowError when a product has left the float64 range."""
+def _finite(value: float, name: str, nonzero: bool = False) -> float:
+    """value, or OverflowError when a product has left the float64 range: it
+    overflowed or, known to be non-zero, flushed to zero or a subnormal."""
     if not math.isfinite(value):
         raise OverflowError(f"{name} is {value!r}")
+    if nonzero and abs(value) < sys.float_info.min:
+        raise OverflowError(f"{name} flushes to {value!r} from a non-zero value")
     return value
+
+
+def _report(field_kind: str, params: RotationParams, cutoff_n_max: int, factor: float,
+            T: float, w_zp: float, w_t: float, **extra) -> ThermoReport:
+    """ThermoReport with every value checked by _finite: for omega > 0 each
+    one is positive, so a zero or subnormal value has underflowed."""
+    positive = params.omega > 0.0
+    T, w_zp, w_t, total = (_finite(v, name, positive) for v, name in (
+        (T, "T_rot"), (w_zp, "w_zp_cutoff"), (w_t, "w_thermal"),
+        (w_zp + w_t, "w_total_cutoff")))
+    return ThermoReport(field_kind=field_kind, T_rot=T, w_zp_cutoff=w_zp, w_thermal=w_t,
+                        w_total_cutoff=total, anisotropy_factor=factor,
+                        cutoff_n_max=cutoff_n_max, **extra)
 
 
 def _blackbody(factor: float, T: float, const: Constants) -> float:
@@ -154,12 +171,8 @@ def em_energy_density(params: RotationParams, cutoff_n_max: int,
     w_t = _blackbody(aniso, T, const)
     w_zp = aniso * const.hbar * params.omega**4 / (2.0 * math.pi**2 * const.c**3) \
         * _ladder_cubic_sum(cutoff_n_max)
-    resid = _mixed_moment_residual(spec)
-    return ThermoReport(
-        field_kind="em", T_rot=T, w_zp_cutoff=w_zp, w_thermal=w_t,
-        w_total_cutoff=_finite(w_zp + w_t, "w_total_cutoff"), anisotropy_factor=aniso,
-        cutoff_n_max=cutoff_n_max, mixed_moment_residual=resid,
-    )
+    return _report("em", params, cutoff_n_max, aniso, T, w_zp, w_t,
+                   mixed_moment_residual=_mixed_moment_residual(spec))
 
 
 def em_thermal_density_quadrature(params: RotationParams,
@@ -206,11 +219,7 @@ def scalar_energy_density(params: RotationParams, cutoff_n_max: int) -> ThermoRe
     w_t = factor * scalar_bath_thermal_density(T, const)
     w_zp = factor * const.hbar * params.omega**4 / (math.pi * const.c**3) \
         * _ladder_cubic_sum(cutoff_n_max)
-    return ThermoReport(
-        field_kind="scalar", T_rot=T, w_zp_cutoff=w_zp, w_thermal=w_t,
-        w_total_cutoff=_finite(w_zp + w_t, "w_total_cutoff"), anisotropy_factor=factor,
-        cutoff_n_max=cutoff_n_max,
-    )
+    return _report("scalar", params, cutoff_n_max, factor, T, w_zp, w_t)
 
 
 def em_thermal_density_at(omega: float, r: float, const: Constants = SI) -> float:

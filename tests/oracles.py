@@ -1,4 +1,5 @@
-"""Independent reference implementations that only the tests use.
+"""Independent reference implementations, and helpers that only the tests
+use.
 
 Each one reaches a number that the package computes by another route: the
 field-tensor contraction checks the projection matrix, the polarization sum
@@ -8,9 +9,13 @@ thermal ladder integral and the pi^4 / 15 closed form of the scalar bath,
 the quadrature stress moments check the scalar
 isotropy, the kernel record checks the ladder phase bookkeeping, the
 mode-by-mode field sum checks eval_lab_fields and the ModeSet arrays, and the
-per-seed field evaluation checks the seed-block Monte Carlo CF engine.
+per-seed field evaluation checks the seed-block Monte Carlo CF engine, and
+the per-term Abel weights check numerics.abel_sum.  The worldline
+4-velocity and acceleration, the single-direction angular kernel and the
+manifest writer have no caller outside the tests.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -18,11 +23,52 @@ import numpy as np
 
 from rotvac.cf_discrete import ladder_phase
 from rotvac.constants import SI, Constants
-from rotvac.fields import (Direction, FieldTriplet, FrameError, polarization_basis,
-                           project_fields_to_tetrad)
-from rotvac.kinematics import RotationParams, frenet_serret_tetrad, lab_position
+from rotvac.fields import (Direction, FieldTriplet, FrameError, angular_weight_kernel_grid,
+                           polarization_basis, project_fields_to_tetrad)
+from rotvac.kinematics import (METRIC, FourVector, RotationParams, fermi_walker_tetrad,
+                               frenet_serret_tetrad, lab_position)
 from rotvac.montecarlo import ModeSet, draw_phases, eval_lab_fields
-from rotvac.numerics import QuadratureSpec, integrate_1d, integrate_sphere
+from rotvac.numerics import ABEL_ETA_GRID, QuadratureSpec, integrate_1d, integrate_sphere
+
+
+def four_velocity(params: RotationParams, tau: float) -> FourVector:
+    """4-velocity c (-beta gamma sin a, beta gamma cos a, 0, gamma), a = omega gamma tau."""
+    b, g, c = params.beta, params.gamma, params.constants.c
+    a = params.alpha(tau)
+    return FourVector(-c * b * g * math.sin(a), c * b * g * math.cos(a), 0.0, c * g)
+
+
+def coordinate_acceleration(params: RotationParams, tau: float) -> FourVector:
+    """dU/dtau along the worldline."""
+    g = params.gamma
+    a = params.alpha(tau)
+    mag = params.radius * params.omega**2 * g**2
+    return FourVector(-mag * math.cos(a), -mag * math.sin(a), 0.0, 0.0)
+
+
+def tetrad_acceleration(params: RotationParams, tau: float, kind: str = "frenet-serret") -> np.ndarray:
+    """Acceleration components mu_(a) . dU/dtau in the chosen comoving frame."""
+    if kind == "frenet-serret":
+        frame = frenet_serret_tetrad(params, tau)
+    elif kind == "fermi-walker":
+        frame = fermi_walker_tetrad(params, tau)
+    else:
+        raise ValueError(f"unknown tetrad kind {kind!r}")
+    acc = coordinate_acceleration(params, tau).as_array()
+    return frame.matrix() @ METRIC @ acc
+
+
+def angular_weight_kernel(direction: Direction, delta: float, params: RotationParams) -> float:
+    """angular_weight_kernel_grid for a single direction."""
+    kx, ky, _ = direction.unit_vector
+    return float(angular_weight_kernel_grid(kx, ky, delta, params))
+
+
+def write_manifest(path, manifest: dict) -> None:
+    """A Monte Carlo run manifest as sorted, indented JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def field_tensor(E, H) -> np.ndarray:
@@ -179,3 +225,42 @@ def empirical_cf_per_seed(pair, kind, tau1, tau2, params: RotationParams,
                                            params, tau) for tau in (tau1, tau2))
         vals[i] = getattr(f1, kind[0])[a - 1] * getattr(f2, kind[1])[b - 1]
     return vals
+
+
+def abel_stops(etas=ABEL_ETA_GRID):
+    """Prefix length of each eta in numerics.abel_sum, up to where e^(-eta n)
+    buries the terms."""
+    return [int((3.0 * math.log(max(4.0, 3.0 / eta)) + 80.0) / eta) + 10 for eta in etas]
+
+
+def abel_sums_per_eta(terms):
+    """sum_{n <= stop} a_n e^(-eta n) for each eta of ABEL_ETA_GRID, with one
+    80-bit exp per term and eta over its whole prefix.
+
+    Reference for numerics.abel_sum, which builds the same weights from two
+    short exponential ladders per eta; extrapolate with neville_to_zero.
+    """
+    stops = abel_stops()
+    n = np.arange(1, max(stops) + 1, dtype=np.longdouble)
+    a = np.asarray(terms(n), dtype=np.longdouble)
+    return [(a[:stop] * np.exp(-np.longdouble(eta) * n[:stop])).sum(dtype=np.longdouble)
+            for eta, stop in zip(ABEL_ETA_GRID, stops)]
+
+
+def abel_weights_compensated(eta: float, stop: int) -> np.ndarray:
+    """e^(-eta n), n = 1..stop, by one 80-bit exp per term of the argument
+    eta n carried as an unevaluated sum hi + lo of two long doubles.
+
+    A plain 80-bit exp(-eta n) rounds eta n to 64 bits once n exceeds 2^12,
+    which moves it up to 65 ulp off e^(-eta n) at eta n near 100; here that
+    residual lo enters as the factor 1 - lo, so the weight is within about
+    one ulp of e^(-eta n) for the float64 eta.
+    """
+    c = 134217729.0 * eta               # Dekker split: 26-bit head, exact tail
+    head = c - (c - eta)
+    tail = eta - head
+    n = np.arange(1, stop + 1, dtype=np.longdouble)
+    x, y = np.longdouble(head) * n, np.longdouble(tail) * n    # both exact
+    hi = x + y
+    lo = (x - hi) + y                   # Fast2Sum, |x| >= |y|
+    return np.exp(-hi) * (1 - lo)

@@ -191,6 +191,21 @@ class TestCfCommand:
         assert rows[0]["value"] == ""
         assert rows[0]["flag"].startswith("error: sphere quadrature did not converge")
 
+    @pytest.mark.parametrize("argv, n_rows", [
+        (["--omega", "1e300", "--method", "all"], 6),
+        (["--omega", "1e-300", "--units", "SI", "--method", "quadrature"], 2),
+        (["--omega", "1e300", "--kind", "scalar", "--method", "all"], 4),
+    ], ids=["huge-omega", "tiny-omega-si", "huge-omega-scalar"])
+    def test_lag_scale_outside_float64_flagged(self, capsys, argv, n_rows):
+        # (c dt)^4 would underflow (a division by zero) or overflow, and the
+        # Monte Carlo amplitudes overflow to a NaN value
+        with np.errstate(all="ignore"):
+            code, out = run_cli(capsys, "cf", *argv, "--delta-steps", "2")
+        assert code == 1
+        _, _, rows = parse_table(out)
+        assert len(rows) == n_rows
+        assert all("outside the float64 range" in r["flag"] for r in rows)
+
     def test_sign_definite_tight_tolerance_flagged(self, capsys):
         # the rounding floor covers only the cancelled share of the mass: at
         # beta = 0.999 the (1,2) tensor route cannot reach 1e-15, and the row
@@ -347,14 +362,38 @@ class TestInputErrors:
         (["force-curve", "--omega", "2e3", "--r-min", "nan"], "--r-min nan"),
         (["force-curve", "--omega", "2e3", "--r-max", "inf"], "--r-max inf"),
         (["force-curve", "--omega", "1e-300"], "r0 = c / omega = inf"),
+        (["cf", "--beta", "-0.3"], "beta must be finite and non-negative"),
+        (["mc-validate", "--beta", "-0.3"], "beta must be finite and non-negative"),
+        (["tetrad", "--beta", "nan"], "beta must be finite and non-negative"),
+        (["tetrad", "--omega", "1e-300", "--beta", "0.9", "--units", "SI"],
+         "radius = beta c / omega overflows"),
+        (["energy", "--omega", "1e-300", "--beta", "0.3"],
+         "w_zp_cutoff flushes to 0.0 from a non-zero value"),
+        (["energy", "--omega", "1e-300", "--beta", "0.3", "--units", "SI"],
+         "T_rot flushes to 0.0 from a non-zero value"),
+        (["energy", "--omega", "1e-300", "--beta", "0.3", "--field", "scalar"],
+         "energy at --omega 1e-300: w_zp_cutoff flushes to 0.0"),
     ], ids=["spectrum-nan-phase", "cf-nan-delta", "tetrad-nan-tau", "tetrad-span-overflow",
-            "force-curve-nan-r-min", "force-curve-inf-r-max", "force-curve-r0-overflow"])
+            "force-curve-nan-r-min", "force-curve-inf-r-max", "force-curve-r0-overflow",
+            "cf-negative-beta", "mc-validate-negative-beta", "tetrad-nan-beta",
+            "tetrad-radius-overflow", "energy-underflow", "energy-underflow-si",
+            "energy-scalar-underflow"])
     def test_errors_name_their_cause(self, capsys, argv, cause):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert cause in captured.err
+
+    @pytest.mark.parametrize("field", ["em", "scalar"])
+    @pytest.mark.parametrize("units", ["SI", "natural"])
+    def test_zero_omega_energy_is_exactly_zero(self, capsys, field, units):
+        code, out = run_cli(capsys, "energy", "--omega", "0", "--field", field,
+                            "--units", units)
+        assert code == 0
+        vals = {r["quantity"]: r["value"] for r in parse_table(out)[2]}
+        for name in ("T_rot", "w_zp_cutoff", "w_thermal", "w_total_cutoff"):
+            assert float(vals[name]) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["EE", "HH", "EH", "scalar"])
@@ -420,6 +459,44 @@ def test_thermal_commands_property(command, units, omega, motion, sphere_radius,
                        if v not in ("", "em", "scalar")), (argv, row)
 
 
+MOTION_FLOATS = FLOATS | st.sampled_from([1e-300, 5e-324, 0.3, 1.0 - 1e-13])
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["tetrad", "cf", "spectrum", "energy"]),
+       units=st.sampled_from(["SI", "natural"]),
+       omega=st.none() | MOTION_FLOATS,
+       motion=st.none() | st.tuples(st.sampled_from(["beta", "radius"]), MOTION_FLOATS))
+def test_motion_options_property(command, units, omega, motion):
+    # no traceback, an exit code in {0, 1, 2}, no non-finite value in an ok
+    # row, and an exit-2 message that names an option the user passed
+    argv = [command, f"--units={units}"]
+    passed = []
+    if omega is not None:
+        argv.append(f"--omega={omega!r}")
+        passed.append("omega")
+    if motion is not None:
+        argv.append(f"--{motion[0]}={motion[1]!r}")
+        passed.append(motion[0])
+    steps = {"tetrad": "--tau-steps=3", "cf": "--delta-steps=3",
+             "spectrum": "--phase-steps=3", "energy": "--n-max=3"}[command]
+    argv.append(steps)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert any(name in err.getvalue() for name in passed), (argv, err.getvalue())
+    for row in parse_table(out.getvalue())[2]:
+        if row.get("flag", "ok") == "ok":
+            values = [v for k, v in row.items() if k not in ("quantity", "method", "flag")]
+            assert all(math.isfinite(float(v)) for v in values
+                       if v not in ("", "em", "scalar")), (argv, row)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(command=st.sampled_from(["cf-closed-form", "cf-quadrature", "spectrum", "tetrad"]),
        lo=FLOATS, hi=FLOATS, steps=st.integers(min_value=0, max_value=3))
@@ -453,13 +530,15 @@ class TestValidate:
     def test_quick_suite_known_failures_only(self, capsys):
         code, out = run_cli(capsys, "validate", "--suite", "quick")
         assert code == 1  # the documented scalar reference-value check fails
-        _, _, rows = parse_table(out)
+        meta, _, rows = parse_table(out)
         status = {r["check"]: r["status"] for r in rows}
         assert status["scalar-bath-ratio"] == "known-fail"
         assert status["hadron-force-reference"] == "pass"
         assert status["hadron-temperature-reference"] == "pass"
         unexpected = [k for k, v in status.items() if v == "FAIL"]
         assert unexpected == []
+        assert (meta["failures"], meta["known_failures"], meta["unexpected_failures"]) \
+            == ("1", "1", "0")
         # one preamble line with the wall time of every check group
         [line] = [ln for ln in out.splitlines() if ln.startswith("# check_seconds = ")]
         groups = dict(item.split("=") for item in line.split(" = ", 1)[1].split())
@@ -475,6 +554,9 @@ class TestValidate:
                      "offdiag-mc-null-coincidence"):
             assert status[name] == "pass"
         assert doc["meta"]["checks"] == len(doc["rows"])
+        assert doc["meta"]["known_failures"] == 1
+        assert doc["meta"]["unexpected_failures"] == 0
+        assert doc["meta"]["failures"] == 1
         seconds = doc["meta"]["check_seconds"]
         assert len(seconds) == 13 and all(t >= 0.0 for t in seconds.values())
         assert seconds["em_energy_density"] > 0.0
@@ -482,6 +564,8 @@ class TestValidate:
     def test_sigma_perturbation_negative_control(self, capsys):
         code, out = run_cli(capsys, "validate", "--suite", "quick",
                             "--sigma-perturb", "1.01")
-        _, _, rows = parse_table(out)
+        meta, _, rows = parse_table(out)
         status = {r["check"]: r["status"] for r in rows}
         assert status["em-thermal-closed-form"] == "FAIL"
+        assert int(meta["unexpected_failures"]) >= 1
+        assert int(meta["known_failures"]) == 1

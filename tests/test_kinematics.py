@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_step
+from oracles import coordinate_acceleration, four_velocity, tetrad_acceleration
 from rotvac.constants import NATURAL, SI
 from rotvac.kinematics import (METRIC, FourVector, LuminalOrbitError,
-                               RotationParams, coordinate_acceleration,
-                               fermi_walker_tetrad, four_velocity,
-                               frenet_serret_tetrad, lab_position,
-                               tetrad_acceleration)
+                               RotationParams, fermi_walker_tetrad,
+                               frenet_serret_tetrad, lab_position)
 
 orbit_params = st.builds(
     RotationParams,
@@ -53,6 +52,18 @@ class TestRotationParams:
         p = RotationParams.from_beta(4.0, 0.8, NATURAL)
         assert p.beta == pytest.approx(0.8, rel=1e-15)
         assert p.radius == pytest.approx(0.2, rel=1e-15)
+
+    @pytest.mark.parametrize("omega, beta, cause", [
+        (1.0, -0.3, "beta must be finite and non-negative"),
+        (1.0, math.nan, "beta must be finite and non-negative"),
+        (1.0, math.inf, "beta must be finite and non-negative"),
+        (0.0, 0.3, "finite omega > 0"),
+        (math.inf, 0.3, "finite omega > 0"),
+        (1e-300, 0.9, "radius = beta c / omega overflows"),
+    ])
+    def test_from_beta_names_the_bad_input(self, omega, beta, cause):
+        with pytest.raises(ValueError, match=cause):
+            RotationParams.from_beta(omega, beta, SI)
 
     def test_si_units(self):
         p = RotationParams(omega=1.0, radius=1.0, constants=SI)

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import delta_to_tau
-from oracles import empirical_cf_per_seed, lab_fields_mode_sum
+from oracles import empirical_cf_per_seed, lab_fields_mode_sum, write_manifest
 from rotvac import montecarlo
 from rotvac.cf_continuous import em_cf_continuous, em_cf_tensor_quadrature
 from rotvac.cf_discrete import em_cf_discrete, ladder_phase
@@ -15,7 +15,7 @@ from rotvac.fields import angular_weight_kernel_grid
 from rotvac.kinematics import RotationParams, lab_position
 from rotvac.montecarlo import (BLOCK_ELEMENTS, ModeSet, build_mode_set, draw_phases,
                                empirical_cf, empirical_cfs, empirical_energy_density,
-                               eval_lab_fields, run_manifest, write_manifest)
+                               eval_lab_fields, run_manifest)
 from rotvac.numerics import integrate_sphere
 from rotvac.thermo import em_energy_density
 
@@ -284,8 +284,12 @@ class TestEmpiricalCF:
         assert cf.value == pytest.approx(2.0 * analytic, abs=3.0 * cf.stat_error)
 
     def test_full_ladder_cf_within_band(self, params):
-        # against the closed (untruncated) ladder CF the truncation bias is
-        # tiny at this lag; stays within the statistical band at 2x convention
+        # against the closed (untruncated) ladder CF at 2x convention.  The
+        # truncation bias is not small: the exact ensemble mean of this grid
+        # is -3.60 against a target of 0.23, and the truncated ladder does
+        # not approach the Abel-regularized value as n_max grows.  The check
+        # passes because its 3-sigma band (3 x 107.8) is far wider than both;
+        # it catches gross errors only
         delta = math.pi / 2.0
         tau2 = delta_to_tau(params, delta)
         ms = build_mode_set(params, n_max=12, n_theta=16, n_phi=32)

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rotvac.numerics import (QuadratureError, QuadratureSpec, SeriesError,
+from oracles import abel_stops, abel_sums_per_eta, abel_weights_compensated
+from rotvac import numerics
+from rotvac.cf_discrete import cubic_ladder_sum_closed, linear_ladder_sum_closed
+from rotvac.numerics import (ABEL_ETA_GRID, QuadratureError, QuadratureSpec, SeriesError,
                              abel_plana_check, abel_sum, integrate_1d,
                              integrate_sphere, neville_to_zero)
 
@@ -218,6 +221,61 @@ class TestAbelSum:
         res = abel_sum(terms)
         assert res.regularization == "abel"
         assert len(calls) == 2
+
+    def test_exp_elements_per_call(self, monkeypatch):
+        # two ladders of about sqrt(stop) exponentials per eta; one 80-bit
+        # exp per term and eta would pass sum(stops) = 127,976 elements
+        counted = []
+        exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            x = np.asarray(x)
+            if x.dtype == np.longdouble:
+                counted.append(x.size)
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        res = abel_sum(lambda n: n**3 * np.cos(n * 2.0))
+        assert res.regularization == "abel"
+        assert 0 < sum(counted) <= 4096
+        assert len(counted) == 2 * len(ABEL_ETA_GRID)
+
+    def test_weights_match_extended_exp(self):
+        # every eta over its full prefix, against e^(-eta n) with the
+        # argument carried exactly, and against the plain 80-bit exp(-eta n),
+        # which rounds eta n to 64 bits once n > 2^12
+        for eta, stop in zip(ABEL_ETA_GRID, abel_stops()):
+            w = numerics._abel_weights(eta, stop)
+            ref = abel_weights_compensated(eta, stop)
+            assert w.dtype == np.longdouble and w.shape == (stop,)
+            assert np.all(np.abs(w - ref) <= 8 * np.spacing(ref)), eta
+            arg = np.longdouble(eta) * np.arange(1, stop + 1, dtype=np.longdouble)
+            plain = np.exp(-arg)
+            assert np.all(np.abs(w - plain) <= 8 * np.spacing(plain)
+                          + plain * np.spacing(arg)), eta
+
+    @pytest.mark.parametrize("p, closed", [(3, cubic_ladder_sum_closed),
+                                           (1, linear_ladder_sum_closed)],
+                             ids=["cubic", "linear"])
+    def test_as_accurate_as_one_exp_per_term(self, p, closed):
+        # relative errors against the closed ladder sums, for abel_sum and for
+        # the same eta grid weighted by one 80-bit exp per term.  The p90 and
+        # the mean agree to 1-2% on every 50-phase subgrid of 401 phases; the
+        # median moves by up to 25% between such subgrids on both routes, so
+        # it is no measure of either.
+        phases = np.linspace(0.6, 5.7, 52)
+        ours, oracle = [], []
+        for ph in phases:
+            def terms(n, ph=ph):
+                return n**p * np.cos(n * ph)
+            exact = closed(ph)
+            ours.append(abs(abel_sum(terms).value / exact - 1.0))
+            value, _ = neville_to_zero(ABEL_ETA_GRID, abel_sums_per_eta(terms))
+            oracle.append(abs(value / exact - 1.0))
+        ours, oracle = np.array(ours), np.array(oracle)
+        assert np.quantile(ours, 0.9) == pytest.approx(np.quantile(oracle, 0.9), rel=0.1)
+        assert ours.mean() == pytest.approx(oracle.mean(), rel=0.1)
+        assert ours.max() < 1e-4
 
     def test_non_stabilizing_raises(self):
         with np.errstate(over="ignore", invalid="ignore"):
