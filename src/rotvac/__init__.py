@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .constants import NATURAL, SI, Constants
 from .kinematics import (FourVector, LuminalOrbitError, RotationParams, Tetrad,
                          fermi_walker_tetrad, frenet_serret_tetrad, lab_position)
-from .fields import (Direction, FieldTriplet, polarization_basis,
-                     project_fields_to_tetrad)
+from .fields import FieldTriplet
 from .numerics import (QuadratureError, QuadratureSpec, SeriesSumResult,
                        abel_plana_check, abel_sum, integrate_1d, integrate_sphere)
 from .cf_continuous import (CFValue, CoincidenceError, em_cf_continuous,

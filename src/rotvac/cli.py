@@ -72,6 +72,17 @@ def _sweep(args, name: str, scale: float = 1.0):
     return np.linspace(lo, hi, getattr(args, f"{name}_steps"))
 
 
+def _mode_set(args, params: RotationParams, spectrum: str) -> mc.ModeSet:
+    """The Monte Carlo ladder or band of the options; OverflowError names --omega."""
+    band = ({} if spectrum == "discrete"
+            else dict(omega_cutoff=args.n_max * params.omega, n_radial=4 * args.n_max))
+    try:
+        return mc.build_mode_set(params, spectrum, n_max=args.n_max, n_theta=args.mc_theta,
+                                 n_phi=args.mc_phi, **band)
+    except OverflowError as exc:
+        raise OverflowError(f"Monte Carlo modes at --omega {args.omega!r}: {exc}") from exc
+
+
 def _emit(args, meta: dict, header: List[str], rows: List[list], flagged: bool) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -139,21 +150,19 @@ def cmd_cf(args) -> int:
         raise ValueError("no Monte Carlo route for the scalar field")
     header = ["delta", "method", "value", "stat_error", "flag"]
     rows, flagged = [], False
-    ms = None
+    ms = mc_error = None
     if args.method in ("monte-carlo", "all") and args.kind != "scalar":
-        if args.spectrum == "discrete":
-            ms = mc.build_mode_set(params, n_max=args.n_max,
-                                   n_theta=args.mc_theta, n_phi=args.mc_phi)
-        else:
-            ms = mc.build_mode_set(params, spectrum="continuous",
-                                   omega_cutoff=args.n_max * params.omega,
-                                   n_radial=4 * args.n_max,
-                                   n_theta=args.mc_theta, n_phi=args.mc_phi)
+        try:
+            ms = _mode_set(args, params, args.spectrum)
+        except OverflowError as exc:
+            if args.method == "monte-carlo":    # no route is left to print a row
+                raise
+            mc_error = f"outside the float64 range: {exc}"
     # on the discrete spectrum closed-form and quadrature are one route
     methods = [args.method]
     if args.method == "all":
         methods = ["quadrature"] if args.spectrum == "discrete" else ["closed-form", "quadrature"]
-        if ms is not None:
+        if args.kind != "scalar":
             methods.append("monte-carlo")
     tau2s = [float(delta) / (params.omega * params.gamma) for delta in deltas]
     if ms is not None:
@@ -164,6 +173,8 @@ def cmd_cf(args) -> int:
         for method in methods:
             try:
                 if method == "monte-carlo":
+                    if mc_error:
+                        raise ValueError(mc_error)
                     cf = mc_cfs[j]
                 elif args.kind == "scalar":
                     if args.spectrum == "discrete":
@@ -291,7 +302,7 @@ def cmd_estimate_hadron(args) -> int:
 
 def cmd_mc_validate(args) -> int:
     params = _params(args)
-    ms = mc.build_mode_set(params, n_max=args.n_max, n_theta=args.mc_theta, n_phi=args.mc_phi)
+    ms = _mode_set(args, params, "discrete")
     est = mc.empirical_energy_density(params, ms, n_seeds=args.seeds, seed=args.seed,
                                       n_workers=args.workers)
     rep = thermo.em_energy_density(params, args.n_max)

@@ -3,8 +3,9 @@ by the Monte Carlo mode grid, and the diagonal angular brackets: the bracket
 quadrature of the continuous CFs and the angular weight kernel of the
 periodic CF evaluate the same table.
 
-The independent field-tensor projection and the polarization completeness
-sum, which only check this module, live with the tests (tests/oracles.py).
+The projection of one triplet and the basis of one direction (with their
+Direction and FrameError types), and the oracles that check this module,
+live with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -18,36 +19,15 @@ import numpy as np
 from .kinematics import RotationParams
 
 __all__ = [
-    "FrameError",
-    "Direction",
     "FieldTriplet",
     "projection_matrix",
     "projection_rows",
-    "project_fields_to_tetrad",
     "polarization_grid",
-    "polarization_basis",
     "diag_bracket",
     "angular_weight_kernel_grid",
 ]
 
 POLE_TOL = 1e-8  # directions this close to +/- z use the (x, y) basis
-
-
-class FrameError(ValueError):
-    """Field triplet is in the wrong frame for the requested operation."""
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Propagation direction in spherical angles, theta in [0, pi], phi in [0, 2 pi)."""
-
-    theta: float
-    phi: float
-
-    @property
-    def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array([st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)])
 
 
 @dataclass(frozen=True)
@@ -104,15 +84,6 @@ def projection_rows(pair, kind: str, params: RotationParams, tau1: float,
         for field, a, tau in zip(kind, pair, (tau1, tau2))])
 
 
-def project_fields_to_tetrad(lab: FieldTriplet, params: RotationParams, tau: float) -> FieldTriplet:
-    """Project lab-frame (E, H) into the Frenet-Serret frame at proper time tau."""
-    if lab.frame != "lab":
-        raise FrameError("project_fields_to_tetrad expects a lab-frame triplet")
-    m = projection_matrix(params.alpha(tau), params.beta)
-    out = m @ np.concatenate([lab.E, lab.H])
-    return FieldTriplet(E=out[:3], H=out[3:], frame="tetrad", tau=tau)
-
-
 def polarization_grid(khat):
     """Two unit polarization vectors orthogonal to each row of khat (M, 3).
 
@@ -129,12 +100,6 @@ def polarization_grid(khat):
     e2 = np.cross(khat, e1)
     e2 /= np.linalg.norm(e2, axis=1)[:, None]
     return e1, e2
-
-
-def polarization_basis(direction: Direction):
-    """polarization_grid for a single direction."""
-    e1, e2 = polarization_grid(direction.unit_vector[None, :])
-    return e1[0], e2[0]
 
 
 def diag_bracket(pair: Tuple[int, int], params: RotationParams, delta: float, kx, ky):

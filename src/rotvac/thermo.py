@@ -113,6 +113,14 @@ def _finite(value: float, name: str, nonzero: bool = False) -> float:
     return value
 
 
+def _fourth_power(x: float, name: str) -> float:
+    """x**4, or an OverflowError naming x where Python's float ** raises one."""
+    try:
+        return x**4
+    except OverflowError:
+        raise OverflowError(f"{name} = {x!r} overflows at the fourth power") from None
+
+
 def _report(field_kind: str, params: RotationParams, cutoff_n_max: int, factor: float,
             T: float, w_zp: float, w_t: float, **extra) -> ThermoReport:
     """ThermoReport with every value checked by _finite: for omega > 0 each
@@ -128,7 +136,7 @@ def _report(field_kind: str, params: RotationParams, cutoff_n_max: int, factor: 
 
 def _blackbody(factor: float, T: float, const: Constants) -> float:
     """factor * (4 sigma / c) T^4, multiplied left to right."""
-    return factor * 4.0 * const.sigma / const.c * T**4
+    return factor * 4.0 * const.sigma / const.c * _fourth_power(T, "T_rot")
 
 
 def _doppler_ladder_integral(params: RotationParams, spec: QuadratureSpec) -> float:
@@ -169,8 +177,8 @@ def em_energy_density(params: RotationParams, cutoff_n_max: int,
     T = rotation_temperature(params)
     aniso = em_anisotropy_factor(params)
     w_t = _blackbody(aniso, T, const)
-    w_zp = aniso * const.hbar * params.omega**4 / (2.0 * math.pi**2 * const.c**3) \
-        * _ladder_cubic_sum(cutoff_n_max)
+    w_zp = aniso * const.hbar * _fourth_power(params.omega, "omega") \
+        / (2.0 * math.pi**2 * const.c**3) * _ladder_cubic_sum(cutoff_n_max)
     return _report("em", params, cutoff_n_max, aniso, T, w_zp, w_t,
                    mixed_moment_residual=_mixed_moment_residual(spec))
 
@@ -190,7 +198,8 @@ def scalar_bath_thermal_density(temperature: float, const: Constants = SI) -> fl
     (2 hbar / pi c^3) (k_B T / hbar)^4 int u^3 / (e^u - 1) du, the integral
     being pi^4 / 15."""
     scale = const.k_B * temperature / const.hbar
-    return 2.0 * const.hbar / (math.pi * const.c**3) * scale**4 * math.pi**4 / 15.0
+    return (2.0 * const.hbar / (math.pi * const.c**3) * _fourth_power(scale, "k_B T / hbar")
+            * math.pi**4 / 15.0)
 
 
 def scalar_thermal_density_quadrature(params: RotationParams,
@@ -217,7 +226,7 @@ def scalar_energy_density(params: RotationParams, cutoff_n_max: int) -> ThermoRe
     T = rotation_temperature(params)
     factor = scalar_bath_factor(params)
     w_t = factor * scalar_bath_thermal_density(T, const)
-    w_zp = factor * const.hbar * params.omega**4 / (math.pi * const.c**3) \
+    w_zp = factor * const.hbar * _fourth_power(params.omega, "omega") / (math.pi * const.c**3) \
         * _ladder_cubic_sum(cutoff_n_max)
     return _report("scalar", params, cutoff_n_max, factor, T, w_zp, w_t)
 

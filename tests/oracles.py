@@ -11,8 +11,10 @@ isotropy, the kernel record checks the ladder phase bookkeeping, the
 mode-by-mode field sum checks eval_lab_fields and the ModeSet arrays, and the
 per-seed field evaluation checks the seed-block Monte Carlo CF engine, and
 the per-term Abel weights check numerics.abel_sum.  The worldline
-4-velocity and acceleration, the single-direction angular kernel and the
-manifest writer have no caller outside the tests.
+4-velocity and acceleration, the projection of one field triplet, the
+single-direction polarization basis and angular kernel (with the Direction
+and FrameError types) and the manifest writer have no caller outside the
+tests.
 """
 
 import json
@@ -23,12 +25,29 @@ import numpy as np
 
 from rotvac.cf_discrete import ladder_phase
 from rotvac.constants import SI, Constants
-from rotvac.fields import (Direction, FieldTriplet, FrameError, angular_weight_kernel_grid,
-                           polarization_basis, project_fields_to_tetrad)
+from rotvac.fields import (FieldTriplet, angular_weight_kernel_grid, polarization_grid,
+                           projection_matrix)
 from rotvac.kinematics import (METRIC, FourVector, RotationParams, fermi_walker_tetrad,
                                frenet_serret_tetrad, lab_position)
 from rotvac.montecarlo import ModeSet, draw_phases, eval_lab_fields
 from rotvac.numerics import ABEL_ETA_GRID, QuadratureSpec, integrate_1d, integrate_sphere
+
+
+class FrameError(ValueError):
+    """Field triplet is in the wrong frame for the requested operation."""
+
+
+@dataclass(frozen=True)
+class Direction:
+    """Propagation direction in spherical angles, theta in [0, pi], phi in [0, 2 pi)."""
+
+    theta: float
+    phi: float
+
+    @property
+    def unit_vector(self) -> np.ndarray:
+        st = math.sin(self.theta)
+        return np.array([st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)])
 
 
 def four_velocity(params: RotationParams, tau: float) -> FourVector:
@@ -88,6 +107,15 @@ def field_tensor(E, H) -> np.ndarray:
     return F
 
 
+def project_fields_to_tetrad(lab: FieldTriplet, params: RotationParams, tau: float) -> FieldTriplet:
+    """Project lab-frame (E, H) into the Frenet-Serret frame at proper time tau."""
+    if lab.frame != "lab":
+        raise FrameError("project_fields_to_tetrad expects a lab-frame triplet")
+    m = projection_matrix(params.alpha(tau), params.beta)
+    out = m @ np.concatenate([lab.E, lab.H])
+    return FieldTriplet(E=out[:3], H=out[3:], frame="tetrad", tau=tau)
+
+
 def project_fields_via_tensor(lab: FieldTriplet, params: RotationParams, tau: float) -> FieldTriplet:
     """Contract mu_(a) mu_(b) with the field tensor; oracle for
     project_fields_to_tetrad, which must agree to roundoff for every input."""
@@ -98,6 +126,12 @@ def project_fields_via_tensor(lab: FieldTriplet, params: RotationParams, tau: fl
     E = np.array([Fab[3, 0], Fab[3, 1], Fab[3, 2]])
     H = np.array([Fab[1, 2], Fab[2, 0], Fab[0, 1]])
     return FieldTriplet(E=E, H=H, frame="tetrad", tau=tau)
+
+
+def polarization_basis(direction: Direction):
+    """polarization_grid for a single direction."""
+    e1, e2 = polarization_grid(direction.unit_vector[None, :])
+    return e1[0], e2[0]
 
 
 def polarization_sum_matrix(direction: Direction) -> np.ndarray:

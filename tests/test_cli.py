@@ -198,7 +198,7 @@ class TestCfCommand:
     ], ids=["huge-omega", "tiny-omega-si", "huge-omega-scalar"])
     def test_lag_scale_outside_float64_flagged(self, capsys, argv, n_rows):
         # (c dt)^4 would underflow (a division by zero) or overflow, and the
-        # Monte Carlo amplitudes overflow to a NaN value
+        # Monte Carlo amplitudes overflow
         with np.errstate(all="ignore"):
             code, out = run_cli(capsys, "cf", *argv, "--delta-steps", "2")
         assert code == 1
@@ -373,11 +373,21 @@ class TestInputErrors:
          "T_rot flushes to 0.0 from a non-zero value"),
         (["energy", "--omega", "1e-300", "--beta", "0.3", "--field", "scalar"],
          "energy at --omega 1e-300: w_zp_cutoff flushes to 0.0"),
+        (["energy", "--omega", "1e300", "--units", "SI"],
+         "energy at --omega 1e+300: T_rot = 1.2156624719518911e+288 overflows"),
+        (["energy", "--omega", "1e300", "--units", "SI", "--field", "scalar"],
+         "energy at --omega 1e+300: k_B T / hbar = 1.5915494309189535e+299 overflows"),
+        (["cf", "--units", "SI", "--omega", "1e-300", "--method", "monte-carlo",
+          "--delta-steps", "2"],
+         "Monte Carlo modes at --omega 1e-300: k0 = omega / c is 3.33564095198152e-309"),
+        (["mc-validate", "--units", "SI", "--omega", "1e-300", "--seeds", "2"],
+         "Monte Carlo modes at --omega 1e-300: k0 = omega / c"),
     ], ids=["spectrum-nan-phase", "cf-nan-delta", "tetrad-nan-tau", "tetrad-span-overflow",
             "force-curve-nan-r-min", "force-curve-inf-r-max", "force-curve-r0-overflow",
             "cf-negative-beta", "mc-validate-negative-beta", "tetrad-nan-beta",
             "tetrad-radius-overflow", "energy-underflow", "energy-underflow-si",
-            "energy-scalar-underflow"])
+            "energy-scalar-underflow", "energy-overflow-si", "energy-scalar-overflow-si",
+            "cf-monte-carlo-underflow-si", "mc-validate-underflow-si"])
     def test_errors_name_their_cause(self, capsys, argv, cause):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotvac.constants import NATURAL
-from oracles import (angular_weight_kernel, polarization_sum_matrix,
+from oracles import (Direction, FrameError, angular_weight_kernel, polarization_basis,
+                     polarization_sum_matrix, project_fields_to_tetrad,
                      project_fields_via_tensor)
-from rotvac.fields import (Direction, FieldTriplet, FrameError, angular_weight_kernel_grid,
-                           polarization_basis, project_fields_to_tetrad)
+from rotvac.fields import FieldTriplet, angular_weight_kernel_grid
 from rotvac.kinematics import RotationParams
 from rotvac.numerics import integrate_sphere
 

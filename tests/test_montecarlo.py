@@ -10,7 +10,7 @@ from oracles import empirical_cf_per_seed, lab_fields_mode_sum, write_manifest
 from rotvac import montecarlo
 from rotvac.cf_continuous import em_cf_continuous, em_cf_tensor_quadrature
 from rotvac.cf_discrete import em_cf_discrete, ladder_phase
-from rotvac.constants import NATURAL
+from rotvac.constants import NATURAL, SI
 from rotvac.fields import angular_weight_kernel_grid
 from rotvac.kinematics import RotationParams, lab_position
 from rotvac.montecarlo import (BLOCK_ELEMENTS, ModeSet, build_mode_set, draw_phases,
@@ -60,7 +60,7 @@ class TestModeSet:
         # standard error would be 0
         with pytest.raises(ValueError, match="omega > 0"):
             build_mode_set(RotationParams(0.0, 1.0, NATURAL), n_max=2, n_theta=8, n_phi=16)
-        for cutoff in (0.0, -1.0, math.nan):
+        for cutoff in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="omega_cutoff"):
                 build_mode_set(params, spectrum="continuous", omega_cutoff=cutoff,
                                n_radial=4, n_theta=8, n_phi=16)
@@ -96,6 +96,18 @@ class TestModeSet:
         path = tmp_path / "run.json"
         write_manifest(path, run_manifest(params, modes, 5, 1))
         assert json.loads(path.read_text())["n_seeds"] == 5
+
+    @pytest.mark.parametrize("omega, units, spectrum", [
+        (1e-300, SI, "discrete"), (1e-300, SI, "continuous"), (1e100, NATURAL, "discrete"),
+        (1e100, NATURAL, "continuous")], ids=["k0-underflow", "k0-underflow-band",
+                                              "amp-overflow", "amp-overflow-band"])
+    def test_amplitudes_outside_float64_rejected(self, omega, units, spectrum):
+        # the amplitudes scale with omega^4: underflowed ones gave an ok row
+        # of 0.0 with stat error 0.0, overflowed ones NaN values
+        p = RotationParams(omega, 0.0, units)
+        band = {} if spectrum == "discrete" else dict(omega_cutoff=2.0 * omega, n_radial=4)
+        with pytest.raises(OverflowError, match="not a normal float64"):
+            build_mode_set(p, spectrum, n_max=2, n_theta=8, n_phi=16, **band)
 
 
 class TestModeSetInvariants:
@@ -251,6 +263,49 @@ class TestFieldEvaluation:
         assert stat.pvalue > 0.01
 
 
+class TestCosSinKernel:
+    """_cos_sin against libm's float64 cos and sin."""
+
+    @staticmethod
+    def run(phases):
+        c, s = np.empty_like(phases), np.empty_like(phases)
+        montecarlo._cos_sin(phases, c, s)
+        return c, s
+
+    def test_matches_libm(self):
+        # 2**-52 absolute: a table of cos and sin at the float64-rounded
+        # nodes j h would reach 2**-51
+        phases = 2.0 * math.pi * np.random.default_rng(31).random(10**6 + 7)
+        c, s = self.run(phases)
+        assert np.abs(c - np.cos(phases)).max() <= 2.0**-52
+        assert np.abs(s - np.sin(phases)).max() <= 2.0**-52
+
+    def test_table_nodes_and_neighbours(self):
+        n = montecarlo.TRIG_TABLE
+        nodes = np.arange(n + 1) * (2.0 * math.pi / n)
+        phases = np.concatenate([nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 7.0)])
+        phases = phases[(phases >= 0.0) & (phases < 2.0 * math.pi)]
+        c, s = self.run(phases)
+        assert np.abs(c - np.cos(phases)).max() <= 2.0**-52
+        assert np.abs(s - np.sin(phases)).max() <= 2.0**-52
+
+    def test_exact_at_quarter_turns(self):
+        phases = np.array([0.0, math.pi / 2.0, math.pi, 1.5 * math.pi,
+                           np.nextafter(2.0 * math.pi, 0.0)])
+        c, s = self.run(phases)
+        assert np.array_equal(c, np.cos(phases))
+        assert np.array_equal(s, np.sin(phases))
+
+    def test_in_place_equals_out_of_place(self):
+        # three chunks and a remainder
+        phases = 2.0 * math.pi * np.random.default_rng(8).random(3 * montecarlo.TRIG_CHUNK + 5)
+        c, s = self.run(phases)
+        sines = np.empty_like(phases)
+        montecarlo._cos_sin(phases, phases, sines)
+        assert np.array_equal(phases, c)
+        assert np.array_equal(sines, s)
+
+
 class TestEmpiricalCF:
     def test_single_seed_rejected(self, params, modes):
         # one seed has no standard error; it must not pass as a zero pull
@@ -340,6 +395,22 @@ class TestSeedBlockEngine:
         assert abs(cf.value - vals.mean()) <= 1e-12 * cf.stat_error
         assert cf.stat_error == pytest.approx(vals.std(ddof=1) / math.sqrt(n_seeds),
                                               rel=1e-12)
+
+    def test_libm_trig_elements_per_call(self, params, modes, monkeypatch):
+        # the drawn phases go through _cos_sin; only the design takes libm's
+        # cos and sin, each once over its (M, Q, T) base phases.  A libm pass
+        # over the phases would pass 2 x n_seeds x mode_count elements
+        counted = []
+        for name in ("cos", "sin"):
+            def counting(x, *args, _libm=getattr(np, name), **kwargs):
+                counted.append(np.size(x))
+                return _libm(x, *args, **kwargs)
+            monkeypatch.setattr(np, name, counting)
+        n_seeds = BLOCK_ELEMENTS // modes.mode_count + 1
+        empirical_cf((1, 1), "EE", 0.0, 1.1, params, modes, n_seeds=n_seeds, seed=3)
+        base = modes.amp2.size * 2
+        assert counted and max(counted) <= base
+        assert sum(counted) <= 2 * base
 
     def test_bit_identical_across_workers(self, params, modes):
         n_seeds = 3 * (BLOCK_ELEMENTS // modes.mode_count) + 2
