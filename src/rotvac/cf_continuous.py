@@ -156,19 +156,30 @@ def _bracket_quadrature(pair, params, delta, dt_lab, spec) -> float:
     return pref * val
 
 
-def _lab_kernel(row1, row2):
-    """The function khat -> row1^T M(khat) row2 for khat of shape (..., 3);
-    rows are 6-vectors (E, H).
+def _lab_kernel(row1, row2, chord):
+    """The function khat -> (row1^T M(khat) row2, khat . chord) for khat of
+    shape (..., 3), both of shape khat.shape[:-1]; rows are 6-vectors (E, H).
 
     M is the lab-frame polarization-summed kernel: 1 - khat khat^T in the EE
     and HH blocks, <E_i H_j> ~ eps_{ijl} khat_l in the EH block and its
-    negative transpose in the HE block.
+    negative transpose in the HE block.  The six projections of khat that
+    both need come from one matrix product with the columns e1, e2, h1, h2,
+    e1 x h2 - h1 x e2 and chord.
     """
     e1, h1, e2, h2 = row1[:3], row1[3:], row2[:3], row2[3:]
     const = e1 @ e2 + h1 @ h2
-    eh = np.cross([e1, -h1], [h2, e2]).sum(axis=0)   # e1 x h2 - h1 x e2
-    return lambda khat: (const - (khat @ e1) * (khat @ e2) - (khat @ h1) * (khat @ h2)
-                         + khat @ eh)
+    # e1 x h2 - h1 x e2 by components: np.cross costs more per CF value
+    eh = [e1[1] * h2[2] - e1[2] * h2[1] - (h1[1] * e2[2] - h1[2] * e2[1]),
+          e1[2] * h2[0] - e1[0] * h2[2] - (h1[2] * e2[0] - h1[0] * e2[2]),
+          e1[0] * h2[1] - e1[1] * h2[0] - (h1[0] * e2[1] - h1[1] * e2[0])]
+    cols = np.column_stack([e1, e2, h1, h2, eh, chord])
+
+    def kernel(khat):
+        p = khat.reshape(-1, 3) @ cols
+        shape = khat.shape[:-1]
+        return ((const - p[:, 0] * p[:, 1] - p[:, 2] * p[:, 3] + p[:, 4]).reshape(shape),
+                p[:, 5].reshape(shape))
+    return kernel
 
 
 def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
@@ -179,7 +190,9 @@ def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
     are taken at their own worldline phases and the mode-phase difference is
     evaluated from the actual lab positions.  Works for any component pair
     and for kinds "EE", "HH", "EH"; serves as the independent oracle for the
-    closed forms and brackets.
+    closed forms and brackets.  Each integrand call takes the kernel's five
+    projections of khat and the phase's khat . chord from one (3 x 6) matrix
+    product, and the phase's fourth power by squaring twice.
     """
     row1, row2 = projection_rows(pair, kind, params, tau1, tau2)
     delta, dt_lab = _lag(params, tau1, tau2)
@@ -189,13 +202,15 @@ def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
     t2, x2, y2, _ = lab_position(params, tau2)
     dr = np.array([x1 - x2, y1 - y2, 0.0])
     cdt = const.c * (t1 - t2)
-    kernel = _lab_kernel(row1, row2)
+    # the phase coefficient over c dt, so that the integrand is
+    # dimensionless and abs_tol means the same in every unit system
+    kernel = _lab_kernel(row1, row2, dr / cdt)
 
     def integrand(khat):
-        # the phase coefficient over c dt, so that the integrand is
-        # dimensionless and abs_tol means the same in every unit system
-        geom = khat @ (dr / cdt) - 1.0
-        return kernel(khat) * 6.0 / geom**4
+        value, phase = kernel(khat)
+        geom = phase - 1.0
+        geom *= geom
+        return value * 6.0 / (geom * geom)
 
     # the phase depends on the direction only through khat . dr: put the pole
     # of the rule on the chord (any axis at delta in 2 pi Z, where dr = 0)

@@ -73,9 +73,15 @@ def _sweep(args, name: str, scale: float = 1.0):
 
 
 def _mode_set(args, params: RotationParams, spectrum: str) -> mc.ModeSet:
-    """The Monte Carlo ladder or band of the options; OverflowError names --omega."""
-    band = ({} if spectrum == "discrete"
-            else dict(omega_cutoff=args.n_max * params.omega, n_radial=4 * args.n_max))
+    """The Monte Carlo ladder or band of the options; OverflowError names --omega,
+    and --n-max as well where the band's cutoff n_max omega overflows."""
+    band = {}
+    if spectrum != "discrete":
+        cutoff = args.n_max * params.omega
+        if not math.isfinite(cutoff):
+            raise OverflowError(f"Monte Carlo band cutoff --n-max {args.n_max} x "
+                                f"--omega {args.omega!r} is {cutoff!r}")
+        band = dict(omega_cutoff=cutoff, n_radial=4 * args.n_max)
     try:
         return mc.build_mode_set(params, spectrum, n_max=args.n_max, n_theta=args.mc_theta,
                                  n_phi=args.mc_phi, **band)
@@ -290,6 +296,7 @@ def cmd_estimate_hadron(args) -> int:
     rows = [
         ["x", est.x],
         ["force_newton", est.force_newton],
+        ["casimir_force_newton", thermo.casimir_force(args.a).force],
         ["force_gev_per_fermi", est.force_gev_per_fermi],
         ["prefactor_j_per_m", est.prefactor_j_per_m],
         ["f_vac", est.f_vac],

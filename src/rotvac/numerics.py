@@ -114,6 +114,22 @@ def _azimuths(m: int):
     return sin, cos
 
 
+@functools.lru_cache(maxsize=16)
+def _t_level(h: float):
+    """The tanh-sinh level of step h: nodes t = j h on [-SPHERE_T_MAX,
+    SPHERE_T_MAX], their weights w = du/dt, and u = tanh x and s = sech x =
+    sqrt(1 - u^2) (without cancellation) at x = pi/2 sinh t.  The odd entries
+    are the nodes that halving the step from 2 h adds.  Cached, so read-only."""
+    n = int(round(SPHERE_T_MAX / h))
+    t = np.arange(-n, n + 1) * h             # exact: multiples of a power of 2
+    x = 0.5 * np.pi * np.sinh(t)
+    w = 0.5 * np.pi * np.cosh(t) / np.cosh(x) ** 2
+    u, s = np.tanh(x), 1.0 / np.cosh(x)
+    for arr in (t, w, u, s):
+        arr.flags.writeable = False
+    return t, w, u, s
+
+
 def _interleave(even, odd, axis: int):
     """even and odd merged along axis, even first: the grid after a step is
     halved, from the old nodes and the new ones between them."""
@@ -142,7 +158,10 @@ def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0
     psi together), and against every other azimuth alone (psi).  Each
     direction is refined by halving its step, evaluating only the new nodes,
     while its estimate exceeds the tolerance; an integrand that is a trig
-    polynomial of degree <= 3 in psi never doubles its 8 azimuths.  The
+    polynomial of degree <= 3 in psi never doubles its 8 azimuths.  The t
+    levels and the azimuths are memoised (_t_level, _azimuths), so their
+    hyperbolic and trigonometric functions are computed once per level, not
+    per call; halving the t step reads the odd entries of the finer level.  The
     tolerance is max(abs_tol, rel_tol |I|, 100 eps (L1 - |I|)) with L1 the
     integral of |f|: the roundoff floor covers only the cancelled share of
     the mass, so cancelling integrands return at roundoff while a
@@ -157,21 +176,16 @@ def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0
     a = a / norm
     e1, e2 = np.array([a[1], -a[0], 0.0]), np.array([0.0, 0.0, 1.0])
 
-    def evaluate(t, sin, cos):
-        """f on the nodes t x azimuths."""
-        x = 0.5 * np.pi * np.sinh(t)
-        s = 1.0 / np.cosh(x)                  # sqrt(1 - u^2) without cancellation
-        k = (np.tanh(x)[:, None, None] * a
-             + s[:, None, None] * (cos[:, None] * e1 + sin[:, None] * e2))
+    def evaluate(u, s, sin, cos):
+        """f on the nodes (u, s) x azimuths."""
+        k = u[:, None, None] * a + s[:, None, None] * (cos[:, None] * e1 + sin[:, None] * e2)
         return np.broadcast_to(np.asarray(f(k), dtype=float), k.shape[:-1])
 
     h = SPHERE_H0 / 2
-    n = int(round(SPHERE_T_MAX / h))
-    t = np.arange(-n, n + 1) * h
+    _, w, u, s = _t_level(h)
     sin, cos = _azimuths(8)
-    vals = evaluate(t, sin, cos)
+    vals = evaluate(u, s, sin, cos)
     while True:
-        w = 0.5 * np.pi * np.cosh(t) / np.cosh(0.5 * np.pi * np.sinh(t)) ** 2  # du/dt
         m = vals.shape[1]
         rows, half = vals.sum(axis=1), vals[:, ::2].sum(axis=1)
         cur = h * (2.0 * np.pi / m) * float(w @ rows)
@@ -187,12 +201,11 @@ def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0
             break
         if err_t > tol:
             h /= 2
-            mid = t[:-1] + h                  # exact: multiples of h
-            vals = _interleave(vals, evaluate(mid, sin, cos), 0)
-            t = _interleave(t, mid, 0)
+            _, w, u, s = _t_level(h)
+            vals = _interleave(vals, evaluate(u[1::2], s[1::2], sin, cos), 0)
         if err_psi > tol:
             sin, cos = _azimuths(2 * m)
-            vals = _interleave(vals, evaluate(t, sin[1::2], cos[1::2]), 1)
+            vals = _interleave(vals, evaluate(u, s, sin[1::2], cos[1::2]), 1)
     raise QuadratureError(
         f"sphere quadrature did not converge at {vals.size} nodes",
         best_estimate=cur, error_estimate=err,
@@ -269,8 +282,10 @@ def abel_sum(terms: Callable, mode: str = "auto") -> SeriesSumResult:
                 diagnostics={"partial_sum": total, "tail": tail},
             )
     etas = list(ABEL_ETA_GRID)
-    # each eta sums a prefix of the terms, up to where e^(-eta n) buries them
-    stops = [int((3.0 * math.log(max(4.0, 3.0 / eta)) + 80.0) / eta) + 10 for eta in etas]
+    # each eta sums a prefix of the terms, up to eta n = 3 ln(3 / eta) + 50: the
+    # tail of a cubic-growth series beyond it is below the 80-bit roundoff of
+    # the sum of |a_n| e^(-eta n)
+    stops = [int((3.0 * math.log(max(4.0, 3.0 / eta)) + 50.0) / eta) + 10 for eta in etas]
     n = np.arange(1, max(stops) + 1, dtype=np.longdouble)
     a = np.asarray(terms(n), dtype=np.longdouble)
     sums = [(a[:stop] * _abel_weights(eta, stop)).sum(dtype=np.longdouble)

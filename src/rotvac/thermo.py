@@ -268,15 +268,18 @@ def vacuum_force_density(params: RotationParams, r: float,
 
 def casimir_force(a_shell: float, C: float = CASIMIR_MODEL_C,
                   const: Constants = SI) -> CasimirResult:
-    """Charged-particle Casimir-model energy -C hbar c / 2a and its force.
+    """Charged-particle Casimir-model energy -C hbar c / 2a and its force
+    -C hbar c / 2a^2.
 
     With the literature C < 0 the energy is positive and the force repulsive,
-    opposite in direction to the vacuum force.
+    opposite in direction to the vacuum force.  OverflowError when the force
+    leaves the float64 range.
     """
-    if a_shell <= 0:
-        raise ValueError("shell radius must be positive")
+    if not 0.0 < a_shell < math.inf:
+        raise ValueError(f"shell radius must be finite and positive, got {a_shell!r}")
     energy = -C * const.hbar * const.c / (2.0 * a_shell)
-    force = -C * const.hbar * const.c / (2.0 * a_shell**2)
+    force = _finite(energy / a_shell, f"Casimir-model force at a = {a_shell!r}",
+                    nonzero=C != 0.0)
     return CasimirResult(energy=energy, force=force)
 
 

@@ -9,9 +9,11 @@ thermal ladder integral and the pi^4 / 15 closed form of the scalar bath,
 the quadrature stress moments check the scalar
 isotropy, the kernel record checks the ladder phase bookkeeping, the
 mode-by-mode field sum checks eval_lab_fields and the ModeSet arrays, and the
-per-seed field evaluation checks the seed-block Monte Carlo CF engine, and
-the per-term Abel weights check numerics.abel_sum.  The worldline
-4-velocity and acceleration, the projection of one field triplet, the
+per-seed field evaluation checks the seed-block Monte Carlo CF engine, the
+per-term Abel weights check numerics.abel_sum, and the lab-frame tensor
+integrand written term by term checks the one-product integrand of the
+tensor quadrature.  The worldline 4-velocity and acceleration, the
+projection of one field triplet, the
 single-direction polarization basis and angular kernel (with the Direction
 and FrameError types) and the manifest writer have no caller outside the
 tests.
@@ -261,9 +263,30 @@ def empirical_cf_per_seed(pair, kind, tau1, tau2, params: RotationParams,
     return vals
 
 
+def lab_tensor_integrand(row1, row2, chord):
+    """khat -> 6 row1^T M(khat) row2 / (khat . chord - 1)^4 for khat of shape
+    (..., 3), from five separate products with khat, np.cross and one float
+    power; M is the lab-frame polarization-summed kernel of
+    cf_continuous._lab_kernel.
+
+    Reference for the integrand of cf_continuous.em_cf_tensor_quadrature,
+    which takes all six projections of khat from one matrix product.
+    """
+    e1, h1, e2, h2 = row1[:3], row1[3:], row2[:3], row2[3:]
+    const = e1 @ e2 + h1 @ h2
+    eh = np.cross([e1, -h1], [h2, e2]).sum(axis=0)   # e1 x h2 - h1 x e2
+
+    def integrand(khat):
+        kernel = (const - (khat @ e1) * (khat @ e2) - (khat @ h1) * (khat @ h2)
+                  + khat @ eh)
+        return kernel * 6.0 / (khat @ chord - 1.0) ** 4
+    return integrand
+
+
 def abel_stops(etas=ABEL_ETA_GRID):
-    """Prefix length of each eta in numerics.abel_sum, up to where e^(-eta n)
-    buries the terms."""
+    """Prefix length of each eta for the reference sums: up to eta n = 3 ln(3 /
+    eta) + 80, longer than numerics.abel_sum's prefix (+ 50), so that the
+    reference also checks that the terms abel_sum leaves out are negligible."""
     return [int((3.0 * math.log(max(4.0, 3.0 / eta)) + 80.0) / eta) + 10 for eta in etas]
 
 

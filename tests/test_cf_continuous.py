@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import delta_to_tau
+from oracles import lab_tensor_integrand
+from rotvac import cf_continuous as cfc
 from rotvac.cf_continuous import (CoincidenceError, _lab_kernel,
                                   em_cf_continuous, em_cf_tensor_quadrature,
                                   phi_kernel_integral, scalar_cf_continuous,
                                   scalar_cf_quadrature, shape_constant,
                                   sin_power_integral)
 from rotvac.constants import NATURAL, SI
-from rotvac.fields import diag_bracket, projection_matrix
-from rotvac.kinematics import RotationParams
+from rotvac.fields import diag_bracket, projection_matrix, projection_rows
+from rotvac.kinematics import RotationParams, lab_position
 from rotvac.numerics import integrate_1d
 
 SINE_POWER_P1_K05 = 1624.0 / 405.0
@@ -127,10 +129,52 @@ class TestEmContinuous:
             for delta in (0.3, 1.3, 4.0):
                 c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
                 rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-                lab = _lab_kernel(projection_matrix(0.0, beta)[row],
-                                  projection_matrix(delta, beta)[row])(k @ rot.T)
+                lab, _ = _lab_kernel(projection_matrix(0.0, beta)[row],
+                                     projection_matrix(delta, beta)[row],
+                                     np.zeros(3))(k @ rot.T)
                 bracket = diag_bracket(pair, p, delta, k[:, 0], k[:, 1])
                 assert np.max(np.abs(bracket - lab)) < 1e-13
+
+    @pytest.mark.parametrize("beta", [0.3, 0.9, 1.0 - 1e-8])
+    def test_tensor_integrand_matches_term_by_term_oracle(self, monkeypatch, beta):
+        # the one-product integrand against five separate products, np.cross
+        # and a float power, at random directions and along +/- the rule's
+        # axis (the chord), where near beta = 1 the kernel's O(gamma^2) terms
+        # cancel and khat . chord - 1 is small.  The bound is 1e-13 of the
+        # rounding scale of both: the kernel's terms in absolute value, and
+        # the conditioning of the fourth power of khat . chord - 1
+        captured = []
+        monkeypatch.setattr(cfc, "integrate_sphere",
+                            lambda f, spec, axis: captured.append((f, axis)) or (0.0, 0.0))
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        rng = np.random.default_rng(20261019)
+        u = 1.0 - np.logspace(-16, -0.01, 64)
+        for delta in (0.1, 1.0, 3.0, 6.0):
+            tau2 = delta_to_tau(p, delta)
+            t1, x1, y1, _ = lab_position(p, 0.0)
+            t2, x2, y2, _ = lab_position(p, tau2)
+            chord = np.array([x1 - x2, y1 - y2, 0.0]) / (t1 - t2)
+            for pair, kind in (((1, 1), "EE"), ((1, 2), "EE"), ((2, 1), "HH"),
+                               ((1, 3), "EE"), ((2, 3), "EH"), ((3, 3), "HH")):
+                em_cf_tensor_quadrature(pair, kind, 0.0, tau2, p)
+                integrand, axis = captured.pop()
+                a = np.asarray(axis) / np.linalg.norm(axis)
+                along = u[:, None] * a + np.sqrt(1.0 - u * u)[:, None] * [a[1], -a[0], 0.0]
+                k = rng.normal(size=(4, 16, 3))
+                k /= np.linalg.norm(k, axis=-1, keepdims=True)
+                row1, row2 = projection_rows(pair, kind, p, 0.0, tau2)
+                e1, h1, e2, h2 = row1[:3], row1[3:], row2[:3], row2[3:]
+                eh = np.cross(e1, h2) - np.cross(h1, e2)
+                for kh in (k, along, -along):
+                    ref = lab_tensor_integrand(row1, row2, chord)(kh)
+                    terms = (abs(e1 @ e2) + abs(h1 @ h2) + np.abs((kh @ e1) * (kh @ e2))
+                             + np.abs((kh @ h1) * (kh @ h2)) + np.abs(kh @ eh))
+                    geom = kh @ chord - 1.0
+                    scale = (6.0 * terms / geom**4
+                             + 4.0 * np.abs(ref) * (1.0 + np.abs(kh @ chord)) / np.abs(geom))
+                    got = integrand(kh)
+                    assert got.shape == kh.shape[:-1]
+                    assert np.all(np.abs(got - ref) <= 1e-13 * scale), (delta, pair, kind)
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.9])
     def test_bracket_quadrature_matches_tensor_route(self, beta):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotvac.cli import main
+from rotvac.constants import SI
+from rotvac.thermo import CASIMIR_MODEL_C
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +271,16 @@ class TestEstimateHadron:
         assert vals["force_gev_per_fermi"] == pytest.approx(-0.4652676198961045, rel=1e-10)
         assert vals["T_rot"] == pytest.approx(3.644464405648135e11, rel=1e-10)
 
+    def test_casimir_force_opposes_vacuum_force(self, capsys):
+        # the Casimir-model force at the particle radius is repulsive, the
+        # vacuum force at the orbit attractive
+        code, out = run_cli(capsys, "estimate-hadron", "--a", "2e-18")
+        assert code == 0
+        vals = {r["quantity"]: float(r["value"]) for r in parse_table(out)[2]}
+        expected = -CASIMIR_MODEL_C * SI.hbar * SI.c / (2.0 * 2e-18**2)
+        assert vals["casimir_force_newton"] == pytest.approx(expected, rel=1e-12)
+        assert vals["casimir_force_newton"] > 0.0 > vals["force_newton"]
+
     def test_json_format(self, capsys):
         code, out = run_cli(capsys, "estimate-hadron", "--format", "json")
         doc = json.loads(out)
@@ -382,12 +394,16 @@ class TestInputErrors:
          "Monte Carlo modes at --omega 1e-300: k0 = omega / c is 3.33564095198152e-309"),
         (["mc-validate", "--units", "SI", "--omega", "1e-300", "--seeds", "2"],
          "Monte Carlo modes at --omega 1e-300: k0 = omega / c"),
+        (["cf", "--omega", "1e308", "--beta", "0.3", "--method", "monte-carlo"],
+         "outside the float64 range: Monte Carlo band cutoff --n-max 6 x --omega 1e+308 is inf"),
+        (["estimate-hadron", "--a", "1e-200"], "Casimir-model force at a = 1e-200 is inf"),
     ], ids=["spectrum-nan-phase", "cf-nan-delta", "tetrad-nan-tau", "tetrad-span-overflow",
             "force-curve-nan-r-min", "force-curve-inf-r-max", "force-curve-r0-overflow",
             "cf-negative-beta", "mc-validate-negative-beta", "tetrad-nan-beta",
             "tetrad-radius-overflow", "energy-underflow", "energy-underflow-si",
             "energy-scalar-underflow", "energy-overflow-si", "energy-scalar-overflow-si",
-            "cf-monte-carlo-underflow-si", "mc-validate-underflow-si"])
+            "cf-monte-carlo-underflow-si", "mc-validate-underflow-si",
+            "cf-monte-carlo-cutoff-overflow", "estimate-hadron-casimir-overflow"])
     def test_errors_name_their_cause(self, capsys, argv, cause):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -120,6 +120,29 @@ class TestIntegrateSphere:
             assert np.array_equal(nodes[np.lexsort(nodes.T)],
                                   mirrored[np.lexsort(mirrored.T)])
 
+    def test_t_levels_are_the_interleaved_grid(self):
+        # every memoised level is read-only and equals the grid that halving
+        # the step and interleaving the new nodes builds, with du/dt on the
+        # whole grid and u = tanh x, s = sech x on the new nodes alone,
+        # x = pi/2 sinh t
+        h = numerics.SPHERE_H0 / 2
+        n = round(numerics.SPHERE_T_MAX / h)
+        t = np.arange(-n, n + 1) * h
+        x = 0.5 * np.pi * np.sinh(t)
+        u, s = np.tanh(x), 1.0 / np.cosh(x)
+        for _ in range(10):
+            w = 0.5 * np.pi * np.cosh(t) / np.cosh(0.5 * np.pi * np.sinh(t)) ** 2
+            level = numerics._t_level(h)
+            for got, want in zip(level, (t, w, u, s)):
+                assert not got.flags.writeable
+                assert np.array_equal(got, want)
+            h /= 2
+            mid = t[:-1] + h
+            x = 0.5 * np.pi * np.sinh(mid)
+            t = numerics._interleave(t, mid, 0)
+            u = numerics._interleave(u, np.tanh(x), 0)
+            s = numerics._interleave(s, 1.0 / np.cosh(x), 0)
+
     def test_stationary_bracket_node_count(self, monkeypatch):
         # the (1,1) bracket is a trig polynomial of degree 2 in the azimuth,
         # so its 8 azimuths never double and only the new t nodes of each
@@ -224,7 +247,7 @@ class TestAbelSum:
 
     def test_exp_elements_per_call(self, monkeypatch):
         # two ladders of about sqrt(stop) exponentials per eta; one 80-bit
-        # exp per term and eta would pass sum(stops) = 127,976 elements
+        # exp per term and eta would pass sum(stops) = 89,876 elements
         counted = []
         exp = np.exp
 
