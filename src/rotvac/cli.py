@@ -173,8 +173,13 @@ def cmd_cf(args) -> int:
     tau2s = [float(delta) / (params.omega * params.gamma) for delta in deltas]
     if ms is not None:
         # one call for every lag: each seed is drawn and its trig done once
-        [mc_cfs] = mc.empirical_cfs([pair], args.kind, 0.0, tau2s, params, ms,
-                                    n_seeds=args.seeds, seed=args.seed)
+        try:
+            [mc_cfs] = mc.empirical_cfs([pair], args.kind, 0.0, tau2s, params, ms,
+                                        n_seeds=args.seeds, seed=args.seed)
+        except ValueError as exc:
+            if args.method == "monte-carlo":
+                raise
+            mc_error = str(exc)
     for j, (delta, tau2) in enumerate(zip(deltas, tau2s)):
         for method in methods:
             try:

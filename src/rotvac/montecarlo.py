@@ -16,11 +16,15 @@ Phases are drawn from counter-based Philox streams keyed by
 order-independent and runs are bit-reproducible for a fixed worker count or
 any other.  The seed-invariant mode arrays (amplitudes, polarization
 columns) live on the ModeSet.  The two-time CFs draw each seed once per
-group of lags, straight into a block of seeds, take its cos and sin with a
-table-and-series kernel, and evaluate every pair and lag of the call from
-one design matrix of all its proper times; the one-point moments evaluate
-the fields seed by seed with libm's cos, each worker thread reusing its own
-phase and field buffers, so a seed allocates no array.
+group of lags, straight into a block of seeds, take the block's cos and sin,
+and evaluate every pair and lag of the call from one design matrix of all
+its proper times; the one-point moments evaluate the fields seed by seed,
+each worker thread reusing its own phase and field buffers, so a seed
+allocates no array of mode size.  Both paths take their trigonometry from
+one table-and-series kernel, _cos_sin, which agrees with libm's to 2**-52
+and works in chunks, in work buffers that it keeps.  Times whose
+base phases k . r - c k t float64 cannot resolve against the drawn phases
+are a ValueError.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,18 +68,58 @@ BLOCK_ELEMENTS = 2**16
 # the one-lag (2N x 12) design at the full suite's 327,680 modes, so a
 # multi-lag call never holds a larger design than a one-lag call there does
 DESIGN_BYTES = 2 * 327_680 * 12 * 8
-# the table of _cos_sin holds cos and sin at the nodes j h, h = 2 pi /
-# TRIG_TABLE, for j = 0..TRIG_TABLE (the last for phases just below 2 pi); it
-# works in chunks of TRIG_CHUNK phases, so that its temporaries stay in cache
+# _cos_sin takes phi = j h + a, h = 2 pi / TRIG_TABLE, from a periodic table
+# of cos and sin at the exact nodes j h, indexed by j mod TRIG_TABLE, and
+# fifth-order series in a.  It works in chunks of TRIG_CHUNK values, in
+# work buffers that it keeps: shorter chunks lose time to GIL handoffs
+# between worker threads, longer ones fall out of cache
 TRIG_TABLE = 1024
-TRIG_CHUNK = 2**13
-# h = head + tail exactly, the head a float32 so that j * head is exact; j h
-# is exact in 80 bits, so the table rounds cos and sin of each node once
-_TRIG_STEP = 2.0 * math.pi / TRIG_TABLE
-_TRIG_STEP_HI = float(np.float32(_TRIG_STEP))
-_TRIG_STEP_LO = _TRIG_STEP - _TRIG_STEP_HI
-_TRIG_NODES = np.arange(TRIG_TABLE + 1, dtype=np.longdouble) * np.longdouble(_TRIG_STEP)
-_COS_TABLE, _SIN_TABLE = (f(_TRIG_NODES).astype(np.float64) for f in (np.cos, np.sin))
+TRIG_CHUNK = 2**15
+# largest |phi| the table takes; a chunk holding a larger or non-finite value
+# goes to libm.  |j| < 2**24 there, so j times a 29-bit part of h is exact
+TRIG_LIMIT = 2.0**16
+# largest |b| = |k . r - c k t| the Monte Carlo accepts: from it on, float64
+# rounds b - phi to 2**-26 rad (1.5e-8) or coarser, so that the drawn phases
+# phi are no longer resolved
+PHASE_LIMIT = 2.0**26
+_TWO_PI = "6.28318530717958647692528676655900576839433879875021"
+
+
+def _round_bits(x: Fraction, bits: int) -> float:
+    """x rounded to a float of `bits` significant bits."""
+    e = math.frexp(float(x))[1]
+    return math.ldexp(round(x * Fraction(2)**(bits - e)), e - bits)
+
+
+def _step_parts():
+    """1 / h and h = 2 pi / TRIG_TABLE, from the digits of 2 pi, as h0 + h1 +
+    h2 with h0 and h1 of 29 bits: j h0 and j h1 are exact for |j| < 2**24,
+    and the parts carry h to 111 bits, so that a = phi - j h keeps its
+    relative precision down to the quarter turns, where cos or sin is tiny."""
+    h = Fraction(_TWO_PI) / TRIG_TABLE
+    h0 = _round_bits(h, 29)
+    h1 = _round_bits(h - Fraction(h0), 29)
+    return float(1 / h), h0, h1, float(h - Fraction(h0) - Fraction(h1))
+
+
+_INV_STEP, _STEP0, _STEP1, _STEP2 = _step_parts()
+
+
+def _trig_tables():
+    """cos and sin at j h for j < TRIG_TABLE, from sin on the first quarter
+    turn in long double, each rounded once; exact at the quarter turns."""
+    q = TRIG_TABLE // 4
+    nodes = np.arange(q + 1, dtype=np.longdouble) * (np.longdouble(_TWO_PI) / TRIG_TABLE)
+    s = np.sin(nodes).astype(np.float64)
+    sin = np.concatenate([s[:q], s[q:0:-1], -s[:q], -s[q:0:-1]])
+    return np.roll(sin, -q), sin
+
+
+_COS_TABLE, _SIN_TABLE = _trig_tables()
+# work buffers of _cos_sin: a call takes one and puts it back, so the
+# process keeps as many as have run at once.  Buffers made and freed by each
+# short-lived worker thread raised mc-energy's peak RSS by 11-16 MB
+_TRIG_WORK: List[np.ndarray] = []
 
 
 @dataclass(frozen=True)
@@ -248,24 +293,44 @@ def draw_phases(mode_set: ModeSet, seed: int, index: int = 0,
     return PhaseEnsemble(seed=seed, phases=out)
 
 
+def _checked_position(mode_set: ModeSet, params: RotationParams, tau: float):
+    """lab_position(params, tau), or ValueError when tau is not finite or
+    when the base phases b = k . r - c k t of the modes, bounded by
+    k_max (|r| + c |t|), may reach PHASE_LIMIT in magnitude."""
+    if not math.isfinite(tau):
+        raise ValueError(f"proper time tau = {tau!r} is not finite")
+    t, x, y, z = lab_position(params, tau)
+    bound = (float(np.max(np.abs(mode_set.wavenumbers)))
+             * (math.hypot(x, y, z) + params.constants.c * abs(t)))
+    if not bound < PHASE_LIMIT:
+        raise ValueError(
+            f"at proper time tau = {tau!r} the base phases k . r - c k t may reach "
+            f"{bound:.6g} rad; float64 no longer resolves the drawn phases from "
+            f"{PHASE_LIMIT:.6g} rad on")
+    return t, x, y, z
+
+
 def eval_lab_fields(mode_set: ModeSet, phases: PhaseEnsemble,
                     params: RotationParams, tau: float,
                     work: Optional[np.ndarray] = None) -> FieldTriplet:
     """Lab-frame (E, H) of the superposition at the detector position.
 
     One (2, M, Q) buffer holds the base phase b = k . r - c k t minus each
-    polarization's phases, then amp cos(b - phi) in place; work, if given,
-    is that buffer.
+    polarization's phases, then amp cos(b - phi) in place, the cos taken by
+    _cos_sin; work, if given, is that buffer.  ValueError when tau is not
+    finite or |b| may reach PHASE_LIMIT.
     """
     const = params.constants
-    t, x, y, z = lab_position(params, tau)
+    t, x, y, z = _checked_position(mode_set, params, tau)
     k = mode_set.wavenumbers
     osc = np.empty((2,) + mode_set.amp2.shape) if work is None else work
     np.outer(mode_set.khat @ np.array([x, y, z]), k, out=osc[0])
     osc[0] -= const.c * t * k
     np.subtract(osc[0], phases.phases[:, :, 1], out=osc[1])
     osc[0] -= phases.phases[:, :, 0]
-    np.cos(osc, out=osc)
+    flat = osc.reshape(-1)
+    _cos_sin(flat, flat)
+    osc = flat.reshape(osc.shape)       # osc itself unless work is not contiguous
     osc *= mode_set.amp
     per_node = osc.sum(axis=2)
     pol = mode_set.pol
@@ -290,35 +355,59 @@ def _seed_loop(work, n_items: int, n_workers: int, out):
         list(pool.map(lambda i: out.__setitem__(i, work(i)), range(n_items)))
 
 
-def _cos_sin(phases: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
-    """cos and sin of 1-D phases in [0, 2 pi), as draw_phases returns them,
-    within 2**-53 absolute of libm's at a third of its cost; cos_out may be
-    phases.  phi = j h + a, h = 2 pi / TRIG_TABLE, |a| <= h / 2: the table at
-    j h, series for cos a - 1 and sin a to a^5 (dropped terms < 2e-18)."""
-    work = np.empty((6, min(TRIG_CHUNK, len(phases))))
-    for lo in range(0, len(phases), TRIG_CHUNK):
-        phi, co, si = (x[lo:lo + TRIG_CHUNK] for x in (phases, cos_out, sin_out))
-        j, a, a2, c, s, t = work[:, :len(phi)]
-        k = np.rint(np.multiply(phi, 1.0 / _TRIG_STEP, out=j), out=j).astype(np.intp)
-        # mode "clip" skips the buffering of the default "raise"; k is in range
-        np.take(_COS_TABLE, k, out=c, mode="clip")
-        np.take(_SIN_TABLE, k, out=s, mode="clip")
-        np.subtract(phi, np.multiply(j, _TRIG_STEP_HI, out=a), out=a)
-        a -= np.multiply(j, _TRIG_STEP_LO, out=j)
-        np.multiply(a, a, out=a2)
-        np.add(np.multiply(a2, -1.0 / 120.0, out=t), 1.0 / 6.0, out=t)
-        t *= a2
-        np.subtract(1.0, t, out=t)
-        t *= a                              # sin a = a (1 - a^2 (1/6 - a^2/120))
-        np.subtract(np.multiply(a2, 1.0 / 24.0, out=j), 0.5, out=j)
-        j *= a2                             # cos a - 1 = a^2 (a^2/24 - 1/2)
-        np.multiply(c, j, out=a)
-        a -= np.multiply(s, t, out=a2)
-        np.multiply(s, j, out=j)
-        j += np.multiply(c, t, out=a2)
-        # the small corrections are summed before the table value is added
-        np.add(c, a, out=co)                # C + (C (cos a - 1) - S sin a)
-        np.add(s, j, out=si)                # S + (S (cos a - 1) + C sin a)
+def _cos_sin(phases: np.ndarray, cos_out: np.ndarray,
+             sin_out: Optional[np.ndarray] = None) -> None:
+    """cos, and sin if sin_out is given, of 1-D float64 phases of any sign,
+    within 2**-52 absolute of libm's where |phase| <= TRIG_LIMIT; either
+    output may be phases.  A chunk that holds a larger or non-finite phase
+    goes to np.cos and np.sin, so there the result is libm's.
+
+    phi = j h + a with j = rint(phi / h), h = 2 pi / TRIG_TABLE: the table at
+    j mod TRIG_TABLE, and series for cos a - 1 and sin a to a^5 (dropped
+    terms < 2e-18).  a = phi - j h0 - j h1 - j h2 (see _step_parts), where
+    phi - j h0 is exact.
+    """
+    try:
+        work = _TRIG_WORK.pop()          # list.pop and append are atomic
+    except IndexError:
+        work = np.empty((4, TRIG_CHUNK))
+    try:
+        for lo in range(0, len(phases), TRIG_CHUNK):
+            phi, co = phases[lo:lo + TRIG_CHUNK], cos_out[lo:lo + TRIG_CHUNK]
+            si = None if sin_out is None else sin_out[lo:lo + TRIG_CHUNK]
+            # min and max allocate nothing, and a NaN fails the test
+            if not (-TRIG_LIMIT <= phi.min() and phi.max() <= TRIG_LIMIT):
+                if si is not None:
+                    np.sin(phi, out=si)
+                np.cos(phi, out=co)
+                continue
+            j, c, s, a = work[:, :len(phi)]
+            k = a.view(np.intp)             # a is free until the lookups are done
+            np.rint(np.multiply(phi, _INV_STEP, out=j), out=j)
+            np.copyto(k, j, casting="unsafe")
+            np.bitwise_and(k, TRIG_TABLE - 1, out=k)
+            # mode "clip" skips the buffering of the default "raise"; k is in range
+            np.take(_COS_TABLE, k, out=c, mode="clip")
+            np.take(_SIN_TABLE, k, out=s, mode="clip")
+            np.subtract(phi, np.multiply(j, _STEP0, out=a), out=a)
+            # phi is spent, so co serves as a temporary from here on
+            a -= np.multiply(j, _STEP1, out=co)
+            a -= np.multiply(j, _STEP2, out=j)
+            np.multiply(a, a, out=j)
+            np.add(np.multiply(j, -1.0 / 120.0, out=co), 1.0 / 6.0, out=co)
+            co *= j
+            np.subtract(1.0, co, out=co)
+            co *= a                         # sin a = a (1 - a^2 (1/6 - a^2/120))
+            np.subtract(np.multiply(j, 1.0 / 24.0, out=a), 0.5, out=a)
+            a *= j                          # cos a - 1 = a^2 (a^2/24 - 1/2)
+            # the small corrections are summed before the table value is added
+            if si is not None:
+                np.add(np.multiply(s, a, out=j), np.multiply(c, co, out=si), out=j)
+                np.add(s, j, out=si)        # S + (S (cos a - 1) + C sin a)
+            np.subtract(np.multiply(c, a, out=j), np.multiply(s, co, out=a), out=j)
+            np.add(c, j, out=co)            # C + (C (cos a - 1) - S sin a)
+    finally:
+        _TRIG_WORK.append(work)
 
 
 def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus) -> np.ndarray:
@@ -357,15 +446,18 @@ def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
 
     Carries the mode set's energy-density normalization (twice the analytic
     correlation-function convention).  stat_error is the standard error of
-    the seed mean.
+    the seed mean.  ValueError when a time is not finite or its base phases
+    may reach PHASE_LIMIT (see eval_lab_fields).
 
     The lags are grouped so that no design exceeds DESIGN_BYTES.  For each
     group one design of the lab fields at tau1 and the group's lags is
     built; seeds then run in blocks of about BLOCK_ELEMENTS phases, each
-    drawn once straight into its block row and its cos and sin taken there
-    by _cos_sin (within 2**-53 of libm's), then one GEMM of the block against
+    drawn once straight into its block row, the block's cos and sin taken
+    by _cos_sin (within 2**-52 of libm's), then a product of the block with
     the design, and every (pair, lag) contracted from that product.
     """
+    for tau in (tau1, *tau2s):
+        _checked_position(mode_set, params, tau)
     rows = [[projection_rows(pair, kind, params, tau1, tau2) for tau2 in tau2s]
             for pair in pairs]
     if n_seeds < 2:
@@ -384,13 +476,15 @@ def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
 
         def work(b):
             idx = range(starts[b], min(starts[b] + per_block, n_seeds))
-            trig = np.empty((len(idx), 2 * n_modes))
-            phases, sines = trig[:, :n_modes], trig[:, n_modes:]
+            # one seed's (M, Q, 2) draw per row of trig[0]; then the cos of
+            # the block in place and its sin in trig[1]
+            trig = np.empty((2, len(idx), n_modes))
             for r, i in enumerate(idx):
-                # one seed's (M, Q, 2) draw per row; its cos in place, its sin beside it
-                draw_phases(mode_set, seed, i, out=phases[r].reshape(shape))
-                _cos_sin(phases[r], phases[r], sines[r])
-            fields = (trig @ design).reshape(len(idx), 1 + len(lags), 6)
+                draw_phases(mode_set, seed, i, out=trig[0, r].reshape(shape))
+            flat = trig.reshape(2, -1)
+            _cos_sin(flat[0], flat[0], flat[1])
+            fields = (trig[0] @ design[:n_modes] + trig[1] @ design[n_modes:]).reshape(
+                len(idx), 1 + len(lags), 6)
             block = np.empty((len(pairs), len(lags), len(idx)))
             for j in range(len(lags)):
                 # the (seeds, 2, 6) layout of a two-time product, so that a
@@ -431,10 +525,13 @@ def empirical_energy_density(params: RotationParams, mode_set: ModeSet,
 
     Returns tetrad and lab component squares, the assembled energy density
     (1/8 pi) sum(<E_(a)^2> + <H_(a)^2>), and the mixed moment
-    <E1 H3> - <E3 H1>, each with standard errors.
+    <E1 H3> - <E3 H1>, each with standard errors.  ValueError when tau is
+    not finite or its base phases may reach PHASE_LIMIT (see
+    eval_lab_fields).
     """
     if n_seeds < 2:
         raise ValueError(f"a standard error needs n_seeds >= 2, got {n_seeds}")
+    _checked_position(mode_set, params, tau)
     m = projection_matrix(params.alpha(tau), params.beta)
     buffers = threading.local()   # each thread reuses its own across seeds
 

@@ -113,12 +113,12 @@ def _finite(value: float, name: str, nonzero: bool = False) -> float:
     return value
 
 
-def _fourth_power(x: float, name: str) -> float:
-    """x**4, or an OverflowError naming x where Python's float ** raises one."""
+def _power(x: float, n: int, name: str) -> float:
+    """x**n, or an OverflowError naming x where Python's float ** raises one."""
     try:
-        return x**4
+        return x**n
     except OverflowError:
-        raise OverflowError(f"{name} = {x!r} overflows at the fourth power") from None
+        raise OverflowError(f"{name} = {x!r} overflows at the power {n}") from None
 
 
 def _report(field_kind: str, params: RotationParams, cutoff_n_max: int, factor: float,
@@ -136,7 +136,7 @@ def _report(field_kind: str, params: RotationParams, cutoff_n_max: int, factor: 
 
 def _blackbody(factor: float, T: float, const: Constants) -> float:
     """factor * (4 sigma / c) T^4, multiplied left to right."""
-    return factor * 4.0 * const.sigma / const.c * _fourth_power(T, "T_rot")
+    return factor * 4.0 * const.sigma / const.c * _power(T, 4, "T_rot")
 
 
 def _doppler_ladder_integral(params: RotationParams, spec: QuadratureSpec) -> float:
@@ -177,7 +177,7 @@ def em_energy_density(params: RotationParams, cutoff_n_max: int,
     T = rotation_temperature(params)
     aniso = em_anisotropy_factor(params)
     w_t = _blackbody(aniso, T, const)
-    w_zp = aniso * const.hbar * _fourth_power(params.omega, "omega") \
+    w_zp = aniso * const.hbar * _power(params.omega, 4, "omega") \
         / (2.0 * math.pi**2 * const.c**3) * _ladder_cubic_sum(cutoff_n_max)
     return _report("em", params, cutoff_n_max, aniso, T, w_zp, w_t,
                    mixed_moment_residual=_mixed_moment_residual(spec))
@@ -198,7 +198,7 @@ def scalar_bath_thermal_density(temperature: float, const: Constants = SI) -> fl
     (2 hbar / pi c^3) (k_B T / hbar)^4 int u^3 / (e^u - 1) du, the integral
     being pi^4 / 15."""
     scale = const.k_B * temperature / const.hbar
-    return (2.0 * const.hbar / (math.pi * const.c**3) * _fourth_power(scale, "k_B T / hbar")
+    return (2.0 * const.hbar / (math.pi * const.c**3) * _power(scale, 4, "k_B T / hbar")
             * math.pi**4 / 15.0)
 
 
@@ -226,7 +226,7 @@ def scalar_energy_density(params: RotationParams, cutoff_n_max: int) -> ThermoRe
     T = rotation_temperature(params)
     factor = scalar_bath_factor(params)
     w_t = factor * scalar_bath_thermal_density(T, const)
-    w_zp = factor * const.hbar * _fourth_power(params.omega, "omega") / (math.pi * const.c**3) \
+    w_zp = factor * const.hbar * _power(params.omega, 4, "omega") / (math.pi * const.c**3) \
         * _ladder_cubic_sum(cutoff_n_max)
     return _report("scalar", params, cutoff_n_max, factor, T, w_zp, w_t)
 
@@ -261,7 +261,8 @@ def vacuum_force_density(params: RotationParams, r: float,
     x = r / r0
     f = _blackbody(-(8.0 / 3.0) * (omega / const.c) ** 2 * 2.0 * r / (1.0 - x * x) ** 2,
                    T, const)
-    F = f * (4.0 / 3.0) * math.pi * sphere_radius**3 if sphere_radius is not None else None
+    F = (None if sphere_radius is None
+         else f * (4.0 / 3.0) * math.pi * _power(sphere_radius, 3, "sphere radius"))
     return ForcePoint(r=r, x=x, f_vac=_finite(f, "f_vac"),
                       F_sphere=None if F is None else _finite(F, "F_sphere"))
 
@@ -296,13 +297,13 @@ def hadron_estimates(a_sphere: float, r0: float, x: float,
     if not 0.0 < x < 1.0:
         raise ValueError("x must be in (0, 1)")
     # the prefactor divides by r0^5, which must not underflow
-    if not (0.0 < a_sphere < math.inf and 0.0 < r0**5 < math.inf):
+    if not (0.0 < a_sphere < math.inf and 0.0 < _power(r0, 5, "r0") < math.inf):
         raise ValueError(f"radii must be finite and positive, got a = {a_sphere!r}, r0 = {r0!r}")
     omega = const.c / r0
     params = RotationParams(omega=omega, radius=x * r0, constants=const)
     point = vacuum_force_density(params, x * r0, sphere_radius=a_sphere)
-    prefactor = _finite(4.0 * const.c * const.hbar / (135.0 * math.pi) * a_sphere**3 / r0**5,
-                        "prefactor_j_per_m")
+    prefactor = _finite(4.0 * const.c * const.hbar / (135.0 * math.pi)
+                        * _power(a_sphere, 3, "sphere radius") / r0**5, "prefactor_j_per_m")
     T = const.hbar * const.c / (2.0 * math.pi * const.k_B * r0)
     return HadronEstimate(
         force_newton=point.F_sphere,

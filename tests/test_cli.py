@@ -208,6 +208,20 @@ class TestCfCommand:
         assert len(rows) == n_rows
         assert all("outside the float64 range" in r["flag"] for r in rows)
 
+    def test_monte_carlo_time_range_flagged(self, capsys):
+        # with --method all a lag beyond the Monte Carlo's phase range flags
+        # the Monte Carlo rows; the other routes still print theirs
+        code, out = run_cli(capsys, "cf", "--beta", "0.3", "--method", "all", "--seeds", "4",
+                            "--delta-min", "1", "--delta-max", "1e8", "--delta-steps", "2")
+        assert code == 1
+        _, _, rows = parse_table(out)
+        assert [r["method"] for r in rows] == ["closed-form", "quadrature", "monte-carlo"] * 2
+        for r in rows:
+            if r["method"] == "monte-carlo":
+                assert "float64 no longer resolves the drawn phases" in r["flag"]
+            else:
+                assert r["flag"] == "ok"
+
     def test_sign_definite_tight_tolerance_flagged(self, capsys):
         # the rounding floor covers only the cancelled share of the mass: at
         # beta = 0.999 the (1,2) tensor route cannot reach 1e-15, and the row
@@ -397,13 +411,22 @@ class TestInputErrors:
         (["cf", "--omega", "1e308", "--beta", "0.3", "--method", "monte-carlo"],
          "outside the float64 range: Monte Carlo band cutoff --n-max 6 x --omega 1e+308 is inf"),
         (["estimate-hadron", "--a", "1e-200"], "Casimir-model force at a = 1e-200 is inf"),
+        (["estimate-hadron", "--a", "1e200"], "sphere radius = 1e+200 overflows at the power 3"),
+        (["force-curve", "--omega", "2e3", "--sphere-radius", "1e200"],
+         "sphere radius = 1e+200 overflows at the power 3"),
+        (["estimate-hadron", "--r0", "1e70"], "r0 = 1e+70 overflows at the power 5"),
+        (["cf", "--beta", "0.3", "--method", "monte-carlo", "--delta-min", "1e8",
+          "--delta-max", "1e8", "--delta-steps", "1"],
+         "float64 no longer resolves the drawn phases"),
     ], ids=["spectrum-nan-phase", "cf-nan-delta", "tetrad-nan-tau", "tetrad-span-overflow",
             "force-curve-nan-r-min", "force-curve-inf-r-max", "force-curve-r0-overflow",
             "cf-negative-beta", "mc-validate-negative-beta", "tetrad-nan-beta",
             "tetrad-radius-overflow", "energy-underflow", "energy-underflow-si",
             "energy-scalar-underflow", "energy-overflow-si", "energy-scalar-overflow-si",
             "cf-monte-carlo-underflow-si", "mc-validate-underflow-si",
-            "cf-monte-carlo-cutoff-overflow", "estimate-hadron-casimir-overflow"])
+            "cf-monte-carlo-cutoff-overflow", "estimate-hadron-casimir-overflow",
+            "estimate-hadron-radius-cube-overflow", "force-curve-radius-cube-overflow",
+            "estimate-hadron-r0-overflow", "cf-monte-carlo-phase-range"])
     def test_errors_name_their_cause(self, capsys, argv, cause):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +146,49 @@ class TestModeSetInvariants:
             scale = max(np.abs(E).max(), np.abs(H).max())
             assert np.abs(f.E - E).max() <= 1e-12 * scale
             assert np.abs(f.H - H).max() <= 1e-12 * scale
+
+
+    def test_no_libm_cos_of_mode_size(self, params, modes, monkeypatch):
+        # at an in-range time the base phases go through _cos_sin, not np.cos
+        counted = []
+        cos = np.cos
+        monkeypatch.setattr(np, "cos", lambda x, *a, **k: counted.append(np.size(x))
+                            or cos(x, *a, **k))
+        eval_lab_fields(modes, draw_phases(modes, seed=2), params, 2.5)
+        assert all(n < modes.mode_count for n in counted)
+
+
+class TestTimeRange:
+    """Proper times whose base phases float64 cannot resolve are a ValueError
+    on every Monte Carlo route."""
+
+    ROUTES = {
+        "fields": lambda tau, params, ms: eval_lab_fields(ms, draw_phases(ms, 1), params, tau),
+        "cf-tau1": lambda tau, params, ms: empirical_cf((1, 1), "EE", tau, 0.0, params, ms,
+                                                         n_seeds=2),
+        "cfs-tau2": lambda tau, params, ms: empirical_cfs([(1, 1)], "EE", 0.0, [0.5, tau],
+                                                          params, ms, n_seeds=2),
+        "energy": lambda tau, params, ms: empirical_energy_density(params, ms, n_seeds=2,
+                                                                   tau=tau),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("tau, cause", [
+        (math.nan, "tau = nan is not finite"), (math.inf, "tau = inf is not finite"),
+        (-math.inf, "tau = -inf is not finite"),
+        (1e300, "float64 no longer resolves the drawn phases"),
+        (-1e8, "float64 no longer resolves the drawn phases")])
+    def test_rejected(self, params, modes, route, tau, cause):
+        with pytest.raises(ValueError, match=cause):
+            self.ROUTES[route](tau, params, modes)
+
+    def test_bound_is_the_largest_base_phase(self, params, modes):
+        # |k . r - c k t| <= k_max (|r| + c |t|) = n_max (beta + gamma tau) here
+        k_max, limit = float(modes.wavenumbers[-1]), montecarlo.PHASE_LIMIT
+        edge = (limit / k_max - params.radius) / params.gamma
+        eval_lab_fields(modes, draw_phases(modes, 1), params, 0.999 * edge)
+        with pytest.raises(ValueError):
+            eval_lab_fields(modes, draw_phases(modes, 1), params, edge)
 
 
 class TestPhases:
@@ -304,6 +349,96 @@ class TestCosSinKernel:
         montecarlo._cos_sin(phases, phases, sines)
         assert np.array_equal(phases, c)
         assert np.array_equal(sines, s)
+
+
+class TestPeriodicCosKernel:
+    """_cos_sin on phases of any sign and size: within 2**-52 of libm up to
+    TRIG_LIMIT, libm's own values beyond it and at NaN or infinity."""
+
+    run = staticmethod(TestCosSinKernel.run)
+
+    @staticmethod
+    def nodes(offset):
+        # the float64 nearest (j + offset) h for j over the whole range
+        h = np.longdouble("6.28318530717958647692528676655900576839") / montecarlo.TRIG_TABLE
+        top = int(montecarlo.TRIG_LIMIT / float(h))
+        j = np.concatenate([np.arange(-3000, 3000),
+                            np.random.default_rng(4).integers(-top, top, 10**5)])
+        return ((j + np.longdouble(offset)) * h).astype(np.float64)
+
+    def assert_within_libm(self, phases):
+        phases = phases[np.abs(phases) <= montecarlo.TRIG_LIMIT]
+        c, s = self.run(phases)
+        assert np.abs(c - np.cos(phases)).max() <= 2.0**-52
+        assert np.abs(s - np.sin(phases)).max() <= 2.0**-52
+
+    def test_matches_libm_up_to_the_limit(self):
+        limit = montecarlo.TRIG_LIMIT
+        rng = np.random.default_rng(12)
+        for scale in (10.0, 1e3, limit):
+            self.assert_within_libm(rng.uniform(-scale, scale, 10**6))
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["nodes", "midpoints"])
+    def test_nodes_and_midpoints_and_neighbours(self, offset):
+        x = self.nodes(offset)
+        self.assert_within_libm(np.concatenate([x, np.nextafter(x, -np.inf),
+                                                np.nextafter(x, np.inf)]))
+
+    def test_at_the_limit(self):
+        limit = montecarlo.TRIG_LIMIT
+        inside = np.array([limit, -limit, np.nextafter(limit, 0.0), np.nextafter(-limit, 0.0)])
+        self.assert_within_libm(inside)
+        outside = np.array([np.nextafter(limit, np.inf), np.nextafter(-limit, -np.inf),
+                            1e7, -3e9, 1e300])
+        c, s = self.run(outside)
+        assert np.array_equal(c, np.cos(outside)) and np.array_equal(s, np.sin(outside))
+
+    def test_non_finite_is_libm_without_a_lookup(self, monkeypatch):
+        looked_up = []
+        take = np.take
+        monkeypatch.setattr(np, "take", lambda *a, **k: looked_up.append(1) or take(*a, **k))
+        for bad in (math.nan, math.inf, -math.inf):
+            phases = np.array([0.3, bad, -2.0, 4.0])
+            with np.errstate(invalid="ignore"):
+                c, s = self.run(phases)
+                assert np.array_equal(c, np.cos(phases), equal_nan=True)
+                assert np.array_equal(s, np.sin(phases), equal_nan=True)
+        assert looked_up == []
+
+    def test_in_place_equals_out_of_place(self):
+        # several chunks and a remainder; one chunk goes to libm
+        n = montecarlo.TRIG_CHUNK
+        phases = np.random.default_rng(9).uniform(-500.0, 500.0, 3 * n + 11)
+        phases[n + 17] = 2.0 * montecarlo.TRIG_LIMIT
+        c = np.empty_like(phases)
+        montecarlo._cos_sin(phases, c)
+        assert np.array_equal(c[n:2 * n], np.cos(phases[n:2 * n]))
+        sines = phases.copy()
+        montecarlo._cos_sin(phases, phases)
+        assert np.array_equal(phases, c)
+        s = np.empty_like(sines)
+        montecarlo._cos_sin(sines, c, s)
+        montecarlo._cos_sin(sines, c, sines)
+        assert np.array_equal(sines, s)
+
+    def test_step_is_split_from_the_digits_of_two_pi(self):
+        # h0 + h1 + h2 against 2 pi from Machin's formula in 60 digits
+        def arctan_inv(x):
+            total, term, n, x2 = Decimal(0), Decimal(1) / x, 1, x * x
+            while term:
+                total += term / n if n % 4 == 1 else -term / n
+                term /= x2
+                n += 2
+            return total
+
+        with localcontext() as ctx:
+            ctx.prec = 60
+            two_pi = 8 * (4 * arctan_inv(Decimal(5)) - arctan_inv(Decimal(239)))
+        h = Fraction(two_pi) / montecarlo.TRIG_TABLE
+        parts = (montecarlo._STEP0, montecarlo._STEP1, montecarlo._STEP2)
+        assert abs(sum(map(Fraction, parts)) - h) < Fraction(2)**-115
+        for part in parts[:2]:     # 29 bits, so j part is exact for |j| < 2**24
+            assert Fraction(part) * 2**(29 - math.frexp(part)[1]) % 1 == 0
 
 
 class TestEmpiricalCF:
@@ -518,6 +653,20 @@ class TestEmpiricalEnergyDensity:
         a = empirical_energy_density(params, modes, n_seeds=200, seed=21, tau=0.0)
         b = empirical_energy_density(params, modes, n_seeds=200, seed=21, tau=2.3)
         assert abs(a.w - b.w) < 4.0 * math.hypot(a.w_err, b.w_err)
+
+    def test_bit_identical_across_workers_over_chunks(self, params, monkeypatch):
+        # 2 x 1,152 x 15 = 34,560 values per seed: a chunk and a remainder
+        monkeypatch.setattr(montecarlo, "_TRIG_WORK", [])
+        ms = build_mode_set(params, n_max=15, n_theta=24, n_phi=48)
+        assert 2 * ms.amp2.size % montecarlo.TRIG_CHUNK != 0
+        assert 2 * ms.amp2.size > montecarlo.TRIG_CHUNK
+        runs = [empirical_energy_density(params, ms, n_seeds=9, seed=14, n_workers=k, tau=3.7)
+                for k in (1, 2, 4)]
+        for other in runs[1:]:
+            for name in ("e2", "h2", "lab_e2", "lab_h2", "e2_err", "w", "w_err", "mixed"):
+                assert np.array_equal(getattr(other, name), getattr(runs[0], name)), name
+        # the kernel keeps one work buffer per thread that ran it at once
+        assert 1 <= len(montecarlo._TRIG_WORK) <= 4
 
     def test_bit_identical_across_workers(self, params, modes):
         a = empirical_energy_density(params, modes, n_seeds=60, seed=3, n_workers=1)
