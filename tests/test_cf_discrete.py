@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import polygamma
 
 from conftest import delta_to_tau
 from oracles import (cubic_ladder_partial_fraction, make_kernel,
@@ -118,6 +119,16 @@ class TestThermalSplit:
         assert out.shape == phases.shape
         assert all(out[i] == thermal_ladder_integral(float(phases[i]), p)
                    for i in np.ndindex(phases.shape))
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_bit_identical_to_polygamma(self, p):
+        # the zeta form is the one scipy's polygamma evaluates, term for term,
+        # on phase / 2 pi from -0.99 to 0.99 and at 0
+        phases = 2.0 * math.pi * np.append(np.linspace(-0.99, 0.99, 1981), 0.0)
+        x = phases / (2.0 * math.pi)
+        ref = (polygamma(p, 1.0 + x) + polygamma(p, 1.0 - x)) / (2.0 * math.pi) ** (p + 1)
+        assert np.array_equal(thermal_ladder_integral(phases, p), ref)
+        assert all(thermal_ladder_integral(float(ph), p) == r for ph, r in zip(phases, ref))
 
     def test_array_with_divergent_phase_raises(self):
         for bad in (2.0 * math.pi, -7.0):

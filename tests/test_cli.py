@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -21,13 +22,12 @@ def run_cli(capsys, *argv):
 
 def parse_table(text):
     meta, header, rows = {}, None, []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            if "=" in line:
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-            continue
-        cells = line.split(",")
+    lines = text.splitlines()
+    for line in lines:
+        if line.startswith("#") and "=" in line:
+            key, _, val = line[1:].partition("=")
+            meta[key.strip()] = val.strip()
+    for cells in csv.reader(line for line in lines if not line.startswith("#")):
         if header is None:
             header = cells
         else:
@@ -221,6 +221,17 @@ class TestCfCommand:
                 assert "float64 no longer resolves the drawn phases" in r["flag"]
             else:
                 assert r["flag"] == "ok"
+
+    def test_csv_rows_match_header(self, capsys):
+        # the Monte Carlo flag at this omega holds a comma; it stays one field
+        code, out = run_cli(capsys, "cf", "--units", "SI", "--omega", "1e-300", "--beta", "0.3",
+                            "--method", "all", "--delta-steps", "2")
+        assert code == 1
+        header, *rows = csv.reader(line for line in out.splitlines()
+                                   if not line.startswith("#"))
+        assert len(rows) == 6
+        assert all(len(row) == len(header) for row in rows)
+        assert any("," in row[-1] for row in rows if row[1] == "monte-carlo")
 
     def test_sign_definite_tight_tolerance_flagged(self, capsys):
         # the rounding floor covers only the cancelled share of the mass: at
