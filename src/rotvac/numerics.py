@@ -5,14 +5,15 @@ Abel-Plana identity checker.
 The 1-D integrator wraps QUADPACK (scipy.integrate.quad).  The sphere rule is
 the one place that parametrizes directions: tanh-sinh (Takahashi & Mori 1974)
 in u = k . axis times a periodic trapezoid in the azimuth about axis.  It is
-nested: the error estimates come from subsets of the evaluated grid, each
-direction is refined on its own while its estimate is too large, and no node
-is evaluated twice.  Integrands receive unit vectors k (trailing axis of 3);
-the double-exponential grading towards u = +/-1 resolves the near-luminal
-(1 + k u)^-4 peaks when the axis is the one the integrand depends on.  Abel
-summation evaluates the terms once, in extended precision, sums
-a_n e^(-eta n) over a prefix of them for each eta of a geometric grid, and
-extrapolates eta -> 0 with a Neville table; the weights e^(-eta n) of each
+nested: it starts at 129 u nodes by 8 azimuths, where most stationary
+integrands converge in one call, the error estimates come from subsets of the
+evaluated grid, each direction is refined on its own while its estimate is
+too large, and no node is evaluated twice.  Integrands receive unit vectors k
+(trailing axis of 3); the double-exponential grading towards u = +/-1
+resolves the near-luminal (1 + k u)^-4 peaks when the axis is the one the
+integrand depends on.  Abel summation evaluates the terms once, in extended
+precision, sums a_n e^(-eta n) over a prefix of them for each eta of a
+geometric grid, and extrapolates eta -> 0 with a Neville table; the weights e^(-eta n) of each
 eta come from two short exponential ladders, in blocks of ABEL_BLOCK terms.
 The grid, 15 etas three to an octave from 0.14 down to 0.0055, was chosen by
 a scan against the closed ladder sums sum n^p cos(n phi), p = 3 and 1: on 52
@@ -52,9 +53,11 @@ __all__ = [
 ABEL_ETA_GRID = tuple(0.14 * 2.0**(-j / 3) for j in range(15))
 ABEL_BLOCK = 256  # Abel weights e^(-eta n) are built in blocks of this many terms
 
-# tanh-sinh sphere rule: coarsest step in t, and the half-width of the t range.
-# Beyond it 1 - |u| < 2e-37, which leaves out less than 1e-28 of the integral
-# of (1 + k u)^-4 for any 1 - |k| >= 1e-6
+# tanh-sinh sphere rule: the base step in t, whose halvings are the t levels,
+# and the half-width of the t range.  The rule starts at SPHERE_H0 / 8 = 1/16,
+# 129 u nodes, and its t estimate compares against the level at 1/8.  Beyond
+# SPHERE_T_MAX 1 - |u| < 2e-37, which leaves out less than 1e-28 of the
+# integral of (1 + k u)^-4 for any 1 - |k| >= 1e-6
 SPHERE_H0 = 0.5
 SPHERE_T_MAX = 4.0
 
@@ -161,22 +164,27 @@ def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0
     trapezoid in the azimuth psi about axis, with k_z = sqrt(1 - u^2) sin(psi)
     exactly; integrands peaked along +/-axis are resolved up to |u| -> 1.
 
-    The grid starts at step SPHERE_H0 / 2 in t with 8 azimuths, and every
-    node is evaluated once.  Both error estimates come from subsets of it:
-    against the grid with every other t node and every other azimuth (t and
-    psi together), and against every other azimuth alone (psi).  Each
-    direction is refined by halving its step, evaluating only the new nodes,
-    while its estimate exceeds the tolerance; an integrand that is a trig
-    polynomial of degree <= 3 in psi never doubles its 8 azimuths.  The t
-    levels and the azimuths are memoised (_t_level, _azimuths), so their
-    hyperbolic and trigonometric functions are computed once per level, not
-    per call; halving the t step reads the odd entries of the finer level.  The
+    The grid starts at step SPHERE_H0 / 8 = 1/16 in t, 129 u nodes, with 8
+    azimuths, and every node is evaluated once; stationary CF integrands
+    converge there, in one call, up to beta 0.9 (near-luminal ones at small
+    lags take one t refinement more).  Both error estimates come from
+    subsets of the grid: against every other t node at all azimuths (t),
+    and against every other azimuth at all t nodes (psi), so that neither
+    direction's error refines the other.  Each direction is refined by
+    halving its step, evaluating only the new nodes, while its estimate
+    exceeds the tolerance; an integrand that is a trig polynomial of degree
+    <= 3 in psi never doubles its 8 azimuths.  The t levels and the azimuths
+    are memoised (_t_level, _azimuths), so their hyperbolic and
+    trigonometric functions are computed once per level, not per call;
+    halving the t step reads the odd entries of the finer level.  The
     tolerance is max(abs_tol, rel_tol |I|, 100 eps (L1 - |I|)) with L1 the
     integral of |f|: the roundoff floor covers only the cancelled share of
     the mass, so cancelling integrands return at roundoff while a
     sign-definite one is held to the demanded accuracy.  Raises
     QuadratureError, carrying the best estimate, once the grid exceeds
-    64 * spec.max_subdivisions nodes.  Returns (value, error_estimate).
+    64 * spec.max_subdivisions nodes; the start grid alone has 1,032, so
+    below max_subdivisions 17 no refinement is allowed.  Returns
+    (value, error_estimate).
     """
     a = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(a)
@@ -190,7 +198,7 @@ def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0
         k = u[:, None, None] * a + s[:, None, None] * (cos[:, None] * e1 + sin[:, None] * e2)
         return np.broadcast_to(np.asarray(f(k), dtype=float), k.shape[:-1])
 
-    h = SPHERE_H0 / 2
+    h = SPHERE_H0 / 8
     _, w, u, s = _t_level(h)
     sin, cos = _azimuths(8)
     vals = evaluate(u, s, sin, cos)
@@ -199,7 +207,7 @@ def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0
         rows, half = vals.sum(axis=1), vals[:, ::2].sum(axis=1)
         cur = h * (2.0 * np.pi / m) * float(w @ rows)
         err_psi = abs(cur - h * (4.0 * np.pi / m) * float(w @ half))
-        err_t = abs(cur - 2.0 * h * (4.0 * np.pi / m) * float(w[::2] @ half[::2]))
+        err_t = abs(cur - 2.0 * h * (2.0 * np.pi / m) * float(w[::2] @ rows[::2]))
         l1 = h * (2.0 * np.pi / m) * float(w @ np.abs(vals).sum(axis=1))
         floor = 100.0 * np.finfo(float).eps * (l1 - abs(cur))
         tol = max(spec.abs_tol, spec.rel_tol * abs(cur), floor)

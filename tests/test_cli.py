@@ -31,6 +31,7 @@ def parse_table(text):
         if header is None:
             header = cells
         else:
+            assert len(cells) == len(header), f"{cells} under {header}"
             rows.append(dict(zip(header, cells)))
     return meta, header, rows
 
@@ -227,11 +228,9 @@ class TestCfCommand:
         code, out = run_cli(capsys, "cf", "--units", "SI", "--omega", "1e-300", "--beta", "0.3",
                             "--method", "all", "--delta-steps", "2")
         assert code == 1
-        header, *rows = csv.reader(line for line in out.splitlines()
-                                   if not line.startswith("#"))
-        assert len(rows) == 6
-        assert all(len(row) == len(header) for row in rows)
-        assert any("," in row[-1] for row in rows if row[1] == "monte-carlo")
+        _, header, rows = parse_table(out)      # asserts the field count of every row
+        assert len(rows) == 6 and header[-1] == "flag"
+        assert any("," in r["flag"] for r in rows if r["method"] == "monte-carlo")
 
     def test_sign_definite_tight_tolerance_flagged(self, capsys):
         # the rounding floor covers only the cancelled share of the mass: at

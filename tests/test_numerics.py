@@ -67,6 +67,21 @@ def peaked_integral(k):
     return 2.0 * math.pi * ((1.0 - k) ** -3 - (1.0 + k) ** -3) / (3.0 * k)
 
 
+def _count_calls(monkeypatch, module):
+    """Route module's integrate_sphere through a wrapper that records the
+    node array of every integrand call; returns that list."""
+    seen = []
+
+    def counting(f, *args, **kwargs):
+        def wrapped(k):
+            seen.append(k)
+            return f(k)
+        return integrate_sphere(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_sphere", counting)
+    return seen
+
+
 class TestIntegrateSphere:
     def test_unit_function(self):
         val, _ = integrate_sphere(lambda k: np.ones(k.shape[:-1]))
@@ -145,26 +160,53 @@ class TestIntegrateSphere:
 
     def test_stationary_bracket_node_count(self, monkeypatch):
         # the (1,1) bracket is a trig polynomial of degree 2 in the azimuth,
-        # so its 8 azimuths never double and only the new t nodes of each
-        # level are evaluated: 1,032 nodes, where doubling both directions
-        # together and evaluating every level afresh took 5,500
+        # and the start grid of 129 u nodes by 8 azimuths (t step 1/16)
+        # already meets the tolerance: one integrand call of 1,032 nodes,
+        # where starting at step 1/4 took 3 calls and refining both
+        # directions together, each level afresh, took 5,500 nodes
         from rotvac import cf_continuous as cfc
         from rotvac.constants import NATURAL
         from rotvac.kinematics import RotationParams
 
-        seen = []
-
-        def counting(f, *args, **kwargs):
-            def wrapped(k):
-                seen.append(k.reshape(-1, 3))
-                return f(k)
-            return integrate_sphere(wrapped, *args, **kwargs)
-
-        monkeypatch.setattr(cfc, "integrate_sphere", counting)
+        seen = _count_calls(monkeypatch, cfc)
         params = RotationParams.from_beta(1.0, 0.3, NATURAL)
         cfc.em_cf_continuous((1, 1), "EE", 0.0, 1.0 / params.gamma, params, "quadrature")
-        nodes = np.concatenate(seen)
-        assert len(nodes) <= 1100
+        assert [k.shape for k in seen] == [(129, 8, 3)]
+
+    @pytest.mark.parametrize("route", ["scalar", "discrete"])
+    def test_stationary_routes_take_one_call(self, monkeypatch, route):
+        # the scalar and the discrete-spectrum values at beta 0.3 converge on
+        # the start grid as well
+        from conftest import delta_to_tau
+        from rotvac import cf_continuous as cfc, cf_discrete as cfd
+        from rotvac.constants import NATURAL
+        from rotvac.kinematics import RotationParams
+
+        params = RotationParams.from_beta(1.0, 0.3, NATURAL)
+        tau2 = delta_to_tau(params, 1.0)
+        if route == "scalar":
+            seen = _count_calls(monkeypatch, cfc)
+            cfc.scalar_cf_quadrature(0.0, tau2, params)
+        else:
+            seen = _count_calls(monkeypatch, cfd)
+            cfd.em_cf_discrete(0.0, tau2, params)
+        assert [k.shape for k in seen] == [(129, 8, 3)]
+
+    def test_azimuth_error_does_not_refine_t(self):
+        # k_z^4 has degree 4 in the azimuth, which the 4 azimuths of err_psi's
+        # subset miss, and is smooth in u: err_t compares t levels at all
+        # azimuths, so only the azimuths double, at the same 129 u nodes
+        seen = []
+
+        def kz4(k):
+            seen.append(k)
+            return k[..., 2] ** 4
+
+        val, _ = integrate_sphere(kz4)
+        assert val == pytest.approx(4.0 * math.pi / 5.0, rel=1e-12)
+        assert [k.shape for k in seen] == [(129, 8, 3), (129, 8, 3)]
+        assert np.array_equal(seen[0][:, 0, 1], seen[1][:, 0, 1])   # same u nodes
+        nodes = np.concatenate(seen).reshape(-1, 3)
         assert len(np.unique(nodes, axis=0)) == len(nodes)
 
     @pytest.mark.parametrize("axis", AXES)
@@ -201,6 +243,17 @@ class TestIntegrateSphere:
             integrate_sphere(lambda kh: (1.0 - 0.99 * kh[..., 1]) ** -4, spec)
         assert math.isfinite(exc.value.best_estimate)
         assert math.isfinite(exc.value.error_estimate)
+
+    def test_budget_below_start_grid_allows_no_refinement(self):
+        # the start grid has 1,032 nodes, so below max_subdivisions 17
+        # (64 x 17 = 1,088) an integrand that needs more azimuths raises
+        def kz4(k):
+            return k[..., 2] ** 4
+
+        with pytest.raises(QuadratureError):
+            integrate_sphere(kz4, QuadratureSpec(max_subdivisions=16))
+        val, _ = integrate_sphere(kz4, QuadratureSpec(max_subdivisions=17))
+        assert val == pytest.approx(4.0 * math.pi / 5.0, rel=1e-12)
 
     @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0),
                                       (0.0, 0.0, 1.0)])
