@@ -13,7 +13,7 @@ splits each into a divergent zero-point integral (carried by its regularized
 value) plus a convergent integral whose weight is exactly the Planck
 occupancy at the rotation temperature T = hbar omega / (2 pi k_B).  That
 thermal integral is evaluated in closed form through the polygamma function;
-its QUADPACK evaluation is the independent oracle of the tests.  Over the
+its QUADPACK evaluation is the oracle of the tests and of c07.  Over the
 directions the zero-point part integrates to the continuous-spectrum CF at
 the same lag, which the split takes from the closed forms of cf_continuous.
 
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, zeta
 
-from .constants import Constants, planck_occupancy
 from .cf_continuous import CFValue, _closed_form_11, _lag, _scalar_closed_form
 from .fields import angular_weight_kernel_grid
 from .kinematics import RotationParams
@@ -49,10 +48,6 @@ __all__ = [
     "thermal_ladder_integral",
     "cubic_ladder_split",
     "linear_ladder_split",
-    "thermal_integrand_rotation",
-    "thermal_integrand_planck",
-    "zero_point_integrand",
-    "inertial_thermal_cf_integrand",
     "em_cf_discrete",
     "scalar_cf_discrete",
 ]
@@ -151,9 +146,8 @@ def cubic_ladder_split(phase: float) -> ThermalSplit:
     thermal_part is the convergent Planck-weighted integral; the total
     reproduces cubic_ladder_sum_closed(phase).
     """
-    zp = 6.0 / phase**4
-    th = thermal_ladder_integral(phase, p=3)
-    return ThermalSplit(zero_point_part=zp, thermal_part=th)
+    return ThermalSplit(zero_point_part=6.0 / phase**4,
+                        thermal_part=thermal_ladder_integral(phase, p=3))
 
 
 def linear_ladder_split(phase: float) -> ThermalSplit:
@@ -162,34 +156,8 @@ def linear_ladder_split(phase: float) -> ThermalSplit:
     The zero-point part carries the regularized value -1/phase^2 and the
     thermal part enters with a minus sign.
     """
-    zp = -1.0 / phase**2
-    th = -thermal_ladder_integral(phase, p=1)
-    return ThermalSplit(zero_point_part=zp, thermal_part=th)
-
-
-def zero_point_integrand(omega, time_lag, p: int = 3):
-    """Integrand omega^p cos(omega time_lag) of the divergent zero-point
-    integral (never integrated numerically; kept for pointwise comparisons)."""
-    return np.asarray(omega) ** p * np.cos(np.asarray(omega) * time_lag)
-
-
-def thermal_integrand_rotation(omega, time_lag, omega0: float):
-    """Thermal integrand 2 w^3 cosh(w lag) / (e^(2 pi w / omega0) - 1)."""
-    w = np.asarray(omega, dtype=float)
-    return 2.0 * w**3 * np.cosh(w * time_lag) / np.expm1(2.0 * math.pi * w / omega0)
-
-
-def thermal_integrand_planck(omega, time_lag, temperature: float, const: Constants):
-    """Same integrand written with the Planck occupancy at a temperature."""
-    w = np.asarray(omega, dtype=float)
-    return 2.0 * w**3 * np.cosh(w * time_lag) * planck_occupancy(w, temperature, const)
-
-
-def inertial_thermal_cf_integrand(omega, t, temperature: float, const: Constants):
-    """Thermal integrand 2 w^3 cos(w t) / (e^(hbar w / k_B T) - 1) of the
-    rest-frame Planck-spectrum correlation function."""
-    w = np.asarray(omega, dtype=float)
-    return 2.0 * w**3 * np.cos(w * t) * planck_occupancy(w, temperature, const)
+    return ThermalSplit(zero_point_part=-1.0 / phase**2,
+                        thermal_part=-thermal_ladder_integral(phase, p=1))
 
 
 def _check_resonances(delta: float, params: RotationParams):

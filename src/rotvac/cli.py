@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -52,6 +53,13 @@ def _int_in(lo: int, hi: float = math.inf):
 
 SEED = _int_in(0, 2**64)     # Philox keys are uint64
 SEED_COUNT = _int_in(2)      # a standard error needs two seeds
+
+
+def POSITIVE(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    if not 0 < (x := float(text)) < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return x
 
 
 def PAIR(text: str):
@@ -106,6 +114,7 @@ def _emit(args, meta: dict, header: List[str], rows: List[list], flagged: bool) 
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
             writer.writerows([_fmt(v) for v in row] for row in rows)
+        out.flush()     # a closed pipe raises here, inside main, not at exit
     finally:
         if args.out:
             out.close()
@@ -327,7 +336,7 @@ def cmd_mc_validate(args) -> int:
     rows.append(["mixed_moment_null", est.mixed, 0.0, mixed_pull])
     b = mc.empirical_energy_density(params, ms, n_seeds=args.seeds, seed=args.seed,
                                     n_workers=max(2, args.workers))
-    same = est.w == b.w
+    same = b.same_as(est)
     rows.append(["worker_determinism", est.w, b.w, "ok" if same else "MISMATCH"])
     # "not <=" so that a NaN pull flags instead of passing
     flagged = any(not x <= 3.0 for x in (pull, *eh, mixed_pull)) or not same
@@ -438,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="run the acceptance checks")
     sp.add_argument("--suite", choices=("quick", "full"), default="quick")
     sp.add_argument("--seed", type=SEED, default=20240817)
-    sp.add_argument("--sigma-perturb", type=float, default=1.0,
+    sp.add_argument("--sigma-perturb", type=POSITIVE, default=1.0,
                     help="multiply the Stefan-Boltzmann constant (negative control)")
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -457,6 +466,9 @@ def main(argv=None) -> int:
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
+    except BrokenPipeError:     # the reader closed stdout; devnull takes what is buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141    # the status of a process ended by SIGPIPE
     except (ValueError, LuminalOrbitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

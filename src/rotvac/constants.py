@@ -19,7 +19,6 @@ __all__ = [
     "SI",
     "NATURAL",
     "ROUNDED",
-    "planck_occupancy",
 ]
 
 
@@ -61,10 +60,3 @@ NATURAL = Constants(hbar=1.0, c=1.0, k_B=1.0, e=1.0)
 # the source states no constants.
 ROUNDED = Constants(hbar=1.0e-34, c=3.0e8, k_B=1.38e-23, e=1.6e-19)
 
-
-def planck_occupancy(omega, temperature, const: Constants = SI):
-    """Bose occupancy 1 / (exp(hbar w / k_B T) - 1); vectorized in omega."""
-    import numpy as np
-
-    x = const.hbar * np.asarray(omega) / (const.k_B * temperature)
-    return 1.0 / np.expm1(x)

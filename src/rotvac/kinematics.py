@@ -85,12 +85,6 @@ class RotationParams:
         """Rotation phase omega gamma tau at proper time tau."""
         return self.omega * self.gamma * tau
 
-    def proper_period(self) -> float:
-        """Proper time for one lab revolution, 2 pi / (omega gamma)."""
-        if self.omega == 0:
-            return math.inf
-        return 2.0 * math.pi / (self.omega * self.gamma)
-
 
 @dataclass(frozen=True)
 class FourVector:
@@ -101,10 +95,6 @@ class FourVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.t])
-
-    @classmethod
-    def from_array(cls, a) -> "FourVector":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
     def dot(self, other: "FourVector") -> float:
         """Minkowski inner product with diag(1, 1, 1, -1)."""

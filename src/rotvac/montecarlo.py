@@ -205,6 +205,10 @@ class EmpiricalEnergyDensity:
               / np.sqrt(self.lab_e2_err**2 + self.lab_h2_err**2))
         return abs(self.w - w_target) / self.w_err, eh, abs(self.mixed) / self.mixed_err
 
+    def same_as(self, other: "EmpiricalEnergyDensity") -> bool:
+        """True iff every field, standard errors too, equals other's element by element."""
+        return all(np.array_equal(v, getattr(other, k)) for k, v in vars(self).items())
+
 
 @np.errstate(over="ignore", under="ignore")    # checked on the amplitudes
 def build_mode_set(params: RotationParams, spectrum: str = "discrete",

@@ -182,28 +182,22 @@ def check_abel_plana() -> List[CheckResult]:
 
 
 def check_planck_identity() -> List[CheckResult]:
+    """Thermal part of each ladder split against QUADPACK with the Planck weight at T_rot."""
     params = RotationParams.from_beta(100.0, 0.4, SI)
-    T_rot = cfd.rotation_temperature(params)
-    w = np.linspace(0.5, 8.0, 16) * params.omega
-    lag = 0.3 / params.omega
-    a = cfd.thermal_integrand_rotation(w, lag, params.omega)
-    b = cfd.thermal_integrand_planck(w, lag, T_rot, SI)
-    ident = float(np.max(np.abs(a / b - 1.0)))
-    rows = [CheckResult("planck-factor-identity", ident < 1e-12, ident, 0.0, 1e-12)]
-
-    # at coincidence the rotating thermal integrand equals the rest-frame one
-    a0 = cfd.thermal_integrand_rotation(w, 0.0, params.omega)
-    b0 = cfd.inertial_thermal_cf_integrand(w, 0.0, T_rot, SI)
-    coin = float(np.max(np.abs(a0 / b0 - 1.0)))
-    rows.append(CheckResult("thermal-integrand-coincidence", coin < 1e-12, coin, 0.0, 1e-12))
-
-    # zero-point integrand matches the rest-frame cos(w t) form in the plane
-    # ky = 0 (time lag equals the lab time difference) for any beta
-    t = 0.83 / params.omega
-    zp_rot = cfd.zero_point_integrand(w, t)
-    zp_in = w**3 * np.cos(w * t)
-    zp = float(np.max(np.abs(zp_rot / zp_in - 1.0)))
-    rows.append(CheckResult("zero-point-integrand-beta0", zp < 1e-12, zp, 0.0, 1e-12))
+    hbar_over_kT = SI.hbar / (SI.k_B * cfd.rotation_temperature(params))
+    rows = []
+    for label, split, p, sign in (("em", cfd.cubic_ladder_split, 3, 1.0),
+                                  ("scalar", cfd.linear_ladder_split, 1, -1.0)):
+        worst = 0.0
+        for phase in (0.3, 1.0, 2.0, 4.0, 6.0):
+            lag = phase / params.omega
+            def planck(w):    # 2 w^p cosh(w lag) / (e^x - 1), every exponent <= 0
+                x = hbar_over_kT * w
+                return w**p * (math.exp(w * lag - x) + math.exp(-w * lag - x)) / -math.expm1(-x)
+            quad_val, _ = integrate_1d(planck, 0.0, math.inf)
+            ladder = sign * params.omega ** (p + 1) * split(phase).thermal_part
+            worst = max(worst, _rel(ladder, quad_val))
+        rows.append(CheckResult(f"planck-thermal-part-{label}", worst < 1e-10, worst, 0.0, 1e-10))
     return rows
 
 
@@ -303,13 +297,12 @@ def check_hadron_estimates() -> List[CheckResult]:
 
 def check_determinism(n_seeds: int = 40, seed: int = 77, workers=(1, 4), n_max: int = 4,
                       n_theta: int = 8, n_phi: int = 16) -> List[CheckResult]:
-    """The Monte Carlo energy moments are bit-identical for every worker count."""
+    """Every field of the Monte Carlo energy estimate is the same for every worker count."""
     params = RotationParams.from_beta(1.0, 0.3, NATURAL)
     ms = mc.build_mode_set(params, n_max=n_max, n_theta=n_theta, n_phi=n_phi)
     a, *rest = [mc.empirical_energy_density(params, ms, n_seeds=n_seeds, seed=seed,
                                             n_workers=k) for k in workers]
-    same = all(b.w == a.w and np.array_equal(b.e2, a.e2) and np.array_equal(b.h2, a.h2)
-               and b.mixed == a.mixed for b in rest)
+    same = all(b.same_as(a) for b in rest)
     return [CheckResult("mc-determinism-workers", same, float(a.w), float(rest[-1].w), 0.0)]
 
 

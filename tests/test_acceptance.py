@@ -68,6 +68,15 @@ def test_c07_planck_factor_emergence():
     assert_rows("c07 planck-factor", v.check_planck_identity())
 
 
+def test_c07_fails_at_a_wrong_temperature(monkeypatch):
+    # negative control: a Planck weight at 1.01 T_rot misses both thermal parts
+    real = v.cfd.rotation_temperature
+    monkeypatch.setattr(v.cfd, "rotation_temperature", lambda params: 1.01 * real(params))
+    rows = v.check_planck_identity()
+    assert [r.name for r in rows] == ["planck-thermal-part-em", "planck-thermal-part-scalar"]
+    assert not any(r.passed for r in rows)
+
+
 def test_c08_em_energy_density():
     rows, elapsed = timed(v.check_em_energy_density, n_seeds=1000, n_theta=64, n_phi=128,
                           n_max=20, seed=4321, n_workers=4)

@@ -11,12 +11,9 @@ from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous,
                                   scalar_cf_quadrature)
 from rotvac.cf_discrete import (ResonanceError, cubic_ladder_split,
                                 cubic_ladder_sum_closed, em_cf_discrete,
-                                inertial_thermal_cf_integrand, ladder_phase,
-                                linear_ladder_split, linear_ladder_sum_closed,
-                                rotation_temperature, scalar_cf_discrete,
-                                thermal_integrand_planck,
-                                thermal_integrand_rotation,
-                                thermal_ladder_integral, zero_point_integrand)
+                                ladder_phase, linear_ladder_split,
+                                linear_ladder_sum_closed, rotation_temperature,
+                                scalar_cf_discrete, thermal_ladder_integral)
 from rotvac.constants import NATURAL, SI
 from rotvac.kinematics import RotationParams
 from rotvac.numerics import abel_sum
@@ -148,34 +145,28 @@ class TestThermalSplit:
 
 class TestPlanckStructure:
     def test_rotation_vs_planck_weights(self):
-        # rewriting e^(2 pi w / omega) - 1 with T_rot is an exact identity
+        # the Planck exponent hbar w / k_B T_rot is the ladder weight's 2 pi w / omega
         p = RotationParams.from_beta(250.0, 0.4, SI)
         T = rotation_temperature(p)
         w = np.linspace(0.3, 9.0, 25) * p.omega
-        lag = 0.4 / p.omega
-        a = thermal_integrand_rotation(w, lag, p.omega)
-        b = thermal_integrand_planck(w, lag, T, SI)
-        assert np.max(np.abs(a / b - 1.0)) < 1e-12
+        x = SI.hbar * w / (SI.k_B * T)
+        assert np.max(np.abs(x / (2.0 * math.pi * w / p.omega) - 1.0)) < 1e-12
 
     def test_coincidence_matches_rest_frame_integrand(self):
-        p = RotationParams.from_beta(3.0, 0.2, NATURAL)
-        T = rotation_temperature(p)
-        w = np.linspace(0.1, 6.0, 13)
-        rot = thermal_integrand_rotation(w, 0.0, p.omega)
-        inertial = inertial_thermal_cf_integrand(w, 0.0, T, NATURAL)
-        assert np.max(np.abs(rot / inertial - 1.0)) < 1e-12
+        # at phase 0 the thermal integrals are the rest-frame Planck ones,
+        # 2 p! zeta(p + 1) / (2 pi)^(p + 1)
+        assert thermal_ladder_integral(0.0, 3) == pytest.approx(1.0 / 120.0, rel=1e-14)
+        assert thermal_ladder_integral(0.0, 1) == pytest.approx(1.0 / 12.0, rel=1e-14)
 
     def test_zero_point_integrand_on_axis_plane(self):
-        # with ky = 0 the time lag equals the lab time difference for any
-        # beta, so the zero-point integrands agree pointwise
+        # with ky = 0 the phase is the angular lag for any beta, so the
+        # zero-point part is the rest-frame 6 / delta^4
         p = RotationParams.from_beta(1.0, 0.8, NATURAL)
         delta = 1.1
-        lab_dt = delta / p.omega
         ph = float(ladder_phase(delta, 0.0, p))
-        assert ph == delta  # ky = 0 leaves the phase untouched
-        w = np.linspace(0.2, 4.0, 9)
-        assert np.max(np.abs(zero_point_integrand(w, ph / p.omega)
-                             - w**3 * np.cos(w * lab_dt))) < 1e-12
+        assert ph == delta
+        assert cubic_ladder_split(ph).zero_point_part == pytest.approx(6.0 / delta**4,
+                                                                       rel=1e-15)
 
 
 class TestKernel:

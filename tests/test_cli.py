@@ -1,14 +1,21 @@
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotvac
+from rotvac import montecarlo
 from rotvac.cli import main
 from rotvac.constants import SI
 from rotvac.thermo import CASIMIR_MODEL_C
@@ -343,6 +350,23 @@ class TestMcValidate:
         v2 = parse_table(out2)[2]
         assert v1[0]["measured"] == v2[0]["measured"]  # fixed seed, identical output
 
+    def test_worker_determinism_sees_one_standard_error(self, capsys, monkeypatch):
+        # the multi-worker run differs by one ulp of lab_h2_err alone
+        real = montecarlo.empirical_energy_density
+
+        def skewed(*args, n_workers=1, **kwargs):
+            est = real(*args, n_workers=n_workers, **kwargs)
+            if n_workers == 1:
+                return est
+            return dataclasses.replace(est, lab_h2_err=np.nextafter(est.lab_h2_err, np.inf))
+
+        monkeypatch.setattr(montecarlo, "empirical_energy_density", skewed)
+        code, out = run_cli(capsys, "mc-validate", "--beta", "0.3", "--seeds", "20",
+                            "--n-max", "2", "--mc-theta", "8", "--mc-phi", "16")
+        rows = {r["check"]: r for r in parse_table(out)[2]}
+        assert code == 1
+        assert rows["worker_determinism"]["pull_or_flag"] == "MISMATCH"
+
 
 class TestInputErrors:
     """Bad input exits 2 with a message, never a traceback or a NaN row."""
@@ -356,14 +380,33 @@ class TestInputErrors:
         ["cf", "--pair", "123"],
         ["cf", "--pair", "04", "--method", "monte-carlo"],
         ["cf", "--omega=--"],
+        ["validate", "--sigma-perturb", "nan"],
+        ["validate", "--sigma-perturb", "inf"],
+        ["validate", "--sigma-perturb", "0"],
+        ["validate", "--sigma-perturb=-1"],
     ], ids=["cf-negative-seed", "validate-negative-seed", "mc-validate-one-seed",
             "energy-tol", "cf-one-digit-pair", "cf-three-digit-pair", "cf-zero-component",
-            "cf-double-dash-value"])
+            "cf-double-dash-value", "validate-nan-sigma-perturb",
+            "validate-inf-sigma-perturb", "validate-zero-sigma-perturb",
+            "validate-negative-sigma-perturb"])
     def test_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_closed_pipe_exits_without_traceback(self):
+        # 2,000 tetrad rows overfill the pipe, so the CLI is still writing
+        # when the reader closes it after one line
+        env = dict(os.environ, PYTHONPATH=str(Path(rotvac.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rotvac.cli", "tetrad", "--tau-steps", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"# rotvac tetrad")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) != 0
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     @pytest.mark.parametrize("argv", [
         ["force-curve", "--omega", "0"],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from decimal import Decimal, localcontext
@@ -9,13 +10,14 @@ from scipy.stats import ks_2samp
 
 from conftest import delta_to_tau
 from oracles import empirical_cf_per_seed, lab_fields_mode_sum, write_manifest
-from rotvac import montecarlo
+from rotvac import montecarlo, validation
 from rotvac.cf_continuous import em_cf_continuous, em_cf_tensor_quadrature
 from rotvac.cf_discrete import em_cf_discrete, ladder_phase
 from rotvac.constants import NATURAL, SI
 from rotvac.fields import angular_weight_kernel_grid
 from rotvac.kinematics import RotationParams, lab_position
-from rotvac.montecarlo import (BLOCK_ELEMENTS, ModeSet, build_mode_set, draw_phases,
+from rotvac.montecarlo import (BLOCK_ELEMENTS, EmpiricalEnergyDensity, ModeSet,
+                               build_mode_set, draw_phases,
                                empirical_cf, empirical_cfs, empirical_energy_density,
                                eval_lab_fields, run_manifest)
 from rotvac.numerics import integrate_sphere
@@ -671,7 +673,29 @@ class TestEmpiricalEnergyDensity:
     def test_bit_identical_across_workers(self, params, modes):
         a = empirical_energy_density(params, modes, n_seeds=60, seed=3, n_workers=1)
         b = empirical_energy_density(params, modes, n_seeds=60, seed=3, n_workers=4)
-        assert a.w == b.w
-        assert np.array_equal(a.e2, b.e2)
-        assert np.array_equal(a.h2, b.h2)
-        assert a.mixed == b.mixed
+        assert b.same_as(a)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(EmpiricalEnergyDensity)])
+    def test_same_as_compares_every_field(self, params, name):
+        est = empirical_energy_density(params, build_mode_set(params, n_max=2, n_theta=8,
+                                                              n_phi=16), n_seeds=4, seed=1)
+        value = getattr(est, name)
+        other = dataclasses.replace(est, **{name: np.nextafter(value, np.inf)
+                                            if isinstance(value, (float, np.ndarray))
+                                            else value + 1})
+        assert est.same_as(est) and not est.same_as(other)
+
+    def test_determinism_check_sees_one_standard_error(self, monkeypatch):
+        # a run that differs from the 1-worker run by one ulp of lab_h2_err
+        # alone fails the check
+        real = montecarlo.empirical_energy_density
+
+        def skewed(*args, n_workers=1, **kwargs):
+            est = real(*args, n_workers=n_workers, **kwargs)
+            if n_workers == 1:
+                return est
+            return dataclasses.replace(est, lab_h2_err=np.nextafter(est.lab_h2_err, np.inf))
+
+        monkeypatch.setattr(montecarlo, "empirical_energy_density", skewed)
+        (row,) = validation.check_determinism(n_seeds=4, n_max=2)
+        assert not row.passed
