@@ -8,6 +8,7 @@ Usage:
 
 import argparse
 
+from rotvac.cli import WORKERS
 from rotvac.constants import NATURAL
 from rotvac.kinematics import RotationParams
 from rotvac.montecarlo import build_mode_set, empirical_energy_density, run_manifest
@@ -21,7 +22,7 @@ def main():
     ap.add_argument("--n-max", type=int, default=6)
     ap.add_argument("--seed", type=int, default=0)
     # at this 6,144-mode grid a seed is too short for threads to pay off
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=WORKERS, default=1)
     ap.add_argument("--out", default="mc_convergence.csv")
     args = ap.parse_args()
 

@@ -53,6 +53,7 @@ def _int_in(lo: int, hi: float = math.inf):
 
 SEED = _int_in(0, 2**64)     # Philox keys are uint64
 SEED_COUNT = _int_in(2)      # a standard error needs two seeds
+WORKERS = _int_in(1)
 
 
 def POSITIVE(text: str) -> float:
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=6)
     sp.add_argument("--seeds", type=SEED_COUNT, default=200)
     sp.add_argument("--seed", type=SEED, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=WORKERS, default=1)
     sp.add_argument("--mc-theta", type=int, default=16)
     sp.add_argument("--mc-phi", type=int, default=32)
     sp.set_defaults(func=cmd_mc_validate)

@@ -16,9 +16,10 @@ Phases are drawn from counter-based Philox streams keyed by
 order-independent and runs are bit-reproducible for a fixed worker count or
 any other.  The seed-invariant mode arrays (amplitudes, polarization
 columns) live on the ModeSet.  The two-time CFs draw each seed once per
-group of lags, straight into a block of seeds, take the block's cos and sin,
-and evaluate every pair and lag of the call from one design matrix of all
-its proper times; the one-point moments evaluate the fields seed by seed,
+group of lags, straight into a block of seeds, from one Philox re-keyed per
+seed, take the block's cos and sin, and evaluate every lag of a pair from
+one design of that pair's tetrad components, already contracted with the
+projection rows; the one-point moments evaluate the fields seed by seed,
 each worker thread reusing its own phase and field buffers, so a seed
 allocates no array of mode size.  Both paths take their trigonometry from
 one table-and-series kernel, _cos_sin, which agrees with libm's to 2**-52
@@ -63,10 +64,10 @@ MIN_PHI_NODES = 16
 # count alone, never from the worker count, so that results are bit-identical
 # for any worker count
 BLOCK_ELEMENTS = 2**16
-# bytes of one design matrix of empirical_cfs, whose lags are grouped so that
-# no design exceeds this (a group always holds at least one lag): the size of
-# the one-lag (2N x 12) design at the full suite's 327,680 modes, so a
-# multi-lag call never holds a larger design than a one-lag call there does
+# lag budget of empirical_cfs: a group of L lags (at least one) keeps
+# 6 (1 + L) float64 columns of 2N rows within this, the six lab components
+# at each time of the 327,680-mode one-lag call.  The designs themselves take
+# 2N float64 per pair and time, so a group's P designs hold P / 6 of this
 DESIGN_BYTES = 2 * 327_680 * 12 * 8
 # _cos_sin takes phi = j h + a, h = 2 pi / TRIG_TABLE, from a periodic table
 # of cos and sin at the exact nodes j h, indexed by j mod TRIG_TABLE, and
@@ -287,14 +288,34 @@ def draw_phases(mode_set: ModeSet, seed: int, index: int = 0,
 
     out, if given, is a float64 (M, Q, 2) array that receives the phases.
     """
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
-    gen = Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
+    gen = Generator(_philox(seed, index))
     if out is None:
         out = np.empty((mode_set.khat.shape[0], mode_set.wavenumbers.shape[0], 2))
     gen.random(out=out)
     out *= 2.0 * np.pi
     return PhaseEnsemble(seed=seed, phases=out)
+
+
+def _philox(seed: int, index: int) -> Philox:
+    """The Philox stream keyed by (seed, index); ValueError unless seed is a uint64."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+    return Philox(key=np.array([seed, index], dtype=np.uint64))
+
+
+def _draw_block(seed: int, indices: range, out: np.ndarray) -> None:
+    """Row r of out gets the phases of draw_phases(..., seed, indices[r]),
+    flattened, bit for bit, from one Philox re-keyed to (seed, i) for each
+    seed i.  Constructing a Philox reads OS entropy for a SeedSequence that
+    the key then replaces; setting the key costs about a sixth as much."""
+    bits = _philox(seed, indices[0])
+    gen = Generator(bits)
+    state = bits.state              # counter 0 and an empty buffer: a fresh stream
+    for r, i in enumerate(indices):
+        state["state"]["key"][1] = i
+        bits.state = state
+        gen.random(out=out[r])
+    out *= 2.0 * np.pi
 
 
 def _checked_position(mode_set: ModeSet, params: RotationParams, tau: float):
@@ -414,30 +435,37 @@ def _cos_sin(phases: np.ndarray, cos_out: np.ndarray,
         _TRIG_WORK.append(work)
 
 
-def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus) -> np.ndarray:
-    """Stacked (2N x 6T) design of the lab (E, H) at the T proper times taus.
+def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus,
+                      rows: np.ndarray) -> np.ndarray:
+    """(P, 2N, T) designs of the tetrad components that the P x T rows of
+    projection_matrix pick from the lab (E, H) at the T proper times taus:
+    rows[p, j] is a (6,) row at taus[j].
 
     With b = k . r - c k t the base phase of a mode at a time, cos(b - phi) =
-    cos b cos phi + sin b sin phi, so [cos phi, sin phi] @ design is the
-    (E, H) of eval_lab_fields at every time.  Row n of the upper half holds
-    amp cos b [eps, khat x eps] for each time, the lower half sin b in place
-    of cos b; modes run in the (node, radial, polarization) order of
-    draw_phases.
+    cos b cos phi + sin b sin phi, so [cos phi, sin phi] @ design[p] is, at
+    every time, the component of eval_lab_fields' (E, H) along rows[p].  Row
+    n of the upper half holds amp cos b (pol . row), the lower half sin b in
+    place of cos b, where pol . row = eps . row[:3] + (khat x eps) . row[3:];
+    modes run in the (node, radial, polarization) order of draw_phases.
     """
     const = params.constants
     k = mode_set.wavenumbers
-    base = np.empty(mode_set.amp2.shape + (len(taus),))
+    # b in trig[1], then amp cos b over amp sin b, all in place
+    trig = np.empty((2,) + mode_set.amp2.shape + (len(taus),))
     for j, tau in enumerate(taus):
         t, x, y, z = lab_position(params, tau)
-        base[:, :, j] = np.outer(mode_set.khat @ np.array([x, y, z]), k) - const.c * t * k
-    # (M, 1, lam, 1, field, 3) against the (M, Q, 1, T, 1, 1) amplitudes; the
-    # broadcast product runs about 40% faster on a contiguous copy of pol
-    pol = np.ascontiguousarray(np.moveaxis(mode_set.pol, 2, 0))[:, None, :, None]
-    amp = mode_set.amp[:, :, None]
-    design = np.empty((2,) + mode_set.amp2.shape + (2, len(taus), 2, 3))
-    for half, trig in enumerate((np.cos, np.sin)):
-        np.multiply((amp * trig(base))[:, :, None, :, None, None], pol, out=design[half])
-    return design.reshape(2 * mode_set.mode_count, 6 * len(taus))
+        trig[1, :, :, j] = np.outer(mode_set.khat @ np.array([x, y, z]), k) - const.c * t * k
+    np.cos(trig[1], out=trig[0])
+    np.sin(trig[1], out=trig[1])
+    trig *= mode_set.amp[:, :, None]
+    # (half, M, Q, 1, T) against pol . row, (M, 1, lam, T); one product per
+    # pair, so that a pair's design does not depend on the others
+    pol = np.moveaxis(mode_set.pol, 2, 0).reshape(-1, 6)       # (M lam, 6)
+    design = np.empty((len(rows),) + trig.shape[:3] + (2, len(taus)))
+    for p, r in enumerate(rows):
+        np.multiply(trig[:, :, :, None], (pol @ r.T).reshape(-1, 1, 2, len(taus)),
+                    out=design[p])
+    return design.reshape(len(rows), 2 * mode_set.mode_count, len(taus))
 
 
 def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
@@ -453,12 +481,13 @@ def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
     the seed mean.  ValueError when a time is not finite or its base phases
     may reach PHASE_LIMIT (see eval_lab_fields).
 
-    The lags are grouped so that no design exceeds DESIGN_BYTES.  For each
-    group one design of the lab fields at tau1 and the group's lags is
-    built; seeds then run in blocks of about BLOCK_ELEMENTS phases, each
-    drawn once straight into its block row, the block's cos and sin taken
-    by _cos_sin (within 2**-52 of libm's), then a product of the block with
-    the design, and every (pair, lag) contracted from that product.
+    The lags are grouped as DESIGN_BYTES sets out.  For each group one
+    design per pair is built, each of its columns a tetrad component: pair
+    p's at tau1, then its partner at each of the group's lags.  Seeds then
+    run in blocks of about BLOCK_ELEMENTS phases, each drawn once straight
+    into its block row, the block's cos and sin taken by _cos_sin (within
+    2**-52 of libm's), then one product of the block with each pair's
+    design; a seed's CF at a lag is the product of its two components.
     """
     for tau in (tau1, *tau2s):
         _checked_position(mode_set, params, tau)
@@ -468,35 +497,28 @@ def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
         raise ValueError(f"a standard error needs n_seeds >= 2, got {n_seeds}")
     n_modes = mode_set.mode_count
     per_block = max(1, BLOCK_ELEMENTS // n_modes)
-    shape = mode_set.amp2.shape + (2,)
     starts = range(0, n_seeds, per_block)
-    # every time adds six float64 columns of 2N rows to the design
     per_group = max(1, DESIGN_BYTES // (2 * n_modes * 6 * 8) - 1)
     out = [[None] * len(tau2s) for _ in pairs]
     for g0 in range(0, len(tau2s), per_group):
         lags = range(g0, min(g0 + per_group, len(tau2s)))
-        design = _lab_field_design(mode_set, params,
-                                   (tau1,) + tuple(tau2s[j] for j in lags))
+        # the row at tau1 is the same at every lag
+        design = _lab_field_design(
+            mode_set, params, (tau1,) + tuple(tau2s[j] for j in lags),
+            np.array([[r[lags[0]][0]] + [r[j][1] for j in lags] for r in rows]))
 
         def work(b):
             idx = range(starts[b], min(starts[b] + per_block, n_seeds))
-            # one seed's (M, Q, 2) draw per row of trig[0]; then the cos of
-            # the block in place and its sin in trig[1]
+            # one seed's draw per row of trig[0]; then the cos of the block
+            # in place and its sin in trig[1]
             trig = np.empty((2, len(idx), n_modes))
-            for r, i in enumerate(idx):
-                draw_phases(mode_set, seed, i, out=trig[0, r].reshape(shape))
+            _draw_block(seed, idx, trig[0])
             flat = trig.reshape(2, -1)
             _cos_sin(flat[0], flat[0], flat[1])
-            fields = (trig[0] @ design[:n_modes] + trig[1] @ design[n_modes:]).reshape(
-                len(idx), 1 + len(lags), 6)
             block = np.empty((len(pairs), len(lags), len(idx)))
-            for j in range(len(lags)):
-                # the (seeds, 2, 6) layout of a two-time product, so that a
-                # one-pair, one-lag call contracts it exactly as before
-                both = fields[:, [0, j + 1]]
-                for p in range(len(pairs)):
-                    comps = (both * rows[p][lags[j]]).sum(axis=2)
-                    block[p, j] = comps[:, 0] * comps[:, 1]
+            for p, d in enumerate(design):
+                comps = trig[0] @ d[:n_modes] + trig[1] @ d[n_modes:]
+                np.multiply(comps[:, 0], comps[:, 1:].T, out=block[p])
             return block
 
         blocks = [None] * len(starts)

@@ -8,11 +8,12 @@ the QUADPACK Planck-weighted integrals check the polygamma form of the
 thermal ladder integral and the pi^4 / 15 closed form of the scalar bath,
 the quadrature stress moments check the scalar
 isotropy, the kernel record checks the ladder phase bookkeeping, the
-mode-by-mode field sum checks eval_lab_fields and the ModeSet arrays, and the
+mode-by-mode field sum checks eval_lab_fields and the ModeSet arrays, the
 per-seed field evaluation checks the seed-block Monte Carlo CF engine, the
-per-term Abel weights check numerics.abel_sum, and the lab-frame tensor
-integrand written term by term checks the one-product integrand of the
-tensor quadrature.  The worldline 4-velocity and acceleration, the
+six-column lab-field design checks the engine's folded design, the per-term
+Abel weights check numerics.abel_sum, and the lab-frame tensor integrand
+written term by term checks the one-product integrand of the tensor
+quadrature.  The worldline 4-velocity and acceleration, the
 projection of one field triplet, the
 single-direction polarization basis and angular kernel (with the Direction
 and FrameError types) and the manifest writer have no caller outside the
@@ -261,6 +262,34 @@ def empirical_cf_per_seed(pair, kind, tau1, tau2, params: RotationParams,
                                            params, tau) for tau in (tau1, tau2))
         vals[i] = getattr(f1, kind[0])[a - 1] * getattr(f2, kind[1])[b - 1]
     return vals
+
+
+def lab_field_design(mode_set: ModeSet, params: RotationParams, taus) -> np.ndarray:
+    """Stacked (2N x 6T) design of the lab (E, H) at the T proper times taus.
+
+    With b = k . r - c k t the base phase of a mode at a time, cos(b - phi) =
+    cos b cos phi + sin b sin phi, so [cos phi, sin phi] @ design is the
+    (E, H) of eval_lab_fields at every time.  Row n of the upper half holds
+    amp cos b [eps, khat x eps] for each time, the lower half sin b in place
+    of cos b; modes run in the (node, radial, polarization) order of
+    draw_phases.
+
+    Reference for montecarlo._lab_field_design, whose column of a tetrad
+    row at time j is this design's six columns of time j times the row.
+    """
+    const = params.constants
+    k = mode_set.wavenumbers
+    base = np.empty(mode_set.amp2.shape + (len(taus),))
+    for j, tau in enumerate(taus):
+        t, x, y, z = lab_position(params, tau)
+        base[:, :, j] = np.outer(mode_set.khat @ np.array([x, y, z]), k) - const.c * t * k
+    # (M, 1, lam, 1, field, 3) against the (M, Q, 1, T, 1, 1) amplitudes
+    pol = np.moveaxis(mode_set.pol, 2, 0)[:, None, :, None]
+    amp = mode_set.amp[:, :, None]
+    design = np.empty((2,) + mode_set.amp2.shape + (2, len(taus), 2, 3))
+    for half, trig in enumerate((np.cos, np.sin)):
+        np.multiply((amp * trig(base))[:, :, None, :, None, None], pol, out=design[half])
+    return design.reshape(2 * mode_set.mode_count, 6 * len(taus))
 
 
 def lab_tensor_integrand(row1, row2, chord):

@@ -384,11 +384,14 @@ class TestInputErrors:
         ["validate", "--sigma-perturb", "inf"],
         ["validate", "--sigma-perturb", "0"],
         ["validate", "--sigma-perturb=-1"],
+        ["mc-validate", "--workers", "0"],
+        ["mc-validate", "--workers=-3"],
     ], ids=["cf-negative-seed", "validate-negative-seed", "mc-validate-one-seed",
             "energy-tol", "cf-one-digit-pair", "cf-three-digit-pair", "cf-zero-component",
             "cf-double-dash-value", "validate-nan-sigma-perturb",
             "validate-inf-sigma-perturb", "validate-zero-sigma-perturb",
-            "validate-negative-sigma-perturb"])
+            "validate-negative-sigma-perturb", "mc-validate-zero-workers",
+            "mc-validate-negative-workers"])
     def test_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -9,12 +9,13 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import delta_to_tau
-from oracles import empirical_cf_per_seed, lab_fields_mode_sum, write_manifest
+from oracles import (empirical_cf_per_seed, lab_field_design, lab_fields_mode_sum,
+                     write_manifest)
 from rotvac import montecarlo, validation
 from rotvac.cf_continuous import em_cf_continuous, em_cf_tensor_quadrature
 from rotvac.cf_discrete import em_cf_discrete, ladder_phase
 from rotvac.constants import NATURAL, SI
-from rotvac.fields import angular_weight_kernel_grid
+from rotvac.fields import angular_weight_kernel_grid, projection_rows
 from rotvac.kinematics import RotationParams, lab_position
 from rotvac.montecarlo import (BLOCK_ELEMENTS, EmpiricalEnergyDensity, ModeSet,
                                build_mode_set, draw_phases,
@@ -601,6 +602,71 @@ class TestSharedDrawEngine:
                               n_seeds=n_seeds, seed=6, n_workers=k) for k in (1, 3))
         assert [[(c.value, c.stat_error) for c in row] for row in a] == \
             [[(c.value, c.stat_error) for c in row] for row in b]
+
+
+class TestFoldedDesign:
+    """The engine's per-pair designs and its block draw."""
+
+    @pytest.mark.parametrize("tau2s", [[1.3], [0.3, 0.9, 2.2]], ids=["one-lag", "three-lags"])
+    @pytest.mark.parametrize("kind", ["EE", "EH"])
+    def test_columns_match_six_column_oracle(self, params, modes, kind, tau2s):
+        pairs, tau1 = [(1, 1), (1, 3), (2, 3)], 0.2
+        rows = np.array([[projection_rows(pair, kind, params, tau1, tau2s[0])[0]]
+                         + [projection_rows(pair, kind, params, tau1, t)[1] for t in tau2s]
+                         for pair in pairs])
+        taus = (tau1, *tau2s)
+        design = montecarlo._lab_field_design(modes, params, taus, rows)
+        oracle = lab_field_design(modes, params, taus)
+        assert design.shape == (len(pairs), 2 * modes.mode_count, len(taus))
+        assert design[0].flags.c_contiguous
+        for p in range(len(pairs)):
+            for j in range(len(taus)):
+                col = design[p, :, j]
+                want = oracle[:, 6 * j:6 * j + 6] @ rows[p, j]
+                assert np.max(np.abs(col - want)) <= 1e-14 * np.max(np.abs(col))
+
+    def test_block_draw_matches_draw_phases(self, params, modes, monkeypatch):
+        # one block plus one seed: the seeds span two blocks, and the engine
+        # constructs one Philox per block, not one per seed
+        n_seeds = BLOCK_ELEMENTS // modes.mode_count + 1
+        built, drawn = [], {}
+        real_philox, real_draw = montecarlo.Philox, montecarlo._draw_block
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return real_philox(*args, **kwargs)
+
+        def recording(seed, indices, out):
+            real_draw(seed, indices, out)
+            drawn.update(zip(indices, out.copy()))
+
+        monkeypatch.setattr(montecarlo, "Philox", counting)
+        monkeypatch.setattr(montecarlo, "_draw_block", recording)
+        empirical_cf((1, 1), "EE", 0.0, 1.1, params, modes, n_seeds=n_seeds, seed=41)
+        assert len(built) <= 2
+        assert sorted(drawn) == list(range(n_seeds))
+        for i, row in drawn.items():
+            assert np.array_equal(row, draw_phases(modes, 41, i).phases.reshape(-1))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, params, modes, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            empirical_cf((1, 1), "EE", 0.0, 1.1, params, modes, n_seeds=2, seed=seed)
+
+    def test_offdiagonal_check_design_is_a_third(self, modes, monkeypatch):
+        # check_offdiagonal_nullity's call: 2 pairs at 1 lag on the
+        # 6,144-mode grid; P (1 + L) columns against the twelve of the
+        # six-column design of two times
+        designs = []
+        build = montecarlo._lab_field_design
+        monkeypatch.setattr(montecarlo, "_lab_field_design",
+                            lambda *a: designs.append(build(*a)) or designs[-1])
+        validation.check_offdiagonal_nullity(n_seeds=20)
+        (design,) = designs
+        n, n_pairs, n_lags = modes.mode_count, 2, 1
+        assert n == 6144
+        assert design.shape == (n_pairs, 2 * n, 1 + n_lags)
+        assert design.nbytes <= (2 * n * 12 * 8) / 3
 
 
 class TestPairValidation:

@@ -38,3 +38,14 @@ def test_mc_convergence(monkeypatch, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[2] == "n_seeds,w,stat_error,deviation"
     assert [row.split(",")[0] for row in lines[3:]] == ["10", "20"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_mc_convergence_rejects_workers_below_one(monkeypatch, tmp_path, capsys, workers):
+    out = tmp_path / "mc.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, "mc_convergence.py", "--seeds", "10", f"--workers={workers}",
+                   "--out", str(out))
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
