@@ -14,32 +14,39 @@ comparisons against those include an explicit factor 2.
 Phases are drawn from counter-based Philox streams keyed by
 (master seed, seed index), so any parallel split over seeds is
 order-independent and runs are bit-reproducible for a fixed worker count or
-any other.  The seed-invariant mode arrays (amplitudes, polarization
-columns) live on the ModeSet.  The two-time CFs draw each seed once per
-group of lags, straight into a block of seeds, from one Philox re-keyed per
-seed, take the block's cos and sin, and evaluate every lag of a pair from
-one design of that pair's tetrad components, already contracted with the
-projection rows; the one-point moments evaluate the fields seed by seed,
-each worker thread reusing its own phase and field buffers, so a seed
-allocates no array of mode size.  Both paths take their trigonometry from
-one table-and-series kernel, _cos_sin, which agrees with libm's to 2**-52
-and works in chunks, in work buffers that it keeps.  Times whose
-base phases k . r - c k t float64 cannot resolve against the drawn phases
-are a ValueError.
+any other.  Each phase lies on the lattice phi = 2 pi j / 2**LATTICE_BITS:
+j is the top LATTICE_BITS bits of one 32-bit half of a Philox4x64 word, so
+one word serves two modes.  Every estimator here is a polynomial of degree
+<= 4 in each mode's (cos phi, sin phi), and on the lattice every moment
+E e^{ik phi} with 0 < |k| < 2**LATTICE_BITS vanishes, as for phases uniform
+on [0, 2 pi): the ensemble means and variances are those of continuous
+phases.  e^{i phi} is the product of two entries of 1024-entry tables, with
+no trigonometry per seed.
+
+The seed-invariant mode arrays (amplitudes, polarization columns) live on
+the ModeSet.  Both paths use cos(b - phi) = Re(amp e^{-ib} e^{i phi}), with
+b = k . r - c k t the base phase of a mode.  The two-time CFs draw each
+seed once per group of lags, straight into a block of seeds, from one
+Philox re-keyed per seed, and evaluate every lag of a pair by one product
+of the block's interleaved (cos phi, sin phi) with one design of that
+pair's tetrad components, already contracted with the projection rows.
+The one-point moments compute amp e^{-ib} once per call; each seed's
+per-node sums are then one batched complex product over node chunks, so a
+worker thread keeps no array of mode size.  Times whose base phases
+k . r - c k t float64 cannot resolve against the drawn phases are a
+ValueError.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .cf_continuous import CFValue
 from .fields import FieldTriplet, polarization_grid, projection_matrix, projection_rows
@@ -69,58 +76,40 @@ BLOCK_ELEMENTS = 2**16
 # at each time of the 327,680-mode one-lag call.  The designs themselves take
 # 2N float64 per pair and time, so a group's P designs hold P / 6 of this
 DESIGN_BYTES = 2 * 327_680 * 12 * 8
-# _cos_sin takes phi = j h + a, h = 2 pi / TRIG_TABLE, from a periodic table
-# of cos and sin at the exact nodes j h, indexed by j mod TRIG_TABLE, and
-# fifth-order series in a.  It works in chunks of TRIG_CHUNK values, in
-# work buffers that it keeps: shorter chunks lose time to GIL handoffs
-# between worker threads, longer ones fall out of cache
-TRIG_TABLE = 1024
-TRIG_CHUNK = 2**15
-# largest |phi| the table takes; a chunk holding a larger or non-finite value
-# goes to libm.  |j| < 2**24 there, so j times a 29-bit part of h is exact
-TRIG_LIMIT = 2.0**16
+# eval_lab_fields takes the e^{i phi} of its modes in node chunks of about
+# TRIG_CHUNK modes, and _cis works in chunks of TRIG_CHUNK: shorter chunks
+# lose time to GIL handoffs between worker threads.  At 2**15, the 512 KB
+# temporaries of _cis were mapped afresh, page by page, on every call on the
+# 2-core benchmark host, and mc-lag-sweep ran at half the speed
+TRIG_CHUNK = 2**14
 # largest |b| = |k . r - c k t| the Monte Carlo accepts: from it on, float64
 # rounds b - phi to 2**-26 rad (1.5e-8) or coarser, so that the drawn phases
 # phi are no longer resolved
 PHASE_LIMIT = 2.0**26
+# the phases lie on the lattice phi = 2 pi j / 2**LATTICE_BITS, and
+# e^{i phi} = _CIS_HI[j >> _HALF_BITS] _CIS_LO[j & (2**_HALF_BITS - 1)]
+LATTICE_BITS = 20
+LATTICE_STEP = 2.0 * math.pi / 2**LATTICE_BITS     # float64 2 pi, scaled exactly
+_HALF_BITS = LATTICE_BITS // 2
 _TWO_PI = "6.28318530717958647692528676655900576839433879875021"
 
 
-def _round_bits(x: Fraction, bits: int) -> float:
-    """x rounded to a float of `bits` significant bits."""
-    e = math.frexp(float(x))[1]
-    return math.ldexp(round(x * Fraction(2)**(bits - e)), e - bits)
-
-
-def _step_parts():
-    """1 / h and h = 2 pi / TRIG_TABLE, from the digits of 2 pi, as h0 + h1 +
-    h2 with h0 and h1 of 29 bits: j h0 and j h1 are exact for |j| < 2**24,
-    and the parts carry h to 111 bits, so that a = phi - j h keeps its
-    relative precision down to the quarter turns, where cos or sin is tiny."""
-    h = Fraction(_TWO_PI) / TRIG_TABLE
-    h0 = _round_bits(h, 29)
-    h1 = _round_bits(h - Fraction(h0), 29)
-    return float(1 / h), h0, h1, float(h - Fraction(h0) - Fraction(h1))
-
-
-_INV_STEP, _STEP0, _STEP1, _STEP2 = _step_parts()
-
-
-def _trig_tables():
-    """cos and sin at j h for j < TRIG_TABLE, from sin on the first quarter
-    turn in long double, each rounded once; exact at the quarter turns."""
-    q = TRIG_TABLE // 4
-    nodes = np.arange(q + 1, dtype=np.longdouble) * (np.longdouble(_TWO_PI) / TRIG_TABLE)
-    s = np.sin(nodes).astype(np.float64)
+def _cis_tables():
+    """e^{i phi} at phi = 2 pi k / 2**_HALF_BITS and at phi = 2 pi k /
+    2**LATTICE_BITS for k < 2**_HALF_BITS, each rounded once from long
+    double.  The coarse table is built from sin on the first quarter turn,
+    so that it is exact at the quarter turns."""
+    n = 2**_HALF_BITS
+    q = n // 4
+    k = np.arange(n, dtype=np.longdouble)
+    s = np.sin(k[:q + 1] * (np.longdouble(_TWO_PI) / n)).astype(np.float64)
     sin = np.concatenate([s[:q], s[q:0:-1], -s[:q], -s[q:0:-1]])
-    return np.roll(sin, -q), sin
+    fine = k * (np.longdouble(_TWO_PI) / 2**LATTICE_BITS)
+    return (np.roll(sin, -q) + 1j * sin,
+            np.cos(fine).astype(np.float64) + 1j * np.sin(fine).astype(np.float64))
 
 
-_COS_TABLE, _SIN_TABLE = _trig_tables()
-# work buffers of _cos_sin: a call takes one and puts it back, so the
-# process keeps as many as have run at once.  Buffers made and freed by each
-# short-lived worker thread raised mc-energy's peak RSS by 11-16 MB
-_TRIG_WORK: List[np.ndarray] = []
+_CIS_HI, _CIS_LO = _cis_tables()
 
 
 @dataclass(frozen=True)
@@ -177,10 +166,23 @@ class ModeSet:
 
 @dataclass(frozen=True)
 class PhaseEnsemble:
-    """One draw of uniform [0, 2 pi) phases, one per (node, radial, pol) mode."""
+    """One draw of phases, one per (node, radial, pol) mode, uniform on the
+    lattice phi = 2 pi j / 2**LATTICE_BITS: lattice holds the indices j.
+
+    Every Monte Carlo estimator is a polynomial of degree <= 4 in each
+    mode's (cos phi, sin phi).  On the lattice every moment E e^{ik phi}
+    with 0 < |k| < 2**LATTICE_BITS vanishes, as it does for phases uniform
+    on [0, 2 pi), so the estimators have the same ensemble means and
+    variances.
+    """
 
     seed: int
-    phases: np.ndarray  # (M, Q, 2)
+    lattice: np.ndarray  # (M, Q, 2) uint32
+
+    @property
+    def phases(self) -> np.ndarray:
+        """The phases as float64, j LATTICE_STEP, in [0, 2 pi)."""
+        return self.lattice * LATTICE_STEP
 
 
 @dataclass(frozen=True)
@@ -282,18 +284,15 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
                    amp2=amp2, n_theta=n_theta, n_phi=n_phi)
 
 
-def draw_phases(mode_set: ModeSet, seed: int, index: int = 0,
-                out: Optional[np.ndarray] = None) -> PhaseEnsemble:
+def draw_phases(mode_set: ModeSet, seed: int, index: int = 0) -> PhaseEnsemble:
     """Counter-based phase draw; (seed, index) keys an independent stream.
 
-    out, if given, is a float64 (M, Q, 2) array that receives the phases.
+    Mode 2w takes the top LATTICE_BITS bits of the low 32-bit half of the
+    stream's word w, mode 2w + 1 those of its high half; modes run in
+    (node, radial, polarization) order.
     """
-    gen = Generator(_philox(seed, index))
-    if out is None:
-        out = np.empty((mode_set.khat.shape[0], mode_set.wavenumbers.shape[0], 2))
-    gen.random(out=out)
-    out *= 2.0 * np.pi
-    return PhaseEnsemble(seed=seed, phases=out)
+    lattice = _lattice(_philox(seed, index), mode_set.mode_count)
+    return PhaseEnsemble(seed=seed, lattice=lattice.reshape(mode_set.amp2.shape + (2,)))
 
 
 def _philox(seed: int, index: int) -> Philox:
@@ -303,19 +302,44 @@ def _philox(seed: int, index: int) -> Philox:
     return Philox(key=np.array([seed, index], dtype=np.uint64))
 
 
+def _lattice(bits: Philox, n_modes: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The uint32 lattice indices of n_modes modes from the next n_modes / 2
+    words of bits, in out if given, else in place of the words."""
+    words = bits.random_raw(n_modes // 2).astype("<u8", copy=False).view("<u4")
+    return np.right_shift(words, 32 - LATTICE_BITS, out=words if out is None else out)
+
+
 def _draw_block(seed: int, indices: range, out: np.ndarray) -> None:
-    """Row r of out gets the phases of draw_phases(..., seed, indices[r]),
-    flattened, bit for bit, from one Philox re-keyed to (seed, i) for each
-    seed i.  Constructing a Philox reads OS entropy for a SeedSequence that
-    the key then replaces; setting the key costs about a sixth as much."""
+    """Row r of the uint32 array out gets the lattice indices of
+    draw_phases(..., seed, indices[r]), flattened, from one Philox re-keyed
+    to (seed, i) for each seed i.  Constructing a Philox reads OS entropy
+    for a SeedSequence that the key then replaces; setting the key costs
+    about a sixth as much."""
     bits = _philox(seed, indices[0])
-    gen = Generator(bits)
     state = bits.state              # counter 0 and an empty buffer: a fresh stream
     for r, i in enumerate(indices):
         state["state"]["key"][1] = i
         bits.state = state
-        gen.random(out=out[r])
-    out *= 2.0 * np.pi
+        _lattice(bits, out.shape[1], out[r])
+
+
+def _cis(lattice: np.ndarray) -> np.ndarray:
+    """e^{i phi} at the lattice phases of the uint32 indices lattice, in
+    chunks of TRIG_CHUNK through two work arrays of that length."""
+    z = np.empty(lattice.shape, dtype=complex)
+    flat, out = lattice.reshape(-1), z.reshape(-1)
+    n = min(flat.size, TRIG_CHUNK)
+    k, fine = np.empty(n, dtype=np.intp), np.empty(n, dtype=complex)
+    for lo in range(0, flat.size, TRIG_CHUNK):
+        j, zj = flat[lo:lo + TRIG_CHUNK], out[lo:lo + TRIG_CHUNK]
+        kj, fj = k[:len(j)], fine[:len(j)]
+        # mode "clip" skips the buffering of the default "raise"; k is in range
+        np.take(_CIS_HI, np.right_shift(j, _HALF_BITS, out=kj, casting="unsafe"),
+                out=zj, mode="clip")
+        np.take(_CIS_LO, np.bitwise_and(j, 2**_HALF_BITS - 1, out=kj, casting="unsafe"),
+                out=fj, mode="clip")
+        zj *= fj
+    return z
 
 
 def _checked_position(mode_set: ModeSet, params: RotationParams, tau: float):
@@ -335,32 +359,57 @@ def _checked_position(mode_set: ModeSet, params: RotationParams, tau: float):
     return t, x, y, z
 
 
+def _base_phase(mode_set: ModeSet, params: RotationParams, tau: float,
+                out: np.ndarray) -> np.ndarray:
+    """out, an (M, Q) array, gets the base phases b = k . r - c k t of the
+    modes at tau; ValueError as _checked_position."""
+    t, x, y, z = _checked_position(mode_set, params, tau)
+    k = mode_set.wavenumbers
+    np.outer(mode_set.khat @ np.array([x, y, z]), k, out=out)
+    out -= params.constants.c * t * k
+    return out
+
+
+def _field_base(mode_set: ModeSet, params: RotationParams, tau: float) -> np.ndarray:
+    """(M, Q) complex amp e^{-ib} at tau, so that amp cos(b - phi) = Re(amp
+    e^{-ib} e^{i phi})."""
+    b = _base_phase(mode_set, params, tau, np.empty(mode_set.amp2.shape))
+    base = np.empty(b.shape, dtype=complex)
+    np.cos(b, out=base.real)
+    np.sin(b, out=base.imag)
+    base.imag *= -1.0
+    base *= mode_set.amp
+    return base
+
+
 def eval_lab_fields(mode_set: ModeSet, phases: PhaseEnsemble,
                     params: RotationParams, tau: float,
                     work: Optional[np.ndarray] = None) -> FieldTriplet:
     """Lab-frame (E, H) of the superposition at the detector position.
 
-    One (2, M, Q) buffer holds the base phase b = k . r - c k t minus each
-    polarization's phases, then amp cos(b - phi) in place, the cos taken by
-    _cos_sin; work, if given, is that buffer.  ValueError when tau is not
-    finite or |b| may reach PHASE_LIMIT.
+    Each node's sums over its radial modes of amp cos(b - phi) = Re(amp
+    e^{-ib} e^{i phi}), with b = k . r - c k t, are one (1 x Q) @ (Q x 2)
+    complex product, the e^{i phi} taken from the lattice tables in node
+    chunks of about TRIG_CHUNK modes.  work, if given, is
+    _field_base(mode_set, params, tau), which a caller that evaluates many
+    ensembles at one time computes once.  ValueError when tau is not finite
+    or |b| may reach PHASE_LIMIT.
     """
-    const = params.constants
-    t, x, y, z = _checked_position(mode_set, params, tau)
-    k = mode_set.wavenumbers
-    osc = np.empty((2,) + mode_set.amp2.shape) if work is None else work
-    np.outer(mode_set.khat @ np.array([x, y, z]), k, out=osc[0])
-    osc[0] -= const.c * t * k
-    np.subtract(osc[0], phases.phases[:, :, 1], out=osc[1])
-    osc[0] -= phases.phases[:, :, 0]
-    flat = osc.reshape(-1)
-    _cos_sin(flat, flat)
-    osc = flat.reshape(osc.shape)       # osc itself unless work is not contiguous
-    osc *= mode_set.amp
-    per_node = osc.sum(axis=2)
+    if work is None:
+        base = _field_base(mode_set, params, tau)
+    else:
+        _checked_position(mode_set, params, tau)
+        base = work
+    n_nodes, n_radial = base.shape
+    per_node = np.empty((n_nodes, 1, 2), dtype=complex)
+    step = max(1, TRIG_CHUNK // (2 * n_radial))
+    for lo in range(0, n_nodes, step):
+        hi = lo + step
+        np.matmul(base[lo:hi, None], _cis(phases.lattice[lo:hi]), out=per_node[lo:hi])
+    per_node = per_node.real[:, 0]
     pol = mode_set.pol
-    E = per_node[0] @ pol[0, 0] + per_node[1] @ pol[1, 0]
-    H = per_node[0] @ pol[0, 1] + per_node[1] @ pol[1, 1]
+    E = per_node[:, 0] @ pol[0, 0] + per_node[:, 1] @ pol[1, 0]
+    H = per_node[:, 0] @ pol[0, 1] + per_node[:, 1] @ pol[1, 1]
     return FieldTriplet(E=E, H=H, frame="lab", tau=tau)
 
 
@@ -380,61 +429,6 @@ def _seed_loop(work, n_items: int, n_workers: int, out):
         list(pool.map(lambda i: out.__setitem__(i, work(i)), range(n_items)))
 
 
-def _cos_sin(phases: np.ndarray, cos_out: np.ndarray,
-             sin_out: Optional[np.ndarray] = None) -> None:
-    """cos, and sin if sin_out is given, of 1-D float64 phases of any sign,
-    within 2**-52 absolute of libm's where |phase| <= TRIG_LIMIT; either
-    output may be phases.  A chunk that holds a larger or non-finite phase
-    goes to np.cos and np.sin, so there the result is libm's.
-
-    phi = j h + a with j = rint(phi / h), h = 2 pi / TRIG_TABLE: the table at
-    j mod TRIG_TABLE, and series for cos a - 1 and sin a to a^5 (dropped
-    terms < 2e-18).  a = phi - j h0 - j h1 - j h2 (see _step_parts), where
-    phi - j h0 is exact.
-    """
-    try:
-        work = _TRIG_WORK.pop()          # list.pop and append are atomic
-    except IndexError:
-        work = np.empty((4, TRIG_CHUNK))
-    try:
-        for lo in range(0, len(phases), TRIG_CHUNK):
-            phi, co = phases[lo:lo + TRIG_CHUNK], cos_out[lo:lo + TRIG_CHUNK]
-            si = None if sin_out is None else sin_out[lo:lo + TRIG_CHUNK]
-            # min and max allocate nothing, and a NaN fails the test
-            if not (-TRIG_LIMIT <= phi.min() and phi.max() <= TRIG_LIMIT):
-                if si is not None:
-                    np.sin(phi, out=si)
-                np.cos(phi, out=co)
-                continue
-            j, c, s, a = work[:, :len(phi)]
-            k = a.view(np.intp)             # a is free until the lookups are done
-            np.rint(np.multiply(phi, _INV_STEP, out=j), out=j)
-            np.copyto(k, j, casting="unsafe")
-            np.bitwise_and(k, TRIG_TABLE - 1, out=k)
-            # mode "clip" skips the buffering of the default "raise"; k is in range
-            np.take(_COS_TABLE, k, out=c, mode="clip")
-            np.take(_SIN_TABLE, k, out=s, mode="clip")
-            np.subtract(phi, np.multiply(j, _STEP0, out=a), out=a)
-            # phi is spent, so co serves as a temporary from here on
-            a -= np.multiply(j, _STEP1, out=co)
-            a -= np.multiply(j, _STEP2, out=j)
-            np.multiply(a, a, out=j)
-            np.add(np.multiply(j, -1.0 / 120.0, out=co), 1.0 / 6.0, out=co)
-            co *= j
-            np.subtract(1.0, co, out=co)
-            co *= a                         # sin a = a (1 - a^2 (1/6 - a^2/120))
-            np.subtract(np.multiply(j, 1.0 / 24.0, out=a), 0.5, out=a)
-            a *= j                          # cos a - 1 = a^2 (a^2/24 - 1/2)
-            # the small corrections are summed before the table value is added
-            if si is not None:
-                np.add(np.multiply(s, a, out=j), np.multiply(c, co, out=si), out=j)
-                np.add(s, j, out=si)        # S + (S (cos a - 1) + C sin a)
-            np.subtract(np.multiply(c, a, out=j), np.multiply(s, co, out=a), out=j)
-            np.add(c, j, out=co)            # C + (C (cos a - 1) - S sin a)
-    finally:
-        _TRIG_WORK.append(work)
-
-
 def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus,
                       rows: np.ndarray) -> np.ndarray:
     """(P, 2N, T) designs of the tetrad components that the P x T rows of
@@ -442,28 +436,27 @@ def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus,
     rows[p, j] is a (6,) row at taus[j].
 
     With b = k . r - c k t the base phase of a mode at a time, cos(b - phi) =
-    cos b cos phi + sin b sin phi, so [cos phi, sin phi] @ design[p] is, at
-    every time, the component of eval_lab_fields' (E, H) along rows[p].  Row
-    n of the upper half holds amp cos b (pol . row), the lower half sin b in
-    place of cos b, where pol . row = eps . row[:3] + (khat x eps) . row[3:];
-    modes run in the (node, radial, polarization) order of draw_phases.
+    cos b cos phi + sin b sin phi, so the interleaved (cos phi_0, sin phi_0,
+    cos phi_1, ...) @ design[p] is, at every time, the component of
+    eval_lab_fields' (E, H) along rows[p].  Rows 2n and 2n + 1 hold amp cos b
+    (pol . row) and amp sin b (pol . row) of mode n, where pol . row = eps .
+    row[:3] + (khat x eps) . row[3:]; modes run in the (node, radial,
+    polarization) order of draw_phases.
     """
-    const = params.constants
-    k = mode_set.wavenumbers
-    # b in trig[1], then amp cos b over amp sin b, all in place
-    trig = np.empty((2,) + mode_set.amp2.shape + (len(taus),))
+    # amp cos b and amp sin b, interleaved, in place of b
+    trig = np.empty(mode_set.amp2.shape + (2, len(taus)))
     for j, tau in enumerate(taus):
-        t, x, y, z = lab_position(params, tau)
-        trig[1, :, :, j] = np.outer(mode_set.khat @ np.array([x, y, z]), k) - const.c * t * k
-    np.cos(trig[1], out=trig[0])
-    np.sin(trig[1], out=trig[1])
-    trig *= mode_set.amp[:, :, None]
-    # (half, M, Q, 1, T) against pol . row, (M, 1, lam, T); one product per
-    # pair, so that a pair's design does not depend on the others
+        _base_phase(mode_set, params, tau, trig[:, :, 1, j])
+    np.cos(trig[:, :, 1], out=trig[:, :, 0])
+    np.sin(trig[:, :, 1], out=trig[:, :, 1])
+    trig *= mode_set.amp[:, :, None, None]
+    # (M, Q, 1, 2, T) against pol . row, (M, 1, lam, 1, T); one product per
+    # pair, written in place, so that a pair's design does not depend on the
+    # others
     pol = np.moveaxis(mode_set.pol, 2, 0).reshape(-1, 6)       # (M lam, 6)
-    design = np.empty((len(rows),) + trig.shape[:3] + (2, len(taus)))
+    design = np.empty((len(rows),) + mode_set.amp2.shape + (2, 2, len(taus)))
     for p, r in enumerate(rows):
-        np.multiply(trig[:, :, :, None], (pol @ r.T).reshape(-1, 1, 2, len(taus)),
+        np.multiply(trig[:, :, None], (pol @ r.T).reshape(-1, 1, 2, 1, len(taus)),
                     out=design[p])
     return design.reshape(len(rows), 2 * mode_set.mode_count, len(taus))
 
@@ -485,9 +478,10 @@ def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
     design per pair is built, each of its columns a tetrad component: pair
     p's at tau1, then its partner at each of the group's lags.  Seeds then
     run in blocks of about BLOCK_ELEMENTS phases, each drawn once straight
-    into its block row, the block's cos and sin taken by _cos_sin (within
-    2**-52 of libm's), then one product of the block with each pair's
-    design; a seed's CF at a lag is the product of its two components.
+    into its block row, the block's e^{i phi} taken from the lattice
+    tables, then one product of the block's interleaved (cos phi, sin phi)
+    with each pair's design; a seed's CF at a lag is the product of its two
+    components.
     """
     for tau in (tau1, *tau2s):
         _checked_position(mode_set, params, tau)
@@ -509,15 +503,12 @@ def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
 
         def work(b):
             idx = range(starts[b], min(starts[b] + per_block, n_seeds))
-            # one seed's draw per row of trig[0]; then the cos of the block
-            # in place and its sin in trig[1]
-            trig = np.empty((2, len(idx), n_modes))
-            _draw_block(seed, idx, trig[0])
-            flat = trig.reshape(2, -1)
-            _cos_sin(flat[0], flat[0], flat[1])
+            lattice = np.empty((len(idx), n_modes), dtype=np.uint32)
+            _draw_block(seed, idx, lattice)
+            trig = _cis(lattice).view(np.float64)    # (seeds, 2N): cos, sin interleaved
             block = np.empty((len(pairs), len(lags), len(idx)))
             for p, d in enumerate(design):
-                comps = trig[0] @ d[:n_modes] + trig[1] @ d[n_modes:]
+                comps = trig @ d
                 np.multiply(comps[:, 0], comps[:, 1:].T, out=block[p])
             return block
 
@@ -557,16 +548,11 @@ def empirical_energy_density(params: RotationParams, mode_set: ModeSet,
     """
     if n_seeds < 2:
         raise ValueError(f"a standard error needs n_seeds >= 2, got {n_seeds}")
-    _checked_position(mode_set, params, tau)
+    base = _field_base(mode_set, params, tau)
     m = projection_matrix(params.alpha(tau), params.beta)
-    buffers = threading.local()   # each thread reuses its own across seeds
 
     def work(i):
-        if not hasattr(buffers, "phases"):
-            buffers.phases = np.empty(mode_set.amp2.shape + (2,))
-            buffers.osc = np.empty((2,) + mode_set.amp2.shape)
-        ph = draw_phases(mode_set, seed, i, out=buffers.phases)
-        f = eval_lab_fields(mode_set, ph, params, tau, work=buffers.osc)
+        f = eval_lab_fields(mode_set, draw_phases(mode_set, seed, i), params, tau, work=base)
         v = m @ np.concatenate([f.E, f.H])
         mixed = f.E[0] * f.H[2] - f.E[2] * f.H[0]
         return np.concatenate([v[:3] ** 2, v[3:] ** 2, f.E**2, f.H**2, [mixed]])
@@ -600,6 +586,8 @@ def run_manifest(params: RotationParams, mode_set: ModeSet, n_seeds: int,
         "mode_set": mode_set.describe(),
         "n_seeds": n_seeds,
         "seed": seed,
+        "phases": {"generator": "philox4x64", "key": "(seed, index)",
+                   "lattice_bits": LATTICE_BITS},
     }
     if extra:
         d.update(extra)

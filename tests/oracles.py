@@ -268,11 +268,11 @@ def lab_field_design(mode_set: ModeSet, params: RotationParams, taus) -> np.ndar
     """Stacked (2N x 6T) design of the lab (E, H) at the T proper times taus.
 
     With b = k . r - c k t the base phase of a mode at a time, cos(b - phi) =
-    cos b cos phi + sin b sin phi, so [cos phi, sin phi] @ design is the
-    (E, H) of eval_lab_fields at every time.  Row n of the upper half holds
-    amp cos b [eps, khat x eps] for each time, the lower half sin b in place
-    of cos b; modes run in the (node, radial, polarization) order of
-    draw_phases.
+    cos b cos phi + sin b sin phi, so the interleaved (cos phi_0, sin phi_0,
+    cos phi_1, ...) @ design is the (E, H) of eval_lab_fields at every time.
+    Rows 2n and 2n + 1 hold amp cos b [eps, khat x eps] and amp sin b [eps,
+    khat x eps] of mode n for each time; modes run in the (node, radial,
+    polarization) order of draw_phases.
 
     Reference for montecarlo._lab_field_design, whose column of a tetrad
     row at time j is this design's six columns of time j times the row.
@@ -286,9 +286,10 @@ def lab_field_design(mode_set: ModeSet, params: RotationParams, taus) -> np.ndar
     # (M, 1, lam, 1, field, 3) against the (M, Q, 1, T, 1, 1) amplitudes
     pol = np.moveaxis(mode_set.pol, 2, 0)[:, None, :, None]
     amp = mode_set.amp[:, :, None]
-    design = np.empty((2,) + mode_set.amp2.shape + (2, len(taus), 2, 3))
+    design = np.empty(mode_set.amp2.shape + (2, 2, len(taus), 2, 3))
     for half, trig in enumerate((np.cos, np.sin)):
-        np.multiply((amp * trig(base))[:, :, None, :, None, None], pol, out=design[half])
+        np.multiply((amp * trig(base))[:, :, None, :, None, None], pol,
+                    out=design[:, :, :, half])
     return design.reshape(2 * mode_set.mode_count, 6 * len(taus))
 
 

@@ -1,11 +1,10 @@
 import dataclasses
 import json
 import math
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy.stats import ks_2samp
 
 from conftest import delta_to_tau
@@ -97,6 +96,11 @@ class TestModeSet:
         assert back["mode_set"]["n_max"] == 6
         assert back["params"]["beta"] == pytest.approx(0.3)
 
+    def test_manifest_records_the_phase_draw(self, modes, params):
+        man = run_manifest(params, modes, n_seeds=10, seed=3)
+        assert man["phases"] == {"generator": "philox4x64", "key": "(seed, index)",
+                                 "lattice_bits": 20}
+
     def test_manifest_file(self, tmp_path, modes, params):
         path = tmp_path / "run.json"
         write_manifest(path, run_manifest(params, modes, 5, 1))
@@ -152,7 +156,8 @@ class TestModeSetInvariants:
 
 
     def test_no_libm_cos_of_mode_size(self, params, modes, monkeypatch):
-        # at an in-range time the base phases go through _cos_sin, not np.cos
+        # the drawn phases take their e^{i phi} from the lattice tables; libm's
+        # np.cos sees only the (M, Q) base phases, half the mode count
         counted = []
         cos = np.cos
         monkeypatch.setattr(np, "cos", lambda x, *a, **k: counted.append(np.size(x))
@@ -251,7 +256,7 @@ class TestFieldEvaluation:
                      weights=np.array([1.0]), eps1=eps1, eps2=eps2,
                      amp2=np.array([[4.0]]), n_theta=1, n_phi=1)
         phases = draw_phases(ms, seed=0)
-        phases = phases.__class__(seed=0, phases=np.zeros_like(phases.phases))
+        phases = phases.__class__(seed=0, lattice=np.zeros_like(phases.lattice))
         tau = 0.4
         f = eval_lab_fields(ms, phases, params, tau)
         t, x, y, z = lab_position(params, tau)
@@ -288,15 +293,13 @@ class TestFieldEvaluation:
         assert pull < 3.0
 
     def test_caller_buffers_give_the_same_fields(self, params, modes):
-        # the energy path reuses one phase and one field buffer per thread
-        phases = np.full(modes.amp2.shape + (2,), np.nan)
-        work = np.full((2,) + modes.amp2.shape, np.nan)
+        # the energy path computes amp e^{-ib} once per call and passes it to
+        # every seed's eval_lab_fields as work
+        work = montecarlo._field_base(modes, params, 0.6)
         for index in (0, 1):
-            fresh = draw_phases(modes, seed=8, index=index)
-            reused = draw_phases(modes, seed=8, index=index, out=phases)
-            assert reused.phases is phases and np.array_equal(reused.phases, fresh.phases)
-            a = eval_lab_fields(modes, fresh, params, 0.6)
-            b = eval_lab_fields(modes, reused, params, 0.6, work=work)
+            ph = draw_phases(modes, seed=8, index=index)
+            a = eval_lab_fields(modes, ph, params, 0.6)
+            b = eval_lab_fields(modes, ph, params, 0.6, work=work)
             assert np.array_equal(a.E, b.E) and np.array_equal(a.H, b.H)
 
     def test_stationary_marginals(self, params, modes):
@@ -311,137 +314,59 @@ class TestFieldEvaluation:
         assert stat.pvalue > 0.01
 
 
-class TestCosSinKernel:
-    """_cos_sin against libm's float64 cos and sin."""
+class TestLatticePhases:
+    """Phases on the lattice 2 pi j / 2**20 and their e^{i phi} tables."""
 
-    @staticmethod
-    def run(phases):
-        c, s = np.empty_like(phases), np.empty_like(phases)
-        montecarlo._cos_sin(phases, c, s)
-        return c, s
+    N = 2**montecarlo.LATTICE_BITS
 
-    def test_matches_libm(self):
-        # 2**-52 absolute: a table of cos and sin at the float64-rounded
-        # nodes j h would reach 2**-51
-        phases = 2.0 * math.pi * np.random.default_rng(31).random(10**6 + 7)
-        c, s = self.run(phases)
-        assert np.abs(c - np.cos(phases)).max() <= 2.0**-52
-        assert np.abs(s - np.sin(phases)).max() <= 2.0**-52
+    # E cos^a sin^b of a uniform phase where it is not 0 (odd a or b)
+    UNIFORM = {(0, 0): 1.0, (2, 0): 0.5, (0, 2): 0.5, (4, 0): 0.375, (0, 4): 0.375,
+               (2, 2): 0.125}
 
-    def test_table_nodes_and_neighbours(self):
-        n = montecarlo.TRIG_TABLE
-        nodes = np.arange(n + 1) * (2.0 * math.pi / n)
-        phases = np.concatenate([nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 7.0)])
-        phases = phases[(phases >= 0.0) & (phases < 2.0 * math.pi)]
-        c, s = self.run(phases)
-        assert np.abs(c - np.cos(phases)).max() <= 2.0**-52
-        assert np.abs(s - np.sin(phases)).max() <= 2.0**-52
+    @classmethod
+    def moments_off(cls, c, s):
+        """Largest deviation of the means of cos^a sin^b, a + b <= 4, from
+        those of a uniform phase."""
+        return max(abs((c**a * s**b).mean() - cls.UNIFORM.get((a, b), 0.0))
+                   for a in range(5) for b in range(5 - a))
+
+    def test_tables_match_long_double_at_every_lattice_point(self):
+        j = np.arange(self.N, dtype=np.uint32)
+        z = montecarlo._cis(j)
+        two_pi = np.longdouble("6.28318530717958647692528676655900576839")
+        phi = j.astype(np.longdouble) * (two_pi / self.N)
+        assert np.abs(z.real - np.cos(phi)).max() <= 2.0**-52
+        assert np.abs(z.imag - np.sin(phi)).max() <= 2.0**-52
 
     def test_exact_at_quarter_turns(self):
-        phases = np.array([0.0, math.pi / 2.0, math.pi, 1.5 * math.pi,
-                           np.nextafter(2.0 * math.pi, 0.0)])
-        c, s = self.run(phases)
-        assert np.array_equal(c, np.cos(phases))
-        assert np.array_equal(s, np.sin(phases))
+        z = montecarlo._cis(np.array([0, 2**18, 2**19, 3 * 2**18], dtype=np.uint32))
+        assert np.array_equal(z, [1.0, 1j, -1.0, -1j])
 
-    def test_in_place_equals_out_of_place(self):
-        # three chunks and a remainder
-        phases = 2.0 * math.pi * np.random.default_rng(8).random(3 * montecarlo.TRIG_CHUNK + 5)
-        c, s = self.run(phases)
-        sines = np.empty_like(phases)
-        montecarlo._cos_sin(phases, phases, sines)
-        assert np.array_equal(phases, c)
-        assert np.array_equal(sines, s)
+    def test_moments_of_the_lattice_are_those_of_uniform_phases(self):
+        z = montecarlo._cis(np.arange(self.N, dtype=np.uint32))
+        assert self.moments_off(z.real, z.imag) <= 1e-15
+        # negative control: on the 4-point lattice e^{4 i phi} = 1, so the
+        # fourth moments are off by 1/8, E cos^4 = 1/2 and E cos^2 sin^2 = 0
+        c, s = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
+        assert (c**4).mean() == 0.5 and self.moments_off(c, s) == 0.125
 
+    def test_draw_phases_are_exact_lattice_multiples(self, modes):
+        ph = draw_phases(modes, seed=5, index=2)
+        j = ph.lattice
+        assert j.dtype == np.uint32 and j.shape == modes.amp2.shape + (2,)
+        assert j.max() < self.N
+        phases = ph.phases
+        assert np.array_equal(phases, j * montecarlo.LATTICE_STEP)
+        assert np.array_equal(np.rint(phases / montecarlo.LATTICE_STEP), j)
+        assert phases.min() >= 0.0 and phases.max() < 2.0 * math.pi
 
-class TestPeriodicCosKernel:
-    """_cos_sin on phases of any sign and size: within 2**-52 of libm up to
-    TRIG_LIMIT, libm's own values beyond it and at NaN or infinity."""
-
-    run = staticmethod(TestCosSinKernel.run)
-
-    @staticmethod
-    def nodes(offset):
-        # the float64 nearest (j + offset) h for j over the whole range
-        h = np.longdouble("6.28318530717958647692528676655900576839") / montecarlo.TRIG_TABLE
-        top = int(montecarlo.TRIG_LIMIT / float(h))
-        j = np.concatenate([np.arange(-3000, 3000),
-                            np.random.default_rng(4).integers(-top, top, 10**5)])
-        return ((j + np.longdouble(offset)) * h).astype(np.float64)
-
-    def assert_within_libm(self, phases):
-        phases = phases[np.abs(phases) <= montecarlo.TRIG_LIMIT]
-        c, s = self.run(phases)
-        assert np.abs(c - np.cos(phases)).max() <= 2.0**-52
-        assert np.abs(s - np.sin(phases)).max() <= 2.0**-52
-
-    def test_matches_libm_up_to_the_limit(self):
-        limit = montecarlo.TRIG_LIMIT
-        rng = np.random.default_rng(12)
-        for scale in (10.0, 1e3, limit):
-            self.assert_within_libm(rng.uniform(-scale, scale, 10**6))
-
-    @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["nodes", "midpoints"])
-    def test_nodes_and_midpoints_and_neighbours(self, offset):
-        x = self.nodes(offset)
-        self.assert_within_libm(np.concatenate([x, np.nextafter(x, -np.inf),
-                                                np.nextafter(x, np.inf)]))
-
-    def test_at_the_limit(self):
-        limit = montecarlo.TRIG_LIMIT
-        inside = np.array([limit, -limit, np.nextafter(limit, 0.0), np.nextafter(-limit, 0.0)])
-        self.assert_within_libm(inside)
-        outside = np.array([np.nextafter(limit, np.inf), np.nextafter(-limit, -np.inf),
-                            1e7, -3e9, 1e300])
-        c, s = self.run(outside)
-        assert np.array_equal(c, np.cos(outside)) and np.array_equal(s, np.sin(outside))
-
-    def test_non_finite_is_libm_without_a_lookup(self, monkeypatch):
-        looked_up = []
-        take = np.take
-        monkeypatch.setattr(np, "take", lambda *a, **k: looked_up.append(1) or take(*a, **k))
-        for bad in (math.nan, math.inf, -math.inf):
-            phases = np.array([0.3, bad, -2.0, 4.0])
-            with np.errstate(invalid="ignore"):
-                c, s = self.run(phases)
-                assert np.array_equal(c, np.cos(phases), equal_nan=True)
-                assert np.array_equal(s, np.sin(phases), equal_nan=True)
-        assert looked_up == []
-
-    def test_in_place_equals_out_of_place(self):
-        # several chunks and a remainder; one chunk goes to libm
-        n = montecarlo.TRIG_CHUNK
-        phases = np.random.default_rng(9).uniform(-500.0, 500.0, 3 * n + 11)
-        phases[n + 17] = 2.0 * montecarlo.TRIG_LIMIT
-        c = np.empty_like(phases)
-        montecarlo._cos_sin(phases, c)
-        assert np.array_equal(c[n:2 * n], np.cos(phases[n:2 * n]))
-        sines = phases.copy()
-        montecarlo._cos_sin(phases, phases)
-        assert np.array_equal(phases, c)
-        s = np.empty_like(sines)
-        montecarlo._cos_sin(sines, c, s)
-        montecarlo._cos_sin(sines, c, sines)
-        assert np.array_equal(sines, s)
-
-    def test_step_is_split_from_the_digits_of_two_pi(self):
-        # h0 + h1 + h2 against 2 pi from Machin's formula in 60 digits
-        def arctan_inv(x):
-            total, term, n, x2 = Decimal(0), Decimal(1) / x, 1, x * x
-            while term:
-                total += term / n if n % 4 == 1 else -term / n
-                term /= x2
-                n += 2
-            return total
-
-        with localcontext() as ctx:
-            ctx.prec = 60
-            two_pi = 8 * (4 * arctan_inv(Decimal(5)) - arctan_inv(Decimal(239)))
-        h = Fraction(two_pi) / montecarlo.TRIG_TABLE
-        parts = (montecarlo._STEP0, montecarlo._STEP1, montecarlo._STEP2)
-        assert abs(sum(map(Fraction, parts)) - h) < Fraction(2)**-115
-        for part in parts[:2]:     # 29 bits, so j part is exact for |j| < 2**24
-            assert Fraction(part) * 2**(29 - math.frexp(part)[1]) % 1 == 0
+    def test_indices_are_the_top_bits_of_each_half_word(self, modes):
+        # mode 2w from the low 32-bit half of the Philox word w, 2w + 1 from
+        # its high half
+        words = Philox(key=np.array([5, 2], dtype=np.uint64)).random_raw(modes.mode_count // 2)
+        low, high = (words & 0xFFFFFFFF) >> 12, words >> 44
+        want = np.stack([low, high], axis=-1).reshape(-1)
+        assert np.array_equal(draw_phases(modes, seed=5, index=2).lattice.reshape(-1), want)
 
 
 class TestEmpiricalCF:
@@ -535,9 +460,10 @@ class TestSeedBlockEngine:
                                               rel=1e-12)
 
     def test_libm_trig_elements_per_call(self, params, modes, monkeypatch):
-        # the drawn phases go through _cos_sin; only the design takes libm's
-        # cos and sin, each once over its (M, Q, T) base phases.  A libm pass
-        # over the phases would pass 2 x n_seeds x mode_count elements
+        # the drawn phases take their e^{i phi} from the lattice tables; only
+        # the design takes libm's cos and sin, each once over its (M, Q, T)
+        # base phases.  A libm pass over the phases would pass
+        # 2 x n_seeds x mode_count elements
         counted = []
         for name in ("cos", "sin"):
             def counting(x, *args, _libm=getattr(np, name), **kwargs):
@@ -645,8 +571,9 @@ class TestFoldedDesign:
         empirical_cf((1, 1), "EE", 0.0, 1.1, params, modes, n_seeds=n_seeds, seed=41)
         assert len(built) <= 2
         assert sorted(drawn) == list(range(n_seeds))
-        for i, row in drawn.items():
-            assert np.array_equal(row, draw_phases(modes, 41, i).phases.reshape(-1))
+        for i, row in list(drawn.items()):
+            assert row.dtype == np.uint32
+            assert np.array_equal(row, draw_phases(modes, 41, i).lattice.reshape(-1))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_rejected(self, params, modes, seed):
@@ -722,19 +649,17 @@ class TestEmpiricalEnergyDensity:
         b = empirical_energy_density(params, modes, n_seeds=200, seed=21, tau=2.3)
         assert abs(a.w - b.w) < 4.0 * math.hypot(a.w_err, b.w_err)
 
-    def test_bit_identical_across_workers_over_chunks(self, params, monkeypatch):
-        # 2 x 1,152 x 15 = 34,560 values per seed: a chunk and a remainder
-        monkeypatch.setattr(montecarlo, "_TRIG_WORK", [])
-        ms = build_mode_set(params, n_max=15, n_theta=24, n_phi=48)
-        assert 2 * ms.amp2.size % montecarlo.TRIG_CHUNK != 0
-        assert 2 * ms.amp2.size > montecarlo.TRIG_CHUNK
+    def test_bit_identical_across_workers_over_chunks(self, params):
+        # 768 nodes of 2 x 15 modes: a node chunk of TRIG_CHUNK // 30 = 546
+        # nodes and a remainder
+        ms = build_mode_set(params, n_max=15, n_theta=24, n_phi=32)
+        n_nodes, per_chunk = ms.amp2.shape[0], montecarlo.TRIG_CHUNK // (2 * 15)
+        assert per_chunk < n_nodes < 2 * per_chunk
         runs = [empirical_energy_density(params, ms, n_seeds=9, seed=14, n_workers=k, tau=3.7)
                 for k in (1, 2, 4)]
         for other in runs[1:]:
             for name in ("e2", "h2", "lab_e2", "lab_h2", "e2_err", "w", "w_err", "mixed"):
                 assert np.array_equal(getattr(other, name), getattr(runs[0], name)), name
-        # the kernel keeps one work buffer per thread that ran it at once
-        assert 1 <= len(montecarlo._TRIG_WORK) <= 4
 
     def test_bit_identical_across_workers(self, params, modes):
         a = empirical_energy_density(params, modes, n_seeds=60, seed=3, n_workers=1)
