@@ -86,8 +86,22 @@ def ladder_phase(delta, ky, params: RotationParams):
     return delta - 2.0 * params.beta * np.asarray(ky) * math.sin(delta / 2.0)
 
 
-def _distance_to_resonance(phase):
-    return np.abs(np.remainder(np.asarray(phase) + math.pi, 2.0 * math.pi) - math.pi)
+def _off_resonance(phase, name: str) -> np.ndarray:
+    """phase as a float array; ResonanceError unless it is finite and at
+    least RESONANCE_TOL from 2 pi Z."""
+    phase = np.asarray(phase, dtype=float)
+    if not np.all(np.isfinite(phase)) or np.any(
+            np.abs(np.remainder(phase + math.pi, 2.0 * math.pi) - math.pi) < RESONANCE_TOL):
+        raise ResonanceError(f"{name} diverges at phase in 2 pi Z or a non-finite phase")
+    return phase
+
+
+def _zero_point_part(c: float, phase: float, p: int) -> float:
+    """The regularized frequency integral c / phase^p; ResonanceError unless finite."""
+    d = phase**p
+    if not (d and math.isfinite(c / d)):
+        raise ResonanceError(f"zero-point part {c!r} / phase^{p} diverges at phase = {phase!r}")
+    return c / d
 
 
 def cubic_ladder_sum_closed(phase):
@@ -97,9 +111,7 @@ def cubic_ladder_sum_closed(phase):
     divergent 6/phase^4 bookkeeping terms of the split representation cancel
     algebraically.  Resonant at phase in 2 pi Z.
     """
-    phase = np.asarray(phase, dtype=float)
-    if np.any(_distance_to_resonance(phase) < RESONANCE_TOL):
-        raise ResonanceError("cubic ladder sum diverges at phase in 2 pi Z")
+    phase = _off_resonance(phase, "cubic ladder sum")
     s2 = np.sin(phase / 2.0) ** 2
     out = (3.0 - 2.0 * s2) / (8.0 * s2 * s2)
     return float(out) if out.ndim == 0 else out
@@ -108,9 +120,7 @@ def cubic_ladder_sum_closed(phase):
 def linear_ladder_sum_closed(phase):
     """Closed form of the regularized sum over n >= 0 of n cos(n phase):
     -1 / (4 sin^2(phase/2))."""
-    phase = np.asarray(phase, dtype=float)
-    if np.any(_distance_to_resonance(phase) < RESONANCE_TOL):
-        raise ResonanceError("linear ladder sum diverges at phase in 2 pi Z")
+    phase = _off_resonance(phase, "linear ladder sum")
     s2 = np.sin(phase / 2.0) ** 2
     out = -1.0 / (4.0 * s2)
     return float(out) if out.ndim == 0 else out
@@ -126,10 +136,10 @@ def thermal_ladder_integral(phase, p: int = 3):
     if p < 1 or p % 2 == 0:
         raise ValueError(f"closed form holds for odd p >= 1, got p = {p!r}")
     phase = np.asarray(phase, dtype=float)
-    if np.any(np.abs(phase) >= 2.0 * math.pi):
+    if not np.all(np.abs(phase) < 2.0 * math.pi):
         raise ResonanceError(
-            f"thermal integral diverges for |phase| = {float(np.max(np.abs(phase)))!r} >= 2 pi"
-        )
+            f"thermal integral needs |phase| < 2 pi, got |phase| = "
+            f"{float(np.max(np.abs(phase)))!r}")
     x = phase / (2.0 * math.pi)
     # psi_p(z) = (-1)^(p+1) p! zeta(p+1, z) with p! = gamma(p + 1), as scipy's
     # polygamma evaluates it but without its Python wrapper (~10 us per call);
@@ -146,7 +156,7 @@ def cubic_ladder_split(phase: float) -> ThermalSplit:
     thermal_part is the convergent Planck-weighted integral; the total
     reproduces cubic_ladder_sum_closed(phase).
     """
-    return ThermalSplit(zero_point_part=6.0 / phase**4,
+    return ThermalSplit(zero_point_part=_zero_point_part(6.0, phase, 4),
                         thermal_part=thermal_ladder_integral(phase, p=3))
 
 
@@ -156,7 +166,7 @@ def linear_ladder_split(phase: float) -> ThermalSplit:
     The zero-point part carries the regularized value -1/phase^2 and the
     thermal part enters with a minus sign.
     """
-    return ThermalSplit(zero_point_part=-1.0 / phase**2,
+    return ThermalSplit(zero_point_part=_zero_point_part(-1.0, phase, 2),
                         thermal_part=-thermal_ladder_integral(phase, p=1))
 
 

@@ -25,12 +25,10 @@ no trigonometry per seed.
 
 The seed-invariant mode arrays (amplitudes, polarization columns) live on
 the ModeSet.  Both paths use cos(b - phi) = Re(amp e^{-ib} e^{i phi}), with
-b = k . r - c k t the base phase of a mode.  The two-time CFs draw each
-seed once per group of lags, straight into a block of seeds, from one
-Philox re-keyed per seed, and evaluate every lag of a pair by one product
-of the block's interleaved (cos phi, sin phi) with one design of that
-pair's tetrad components, already contracted with the projection rows.
-The one-point moments compute amp e^{-ib} once per call; each seed's
+b = k . r - c k t the base phase of a mode.  The two-time CFs run over node
+chunks of about CHUNK_MODES modes, so that their memory does not grow with
+the grid, and sum each seed's shares in chunk order (empirical_cfs).  The
+one-point moments compute amp e^{-ib} once per call; each seed's
 per-node sums are then one batched complex product over node chunks, so a
 worker thread keeps no array of mode size.  Times whose base phases
 k . r - c k t float64 cannot resolve against the drawn phases are a
@@ -71,11 +69,10 @@ MIN_PHI_NODES = 16
 # count alone, never from the worker count, so that results are bit-identical
 # for any worker count
 BLOCK_ELEMENTS = 2**16
-# lag budget of empirical_cfs: a group of L lags (at least one) keeps
-# 6 (1 + L) float64 columns of 2N rows within this, the six lab components
-# at each time of the 327,680-mode one-lag call.  The designs themselves take
-# 2N float64 per pair and time, so a group's P designs hold P / 6 of this
-DESIGN_BYTES = 2 * 327_680 * 12 * 8
+# modes per node chunk of empirical_cfs, about: a chunk is a multiple of 4
+# whole nodes, so that it starts on a Philox counter step (4 words, 8 modes),
+# and its design takes 2 float64 per mode, pair and time, whatever the grid
+CHUNK_MODES = 2**17
 # eval_lab_fields takes the e^{i phi} of its modes in node chunks of about
 # TRIG_CHUNK modes, and _cis works in chunks of TRIG_CHUNK: shorter chunks
 # lose time to GIL handoffs between worker threads.  At 2**15, the 512 KB
@@ -167,14 +164,9 @@ class ModeSet:
 @dataclass(frozen=True)
 class PhaseEnsemble:
     """One draw of phases, one per (node, radial, pol) mode, uniform on the
-    lattice phi = 2 pi j / 2**LATTICE_BITS: lattice holds the indices j.
-
-    Every Monte Carlo estimator is a polynomial of degree <= 4 in each
-    mode's (cos phi, sin phi).  On the lattice every moment E e^{ik phi}
-    with 0 < |k| < 2**LATTICE_BITS vanishes, as it does for phases uniform
-    on [0, 2 pi), so the estimators have the same ensemble means and
-    variances.
-    """
+    lattice phi = 2 pi j / 2**LATTICE_BITS, whose moments up to degree 4 are
+    those of uniform phases (see the module docstring): lattice holds the
+    indices j."""
 
     seed: int
     lattice: np.ndarray  # (M, Q, 2) uint32
@@ -309,14 +301,15 @@ def _lattice(bits: Philox, n_modes: int, out: Optional[np.ndarray] = None) -> np
     return np.right_shift(words, 32 - LATTICE_BITS, out=words if out is None else out)
 
 
-def _draw_block(seed: int, indices: range, out: np.ndarray) -> None:
-    """Row r of the uint32 array out gets the lattice indices of
-    draw_phases(..., seed, indices[r]), flattened, from one Philox re-keyed
-    to (seed, i) for each seed i.  Constructing a Philox reads OS entropy
-    for a SeedSequence that the key then replaces; setting the key costs
-    about a sixth as much."""
+def _draw_block(seed: int, indices: range, out: np.ndarray, first: int) -> None:
+    """Row r of the uint32 array out gets the lattice indices of modes first,
+    first + 1, ... of draw_phases(..., seed, indices[r]), from one Philox
+    re-keyed to (seed, i) for each seed i: constructing a Philox costs six
+    times as much, for OS entropy that the key then replaces.  first is a
+    multiple of 8, since one counter step gives 4 words, 8 modes."""
     bits = _philox(seed, indices[0])
-    state = bits.state              # counter 0 and an empty buffer: a fresh stream
+    state = bits.state              # an empty buffer: the next word is the counter's
+    state["state"]["counter"][0] = first // 8
     for r, i in enumerate(indices):
         state["state"]["key"][1] = i
         bits.state = state
@@ -360,12 +353,12 @@ def _checked_position(mode_set: ModeSet, params: RotationParams, tau: float):
 
 
 def _base_phase(mode_set: ModeSet, params: RotationParams, tau: float,
-                out: np.ndarray) -> np.ndarray:
-    """out, an (M, Q) array, gets the base phases b = k . r - c k t of the
-    modes at tau; ValueError as _checked_position."""
+                out: np.ndarray, nodes: slice = slice(None)) -> np.ndarray:
+    """out, an (M, Q) array over the node slice nodes, gets the base phases
+    b = k . r - c k t of their modes at tau; ValueError as _checked_position."""
     t, x, y, z = _checked_position(mode_set, params, tau)
     k = mode_set.wavenumbers
-    np.outer(mode_set.khat @ np.array([x, y, z]), k, out=out)
+    np.outer(mode_set.khat[nodes] @ np.array([x, y, z]), k, out=out)
     out -= params.constants.c * t * k
     return out
 
@@ -414,13 +407,9 @@ def eval_lab_fields(mode_set: ModeSet, phases: PhaseEnsemble,
 
 
 def _seed_loop(work, n_items: int, n_workers: int, out):
-    """Fill out[i] = work(i) for every index i < n_items, optionally with
-    threads.
-
-    Results land in a preallocated array or list indexed like the work, then
-    any reduction happens in index order, so the outcome is bit-identical for
-    any worker count.
-    """
+    """out[i] = work(i) for each i < n_items, on n_workers threads.  Results
+    land by index and any reduction runs afterwards in index order, so the
+    outcome is bit-identical for any worker count."""
     if n_workers <= 1:
         for i in range(n_items):
             out[i] = work(i)
@@ -430,10 +419,10 @@ def _seed_loop(work, n_items: int, n_workers: int, out):
 
 
 def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus,
-                      rows: np.ndarray) -> np.ndarray:
+                      rows: np.ndarray, nodes: slice = slice(None)) -> np.ndarray:
     """(P, 2N, T) designs of the tetrad components that the P x T rows of
-    projection_matrix pick from the lab (E, H) at the T proper times taus:
-    rows[p, j] is a (6,) row at taus[j].
+    projection_matrix pick from the lab (E, H) at the T proper times taus,
+    over the N modes of the node slice nodes: rows[p, j] is a row at taus[j].
 
     With b = k . r - c k t the base phase of a mode at a time, cos(b - phi) =
     cos b cos phi + sin b sin phi, so the interleaved (cos phi_0, sin phi_0,
@@ -443,22 +432,44 @@ def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus,
     row[:3] + (khat x eps) . row[3:]; modes run in the (node, radial,
     polarization) order of draw_phases.
     """
+    amp = mode_set.amp[nodes]
     # amp cos b and amp sin b, interleaved, in place of b
-    trig = np.empty(mode_set.amp2.shape + (2, len(taus)))
+    trig = np.empty(amp.shape + (2, len(taus)))
     for j, tau in enumerate(taus):
-        _base_phase(mode_set, params, tau, trig[:, :, 1, j])
+        _base_phase(mode_set, params, tau, trig[:, :, 1, j], nodes)
     np.cos(trig[:, :, 1], out=trig[:, :, 0])
     np.sin(trig[:, :, 1], out=trig[:, :, 1])
-    trig *= mode_set.amp[:, :, None, None]
+    trig *= amp[:, :, None, None]
     # (M, Q, 1, 2, T) against pol . row, (M, 1, lam, 1, T); one product per
     # pair, written in place, so that a pair's design does not depend on the
     # others
-    pol = np.moveaxis(mode_set.pol, 2, 0).reshape(-1, 6)       # (M lam, 6)
-    design = np.empty((len(rows),) + mode_set.amp2.shape + (2, 2, len(taus)))
+    pol = np.moveaxis(mode_set.pol[:, :, nodes], 2, 0).reshape(-1, 6)     # (M lam, 6)
+    design = np.empty((len(rows),) + amp.shape + (2, 2, len(taus)))
     for p, r in enumerate(rows):
         np.multiply(trig[:, :, None], (pol @ r.T).reshape(-1, 1, 2, 1, len(taus)),
                     out=design[p])
-    return design.reshape(len(rows), 2 * mode_set.mode_count, len(taus))
+    return design.reshape(len(rows), 4 * amp.size, len(taus))
+
+
+def _chunk_components(mode_set: ModeSet, params: RotationParams, taus, rows: np.ndarray,
+                      nodes: slice, seed: int, n_seeds: int, n_workers: int) -> np.ndarray:
+    """(n_seeds, P, T) shares of the components along rows from the modes of
+    the node slice nodes, seeds in blocks of about BLOCK_ELEMENTS phases."""
+    design = _lab_field_design(mode_set, params, taus, rows, nodes)
+    width = design.shape[1] // 2
+    per_block = max(1, BLOCK_ELEMENTS // width)
+    starts = range(0, n_seeds, per_block)
+
+    def work(b):
+        idx = range(starts[b], min(starts[b] + per_block, n_seeds))
+        lattice = np.empty((len(idx), width), dtype=np.uint32)
+        _draw_block(seed, idx, lattice, nodes.start * 2 * mode_set.amp2.shape[1])
+        trig = _cis(lattice).view(np.float64)    # (seeds, 2C): cos, sin interleaved
+        return np.stack([trig @ d for d in design], axis=1)
+
+    blocks = [None] * len(starts)
+    _seed_loop(work, len(starts), n_workers, blocks)
+    return np.concatenate(blocks)
 
 
 def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
@@ -474,56 +485,31 @@ def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
     the seed mean.  ValueError when a time is not finite or its base phases
     may reach PHASE_LIMIT (see eval_lab_fields).
 
-    The lags are grouped as DESIGN_BYTES sets out.  For each group one
-    design per pair is built, each of its columns a tetrad component: pair
-    p's at tau1, then its partner at each of the group's lags.  Seeds then
-    run in blocks of about BLOCK_ELEMENTS phases, each drawn once straight
-    into its block row, the block's e^{i phi} taken from the lattice
-    tables, then one product of the block's interleaved (cos phi, sin phi)
-    with each pair's design; a seed's CF at a lag is the product of its two
-    components.
+    The modes run in node chunks of about CHUNK_MODES, so that memory does
+    not grow with the grid.  Each chunk has one design per pair: the pair's
+    tetrad component at tau1 and its partner's at each lag.  The chunk's
+    e^{i phi} of a block of seeds, read as interleaved (cos phi, sin phi),
+    times a pair's design gives each seed's share of the components.  The
+    shares are summed in chunk order, and a seed's CF at a lag is the
+    product of its two sums.
     """
     for tau in (tau1, *tau2s):
         _checked_position(mode_set, params, tau)
-    rows = [[projection_rows(pair, kind, params, tau1, tau2) for tau2 in tau2s]
-            for pair in pairs]
+    # pair p's row at tau1, then its partner's row at each lag
+    rows = np.array([[projection_rows(pair, kind, params, tau1, t)[min(j, 1)]
+                      for j, t in enumerate((tau1, *tau2s))] for pair in pairs])
     if n_seeds < 2:
         raise ValueError(f"a standard error needs n_seeds >= 2, got {n_seeds}")
-    n_modes = mode_set.mode_count
-    per_block = max(1, BLOCK_ELEMENTS // n_modes)
-    starts = range(0, n_seeds, per_block)
-    per_group = max(1, DESIGN_BYTES // (2 * n_modes * 6 * 8) - 1)
-    out = [[None] * len(tau2s) for _ in pairs]
-    for g0 in range(0, len(tau2s), per_group):
-        lags = range(g0, min(g0 + per_group, len(tau2s)))
-        # the row at tau1 is the same at every lag
-        design = _lab_field_design(
-            mode_set, params, (tau1,) + tuple(tau2s[j] for j in lags),
-            np.array([[r[lags[0]][0]] + [r[j][1] for j in lags] for r in rows]))
-
-        def work(b):
-            idx = range(starts[b], min(starts[b] + per_block, n_seeds))
-            lattice = np.empty((len(idx), n_modes), dtype=np.uint32)
-            _draw_block(seed, idx, lattice)
-            trig = _cis(lattice).view(np.float64)    # (seeds, 2N): cos, sin interleaved
-            block = np.empty((len(pairs), len(lags), len(idx)))
-            for p, d in enumerate(design):
-                comps = trig @ d
-                np.multiply(comps[:, 0], comps[:, 1:].T, out=block[p])
-            return block
-
-        blocks = [None] * len(starts)
-        _seed_loop(work, len(starts), n_workers, blocks)
-        vals = np.concatenate(blocks, axis=2)
-        for p, pair in enumerate(pairs):
-            for j, lag in enumerate(lags):
-                v = vals[p, j]
-                out[p][lag] = CFValue(
-                    kind=kind, pair=pair, tau1=tau1, tau2=tau2s[lag],
-                    spectrum=mode_set.spectrum, value=float(v.mean()),
-                    method="monte-carlo",
-                    stat_error=float(v.std(ddof=1) / math.sqrt(n_seeds)))
-    return out
+    n_nodes, n_radial = mode_set.amp2.shape
+    step = max(1, CHUNK_MODES // (8 * n_radial)) * 4
+    parts = [_chunk_components(mode_set, params, (tau1, *tau2s), rows, slice(lo, lo + step),
+                               seed, n_seeds, n_workers) for lo in range(0, n_nodes, step)]
+    comps = sum(parts[1:], parts[0])                 # in chunk order
+    return [[CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2, spectrum=mode_set.spectrum,
+                     value=float(v.mean()), method="monte-carlo",
+                     stat_error=float(v.std(ddof=1) / math.sqrt(n_seeds)))
+             for tau2, v in zip(tau2s, (comps[:, p, :1] * comps[:, p, 1:]).T.copy())]
+            for p, pair in enumerate(pairs)]
 
 
 def empirical_cf(pair: Tuple[int, int], kind: str, tau1: float, tau2: float,

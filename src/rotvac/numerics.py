@@ -183,8 +183,8 @@ def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0
     sign-definite one is held to the demanded accuracy.  Raises
     QuadratureError, carrying the best estimate, once the grid exceeds
     64 * spec.max_subdivisions nodes; the start grid alone has 1,032, so
-    below max_subdivisions 17 no refinement is allowed.  Returns
-    (value, error_estimate).
+    below max_subdivisions 17 no refinement is allowed, and at once on a
+    non-finite value or error estimate.  Returns (value, error_estimate).
     """
     a = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(a)
@@ -212,6 +212,9 @@ def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0
         floor = 100.0 * np.finfo(float).eps * (l1 - abs(cur))
         tol = max(spec.abs_tol, spec.rel_tol * abs(cur), floor)
         err = max(err_t, err_psi)
+        if not math.isfinite(cur + err_t + err_psi):
+            raise QuadratureError(f"sphere integrand not finite on the grid of {vals.size} nodes",
+                                  best_estimate=cur, error_estimate=err)
         if err <= tol:
             return cur, err
         if vals.size > 64 * spec.max_subdivisions:

@@ -80,6 +80,24 @@ class TestLadderSums:
                 cubic_ladder_sum_closed(ph), rel=1e-12)
 
 
+class TestNoSilentNonFinite:
+    """Each ladder closed form and split either answers finitely or raises a
+    typed error, at non-finite phases and where the zero-point part diverges."""
+
+    @pytest.mark.parametrize("f, phase", [
+        *[(f, ph) for f in (cubic_ladder_sum_closed, linear_ladder_sum_closed)
+          for ph in (math.nan, math.inf, -math.inf, np.array([1.0, math.nan]))],
+        (thermal_ladder_integral, math.nan),
+        (thermal_ladder_integral, np.array([0.5, math.nan])),
+        *[(f, ph) for f in (cubic_ladder_split, linear_ladder_split)
+          for ph in (0.0, np.float64(0.0), 1e-200, math.nan, math.inf)],
+    ], ids=lambda v: getattr(v, "__name__", None)
+       or f"{type(v).__name__}({np.asarray(v).tolist()})".replace(" ", ""))
+    def test_raises_resonance_error(self, f, phase):
+        with pytest.raises(ResonanceError):
+            f(phase)
+
+
 class TestThermalSplit:
     @pytest.mark.parametrize("phase", [1e-3, 0.5, 1.0, 2.0, math.pi, 4.0, 5.0, 6.0])
     def test_cubic_total_matches_closed(self, phase):

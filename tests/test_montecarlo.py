@@ -499,20 +499,21 @@ class TestSharedDrawEngine:
             assert (cf.value, cf.stat_error, cf.pair, cf.tau2) == \
                 (one.value, one.stat_error, one.pair, one.tau2)
 
-    def test_lags_in_two_groups_match_per_seed_oracle(self, params, modes, monkeypatch):
-        # a budget of three times per design puts the three lags in two
-        # groups; one block plus one seed spans two blocks
-        per_time = 2 * modes.mode_count * 6 * 8
-        monkeypatch.setattr(montecarlo, "DESIGN_BYTES", 3 * per_time)
-        designs = []
+    def test_lags_over_chunks_match_per_seed_oracle(self, params, modes, monkeypatch):
+        # 512 nodes of 2 x 6 modes; room for 161 nodes rounds down to chunks
+        # of 160, a multiple of 4: three chunks and a remainder of 32.  One
+        # block plus one seed spans two blocks of a chunk
+        monkeypatch.setattr(montecarlo, "CHUNK_MODES", 161 * 12)
+        chunks = []
         build = montecarlo._lab_field_design
         monkeypatch.setattr(montecarlo, "_lab_field_design",
-                            lambda *a: designs.append(a[2]) or build(*a))
+                            lambda *a: chunks.append(a[4]) or build(*a))
         pairs, lags = [(1, 1), (2, 3)], [0.3, 0.9, 2.2]
-        n_seeds = BLOCK_ELEMENTS // modes.mode_count + 1
+        n_seeds = BLOCK_ELEMENTS // (160 * 12) + 1
         batch = empirical_cfs(pairs, "EE", 0.1, lags, params, modes, n_seeds=n_seeds,
                               seed=23)
-        assert [len(taus) for taus in designs] == [3, 2]
+        assert [(c.start, c.stop) for c in chunks] == [(0, 160), (160, 320), (320, 480),
+                                                       (480, 640)]
         for pair, row in zip(pairs, batch):
             for tau2, cf in zip(lags, row):
                 vals = empirical_cf_per_seed(pair, "EE", 0.1, tau2, params, modes,
@@ -521,6 +522,32 @@ class TestSharedDrawEngine:
                 assert abs(cf.value - vals.mean()) <= 1e-12 * cf.stat_error
                 assert cf.stat_error == pytest.approx(
                     vals.std(ddof=1) / math.sqrt(n_seeds), rel=1e-12)
+
+    def test_designs_bounded_on_the_full_suite_grid(self, params, monkeypatch):
+        # validate --suite full's 327,680 modes: no design holds more than
+        # CHUNK_MODES modes, and the chunks give the same bits for any
+        # worker count
+        ms = build_mode_set(params, n_max=20, n_theta=64, n_phi=128)
+        shapes = []
+        build = montecarlo._lab_field_design
+
+        def recording(*args):
+            design = build(*args)
+            shapes.append(design.shape)
+            return design
+
+        monkeypatch.setattr(montecarlo, "_lab_field_design", recording)
+        pairs, lags = [(1, 3), (2, 3)], [1.1]
+        empirical_cfs(pairs, "EE", 0.0, lags, params, ms, n_seeds=2, seed=8)
+        assert len(shapes) >= 3
+        for shape in shapes:
+            assert shape[0] == len(pairs) and shape[2] == 1 + len(lags)
+            assert 0 < shape[1] <= 2 * montecarlo.CHUNK_MODES
+        assert sum(shape[1] for shape in shapes) == 2 * ms.mode_count
+        a, b = (empirical_cfs(pairs, "EE", 0.0, lags, params, ms, n_seeds=3, seed=8,
+                              n_workers=k) for k in (1, 3))
+        assert [[(c.value, c.stat_error) for c in row] for row in a] == \
+            [[(c.value, c.stat_error) for c in row] for row in b]
 
     def test_bit_identical_across_workers(self, params, modes):
         n_seeds = 3 * (BLOCK_ELEMENTS // modes.mode_count) + 2
@@ -552,9 +579,12 @@ class TestFoldedDesign:
                 assert np.max(np.abs(col - want)) <= 1e-14 * np.max(np.abs(col))
 
     def test_block_draw_matches_draw_phases(self, params, modes, monkeypatch):
-        # one block plus one seed: the seeds span two blocks, and the engine
-        # constructs one Philox per block, not one per seed
-        n_seeds = BLOCK_ELEMENTS // modes.mode_count + 1
+        # chunks of 160 nodes of 12 modes (room for 161 rounds down to a
+        # multiple of 4), and one block plus one seed: the seeds span two
+        # blocks in each of the three whole chunks and one in the remainder,
+        # and the engine constructs one Philox per block, not one per seed
+        monkeypatch.setattr(montecarlo, "CHUNK_MODES", 161 * 12)
+        n_seeds = BLOCK_ELEMENTS // (160 * 12) + 1
         built, drawn = [], {}
         real_philox, real_draw = montecarlo.Philox, montecarlo._draw_block
 
@@ -562,18 +592,21 @@ class TestFoldedDesign:
             built.append(kwargs)
             return real_philox(*args, **kwargs)
 
-        def recording(seed, indices, out):
-            real_draw(seed, indices, out)
-            drawn.update(zip(indices, out.copy()))
+        def recording(seed, indices, out, first):
+            real_draw(seed, indices, out, first)
+            drawn.update(((first, i), row) for i, row in zip(indices, out.copy()))
 
         monkeypatch.setattr(montecarlo, "Philox", counting)
         monkeypatch.setattr(montecarlo, "_draw_block", recording)
         empirical_cf((1, 1), "EE", 0.0, 1.1, params, modes, n_seeds=n_seeds, seed=41)
-        assert len(built) <= 2
-        assert sorted(drawn) == list(range(n_seeds))
-        for i, row in list(drawn.items()):
+        firsts = [0, 1920, 3840, 5760]
+        assert len(built) == 7
+        assert sorted(drawn) == [(f, i) for f in firsts for i in range(n_seeds)]
+        for (first, i), row in drawn.items():
             assert row.dtype == np.uint32
-            assert np.array_equal(row, draw_phases(modes, 41, i).lattice.reshape(-1))
+            want = draw_phases(modes, 41, i).lattice.reshape(-1)[first:first + len(row)]
+            assert len(row) == min(1920, modes.mode_count - first)
+            assert np.array_equal(row, want)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_rejected(self, params, modes, seed):

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -83,6 +84,25 @@ def _count_calls(monkeypatch, module):
 
 
 class TestIntegrateSphere:
+    @pytest.mark.parametrize("f", [
+        lambda k: np.where(k[..., 0] > 0.999, math.nan, 1.0),
+        lambda k: np.full(k.shape[:-1], math.inf),
+        lambda k: np.where(k[..., 2] > 0.0, -math.inf, 1.0),
+    ], ids=["nan-where-kx-above-0.999", "inf", "-inf-on-a-half"])
+    def test_non_finite_integrand_raises_at_once(self, f):
+        # such integrands once made err NaN, so that no test refined the grid
+        # and the node budget never tripped: a hang
+        def expired(signum, frame):
+            raise TimeoutError("integrate_sphere did not return within 10 s")
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(10)
+        try:
+            with pytest.raises(QuadratureError, match="not finite"):
+                integrate_sphere(f)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_unit_function(self):
         val, _ = integrate_sphere(lambda k: np.ones(k.shape[:-1]))
         assert val == pytest.approx(4.0 * math.pi, rel=1e-12)
