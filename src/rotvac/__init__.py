@@ -27,6 +27,5 @@ from .thermo import (CasimirResult, ForcePoint, HadronEstimate, ThermoReport,
                      casimir_force, em_energy_density, hadron_estimates,
                      scalar_bath_thermal_density, scalar_energy_density,
                      vacuum_force_density)
-from .montecarlo import (ModeSet, PhaseEnsemble, build_mode_set, draw_phases,
-                         empirical_cf, empirical_cfs, empirical_energy_density,
-                         eval_lab_fields)
+from .montecarlo import (ModeSet, build_mode_set, draw_phases, empirical_cf,
+                         empirical_cfs, empirical_energy_density, eval_lab_fields)

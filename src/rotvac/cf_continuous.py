@@ -32,7 +32,6 @@ from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_sphere
 __all__ = [
     "CoincidenceError",
     "CFValue",
-    "sinc_half",
     "shape_constant",
     "sin_power_integral",
     "phi_kernel_integral",
@@ -61,14 +60,10 @@ class CFValue:
     stat_error: Optional[float] = None
 
 
-def sinc_half(delta: float) -> float:
-    """sin(delta/2) / (delta/2), stable near zero."""
-    return float(np.sinc(delta / (2.0 * math.pi)))
-
-
 def shape_constant(params: RotationParams, delta: float) -> float:
-    """The constant -beta sin(delta/2)/(delta/2) entering all radial integrals."""
-    return -params.beta * sinc_half(delta)
+    """The constant -beta sin(delta/2)/(delta/2) entering all radial integrals,
+    with np.sinc stable near delta = 0."""
+    return -params.beta * float(np.sinc(delta / (2.0 * math.pi)))
 
 
 def sin_power_integral(p: int, k: float) -> float:
@@ -76,7 +71,7 @@ def sin_power_integral(p: int, k: float) -> float:
 
     Rational in 1/(1 - k^2); requires |k| < 1.
     """
-    if abs(k) >= 1.0:
+    if not abs(k) < 1.0:     # NaN included
         raise ValueError(f"|k| must be < 1, got {k!r}")
     om = 1.0 / ((1.0 - k) * (1.0 + k))
     if p == 1:
@@ -90,7 +85,7 @@ def sin_power_integral(p: int, k: float) -> float:
 
 def phi_kernel_integral(m: int, b: float) -> float:
     """int_0^{2 pi} sin^m(phi) / (1 + b sin phi)^4 dphi for m = 0, 1, 2; |b| < 1."""
-    if abs(b) >= 1.0:
+    if not abs(b) < 1.0:     # NaN included
         raise ValueError(f"|b| must be < 1, got {b!r}")
     w = ((1.0 - b) * (1.0 + b)) ** -3.5
     if m == 0:
@@ -145,15 +140,13 @@ def _bracket_quadrature(pair, params, delta, dt_lab, spec) -> float:
     """Stationary quadrature path: angular integral of the printed bracket
     against the regularized radial factor (1 + k ky)^-4."""
     k = shape_constant(params, delta)
-    const = params.constants
 
     def integrand(khat):
         ky = khat[..., 1]
         return diag_bracket(pair, params, delta, khat[..., 0], ky) / (1.0 + k * ky) ** 4
 
     val, _ = integrate_sphere(integrand, spec)
-    pref = const.hbar * const.c / (4.0 * math.pi**2) * 6.0 / (const.c * dt_lab) ** 4
-    return pref * val
+    return _em_prefactor(params, dt_lab) * val
 
 
 def _lab_kernel(row1, row2, chord):

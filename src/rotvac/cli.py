@@ -263,18 +263,8 @@ def cmd_energy(args) -> int:
                if args.field == "scalar" else thermo.em_energy_density(params, args.n_max))
     except OverflowError as exc:      # every energy value scales with omega^4
         raise OverflowError(f"energy at --omega {args.omega!r}: {exc}") from exc
-    header = ["quantity", "value"]
-    rows = [
-        ["field_kind", rep.field_kind],
-        ["T_rot", rep.T_rot],
-        ["w_zp_cutoff", rep.w_zp_cutoff],
-        ["w_thermal", rep.w_thermal],
-        ["w_total_cutoff", rep.w_total_cutoff],
-        ["anisotropy_factor", rep.anisotropy_factor],
-        ["cutoff_n_max", rep.cutoff_n_max],
-        ["mixed_moment_residual", rep.mixed_moment_residual],
-    ]
-    return _emit(args, _meta_common(args, params), header, rows, False)
+    rows = [[name, value] for name, value in vars(rep).items()]
+    return _emit(args, _meta_common(args, params), ["quantity", "value"], rows, False)
 
 
 def cmd_force_curve(args) -> int:

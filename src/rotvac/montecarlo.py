@@ -21,7 +21,8 @@ one word serves two modes.  Every estimator here is a polynomial of degree
 E e^{ik phi} with 0 < |k| < 2**LATTICE_BITS vanishes, as for phases uniform
 on [0, 2 pi): the ensemble means and variances are those of continuous
 phases.  e^{i phi} is the product of two entries of 1024-entry tables, with
-no trigonometry per seed.
+no trigonometry per seed.  draw_phases returns a seed's (M, Q, 2) uint32
+indices j, which eval_lab_fields takes as they are.
 
 The seed-invariant mode arrays (amplitudes, polarization columns) live on
 the ModeSet.  Both paths use cos(b - phi) = Re(amp e^{-ib} e^{i phi}), with
@@ -52,7 +53,6 @@ from .kinematics import RotationParams, lab_position
 
 __all__ = [
     "ModeSet",
-    "PhaseEnsemble",
     "EmpiricalEnergyDensity",
     "build_mode_set",
     "draw_phases",
@@ -162,22 +162,6 @@ class ModeSet:
 
 
 @dataclass(frozen=True)
-class PhaseEnsemble:
-    """One draw of phases, one per (node, radial, pol) mode, uniform on the
-    lattice phi = 2 pi j / 2**LATTICE_BITS, whose moments up to degree 4 are
-    those of uniform phases (see the module docstring): lattice holds the
-    indices j."""
-
-    seed: int
-    lattice: np.ndarray  # (M, Q, 2) uint32
-
-    @property
-    def phases(self) -> np.ndarray:
-        """The phases as float64, j LATTICE_STEP, in [0, 2 pi)."""
-        return self.lattice * LATTICE_STEP
-
-
-@dataclass(frozen=True)
 class EmpiricalEnergyDensity:
     e2: np.ndarray            # tetrad <E_(a)^2>, (3,)
     h2: np.ndarray
@@ -276,15 +260,16 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
                    amp2=amp2, n_theta=n_theta, n_phi=n_phi)
 
 
-def draw_phases(mode_set: ModeSet, seed: int, index: int = 0) -> PhaseEnsemble:
+def draw_phases(mode_set: ModeSet, seed: int, index: int = 0) -> np.ndarray:
     """Counter-based phase draw; (seed, index) keys an independent stream.
 
-    Mode 2w takes the top LATTICE_BITS bits of the low 32-bit half of the
-    stream's word w, mode 2w + 1 those of its high half; modes run in
-    (node, radial, polarization) order.
+    Returns the (M, Q, 2) uint32 lattice indices j of the phases
+    phi = j LATTICE_STEP, one per (node, radial, polarization) mode.  Mode
+    2w takes the top LATTICE_BITS bits of the low 32-bit half of the
+    stream's word w, mode 2w + 1 those of its high half.
     """
     lattice = _lattice(_philox(seed, index), mode_set.mode_count)
-    return PhaseEnsemble(seed=seed, lattice=lattice.reshape(mode_set.amp2.shape + (2,)))
+    return lattice.reshape(mode_set.amp2.shape + (2,))
 
 
 def _philox(seed: int, index: int) -> Philox:
@@ -375,10 +360,12 @@ def _field_base(mode_set: ModeSet, params: RotationParams, tau: float) -> np.nda
     return base
 
 
-def eval_lab_fields(mode_set: ModeSet, phases: PhaseEnsemble,
+def eval_lab_fields(mode_set: ModeSet, lattice: np.ndarray,
                     params: RotationParams, tau: float,
                     work: Optional[np.ndarray] = None) -> FieldTriplet:
-    """Lab-frame (E, H) of the superposition at the detector position.
+    """Lab-frame (E, H) of the superposition at the detector position, at
+    the phases j LATTICE_STEP of lattice, the indices j that draw_phases
+    returns.
 
     Each node's sums over its radial modes of amp cos(b - phi) = Re(amp
     e^{-ib} e^{i phi}), with b = k . r - c k t, are one (1 x Q) @ (Q x 2)
@@ -398,7 +385,7 @@ def eval_lab_fields(mode_set: ModeSet, phases: PhaseEnsemble,
     step = max(1, TRIG_CHUNK // (2 * n_radial))
     for lo in range(0, n_nodes, step):
         hi = lo + step
-        np.matmul(base[lo:hi, None], _cis(phases.lattice[lo:hi]), out=per_node[lo:hi])
+        np.matmul(base[lo:hi, None], _cis(lattice[lo:hi]), out=per_node[lo:hi])
     per_node = per_node.real[:, 0]
     pol = mode_set.pol
     E = per_node[:, 0] @ pol[0, 0] + per_node[:, 1] @ pol[1, 0]
@@ -559,9 +546,9 @@ def empirical_energy_density(params: RotationParams, mode_set: ModeSet,
 
 
 def run_manifest(params: RotationParams, mode_set: ModeSet, n_seeds: int,
-                 seed: int, extra: Optional[dict] = None) -> dict:
+                 seed: int) -> dict:
     """Reproducibility manifest for a Monte Carlo run."""
-    d = {
+    return {
         "params": {
             "omega": params.omega,
             "radius": params.radius,
@@ -575,7 +562,4 @@ def run_manifest(params: RotationParams, mode_set: ModeSet, n_seeds: int,
         "phases": {"generator": "philox4x64", "key": "(seed, index)",
                    "lattice_bits": LATTICE_BITS},
     }
-    if extra:
-        d.update(extra)
-    return d
 

@@ -11,7 +11,8 @@ evaluated grid, each direction is refined on its own while its estimate is
 too large, and no node is evaluated twice.  Integrands receive unit vectors k
 (trailing axis of 3); the double-exponential grading towards u = +/-1
 resolves the near-luminal (1 + k u)^-4 peaks when the axis is the one the
-integrand depends on.  Abel summation evaluates the terms once, in extended
+integrand depends on.  Abel summation has one route, since every series
+that the package sums diverges; it evaluates the terms once, in extended
 precision, sums a_n e^(-eta n) over a prefix of them for each eta of a
 geometric grid, and extrapolates eta -> 0 with a Neville table; the weights e^(-eta n) of each
 eta come from two short exponential ladders, in blocks of ABEL_BLOCK terms.
@@ -256,16 +257,7 @@ def neville_to_zero(xs: Sequence[float], ys: Sequence):
 @dataclass(frozen=True)
 class SeriesSumResult:
     value: float
-    regularization: str  # "direct" | "abel"
     extrapolation_error_estimate: float
-
-
-def _converges_directly(terms, probe: int = 4096, tol: float = 1e-14):
-    n = np.arange(1, probe + 1, dtype=float)
-    t = np.asarray(terms(n), dtype=float)
-    total = float(np.sum(t))
-    tail = float(np.sum(np.abs(t[probe // 2:])))
-    return tail <= tol * max(1.0, abs(total)), total, tail
 
 
 def _abel_weights(eta: float, stop: int) -> np.ndarray:
@@ -294,27 +286,17 @@ def _abel_sums(terms: Callable) -> list:
             for eta, stop in zip(ABEL_ETA_GRID, stops)]
 
 
-def abel_sum(terms: Callable, mode: str = "auto") -> SeriesSumResult:
-    """Regularized value of sum_{n>=1} a_n for polynomially bounded a_n.
+def abel_sum(terms: Callable) -> SeriesSumResult:
+    """Abel-regularized value of sum_{n>=1} a_n for polynomially bounded a_n.
 
-    ``terms`` maps an array of indices n to a_n.  In "direct" mode the series
-    must converge absolutely; "abel" evaluates sum a_n e^(-eta n) on a
-    decreasing eta grid and extrapolates eta -> 0.  "auto" tries direct first.
-    The terms are evaluated once, in extended precision; each eta weighs its
-    prefix by _abel_weights: stop / ABEL_BLOCK + ABEL_BLOCK exps, not stop.
-    The n = 0 term of the target ladders vanishes identically and is omitted.
+    ``terms`` maps an array of indices n to a_n.  abel_sum evaluates
+    sum a_n e^(-eta n) on a decreasing eta grid and extrapolates eta -> 0; a
+    convergent series gets its ordinary sum.  The terms are evaluated once,
+    in extended precision; each eta weighs its prefix by _abel_weights:
+    stop / ABEL_BLOCK + ABEL_BLOCK exps, not stop.  The n = 0 term of the
+    target ladders vanishes identically and is omitted.  SeriesError when the
+    extrapolation does not stabilize.
     """
-    if mode not in ("auto", "direct", "abel"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode in ("auto", "direct"):
-        ok, total, tail = _converges_directly(terms)
-        if ok:
-            return SeriesSumResult(total, "direct", tail)
-        if mode == "direct":
-            raise SeriesError(
-                "series did not pass the convergence check; use abel mode",
-                diagnostics={"partial_sum": total, "tail": tail},
-            )
     sums = _abel_sums(terms)
     value, err = neville_to_zero(ABEL_ETA_GRID, sums)
     if not math.isfinite(value) or err > 1e-4 * max(1.0, abs(value)):
@@ -323,10 +305,10 @@ def abel_sum(terms: Callable, mode: str = "auto") -> SeriesSumResult:
             diagnostics={"etas": list(ABEL_ETA_GRID), "sums": [float(s) for s in sums],
                          "extrapolant": value, "error_estimate": err},
         )
-    return SeriesSumResult(value, "abel", err)
+    return SeriesSumResult(value, err)
 
 
-def abel_plana_check(f: Callable, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def abel_plana_check(f: Callable) -> float:
     """Residual of the Abel-Plana identity for a decaying analytic f.
 
     Computes | sum_{n>=0} f(n) - [ int_0^inf f + f(0)/2
@@ -344,7 +326,7 @@ def abel_plana_check(f: Callable, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
             raise SeriesError("direct sum in abel_plana_check did not converge")
         n += 1
 
-    int_real, _ = integrate_1d(lambda x: float(np.real(f(x))), 0.0, math.inf, spec)
+    int_real, _ = integrate_1d(lambda x: float(np.real(f(x))), 0.0, math.inf)
 
     def imag_part(t):
         if t == 0.0:
@@ -353,6 +335,6 @@ def abel_plana_check(f: Callable, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
         g = -2.0 * float(np.imag(f(1j * t)))
         return g * math.exp(-2.0 * math.pi * t) / (1.0 - math.exp(-2.0 * math.pi * t))
 
-    int_imag, _ = integrate_1d(imag_part, 0.0, math.inf, spec)
+    int_imag, _ = integrate_1d(imag_part, 0.0, math.inf)
     rhs = int_real + float(np.real(f(0))) / 2.0 + int_imag
     return abs(total - rhs)

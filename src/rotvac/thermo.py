@@ -21,7 +21,7 @@ from typing import Optional
 from .constants import SI, Constants
 from .cf_discrete import rotation_temperature, thermal_ladder_integral
 from .kinematics import LuminalOrbitError, RotationParams
-from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_sphere
+from .numerics import integrate_sphere
 
 __all__ = [
     "ThermoReport",
@@ -139,7 +139,7 @@ def _blackbody(factor: float, T: float, const: Constants) -> float:
     return factor * 4.0 * const.sigma / const.c * _power(T, 4, "T_rot")
 
 
-def _doppler_ladder_integral(params: RotationParams, spec: QuadratureSpec) -> float:
+def _doppler_ladder_integral(params: RotationParams) -> float:
     """thermal_ladder_integral(0, p=3) * int dOmega gamma^2 (1 - beta k_y)^2:
     the thermal ladder at coincidence in every direction, times the squared
     rate k0 gamma (1 - beta k_y) of its phase per unit c tau over k0."""
@@ -149,21 +149,20 @@ def _doppler_ladder_integral(params: RotationParams, spec: QuadratureSpec) -> fl
     def doppler_weight(khat):
         return g2 * (1.0 - beta * khat[..., 1]) ** 2
 
-    weight, _ = integrate_sphere(doppler_weight, spec)
+    weight, _ = integrate_sphere(doppler_weight)
     return thermal_ladder_integral(0.0, p=3) * weight
 
 
-def _mixed_moment_residual(spec: QuadratureSpec) -> float:
+def _mixed_moment_residual() -> float:
     """Angular integral behind <E1 H3> - <E3 H1> at one point; identically
     zero (odd integrand), evaluated by quadrature as a cross-check."""
     def integrand(khat):
         return -2.0 * khat[..., 1]  # eps_{3 a 1} khat_a summed over both orderings
-    val, _ = integrate_sphere(integrand, spec)
+    val, _ = integrate_sphere(integrand)
     return val
 
 
-def em_energy_density(params: RotationParams, cutoff_n_max: int,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> ThermoReport:
+def em_energy_density(params: RotationParams, cutoff_n_max: int) -> ThermoReport:
     """Electromagnetic energy density seen on the rotating worldline.
 
     w_thermal is the exact closed form anisotropy * (4 sigma / c) T_rot^4.
@@ -180,37 +179,37 @@ def em_energy_density(params: RotationParams, cutoff_n_max: int,
     w_zp = aniso * const.hbar * _power(params.omega, 4, "omega") \
         / (2.0 * math.pi**2 * const.c**3) * _ladder_cubic_sum(cutoff_n_max)
     return _report("em", params, cutoff_n_max, aniso, T, w_zp, w_t,
-                   mixed_moment_residual=_mixed_moment_residual(spec))
+                   mixed_moment_residual=_mixed_moment_residual())
 
 
-def em_thermal_density_quadrature(params: RotationParams,
-                                  spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def em_thermal_density_quadrature(params: RotationParams) -> float:
     """w_thermal by the Doppler quadrature, oracle for em_anisotropy_factor
     and sigma: hbar omega^4 / (2 pi^2 c^3) times 2 polarizations times the
     sphere average (the 1 / 4 pi)."""
     const = params.constants
     return (const.hbar * params.omega**4 / (2.0 * math.pi**2 * const.c**3)
-            * 2.0 / (4.0 * math.pi) * _doppler_ladder_integral(params, spec))
+            * 2.0 / (4.0 * math.pi) * _doppler_ladder_integral(params))
 
 
 def scalar_bath_thermal_density(temperature: float, const: Constants = SI) -> float:
     """Thermal part of the inertial scalar-bath energy density at T:
     (2 hbar / pi c^3) (k_B T / hbar)^4 int u^3 / (e^u - 1) du, the integral
-    being pi^4 / 15."""
+    being pi^4 / 15.  ValueError unless 0 <= T < inf."""
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature!r}")
     scale = const.k_B * temperature / const.hbar
     return (2.0 * const.hbar / (math.pi * const.c**3) * _power(scale, 4, "k_B T / hbar")
             * math.pi**4 / 15.0)
 
 
-def scalar_thermal_density_quadrature(params: RotationParams,
-                                      spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def scalar_thermal_density_quadrature(params: RotationParams) -> float:
     """Thermal part of the rotating scalar energy density, measured by the
     Doppler quadrature with the scalar CF prefactor hbar c k0^4 / (4 pi^2);
     oracle for scalar_bath_factor."""
     const = params.constants
     k0 = params.omega / const.c
     return (const.hbar * const.c * k0**4 / (4.0 * math.pi**2)
-            * _doppler_ladder_integral(params, spec))
+            * _doppler_ladder_integral(params))
 
 
 def scalar_energy_density(params: RotationParams, cutoff_n_max: int) -> ThermoReport:
@@ -290,8 +289,8 @@ def hadron_estimates(a_sphere: float, r0: float, x: float,
 
     Evaluates F = -(x / (1 - x^2)^2) (4 c hbar / 135 pi) a^3 / r0^5 for a
     sphere of radius a_sphere on an orbit at x = r / r0 with omega = c / r0,
-    plus T_rot = hbar c / (2 pi k_B r0).  a_sphere is the particle size and
-    is distinct from the orbit radius x * r0.  Every constant, the elementary
+    plus T_rot = hbar omega / (2 pi k_B) (rotation_temperature).  a_sphere is
+    the particle size and is distinct from the orbit radius x * r0.  Every constant, the elementary
     charge of the GeV/fermi conversion included, comes from const.
     """
     if not 0.0 < x < 1.0:
@@ -304,11 +303,10 @@ def hadron_estimates(a_sphere: float, r0: float, x: float,
     point = vacuum_force_density(params, x * r0, sphere_radius=a_sphere)
     prefactor = _finite(4.0 * const.c * const.hbar / (135.0 * math.pi)
                         * _power(a_sphere, 3, "sphere radius") / r0**5, "prefactor_j_per_m")
-    T = const.hbar * const.c / (2.0 * math.pi * const.k_B * r0)
     return HadronEstimate(
         force_newton=point.F_sphere,
         force_gev_per_fermi=point.F_sphere / const.gev_per_fermi,
-        T_rot=T,
+        T_rot=rotation_temperature(params),
         f_vac=point.f_vac,
         prefactor_j_per_m=prefactor,
         x=x,

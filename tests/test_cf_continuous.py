@@ -43,6 +43,10 @@ class TestSinPowerIntegral:
             sin_power_integral(1, 1.0)
         with pytest.raises(ValueError):
             sin_power_integral(2, 0.5)
+        # NaN fails every comparison, so the guard must accept, not reject
+        for k in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be < 1"):
+                sin_power_integral(3, k)
 
 
 class TestPhiKernelIntegral:
@@ -63,6 +67,9 @@ class TestPhiKernelIntegral:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             phi_kernel_integral(0, -1.0)
+        for b in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be < 1"):
+                phi_kernel_integral(1, b)
 
 
 class TestEmContinuous:

@@ -329,6 +329,16 @@ class TestEnergyCommand:
         assert float(vals["w_total_cutoff"]) == pytest.approx(
             float(vals["w_zp_cutoff"]) + float(vals["w_thermal"]), rel=1e-12)
 
+    @pytest.mark.parametrize("field", ["em", "scalar"])
+    def test_quantity_column(self, capsys, field):
+        # the rows come from ThermoReport's fields: a new, dropped or moved
+        # field changes the printed table
+        code, out = run_cli(capsys, "energy", "--field", field, "--beta", "0.3")
+        assert code == 0
+        assert [r["quantity"] for r in parse_table(out)[2]] == [
+            "field_kind", "T_rot", "w_zp_cutoff", "w_thermal", "w_total_cutoff",
+            "anisotropy_factor", "cutoff_n_max", "mixed_moment_residual"]
+
 
 class TestSpectrumCommand:
     def test_split_consistency_column(self, capsys):

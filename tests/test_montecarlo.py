@@ -149,7 +149,7 @@ class TestModeSetInvariants:
         for ms in (build_mode_set(params, n_max=3, n_theta=8, n_phi=16), self.hand_built()):
             ph = draw_phases(ms, seed=12, index=3)
             f = eval_lab_fields(ms, ph, params, tau)
-            E, H = lab_fields_mode_sum(ms, ph.phases, params, tau)
+            E, H = lab_fields_mode_sum(ms, ph * montecarlo.LATTICE_STEP, params, tau)
             scale = max(np.abs(E).max(), np.abs(H).max())
             assert np.abs(f.E - E).max() <= 1e-12 * scale
             assert np.abs(f.H - H).max() <= 1e-12 * scale
@@ -203,12 +203,12 @@ class TestPhases:
     def test_deterministic(self, modes):
         a = draw_phases(modes, seed=9, index=4)
         b = draw_phases(modes, seed=9, index=4)
-        assert np.array_equal(a.phases, b.phases)
+        assert np.array_equal(a, b)
         c = draw_phases(modes, seed=9, index=5)
-        assert not np.array_equal(a.phases, c.phases)
+        assert not np.array_equal(a, c)
 
     def test_range(self, modes):
-        ph = draw_phases(modes, seed=1).phases
+        ph = draw_phases(modes, seed=1) * montecarlo.LATTICE_STEP
         assert ph.min() >= 0.0 and ph.max() < 2.0 * math.pi
 
     def test_seed_outside_uint64_rejected(self, modes):
@@ -219,7 +219,7 @@ class TestPhases:
     def test_moment_laws(self, params):
         # >= 1e4 iid phases: <cos> -> 0 and <cos^2> -> 1/2 within 5 sigma
         big = build_mode_set(params, n_max=10, n_theta=16, n_phi=32)
-        ph = draw_phases(big, seed=123).phases.ravel()
+        ph = (draw_phases(big, seed=123) * montecarlo.LATTICE_STEP).ravel()
         n = ph.size
         assert n >= 10000
         assert abs(np.cos(ph).mean()) < 5.0 / math.sqrt(2.0 * n)
@@ -232,7 +232,7 @@ class TestPhases:
         n_seeds = 2000
         cos0, cos1, cos2 = [], [], []
         for i in range(n_seeds):
-            ph = draw_phases(ms, seed=55, index=i).phases
+            ph = draw_phases(ms, seed=55, index=i) * montecarlo.LATTICE_STEP
             cos0.append(math.cos(ph[0, 0, 0]))
             cos1.append(math.cos(ph[0, 0, 1]))
             cos2.append(math.cos(ph[37, 1, 0]))
@@ -255,8 +255,7 @@ class TestFieldEvaluation:
                      harmonics=np.array([2.0]), khat=khat,
                      weights=np.array([1.0]), eps1=eps1, eps2=eps2,
                      amp2=np.array([[4.0]]), n_theta=1, n_phi=1)
-        phases = draw_phases(ms, seed=0)
-        phases = phases.__class__(seed=0, lattice=np.zeros_like(phases.lattice))
+        phases = np.zeros_like(draw_phases(ms, seed=0))
         tau = 0.4
         f = eval_lab_fields(ms, phases, params, tau)
         t, x, y, z = lab_position(params, tau)
@@ -351,11 +350,10 @@ class TestLatticePhases:
         assert (c**4).mean() == 0.5 and self.moments_off(c, s) == 0.125
 
     def test_draw_phases_are_exact_lattice_multiples(self, modes):
-        ph = draw_phases(modes, seed=5, index=2)
-        j = ph.lattice
+        j = draw_phases(modes, seed=5, index=2)
         assert j.dtype == np.uint32 and j.shape == modes.amp2.shape + (2,)
         assert j.max() < self.N
-        phases = ph.phases
+        phases = j * montecarlo.LATTICE_STEP
         assert np.array_equal(phases, j * montecarlo.LATTICE_STEP)
         assert np.array_equal(np.rint(phases / montecarlo.LATTICE_STEP), j)
         assert phases.min() >= 0.0 and phases.max() < 2.0 * math.pi
@@ -366,7 +364,7 @@ class TestLatticePhases:
         words = Philox(key=np.array([5, 2], dtype=np.uint64)).random_raw(modes.mode_count // 2)
         low, high = (words & 0xFFFFFFFF) >> 12, words >> 44
         want = np.stack([low, high], axis=-1).reshape(-1)
-        assert np.array_equal(draw_phases(modes, seed=5, index=2).lattice.reshape(-1), want)
+        assert np.array_equal(draw_phases(modes, seed=5, index=2).reshape(-1), want)
 
 
 class TestEmpiricalCF:
@@ -604,7 +602,7 @@ class TestFoldedDesign:
         assert sorted(drawn) == [(f, i) for f in firsts for i in range(n_seeds)]
         for (first, i), row in drawn.items():
             assert row.dtype == np.uint32
-            want = draw_phases(modes, 41, i).lattice.reshape(-1)[first:first + len(row)]
+            want = draw_phases(modes, 41, i).reshape(-1)[first:first + len(row)]
             assert len(row) == min(1920, modes.mode_count - first)
             assert np.array_equal(row, want)
 

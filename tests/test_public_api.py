@@ -1,5 +1,6 @@
 """Every exported public name resolves, and so does every function that the
-benchmark's traced run wraps (perfbench/tracing.py, TRACED)."""
+benchmark's traced run wraps (perfbench/tracing.py, TRACED); the package
+itself never imports the benchmark."""
 
 import ast
 import importlib
@@ -36,3 +37,17 @@ def test_traced_functions_resolve():
     missing = [(m, n) for m, n in pairs
                if not callable(getattr(importlib.import_module(f"rotvac.{m}"), n, None))]
     assert not missing
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(rotvac.__path__[0]).glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_perfbench(path):
+    # the benchmark wraps the package from outside; the package must run without it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert not {name for name in imported if name.split(".")[0] == "perfbench"}

@@ -124,6 +124,12 @@ class TestScalarEnergyDensity:
                 scalar_bath_quadpack(T, const), rel=1e-13, abs=0.0)
         assert scalar_bath_thermal_density(0.0, const) == 0.0
 
+    @pytest.mark.parametrize("T", [-1.0, -1e-300, -math.inf, math.inf, math.nan])
+    def test_bath_outside_its_domain_rejected(self, T):
+        # the density is even in T, so a negative T would pass as its absolute value
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            scalar_bath_thermal_density(T, NATURAL)
+
     def test_static_limit(self):
         p = RotationParams(omega=0.0, radius=0.5, constants=NATURAL)
         rep = scalar_energy_density(p, cutoff_n_max=4)
