@@ -13,8 +13,8 @@ from .constants import NATURAL, SI, Constants
 from .kinematics import (FourVector, LuminalOrbitError, RotationParams, Tetrad,
                          fermi_walker_tetrad, frenet_serret_tetrad, lab_position)
 from .fields import FieldTriplet
-from .numerics import (QuadratureError, QuadratureSpec, SeriesSumResult,
-                       abel_plana_check, abel_sum, integrate_1d, integrate_sphere)
+from .numerics import (QuadratureError, SeriesSumResult, abel_plana_check, abel_sum,
+                       integrate_1d, integrate_sphere)
 from .cf_continuous import (CFValue, CoincidenceError, em_cf_continuous,
                             em_cf_tensor_quadrature, phi_kernel_integral,
                             scalar_cf_continuous, scalar_cf_quadrature,

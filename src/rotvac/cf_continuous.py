@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import diag_bracket, projection_rows
 from .kinematics import RotationParams, lab_position
-from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_sphere
+from .numerics import DEFAULT_TOL, integrate_sphere
 
 __all__ = [
     "CoincidenceError",
@@ -62,7 +62,9 @@ class CFValue:
 
 def shape_constant(params: RotationParams, delta: float) -> float:
     """The constant -beta sin(delta/2)/(delta/2) entering all radial integrals,
-    with np.sinc stable near delta = 0."""
+    with np.sinc stable near delta = 0; ValueError unless delta is finite."""
+    if not math.isfinite(delta):
+        raise ValueError(f"lag delta must be finite, got {delta!r}")
     return -params.beta * float(np.sinc(delta / (2.0 * math.pi)))
 
 
@@ -136,7 +138,7 @@ def _closed_form_11(params: RotationParams, delta: float, dt_lab: float) -> floa
     )
 
 
-def _bracket_quadrature(pair, params, delta, dt_lab, spec) -> float:
+def _bracket_quadrature(pair, params, delta, dt_lab, tol) -> float:
     """Stationary quadrature path: angular integral of the printed bracket
     against the regularized radial factor (1 + k ky)^-4."""
     k = shape_constant(params, delta)
@@ -145,7 +147,7 @@ def _bracket_quadrature(pair, params, delta, dt_lab, spec) -> float:
         ky = khat[..., 1]
         return diag_bracket(pair, params, delta, khat[..., 0], ky) / (1.0 + k * ky) ** 4
 
-    val, _ = integrate_sphere(integrand, spec)
+    val, _ = integrate_sphere(integrand, tol)
     return _em_prefactor(params, dt_lab) * val
 
 
@@ -176,7 +178,7 @@ def _lab_kernel(row1, row2, chord):
 
 
 def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
-                            spec: QuadratureSpec = DEFAULT_SPEC) -> CFValue:
+                            tol: float = DEFAULT_TOL) -> CFValue:
     """General two-point CF via direct lab-frame tensor contraction.
 
     Makes no use of the stationarity variable change: the two projection rows
@@ -196,7 +198,7 @@ def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
     dr = np.array([x1 - x2, y1 - y2, 0.0])
     cdt = const.c * (t1 - t2)
     # the phase coefficient over c dt, so that the integrand is
-    # dimensionless and abs_tol means the same in every unit system
+    # dimensionless and the absolute floor means the same in every unit system
     kernel = _lab_kernel(row1, row2, dr / cdt)
 
     def integrand(khat):
@@ -207,7 +209,7 @@ def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
 
     # the phase depends on the direction only through khat . dr: put the pole
     # of the rule on the chord (any axis at delta in 2 pi Z, where dr = 0)
-    val, _ = integrate_sphere(integrand, spec, axis=dr if dr.any() else (0.0, 1.0, 0.0))
+    val, _ = integrate_sphere(integrand, tol, axis=dr if dr.any() else (0.0, 1.0, 0.0))
     value = const.hbar * const.c / (4.0 * math.pi**2) * val / cdt**4
     return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
                    spectrum="continuous", value=value, method="quadrature")
@@ -215,7 +217,7 @@ def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
 
 def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
                      method: str = "closed-form",
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> CFValue:
+                     tol: float = DEFAULT_TOL) -> CFValue:
     """Electromagnetic two-point CF for the continuous zero-point spectrum.
 
     kind is "EE", "HH" or "EH"; pair indexes tetrad components (1-based).
@@ -240,9 +242,9 @@ def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
         value = _closed_form_11(params, delta, dt_lab)
     elif method == "quadrature":
         if kind in ("EE", "HH") and pair in ((1, 1), (2, 2), (3, 3)):
-            value = _bracket_quadrature(pair, params, delta, dt_lab, spec)
+            value = _bracket_quadrature(pair, params, delta, dt_lab, tol)
         else:
-            return em_cf_tensor_quadrature(pair, kind, tau1, tau2, params, spec)
+            return em_cf_tensor_quadrature(pair, kind, tau1, tau2, params, tol)
     else:
         raise ValueError(f"unknown method {method!r}")
     return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
@@ -268,7 +270,7 @@ def scalar_cf_continuous(tau1, tau2, params: RotationParams) -> CFValue:
 
 
 def scalar_cf_quadrature(tau1, tau2, params: RotationParams,
-                         spec: QuadratureSpec = DEFAULT_SPEC) -> CFValue:
+                         tol: float = DEFAULT_TOL) -> CFValue:
     """Scalar CF via angular quadrature of the regularized radial integral.
 
     The radial integral int_0^inf k cos(k G) dk carries its regularized value
@@ -284,7 +286,7 @@ def scalar_cf_quadrature(tau1, tau2, params: RotationParams,
         # G / B, dimensionless as in em_cf_tensor_quadrature
         return -1.0 / (1.0 - (E0 / B) * khat[..., 1]) ** 2
 
-    val, _ = integrate_sphere(integrand, spec)
+    val, _ = integrate_sphere(integrand, tol)
     value = const.hbar * const.c / (4.0 * math.pi**2) * val / B**2
     return CFValue(kind="scalar", pair=(0, 0), tau1=tau1, tau2=tau2,
                    spectrum="continuous", value=value, method="quadrature")

@@ -36,7 +36,7 @@ from scipy.special import gamma, zeta
 from .cf_continuous import CFValue, _closed_form_11, _lag, _scalar_closed_form
 from .fields import angular_weight_kernel_grid
 from .kinematics import RotationParams
-from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_sphere
+from .numerics import DEFAULT_TOL, integrate_sphere
 
 __all__ = [
     "ResonanceError",
@@ -58,10 +58,6 @@ RESONANCE_TOL = 1e-9  # distance of phase to 2 pi Z treated as resonant
 class ResonanceError(ValueError):
     """Ladder sum requested on (or across) the resonance manifold phase in 2 pi Z."""
 
-    def __init__(self, message, region=None):
-        super().__init__(message)
-        self.region = region
-
 
 @dataclass(frozen=True)
 class ThermalSplit:
@@ -82,7 +78,10 @@ def rotation_temperature(params: RotationParams) -> float:
 
 
 def ladder_phase(delta, ky, params: RotationParams):
-    """phase(delta, ky) = delta - 2 beta ky sin(delta/2); vectorized in ky."""
+    """phase(delta, ky) = delta - 2 beta ky sin(delta/2); vectorized in ky.
+    ValueError unless delta is finite."""
+    if not math.isfinite(delta):
+        raise ValueError(f"lag delta must be finite, got {delta!r}")
     return delta - 2.0 * params.beta * np.asarray(ky) * math.sin(delta / 2.0)
 
 
@@ -171,34 +170,20 @@ def linear_ladder_split(phase: float) -> ThermalSplit:
 
 
 def _check_resonances(delta: float, params: RotationParams):
-    """Range (lo, hi) of phase over the sphere; ResonanceError carrying the
-    offending directions if it meets a multiple of 2 pi."""
+    """Range (lo, hi) of phase over the sphere; ResonanceError if it comes
+    within RESONANCE_TOL of a multiple of 2 pi.  Its half-width is at most
+    2 < pi, so only the multiple nearest to delta can be met."""
     half = 2.0 * abs(params.beta * math.sin(delta / 2.0))
     lo, hi = delta - half, delta + half
-    region = []
-    for m in range(math.ceil(lo / (2.0 * math.pi) - 1e-12),
-                   math.floor(hi / (2.0 * math.pi) + 1e-12) + 1):
-        target = 2.0 * math.pi * m
-        if not lo - RESONANCE_TOL <= target <= hi + RESONANCE_TOL:
-            continue
-        if half > RESONANCE_TOL:
-            ky = (delta - target) / (2.0 * params.beta * math.sin(delta / 2.0))
-            description = f"directions with k_y = {ky:.6f}"
-        else:
-            ky = None  # phase is constant over the sphere
-            description = "entire sphere (phase is constant at a multiple of 2 pi)"
-        region.append({"ky": ky, "multiple": m, "description": description})
-    if region:
+    if abs(delta - 2.0 * math.pi * round(delta / (2.0 * math.pi))) <= half + RESONANCE_TOL:
         raise ResonanceError(
-            f"phase range [{lo:.6f}, {hi:.6f}] crosses the resonance manifold; "
-            "the ladder sum has non-integrable poles there",
-            region=region,
-        )
+            f"phase range [{lo:.6f}, {hi:.6f}] meets the resonance manifold 2 pi Z; "
+            "the ladder sum has non-integrable poles there")
     return lo, hi
 
 
 def _ladder_cf(kind: str, pair, pref: float, tau1, tau2, params: RotationParams,
-               spec: QuadratureSpec, split: bool, weight, ladder, continuous,
+               tol: float, split: bool, weight, ladder, continuous,
                p: int, sign: float):
     """CF whose value is pref times the sphere integral of
     weight(k_x, k_y, delta) times ladder(phase(delta, k_y)).  With
@@ -213,7 +198,7 @@ def _ladder_cf(kind: str, pair, pref: float, tau1, tau2, params: RotationParams,
         def integrand(khat):
             ky = khat[..., 1]
             return weight(khat[..., 0], ky, delta) * f(ladder_phase(delta, ky, params))
-        val, _ = integrate_sphere(integrand, spec)
+        val, _ = integrate_sphere(integrand, tol)
         return pref * val
 
     cf = CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
@@ -231,7 +216,7 @@ def _ladder_cf(kind: str, pair, pref: float, tau1, tau2, params: RotationParams,
 
 
 def em_cf_discrete(tau1, tau2, params: RotationParams,
-                   spec: QuadratureSpec = DEFAULT_SPEC, split: bool = False):
+                   tol: float = DEFAULT_TOL, split: bool = False):
     """Periodic electromagnetic CF (first tetrad axis, electric pair).
 
     Value is (2 hbar omega^4 / (3 pi c^3)) times the sphere integral of the
@@ -239,19 +224,19 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
     dependent phase.  With split=True also returns its zero-point part (the
     continuous (1,1) CF) and thermal part (requires |phase| < 2 pi everywhere).
 
-    Periodic in delta with period 2 pi; resonant configurations raise
-    ResonanceError carrying the offending directions.
+    Periodic in delta with period 2 pi; ResonanceError where the phase
+    range over the sphere meets 2 pi Z.
     """
     const = params.constants
     pref = 2.0 * const.hbar * params.omega**4 / (3.0 * math.pi * const.c**3)
     return _ladder_cf(
-        "EE", (1, 1), pref, tau1, tau2, params, spec, split,
+        "EE", (1, 1), pref, tau1, tau2, params, tol, split,
         weight=lambda kx, ky, delta: angular_weight_kernel_grid(kx, ky, delta, params),
         ladder=cubic_ladder_sum_closed, continuous=_closed_form_11, p=3, sign=1.0)
 
 
 def scalar_cf_discrete(tau1, tau2, params: RotationParams,
-                       spec: QuadratureSpec = DEFAULT_SPEC, split: bool = False):
+                       tol: float = DEFAULT_TOL, split: bool = False):
     """Periodic massless-scalar CF.
 
     (hbar c k0^2 / (4 pi^2)) times the sphere integral of the linear ladder
@@ -262,6 +247,6 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams,
     k0 = params.omega / const.c
     pref = const.hbar * const.c * k0**2 / (4.0 * math.pi**2)
     return _ladder_cf(
-        "scalar", (0, 0), pref, tau1, tau2, params, spec, split,
+        "scalar", (0, 0), pref, tau1, tau2, params, tol, split,
         weight=lambda kx, ky, delta: 1.0,
         ladder=linear_ladder_sum_closed, continuous=_scalar_closed_form, p=1, sign=-1.0)

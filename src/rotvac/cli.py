@@ -26,7 +26,7 @@ from . import thermo
 from .constants import NATURAL, SI
 from .kinematics import (LuminalOrbitError, RotationParams, fermi_walker_tetrad,
                          frenet_serret_tetrad)
-from .numerics import QuadratureError, QuadratureSpec
+from .numerics import DEFAULT_TOL, QuadratureError
 from .validation import KNOWN_FAILING, run_suite
 
 
@@ -161,8 +161,6 @@ def cmd_cf(args) -> int:
     const = params.constants
     pair = args.pair
     deltas = _sweep(args, "delta")
-    spec = (QuadratureSpec() if args.tol is None
-            else QuadratureSpec(rel_tol=args.tol, abs_tol=args.tol * 1e-4))
     if args.kind == "scalar" and args.method == "monte-carlo":
         raise ValueError("no Monte Carlo route for the scalar field")
     header = ["delta", "method", "value", "stat_error", "flag"]
@@ -200,17 +198,17 @@ def cmd_cf(args) -> int:
                     cf = mc_cfs[j]
                 elif args.kind == "scalar":
                     if args.spectrum == "discrete":
-                        cf = cfd.scalar_cf_discrete(0.0, tau2, params, spec)
+                        cf = cfd.scalar_cf_discrete(0.0, tau2, params, args.tol)
                     elif method == "quadrature":
-                        cf = cfc.scalar_cf_quadrature(0.0, tau2, params, spec)
+                        cf = cfc.scalar_cf_quadrature(0.0, tau2, params, args.tol)
                     else:
                         cf = cfc.scalar_cf_continuous(0.0, tau2, params)
                 elif args.spectrum == "discrete":
                     if pair != (1, 1) or args.kind != "EE":
                         raise ValueError("discrete spectrum implements the (1,1) EE pair")
-                    cf = cfd.em_cf_discrete(0.0, tau2, params, spec)
+                    cf = cfd.em_cf_discrete(0.0, tau2, params, args.tol)
                 else:
-                    cf = cfc.em_cf_continuous(pair, args.kind, 0.0, tau2, params, method, spec)
+                    cf = cfc.em_cf_continuous(pair, args.kind, 0.0, tau2, params, method, args.tol)
                 if not math.isfinite(cf.value):
                     raise ValueError(f"value {cf.value!r} is outside the float64 range")
                 rows.append([float(delta), cf.method, cf.value,
@@ -387,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta-min", type=float, default=0.5)
     sp.add_argument("--delta-max", type=float, default=5.0)
     sp.add_argument("--delta-steps", type=int, default=10)
-    sp.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
+    sp.add_argument("--tol", type=POSITIVE, default=DEFAULT_TOL,
+                    help="quadrature relative tolerance")
     sp.add_argument("--n-max", type=int, default=6)
     sp.add_argument("--seeds", type=SEED_COUNT, default=200)
     sp.add_argument("--seed", type=SEED, default=0)

@@ -52,8 +52,11 @@ def projection_matrix(alpha: float, beta: float) -> np.ndarray:
     """6x6 map from lab (E1,E2,E3,H1,H2,H3) to tetrad (E_(1..3), H_(1..3)).
 
     Row layout follows the comoving-frame component order; alpha is the
-    rotation phase of the tetrad, beta the orbital speed.
+    rotation phase of the tetrad, beta the orbital speed.  ValueError unless
+    alpha is finite and 0 <= beta < 1.
     """
+    if not (math.isfinite(alpha) and 0.0 <= beta < 1.0):
+        raise ValueError(f"need a finite alpha and 0 <= beta < 1, got {alpha!r}, {beta!r}")
     g = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
     ca, sa = math.cos(alpha), math.sin(alpha)
     m = np.zeros((6, 6))
@@ -108,8 +111,10 @@ def diag_bracket(pair: Tuple[int, int], params: RotationParams, delta: float, kx
 
     It is the polarization-summed kernel of the tetrad components a at lags
     0 and delta, seen in the frame rotated by delta/2 about z.  delta is the
-    angular lag omega gamma (tau2 - tau1).
+    angular lag omega gamma (tau2 - tau1); ValueError unless it is finite.
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"lag delta must be finite, got {delta!r}")
     b, g = params.beta, params.gamma
     ch, sh = math.cos(delta / 2.0), math.sin(delta / 2.0)
     cd = math.cos(delta)

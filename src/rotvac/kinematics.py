@@ -82,8 +82,12 @@ class RotationParams:
         return cls(omega=omega, radius=radius, constants=constants)
 
     def alpha(self, tau: float) -> float:
-        """Rotation phase omega gamma tau at proper time tau."""
-        return self.omega * self.gamma * tau
+        """Rotation phase omega gamma tau at proper time tau; ValueError
+        unless it is finite."""
+        a = self.omega * self.gamma * tau
+        if not math.isfinite(a):
+            raise ValueError(f"rotation phase omega gamma tau at tau = {tau!r} is {a!r}")
+        return a
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 quadrature, Abel-regularized summation of divergent oscillatory series, and an
 Abel-Plana identity checker.
 
-The 1-D integrator wraps QUADPACK (scipy.integrate.quad).  The sphere rule is
-the one place that parametrizes directions: tanh-sinh (Takahashi & Mori 1974)
+Both integrators share one tolerance policy: a relative tolerance with an
+absolute floor ABS_PER_REL times smaller, and a fixed budget.  The 1-D
+integrator wraps QUADPACK (scipy.integrate.quad) at DEFAULT_TOL.  The sphere
+rule takes the relative tolerance as its only setting and is the one place
+that parametrizes directions: tanh-sinh (Takahashi & Mori 1974)
 in u = k . axis times a periodic trapezoid in the azimuth about axis.  It is
 nested: it starts at 129 u nodes by 8 azimuths, where most stationary
 integrands converge in one call, the error estimates come from subsets of the
@@ -35,7 +38,6 @@ import numpy as np
 from scipy.integrate import quad
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureError",
     "SeriesError",
     "SeriesSumResult",
@@ -62,19 +64,11 @@ ABEL_BLOCK = 256  # Abel weights e^(-eta n) are built in blocks of this many ter
 SPHERE_H0 = 0.5
 SPHERE_T_MAX = 4.0
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+# every quadrature's relative tolerance has an absolute floor ABS_PER_REL
+# times smaller (a division, so the default's floor is exactly 1e-14)
+DEFAULT_TOL = 1e-10
+ABS_PER_REL = 1e4
+SPHERE_MAX_NODES = 128_000
 
 
 class QuadratureError(RuntimeError):
@@ -94,21 +88,20 @@ class SeriesError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-def integrate_1d(f: Callable[[float], float], a: float, b: float,
-                 spec: QuadratureSpec = DEFAULT_SPEC):
-    """Adaptive integral of f over [a, b] (b may be inf).
+def integrate_1d(f: Callable[[float], float], a: float, b: float):
+    """Adaptive integral of f over [a, b] (b may be inf), to the relative
+    tolerance DEFAULT_TOL with its absolute floor, on at most 2,000
+    subintervals.
 
     Returns (value, error_estimate); raises QuadratureError with the best
     estimate attached when the subdivision budget is exhausted or QUADPACK
-    reports non-convergence beyond the requested tolerances.
+    reports non-convergence beyond the tolerance.
     """
-    value, err, info, *tail = quad(
-        f, a, b,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions, full_output=True,
-    )
+    abs_tol = DEFAULT_TOL / ABS_PER_REL
+    value, err, info, *tail = quad(f, a, b, epsabs=abs_tol, epsrel=DEFAULT_TOL,
+                                   limit=2000, full_output=True)
     if tail:  # non-empty means a warning message was produced
-        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+        tol = max(abs_tol, DEFAULT_TOL * abs(value))
         if err > 10.0 * tol:
             raise QuadratureError(tail[0], best_estimate=value, error_estimate=err)
     return value, err
@@ -155,7 +148,7 @@ def _interleave(even, odd, axis: int):
     return out
 
 
-def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0)):
+def integrate_sphere(f, tol: float = DEFAULT_TOL, axis=(0.0, 1.0, 0.0)):
     """Integral of f(k) over the unit sphere, with the pole of the rule on an
     axis in the xy plane.
 
@@ -178,15 +171,17 @@ def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0
     are memoised (_t_level, _azimuths), so their hyperbolic and
     trigonometric functions are computed once per level, not per call;
     halving the t step reads the odd entries of the finer level.  The
-    tolerance is max(abs_tol, rel_tol |I|, 100 eps (L1 - |I|)) with L1 the
-    integral of |f|: the roundoff floor covers only the cancelled share of
-    the mass, so cancelling integrands return at roundoff while a
-    sign-definite one is held to the demanded accuracy.  Raises
-    QuadratureError, carrying the best estimate, once the grid exceeds
-    64 * spec.max_subdivisions nodes; the start grid alone has 1,032, so
-    below max_subdivisions 17 no refinement is allowed, and at once on a
+    accepted error is max(tol / ABS_PER_REL, tol |I|, 100 eps (L1 - |I|))
+    with L1 the integral of |f|: the roundoff floor covers only the
+    cancelled share of the mass, so cancelling integrands return at roundoff
+    while a sign-definite one is held to the demanded accuracy.  ValueError
+    unless 0 < tol < inf.  Raises QuadratureError, carrying the best
+    estimate, once the grid exceeds SPHERE_MAX_NODES nodes, and at once on a
     non-finite value or error estimate.  Returns (value, error_estimate).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    abs_tol = tol / ABS_PER_REL
     a = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(a)
     if a.shape != (3,) or a[2] != 0.0 or not 0.0 < norm < math.inf:
@@ -211,20 +206,20 @@ def integrate_sphere(f, spec: QuadratureSpec = DEFAULT_SPEC, axis=(0.0, 1.0, 0.0
         err_t = abs(cur - 2.0 * h * (2.0 * np.pi / m) * float(w[::2] @ rows[::2]))
         l1 = h * (2.0 * np.pi / m) * float(w @ np.abs(vals).sum(axis=1))
         floor = 100.0 * np.finfo(float).eps * (l1 - abs(cur))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(cur), floor)
+        accept = max(abs_tol, tol * abs(cur), floor)
         err = max(err_t, err_psi)
         if not math.isfinite(cur + err_t + err_psi):
             raise QuadratureError(f"sphere integrand not finite on the grid of {vals.size} nodes",
                                   best_estimate=cur, error_estimate=err)
-        if err <= tol:
+        if err <= accept:
             return cur, err
-        if vals.size > 64 * spec.max_subdivisions:
+        if vals.size > SPHERE_MAX_NODES:
             break
-        if err_t > tol:
+        if err_t > accept:
             h /= 2
             _, w, u, s = _t_level(h)
             vals = _interleave(vals, evaluate(u[1::2], s[1::2], sin, cos), 0)
-        if err_psi > tol:
+        if err_psi > accept:
             sin, cos = _azimuths(2 * m)
             vals = _interleave(vals, evaluate(u, s, sin[1::2], cos[1::2]), 1)
     raise QuadratureError(

@@ -194,12 +194,13 @@ def em_thermal_density_quadrature(params: RotationParams) -> float:
 def scalar_bath_thermal_density(temperature: float, const: Constants = SI) -> float:
     """Thermal part of the inertial scalar-bath energy density at T:
     (2 hbar / pi c^3) (k_B T / hbar)^4 int u^3 / (e^u - 1) du, the integral
-    being pi^4 / 15.  ValueError unless 0 <= T < inf."""
+    being pi^4 / 15.  ValueError unless 0 <= T < inf; OverflowError when
+    the density leaves the float64 range."""
     if not 0.0 <= temperature < math.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature!r}")
     scale = const.k_B * temperature / const.hbar
-    return (2.0 * const.hbar / (math.pi * const.c**3) * _power(scale, 4, "k_B T / hbar")
-            * math.pi**4 / 15.0)
+    return _finite(2.0 * const.hbar / (math.pi * const.c**3) * _power(scale, 4, "k_B T / hbar")
+                   * math.pi**4 / 15.0, f"bath density at T = {temperature!r}")
 
 
 def scalar_thermal_density_quadrature(params: RotationParams) -> float:
@@ -266,10 +267,9 @@ def vacuum_force_density(params: RotationParams, r: float,
                       F_sphere=None if F is None else _finite(F, "F_sphere"))
 
 
-def casimir_force(a_shell: float, C: float = CASIMIR_MODEL_C,
-                  const: Constants = SI) -> CasimirResult:
+def casimir_force(a_shell: float) -> CasimirResult:
     """Charged-particle Casimir-model energy -C hbar c / 2a and its force
-    -C hbar c / 2a^2.
+    -C hbar c / 2a^2, with C = CASIMIR_MODEL_C, in SI units.
 
     With the literature C < 0 the energy is positive and the force repulsive,
     opposite in direction to the vacuum force.  OverflowError when the force
@@ -277,9 +277,8 @@ def casimir_force(a_shell: float, C: float = CASIMIR_MODEL_C,
     """
     if not 0.0 < a_shell < math.inf:
         raise ValueError(f"shell radius must be finite and positive, got {a_shell!r}")
-    energy = -C * const.hbar * const.c / (2.0 * a_shell)
-    force = _finite(energy / a_shell, f"Casimir-model force at a = {a_shell!r}",
-                    nonzero=C != 0.0)
+    energy = -CASIMIR_MODEL_C * SI.hbar * SI.c / (2.0 * a_shell)
+    force = _finite(energy / a_shell, f"Casimir-model force at a = {a_shell!r}", nonzero=True)
     return CasimirResult(energy=energy, force=force)
 
 

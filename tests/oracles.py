@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 
 from rotvac.cf_discrete import ladder_phase
 from rotvac.constants import SI, Constants
@@ -33,7 +34,7 @@ from rotvac.fields import (FieldTriplet, angular_weight_kernel_grid, polarizatio
 from rotvac.kinematics import (METRIC, FourVector, RotationParams, fermi_walker_tetrad,
                                frenet_serret_tetrad, lab_position)
 from rotvac.montecarlo import ModeSet, draw_phases, eval_lab_fields
-from rotvac.numerics import ABEL_ETA_GRID, QuadratureSpec, integrate_1d, integrate_sphere
+from rotvac.numerics import ABEL_ETA_GRID, integrate_1d, integrate_sphere
 
 
 class FrameError(ValueError):
@@ -164,8 +165,8 @@ def thermal_ladder_quadpack(phase: float, p: int) -> float:
 
     Independent route to thermal_ladder_integral; |phase| < 2 pi.
     """
-    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15, max_subdivisions=200)
-    val, _ = integrate_1d(lambda u: _stable_thermal_term(u, phase, p), 0.0, math.inf, spec)
+    val, _ = quad(lambda u: _stable_thermal_term(u, phase, p), 0.0, math.inf,
+                  epsabs=1e-15, epsrel=1e-10, limit=200)
     return val
 
 

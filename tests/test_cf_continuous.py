@@ -152,7 +152,7 @@ class TestEmContinuous:
         # the conditioning of the fourth power of khat . chord - 1
         captured = []
         monkeypatch.setattr(cfc, "integrate_sphere",
-                            lambda f, spec, axis: captured.append((f, axis)) or (0.0, 0.0))
+                            lambda f, tol, axis: captured.append((f, axis)) or (0.0, 0.0))
         p = RotationParams.from_beta(1.0, beta, NATURAL)
         rng = np.random.default_rng(20261019)
         u = 1.0 - np.logspace(-16, -0.01, 64)

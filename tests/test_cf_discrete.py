@@ -227,9 +227,18 @@ class TestEmDiscrete:
 
     def test_resonant_lag_rejected(self):
         p = RotationParams.from_beta(1.0, 0.3, NATURAL)
-        with pytest.raises(ResonanceError) as exc:
+        with pytest.raises(ResonanceError):
             em_cf_discrete(0.0, delta_to_tau(p, 2.0 * math.pi), p)
-        assert exc.value.region is not None
+
+    @pytest.mark.parametrize("beta, offset", [(0.3, 1e-10), (0.999999, 1e-5),
+                                              (0.999999, -1e-6)])
+    def test_lags_within_tolerance_of_resonance_rejected_up_front(self, beta, offset):
+        # the phase range [lag - half, lag + half] comes within RESONANCE_TOL
+        # of 2 pi without containing it, or contains it near k_y = -1 / beta
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        for cf in (em_cf_discrete, scalar_cf_discrete):
+            with pytest.raises(ResonanceError, match="meets the resonance manifold"):
+                cf(0.0, delta_to_tau(p, 2.0 * math.pi + offset), p)
 
     def test_no_interior_crossing_for_subluminal_orbits(self):
         # |phase - 2 pi m| >= |lag - 2 pi m| - 2 beta |sin(lag/2)| > 0 off the

@@ -396,12 +396,17 @@ class TestInputErrors:
         ["validate", "--sigma-perturb=-1"],
         ["mc-validate", "--workers", "0"],
         ["mc-validate", "--workers=-3"],
+        ["cf", "--tol", "nan"],
+        ["cf", "--tol", "0"],
+        ["cf", "--tol", "inf"],
+        ["cf", "--tol=-1"],
     ], ids=["cf-negative-seed", "validate-negative-seed", "mc-validate-one-seed",
             "energy-tol", "cf-one-digit-pair", "cf-three-digit-pair", "cf-zero-component",
             "cf-double-dash-value", "validate-nan-sigma-perturb",
             "validate-inf-sigma-perturb", "validate-zero-sigma-perturb",
             "validate-negative-sigma-perturb", "mc-validate-zero-workers",
-            "mc-validate-negative-workers"])
+            "mc-validate-negative-workers", "cf-nan-tol", "cf-zero-tol", "cf-inf-tol",
+            "cf-negative-tol"])
     def test_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -424,7 +429,6 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv", [
         ["force-curve", "--omega", "0"],
         ["energy", "--omega", "nan"],
-        ["cf", "--tol", "nan"],
         ["force-curve", "--omega", "2e3", "--sphere-radius", "nan"],
         ["force-curve", "--omega", "2e3", "--r-max", "0.9", "--sphere-radius=-1e-9"],
         ["estimate-hadron", "--a", "nan"],
@@ -435,7 +439,7 @@ class TestInputErrors:
         ["energy", "--omega", "1e77"],
         ["force-curve", "--omega", "1e80", "--r-steps", "3", "--r-max", "0.9"],
         ["estimate-hadron", "--r0", "1e-66", "--one-minus-x", "0.5", "--a", "1e-70"],
-    ], ids=["force-curve-zero-omega", "energy-nan-omega", "cf-nan-tol",
+    ], ids=["force-curve-zero-omega", "energy-nan-omega",
             "force-curve-nan-sphere-radius", "force-curve-negative-sphere-radius",
             "estimate-hadron-nan-a", "estimate-hadron-inf-a", "cf-zero-omega",
             "mc-validate-zero-omega", "energy-overflow", "energy-infinite-product",

@@ -7,7 +7,7 @@ import pytest
 from oracles import abel_stops, abel_sums_per_eta, abel_weights_compensated
 from rotvac import numerics
 from rotvac.cf_discrete import cubic_ladder_sum_closed, linear_ladder_sum_closed
-from rotvac.numerics import (ABEL_ETA_GRID, QuadratureError, QuadratureSpec, SeriesError,
+from rotvac.numerics import (ABEL_ETA_GRID, QuadratureError, SeriesError,
                              abel_plana_check, abel_sum, integrate_1d,
                              integrate_sphere, neville_to_zero)
 
@@ -39,9 +39,9 @@ class TestIntegrate1D:
         assert val == pytest.approx(math.pi**4 / 15.0, rel=1e-10)
 
     def test_budget_exhaustion_carries_estimate(self):
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2)
+        # 2,000 subintervals do not resolve cos(200 x^2) on [0, 10]
         with pytest.raises(QuadratureError) as exc:
-            integrate_1d(lambda x: math.cos(200.0 * x * x), 0.0, 10.0, spec)
+            integrate_1d(lambda x: math.cos(200.0 * x * x), 0.0, 10.0)
         assert exc.value.best_estimate is not None
         assert math.isfinite(exc.value.best_estimate)
 
@@ -257,22 +257,24 @@ class TestIntegrateSphere:
         assert val == pytest.approx(peaked_integral(-0.9), rel=1e-10)
         assert len(azimuths) > 8
 
-    def test_node_budget_raises_with_estimate(self):
-        spec = QuadratureSpec(max_subdivisions=1)
+    def test_node_budget_raises_with_estimate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "SPHERE_MAX_NODES", 64)
         with pytest.raises(QuadratureError) as exc:
-            integrate_sphere(lambda kh: (1.0 - 0.99 * kh[..., 1]) ** -4, spec)
+            integrate_sphere(lambda kh: (1.0 - 0.99 * kh[..., 1]) ** -4)
         assert math.isfinite(exc.value.best_estimate)
         assert math.isfinite(exc.value.error_estimate)
 
-    def test_budget_below_start_grid_allows_no_refinement(self):
-        # the start grid has 1,032 nodes, so below max_subdivisions 17
-        # (64 x 17 = 1,088) an integrand that needs more azimuths raises
+    def test_budget_below_start_grid_allows_no_refinement(self, monkeypatch):
+        # the start grid has 1,032 nodes, so below a budget of 64 x 17 =
+        # 1,088 nodes an integrand that needs more azimuths raises
         def kz4(k):
             return k[..., 2] ** 4
 
+        monkeypatch.setattr(numerics, "SPHERE_MAX_NODES", 64 * 16)
         with pytest.raises(QuadratureError):
-            integrate_sphere(kz4, QuadratureSpec(max_subdivisions=16))
-        val, _ = integrate_sphere(kz4, QuadratureSpec(max_subdivisions=17))
+            integrate_sphere(kz4)
+        monkeypatch.setattr(numerics, "SPHERE_MAX_NODES", 64 * 17)
+        val, _ = integrate_sphere(kz4)
         assert val == pytest.approx(4.0 * math.pi / 5.0, rel=1e-12)
 
     @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0),
@@ -428,10 +430,6 @@ def test_neville_extrapolation_linear():
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    for bad in (math.nan, math.inf):
+    for bad in (0.0, -1e-10, math.nan, math.inf):
         with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=bad)
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=bad)
+            integrate_sphere(lambda k: k[..., 0], tol=bad)

@@ -194,10 +194,6 @@ class TestVacuumForce:
 
 
 class TestCasimirModel:
-    def test_zero_constant(self):
-        res = casimir_force(1.0, C=0.0)
-        assert res.energy == 0.0 and res.force == 0.0
-
     def test_repulsive_sign(self):
         res = casimir_force(1e-10)
         assert CASIMIR_MODEL_C < 0.0
