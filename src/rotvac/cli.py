@@ -27,7 +27,7 @@ from .constants import NATURAL, SI
 from .kinematics import (LuminalOrbitError, RotationParams, fermi_walker_tetrad,
                          frenet_serret_tetrad)
 from .numerics import DEFAULT_TOL, QuadratureError
-from .validation import KNOWN_FAILING, run_suite
+from .validation import KNOWN_FAILING, check_determinism, check_em_energy_density, run_suite
 
 
 def _constants(args):
@@ -311,44 +311,36 @@ def cmd_estimate_hadron(args) -> int:
     return _emit(args, meta, header, rows, False)
 
 
+def _emit_checks(args, meta: dict, results, **tail) -> int:
+    """The CheckResult rows, each with its status (pass, known-fail or FAIL),
+    under meta, the failure counts and tail; exit 1 on any failure."""
+    statuses = ["pass" if r.passed else ("known-fail" if r.name in KNOWN_FAILING else "FAIL")
+                for r in results]
+    rows = [[r.name, status, r.measured, r.target, r.tolerance, r.detail]
+            for r, status in zip(results, statuses)]
+    n_known, n_unexpected = statuses.count("known-fail"), statuses.count("FAIL")
+    meta.update(checks=len(results), failures=n_known + n_unexpected,
+                known_failures=n_known, unexpected_failures=n_unexpected,
+                known_failing=",".join(KNOWN_FAILING), **tail)
+    header = ["check", "status", "measured", "target", "tolerance", "detail"]
+    return _emit(args, meta, header, rows, n_known + n_unexpected > 0)
+
+
 def cmd_mc_validate(args) -> int:
     params = _params(args)
     ms = _mode_set(args, params, "discrete")
-    est = mc.empirical_energy_density(params, ms, n_seeds=args.seeds, seed=args.seed,
-                                      n_workers=args.workers)
-    rep = thermo.em_energy_density(params, args.n_max)
-    header = ["check", "measured", "target", "pull_or_flag"]
-    pull, eh, mixed_pull = est.pulls(rep.w_zp_cutoff)
-    rows = [["w_vs_truncated_ladder", est.w, rep.w_zp_cutoff, pull]]
-    rows += [[f"lab_E{i+1}^2_vs_H{i+1}^2", est.lab_e2[i], est.lab_h2[i], float(eh[i])]
-             for i in range(3)]
-    rows.append(["mixed_moment_null", est.mixed, 0.0, mixed_pull])
-    b = mc.empirical_energy_density(params, ms, n_seeds=args.seeds, seed=args.seed,
-                                    n_workers=max(2, args.workers))
-    same = b.same_as(est)
-    rows.append(["worker_determinism", est.w, b.w, "ok" if same else "MISMATCH"])
-    # "not <=" so that a NaN pull flags instead of passing
-    flagged = any(not x <= 3.0 for x in (pull, *eh, mixed_pull)) or not same
-    meta = _meta_common(args, params)
-    meta["manifest"] = json.dumps(mc.run_manifest(params, ms, args.seeds, args.seed))
-    return _emit(args, meta, header, rows, flagged)
+    run = dict(n_seeds=args.seeds, seed=args.seed)
+    results = (check_em_energy_density(params, ms, n_workers=args.workers, **run)
+               + check_determinism(params, ms, workers=(1, max(2, args.workers)), **run))
+    return _emit_checks(args, _meta_common(args, params), results,
+                        manifest=json.dumps(mc.run_manifest(params, ms, args.seeds, args.seed)))
 
 
 def cmd_validate(args) -> int:
     results, seconds = run_suite(args.suite, seed=args.seed,
                                  sigma_perturb=args.sigma_perturb)
-    header = ["check", "status", "measured", "target", "tolerance", "detail"]
-    rows = []
-    for r in results:
-        status = "pass" if r.passed else ("known-fail" if r.name in KNOWN_FAILING else "FAIL")
-        rows.append([r.name, status, r.measured, r.target, r.tolerance, r.detail])
-    statuses = [row[1] for row in rows]
-    n_known, n_unexpected = statuses.count("known-fail"), statuses.count("FAIL")
-    meta = {"suite": args.suite, "seed": args.seed, "checks": len(results),
-            "failures": n_known + n_unexpected, "known_failures": n_known,
-            "unexpected_failures": n_unexpected, "known_failing": ",".join(KNOWN_FAILING),
-            "check_seconds": {name: round(t, 3) for name, t in seconds.items()}}
-    return _emit(args, meta, header, rows, n_known + n_unexpected > 0)
+    return _emit_checks(args, {"suite": args.suite, "seed": args.seed}, results,
+                        check_seconds={name: round(t, 3) for name, t in seconds.items()})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -177,13 +177,6 @@ class EmpiricalEnergyDensity:
     mixed_err: float
     n_seeds: int
 
-    def pulls(self, w_target: float):
-        """Pulls of w against w_target, of each lab <E_i^2> against <H_i^2>
-        (an array of 3), and of the mixed moment against 0."""
-        eh = (np.abs(self.lab_e2 - self.lab_h2)
-              / np.sqrt(self.lab_e2_err**2 + self.lab_h2_err**2))
-        return abs(self.w - w_target) / self.w_err, eh, abs(self.mixed) / self.mixed_err
-
     def same_as(self, other: "EmpiricalEnergyDensity") -> bool:
         """True iff every field, standard errors too, equals other's element by element."""
         return all(np.array_equal(v, getattr(other, k)) for k, v in vars(self).items())

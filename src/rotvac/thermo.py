@@ -32,6 +32,7 @@ __all__ = [
     "scalar_bath_factor",
     "em_energy_density",
     "scalar_energy_density",
+    "em_thermal_density_quadrature",
     "scalar_bath_thermal_density",
     "scalar_thermal_density_quadrature",
     "em_thermal_density_at",
@@ -185,10 +186,12 @@ def em_energy_density(params: RotationParams, cutoff_n_max: int) -> ThermoReport
 def em_thermal_density_quadrature(params: RotationParams) -> float:
     """w_thermal by the Doppler quadrature, oracle for em_anisotropy_factor
     and sigma: hbar omega^4 / (2 pi^2 c^3) times 2 polarizations times the
-    sphere average (the 1 / 4 pi)."""
+    sphere average (the 1 / 4 pi).  OverflowError when it leaves the float64
+    range."""
     const = params.constants
-    return (const.hbar * params.omega**4 / (2.0 * math.pi**2 * const.c**3)
-            * 2.0 / (4.0 * math.pi) * _doppler_ladder_integral(params))
+    w_t = (const.hbar * params.omega**4 / (2.0 * math.pi**2 * const.c**3)
+           * 2.0 / (4.0 * math.pi) * _doppler_ladder_integral(params))
+    return _finite(w_t, "Doppler-quadrature w_thermal")
 
 
 def scalar_bath_thermal_density(temperature: float, const: Constants = SI) -> float:
@@ -206,11 +209,12 @@ def scalar_bath_thermal_density(temperature: float, const: Constants = SI) -> fl
 def scalar_thermal_density_quadrature(params: RotationParams) -> float:
     """Thermal part of the rotating scalar energy density, measured by the
     Doppler quadrature with the scalar CF prefactor hbar c k0^4 / (4 pi^2);
-    oracle for scalar_bath_factor."""
+    oracle for scalar_bath_factor.  OverflowError when it leaves the float64
+    range."""
     const = params.constants
     k0 = params.omega / const.c
-    return (const.hbar * const.c * k0**4 / (4.0 * math.pi**2)
-            * _doppler_ladder_integral(params))
+    w_t = const.hbar * const.c * k0**4 / (4.0 * math.pi**2) * _doppler_ladder_integral(params)
+    return _finite(w_t, "Doppler-quadrature scalar w_thermal")
 
 
 def scalar_energy_density(params: RotationParams, cutoff_n_max: int) -> ThermoReport:

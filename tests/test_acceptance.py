@@ -11,9 +11,16 @@ the paper's definition of the scalar energy density is in the repository
 (README, "Known check failures").
 """
 
+import dataclasses
+import math
 import time
 
+import pytest
+
+from rotvac import montecarlo as mc
 from rotvac import validation as v
+from rotvac.constants import NATURAL
+from rotvac.kinematics import RotationParams
 
 
 def assert_rows(tag, rows, max_seconds=None, elapsed=0.0):
@@ -27,10 +34,17 @@ def assert_rows(tag, rows, max_seconds=None, elapsed=0.0):
         for r in rows if not r.passed)
 
 
-def timed(check, **kwargs):
+def timed(check, *args, **kwargs):
     t0 = time.monotonic()
-    rows = check(**kwargs)
+    rows = check(*args, **kwargs)
     return rows, time.monotonic() - t0
+
+
+def mc_orbit(n_max, n_theta, n_phi):
+    """The beta 0.3 orbit of the suite's Monte Carlo energy checks, with the
+    ladder mode set on it."""
+    params = RotationParams.from_beta(1.0, 0.3, NATURAL)
+    return params, mc.build_mode_set(params, n_max=n_max, n_theta=n_theta, n_phi=n_phi)
 
 
 def test_c01_sine_power_integrals():
@@ -78,8 +92,8 @@ def test_c07_fails_at_a_wrong_temperature(monkeypatch):
 
 
 def test_c08_em_energy_density():
-    rows, elapsed = timed(v.check_em_energy_density, n_seeds=1000, n_theta=64, n_phi=128,
-                          n_max=20, seed=4321, n_workers=4)
+    rows, elapsed = timed(v.check_em_energy_density, *mc_orbit(20, 64, 128), n_seeds=1000,
+                          seed=4321, n_workers=4)
     assert_rows("c08 em-energy-density", rows, 300.0, elapsed)
 
 
@@ -106,6 +120,40 @@ def test_c11_hadron_reproduction():
 
 
 def test_c12_mc_determinism():
-    rows = v.check_determinism(n_seeds=100, seed=7, workers=(1, 3, 8), n_max=6,
-                               n_theta=16, n_phi=32)
+    rows = v.check_determinism(*mc_orbit(6, 16, 32), n_seeds=100, seed=7, workers=(1, 3, 8))
     assert_rows("c12 mc-determinism", rows)
+
+
+def _nan_at(module, name, hit):
+    """module.name, with a NaN value wherever hit(*args) holds."""
+    real = getattr(module, name)
+
+    def patched(*args):
+        out = real(*args)
+        if not hit(*args):
+            return out
+        return math.nan if isinstance(out, float) else dataclasses.replace(out, value=math.nan)
+    return patched
+
+
+def _nan_second_pair(real):
+    def patched(pairs, *args, **kwargs):
+        first, (cf,), *rest = real(pairs, *args, **kwargs)
+        return [first, (dataclasses.replace(cf, value=math.nan),), *rest]
+    return patched
+
+
+@pytest.mark.parametrize("module, name, patch, check, row", [
+    (v.cfc, "scalar_cf_quadrature",
+     _nan_at(v.cfc, "scalar_cf_quadrature", lambda t1, t2, params: params.beta == 0.5),
+     v.check_scalar_cf, "scalar-cf-closed-vs-quadrature"),
+    (v.cfc, "phi_kernel_integral", _nan_at(v.cfc, "phi_kernel_integral", lambda m, b: b == 0.8),
+     v.check_phi_kernels, "phi-kernels-vs-quadrature"),
+    (v.mc, "empirical_cfs", _nan_second_pair(v.mc.empirical_cfs),
+     v.check_coincidence_nullity, "offdiag-mc-null-coincidence"),
+], ids=["scalar-cf-quadrature", "phi-kernel", "coincidence-second-pull"])
+def test_a_nan_from_one_route_fails_its_row(monkeypatch, module, name, patch, check, row):
+    # one NaN among errors or pulls that are otherwise far below the bound
+    monkeypatch.setattr(module, name, patch)
+    (result,) = [r for r in check() if r.name == row]
+    assert math.isnan(result.measured) and not result.passed

@@ -356,9 +356,14 @@ class TestMcValidate:
         code1, out1 = run_cli(capsys, *args)
         code2, out2 = run_cli(capsys, *args)
         assert code1 == 0 and code2 == 0
-        v1 = parse_table(out1)[2]
-        v2 = parse_table(out2)[2]
-        assert v1[0]["measured"] == v2[0]["measured"]  # fixed seed, identical output
+        meta, header, v1 = parse_table(out1)
+        assert header == ["check", "status", "measured", "target", "tolerance", "detail"]
+        assert [r["check"] for r in v1] == [
+            "em-thermal-closed-form", "em-energy-mc-vs-ladder", "em-energy-e2-h2",
+            "em-energy-mixed-moment", "mc-determinism-workers"]
+        assert {r["status"] for r in v1} == {"pass"}
+        assert (meta["checks"], meta["failures"], meta["unexpected_failures"]) == ("5", "0", "0")
+        assert out1 == out2  # fixed seed, identical output
 
     def test_worker_determinism_sees_one_standard_error(self, capsys, monkeypatch):
         # the multi-worker run differs by one ulp of lab_h2_err alone
@@ -373,9 +378,23 @@ class TestMcValidate:
         monkeypatch.setattr(montecarlo, "empirical_energy_density", skewed)
         code, out = run_cli(capsys, "mc-validate", "--beta", "0.3", "--seeds", "20",
                             "--n-max", "2", "--mc-theta", "8", "--mc-phi", "16")
-        rows = {r["check"]: r for r in parse_table(out)[2]}
+        meta, _, rows = parse_table(out)
         assert code == 1
-        assert rows["worker_determinism"]["pull_or_flag"] == "MISMATCH"
+        assert [(r["check"], r["status"]) for r in rows if r["status"] != "pass"] == [
+            ("mc-determinism-workers", "FAIL")]
+        assert meta["unexpected_failures"] == "1"
+
+    def test_energy_rows_are_the_suite_rows(self, capsys):
+        # the quick suite's orbit, grid, seed count and seed: mc-validate
+        # runs the same check as validate, so the rows agree to the digit
+        code, out = run_cli(capsys, "mc-validate", "--beta", "0.3", "--seeds", "200",
+                            "--seed", "20240817", "--workers", "1")
+        assert code == 0
+        mc_rows = {r["check"]: r for r in parse_table(out)[2]}
+        _, out = run_cli(capsys, "validate", "--suite", "quick", "--seed", "20240817")
+        suite_rows = {r["check"]: r for r in parse_table(out)[2]}
+        for name in ("em-energy-mc-vs-ladder", "em-energy-e2-h2", "em-energy-mixed-moment"):
+            assert mc_rows[name] == suite_rows[name]
 
 
 class TestInputErrors:

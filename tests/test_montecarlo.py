@@ -719,5 +719,7 @@ class TestEmpiricalEnergyDensity:
             return dataclasses.replace(est, lab_h2_err=np.nextafter(est.lab_h2_err, np.inf))
 
         monkeypatch.setattr(montecarlo, "empirical_energy_density", skewed)
-        (row,) = validation.check_determinism(n_seeds=4, n_max=2)
+        p = RotationParams.from_beta(1.0, 0.3, NATURAL)
+        ladder = montecarlo.build_mode_set(p, n_max=2, n_theta=8, n_phi=16)
+        (row,) = validation.check_determinism(p, ladder, n_seeds=4)
         assert not row.passed

@@ -146,6 +146,9 @@ FLOAT_CALLS = {
     "thermo.scalar_energy_density": {
         "beta": lambda x: thermo.scalar_energy_density(_from_beta(x), 10),
         "omega": lambda x: thermo.scalar_energy_density(_from_omega(x), 10)},
+    "thermo.em_thermal_density_quadrature": {
+        "beta": lambda x: thermo.em_thermal_density_quadrature(_from_beta(x)),
+        "omega": lambda x: thermo.em_thermal_density_quadrature(_from_omega(x))},
     "thermo.scalar_bath_thermal_density": {
         "temperature": thermo.scalar_bath_thermal_density,
         "temperature-natural": lambda x: thermo.scalar_bath_thermal_density(x, NATURAL)},

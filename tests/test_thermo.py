@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import scalar_bath_quadpack, scalar_lab_stress_diagonal
-from rotvac import thermo
+from rotvac import montecarlo, thermo
 from rotvac.cf_discrete import rotation_temperature
 from rotvac.constants import NATURAL, SI
 from rotvac.kinematics import LuminalOrbitError, RotationParams
@@ -52,7 +52,9 @@ class TestEmEnergyDensity:
         # closed form moves, so the check comparing the two routes must fail
         monkeypatch.setattr(thermo, "em_anisotropy_factor",
                             lambda params: (4.0 * params.gamma**2 - 1.0) / 3.0)
-        rows = check_em_energy_density(n_seeds=2, n_theta=8, n_phi=16, n_max=1)
+        p = RotationParams.from_beta(1.0, 0.3, NATURAL)
+        ladder = montecarlo.build_mode_set(p, n_max=1, n_theta=8, n_phi=16)
+        rows = check_em_energy_density(p, ladder, n_seeds=2)
         row = next(r for r in rows if r.name == "em-thermal-closed-form")
         assert not row.passed
         assert row.measured == pytest.approx(0.5, rel=1e-12, abs=0.0)
@@ -93,6 +95,13 @@ class TestEmEnergyDensity:
         p = RotationParams.from_beta(1.0, 0.5, NATURAL)
         rep = em_energy_density(p, cutoff_n_max=7)
         assert rep.w_total_cutoff == rep.w_zp_cutoff + rep.w_thermal
+
+    @pytest.mark.parametrize("route", [em_thermal_density_quadrature,
+                                       scalar_thermal_density_quadrature])
+    def test_doppler_route_beyond_float64_raises(self, route):
+        # omega^4 is finite, and gamma^2 ~ 5e8 carries the density past it
+        with pytest.raises(OverflowError, match="Doppler-quadrature"):
+            route(RotationParams.from_beta(1e77, 0.999999999, NATURAL))
 
     def test_cutoff_validation(self):
         p = RotationParams.from_beta(1.0, 0.5, NATURAL)
