@@ -10,9 +10,8 @@ oracle.
 __version__ = "0.1.0"
 
 from .constants import NATURAL, SI, Constants
-from .kinematics import (FourVector, LuminalOrbitError, RotationParams, Tetrad,
-                         fermi_walker_tetrad, frenet_serret_tetrad, lab_position)
-from .fields import FieldTriplet
+from .kinematics import (LuminalOrbitError, RotationParams, fermi_walker_tetrad,
+                         frenet_serret_tetrad, lab_position, orthonormality_residual)
 from .numerics import (QuadratureError, SeriesSumResult, abel_plana_check, abel_sum,
                        integrate_1d, integrate_sphere)
 from .cf_continuous import (CFValue, CoincidenceError, em_cf_continuous,

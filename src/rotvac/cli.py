@@ -25,7 +25,7 @@ from . import montecarlo as mc
 from . import thermo
 from .constants import NATURAL, SI
 from .kinematics import (LuminalOrbitError, RotationParams, fermi_walker_tetrad,
-                         frenet_serret_tetrad)
+                         frenet_serret_tetrad, orthonormality_residual)
 from .numerics import DEFAULT_TOL, QuadratureError
 from .validation import KNOWN_FAILING, check_determinism, check_em_energy_density, run_suite
 
@@ -145,9 +145,9 @@ def cmd_tetrad(args) -> int:
     header = ["tau"] + [f"mu{a}_{c}" for a in range(1, 5) for c in "xyzt"] + ["residual"]
     rows, flagged = [], False
     for tau in taus:
-        t = build(params, float(tau))
-        resid = t.orthonormality_residual()
-        rows.append([float(tau)] + [float(v) for v in t.matrix().ravel()] + [resid])
+        legs = build(params, float(tau))
+        resid = orthonormality_residual(legs)
+        rows.append([float(tau)] + [float(v) for v in legs.ravel()] + [resid])
         flagged |= resid > 1e-10
     meta = _meta_common(args, params)
     meta["kind"] = args.kind
@@ -185,10 +185,11 @@ def cmd_cf(args) -> int:
         try:
             [mc_cfs] = mc.empirical_cfs([pair], args.kind, 0.0, tau2s, params, ms,
                                         n_seeds=args.seeds, seed=args.seed)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             if args.method == "monte-carlo":
                 raise
-            mc_error = str(exc)
+            mc_error = (f"outside the float64 range: {exc}" if isinstance(exc, OverflowError)
+                        else str(exc))
     for j, (delta, tau2) in enumerate(zip(deltas, tau2s)):
         for method in methods:
             try:

@@ -3,15 +3,15 @@ by the Monte Carlo mode grid, and the diagonal angular brackets: the bracket
 quadrature of the continuous CFs and the angular weight kernel of the
 periodic CF evaluate the same table.
 
-The projection of one triplet and the basis of one direction (with their
-Direction and FrameError types), and the oracles that check this module,
-live with the tests (tests/oracles.py).
+A field is a plain 6-vector (E1, E2, E3, H1, H2, H3): projection_matrix maps
+the lab one to the tetrad one.  The projection of one 6-vector and the basis
+of one direction (with its Direction type), and the oracles that check this
+module, live with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 from .kinematics import RotationParams
 
 __all__ = [
-    "FieldTriplet",
     "projection_matrix",
     "projection_rows",
     "polarization_grid",
@@ -28,24 +27,6 @@ __all__ = [
 ]
 
 POLE_TOL = 1e-8  # directions this close to +/- z use the (x, y) basis
-
-
-@dataclass(frozen=True)
-class FieldTriplet:
-    """Electric and magnetic 3-vectors tagged with their frame."""
-
-    E: np.ndarray
-    H: np.ndarray
-    frame: str  # "lab" | "tetrad"
-    tau: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "E", np.asarray(self.E, dtype=float))
-        object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
-        if self.E.shape != (3,) or self.H.shape != (3,):
-            raise ValueError("E and H must be 3-vectors")
-        if not (np.all(np.isfinite(self.E)) and np.all(np.isfinite(self.H))):
-            raise ValueError("field components must be finite")
 
 
 def projection_matrix(alpha: float, beta: float) -> np.ndarray:

@@ -6,7 +6,8 @@ The worldline is a circle of radius ``r`` traversed with angular velocity
 tau, and the rotation phase seen along the worldline is alpha = omega gamma
 tau.
 
-Two comoving tetrads are provided.  The Frenet-Serret frame keeps the
+Two comoving tetrads are provided, each a (4, 4) array whose rows are the
+legs mu1..mu4 on those slots.  The Frenet-Serret frame keeps the
 detector's 3-acceleration constant (pointing along the inward radial leg);
 the Fermi-Walker frame is transported without spatial rotation, so the
 acceleration direction precesses in it at the rate omega gamma^2.
@@ -24,9 +25,8 @@ from .constants import SI, Constants
 __all__ = [
     "LuminalOrbitError",
     "RotationParams",
-    "FourVector",
-    "Tetrad",
     "METRIC",
+    "orthonormality_residual",
     "lab_position",
     "frenet_serret_tetrad",
     "fermi_walker_tetrad",
@@ -90,39 +90,9 @@ class RotationParams:
         return a
 
 
-@dataclass(frozen=True)
-class FourVector:
-    x: float
-    y: float
-    z: float
-    t: float  # ct slot
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.t])
-
-    def dot(self, other: "FourVector") -> float:
-        """Minkowski inner product with diag(1, 1, 1, -1)."""
-        return self.x * other.x + self.y * other.y + self.z * other.z - self.t * other.t
-
-
-@dataclass(frozen=True)
-class Tetrad:
-    """Four orthonormal legs mu1..mu4 attached at proper time tau."""
-
-    mu1: FourVector
-    mu2: FourVector
-    mu3: FourVector
-    mu4: FourVector
-    tau: float
-    kind: str  # "frenet-serret" | "fermi-walker"
-
-    def matrix(self) -> np.ndarray:
-        """Rows are the tetrad legs as 4-arrays."""
-        return np.array([m.as_array() for m in (self.mu1, self.mu2, self.mu3, self.mu4)])
-
-    def orthonormality_residual(self) -> float:
-        m = self.matrix()
-        return float(np.max(np.abs(m @ METRIC @ m.T - METRIC)))
+def orthonormality_residual(legs: np.ndarray) -> float:
+    """Largest entry of |legs METRIC legs^T - METRIC| for a (4, 4) leg matrix."""
+    return float(np.max(np.abs(legs @ METRIC @ legs.T - METRIC)))
 
 
 def lab_position(params: RotationParams, tau: float):
@@ -136,23 +106,23 @@ def lab_position(params: RotationParams, tau: float):
     )
 
 
-def frenet_serret_tetrad(params: RotationParams, tau: float) -> Tetrad:
-    """Comoving frame whose first leg tracks the (inward) acceleration direction."""
+def frenet_serret_tetrad(params: RotationParams, tau: float) -> np.ndarray:
+    """Comoving frame whose first leg tracks the (inward) acceleration
+    direction: a (4, 4) array whose rows are the legs mu1..mu4."""
     b, g = params.beta, params.gamma
     a = params.alpha(tau)
     ca, sa = math.cos(a), math.sin(a)
-    return Tetrad(
-        mu1=FourVector(ca, sa, 0.0, 0.0),
-        mu2=FourVector(-g * sa, g * ca, 0.0, b * g),
-        mu3=FourVector(0.0, 0.0, 1.0, 0.0),
-        mu4=FourVector(-b * g * sa, b * g * ca, 0.0, g),
-        tau=tau,
-        kind="frenet-serret",
-    )
+    return np.array([
+        [ca, sa, 0.0, 0.0],
+        [-g * sa, g * ca, 0.0, b * g],
+        [0.0, 0.0, 1.0, 0.0],
+        [-b * g * sa, b * g * ca, 0.0, g],
+    ])
 
 
-def fermi_walker_tetrad(params: RotationParams, tau: float) -> Tetrad:
-    """Non-rotating comoving frame (real-metric components).
+def fermi_walker_tetrad(params: RotationParams, tau: float) -> np.ndarray:
+    """Non-rotating comoving frame (real-metric components), as a (4, 4)
+    array of legs like frenet_serret_tetrad.
 
     Relative to the Frenet-Serret legs the spatial pair (mu1, mu2) is rotated
     back by the angle gamma * alpha, which makes the frame obey Fermi-Walker
@@ -163,12 +133,9 @@ def fermi_walker_tetrad(params: RotationParams, tau: float) -> Tetrad:
     ag = g * a
     ca, sa = math.cos(a), math.sin(a)
     cg, sg = math.cos(ag), math.sin(ag)
-    return Tetrad(
-        mu1=FourVector(ca * cg + g * sa * sg, sa * cg - g * ca * sg, 0.0, -b * g * sg),
-        mu2=FourVector(ca * sg - g * sa * cg, sa * sg + g * ca * cg, 0.0, b * g * cg),
-        mu3=FourVector(0.0, 0.0, 1.0, 0.0),
-        mu4=FourVector(-b * g * sa, b * g * ca, 0.0, g),
-        tau=tau,
-        kind="fermi-walker",
-    )
-
+    return np.array([
+        [ca * cg + g * sa * sg, sa * cg - g * ca * sg, 0.0, -b * g * sg],
+        [ca * sg - g * sa * cg, sa * sg + g * ca * cg, 0.0, b * g * cg],
+        [0.0, 0.0, 1.0, 0.0],
+        [-b * g * sa, b * g * ca, 0.0, g],
+    ])

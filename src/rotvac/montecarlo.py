@@ -22,7 +22,9 @@ E e^{ik phi} with 0 < |k| < 2**LATTICE_BITS vanishes, as for phases uniform
 on [0, 2 pi): the ensemble means and variances are those of continuous
 phases.  e^{i phi} is the product of two entries of 1024-entry tables, with
 no trigonometry per seed.  draw_phases returns a seed's (M, Q, 2) uint32
-indices j, which eval_lab_fields takes as they are.
+indices j, which eval_lab_fields takes as they are; it returns the lab
+field as the 6-vector (E1, E2, E3, H1, H2, H3) that projection_matrix
+takes.
 
 The seed-invariant mode arrays (amplitudes, polarization columns) live on
 the ModeSet.  Both paths use cos(b - phi) = Re(amp e^{-ib} e^{i phi}), with
@@ -33,7 +35,8 @@ one-point moments compute amp e^{-ib} once per call; each seed's
 per-node sums are then one batched complex product over node chunks, so a
 worker thread keeps no array of mode size.  Times whose base phases
 k . r - c k t float64 cannot resolve against the drawn phases are a
-ValueError.
+ValueError; a mean or standard error outside the float64 range is an
+OverflowError.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.random import Philox
 
 from .cf_continuous import CFValue
-from .fields import FieldTriplet, polarization_grid, projection_matrix, projection_rows
+from .fields import polarization_grid, projection_matrix, projection_rows
 from .kinematics import RotationParams, lab_position
 
 __all__ = [
@@ -355,18 +358,18 @@ def _field_base(mode_set: ModeSet, params: RotationParams, tau: float) -> np.nda
 
 def eval_lab_fields(mode_set: ModeSet, lattice: np.ndarray,
                     params: RotationParams, tau: float,
-                    work: Optional[np.ndarray] = None) -> FieldTriplet:
-    """Lab-frame (E, H) of the superposition at the detector position, at
-    the phases j LATTICE_STEP of lattice, the indices j that draw_phases
-    returns.
+                    work: Optional[np.ndarray] = None) -> np.ndarray:
+    """Lab-frame 6-vector (E1, E2, E3, H1, H2, H3) of the superposition at
+    the detector position, at the phases j LATTICE_STEP of lattice, the
+    indices j that draw_phases returns.
 
     Each node's sums over its radial modes of amp cos(b - phi) = Re(amp
     e^{-ib} e^{i phi}), with b = k . r - c k t, are one (1 x Q) @ (Q x 2)
     complex product, the e^{i phi} taken from the lattice tables in node
     chunks of about TRIG_CHUNK modes.  work, if given, is
     _field_base(mode_set, params, tau), which a caller that evaluates many
-    ensembles at one time computes once.  ValueError when tau is not finite
-    or |b| may reach PHASE_LIMIT.
+    ensembles at one time computes once.  ValueError when tau is not finite,
+    |b| may reach PHASE_LIMIT or a field component is not finite.
     """
     if work is None:
         base = _field_base(mode_set, params, tau)
@@ -381,9 +384,11 @@ def eval_lab_fields(mode_set: ModeSet, lattice: np.ndarray,
         np.matmul(base[lo:hi, None], _cis(lattice[lo:hi]), out=per_node[lo:hi])
     per_node = per_node.real[:, 0]
     pol = mode_set.pol
-    E = per_node[:, 0] @ pol[0, 0] + per_node[:, 1] @ pol[1, 0]
-    H = per_node[:, 0] @ pol[0, 1] + per_node[:, 1] @ pol[1, 1]
-    return FieldTriplet(E=E, H=H, frame="lab", tau=tau)
+    f = np.concatenate([per_node[:, 0] @ pol[0, 0] + per_node[:, 1] @ pol[1, 0],
+                        per_node[:, 0] @ pol[0, 1] + per_node[:, 1] @ pol[1, 1]])
+    if not np.all(np.isfinite(f)):
+        raise ValueError(f"lab field components at tau = {tau!r} are not finite")
+    return f
 
 
 def _seed_loop(work, n_items: int, n_workers: int, out):
@@ -398,6 +403,20 @@ def _seed_loop(work, n_items: int, n_workers: int, out):
         list(pool.map(lambda i: out.__setitem__(i, work(i)), range(n_items)))
 
 
+def _seed_stats(vals: np.ndarray, names: Sequence[str], axis: int = 0):
+    """Mean and standard error of vals over its seed axis; names names the
+    means in their flat order.  OverflowError naming the first mean or
+    standard error that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = vals.mean(axis=axis)
+        err = vals.std(axis=axis, ddof=1) / math.sqrt(vals.shape[axis])
+    for what, v in (("mean", mean), ("standard error", err)):
+        for name, x in zip(names, np.ravel(v)):
+            if not math.isfinite(x):
+                raise OverflowError(f"the Monte Carlo {what} of {name} is {float(x)!r}")
+    return mean, err
+
+
 def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus,
                       rows: np.ndarray, nodes: slice = slice(None)) -> np.ndarray:
     """(P, 2N, T) designs of the tetrad components that the P x T rows of
@@ -407,7 +426,7 @@ def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus,
     With b = k . r - c k t the base phase of a mode at a time, cos(b - phi) =
     cos b cos phi + sin b sin phi, so the interleaved (cos phi_0, sin phi_0,
     cos phi_1, ...) @ design[p] is, at every time, the component of
-    eval_lab_fields' (E, H) along rows[p].  Rows 2n and 2n + 1 hold amp cos b
+    eval_lab_fields' 6-vector along rows[p].  Rows 2n and 2n + 1 hold amp cos b
     (pol . row) and amp sin b (pol . row) of mode n, where pol . row = eps .
     row[:3] + (khat x eps) . row[3:]; modes run in the (node, radial,
     polarization) order of draw_phases.
@@ -463,7 +482,8 @@ def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
     Carries the mode set's energy-density normalization (twice the analytic
     correlation-function convention).  stat_error is the standard error of
     the seed mean.  ValueError when a time is not finite or its base phases
-    may reach PHASE_LIMIT (see eval_lab_fields).
+    may reach PHASE_LIMIT (see eval_lab_fields); OverflowError when a mean
+    or standard error is not finite.
 
     The modes run in node chunks of about CHUNK_MODES, so that memory does
     not grow with the grid.  Each chunk has one design per pair: the pair's
@@ -485,10 +505,14 @@ def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
     parts = [_chunk_components(mode_set, params, (tau1, *tau2s), rows, slice(lo, lo + step),
                                seed, n_seeds, n_workers) for lo in range(0, n_nodes, step)]
     comps = sum(parts[1:], parts[0])                 # in chunk order
+    with np.errstate(over="ignore"):                 # _seed_stats names an overflow
+        products = (comps[:, :, :1] * comps[:, :, 1:]).transpose(1, 2, 0).copy()
+    mean, err = _seed_stats(products, [f"the {kind} CF of pair {pair} at tau2 = {t!r}"
+                                       for pair in pairs for t in tau2s], axis=2)
     return [[CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2, spectrum=mode_set.spectrum,
-                     value=float(v.mean()), method="monte-carlo",
-                     stat_error=float(v.std(ddof=1) / math.sqrt(n_seeds)))
-             for tau2, v in zip(tau2s, (comps[:, p, :1] * comps[:, p, 1:]).T.copy())]
+                     value=float(mean[p, j]), method="monte-carlo",
+                     stat_error=float(err[p, j]))
+             for j, tau2 in enumerate(tau2s)]
             for p, pair in enumerate(pairs)]
 
 
@@ -510,30 +534,30 @@ def empirical_energy_density(params: RotationParams, mode_set: ModeSet,
     (1/8 pi) sum(<E_(a)^2> + <H_(a)^2>), and the mixed moment
     <E1 H3> - <E3 H1>, each with standard errors.  ValueError when tau is
     not finite or its base phases may reach PHASE_LIMIT (see
-    eval_lab_fields).
+    eval_lab_fields); OverflowError when a mean or standard error is not
+    finite.
     """
     if n_seeds < 2:
         raise ValueError(f"a standard error needs n_seeds >= 2, got {n_seeds}")
     base = _field_base(mode_set, params, tau)
     m = projection_matrix(params.alpha(tau), params.beta)
 
+    @np.errstate(over="ignore")      # _seed_stats names an overflow
     def work(i):
         f = eval_lab_fields(mode_set, draw_phases(mode_set, seed, i), params, tau, work=base)
-        v = m @ np.concatenate([f.E, f.H])
-        mixed = f.E[0] * f.H[2] - f.E[2] * f.H[0]
-        return np.concatenate([v[:3] ** 2, v[3:] ** 2, f.E**2, f.H**2, [mixed]])
+        return np.concatenate([(m @ f) ** 2, f**2, [f[0] * f[5] - f[2] * f[3]]])
 
     vals = np.empty((n_seeds, 13))
     _seed_loop(work, n_seeds, n_workers, vals)
-    mean = vals.mean(axis=0)
-    err = vals.std(axis=0, ddof=1) / math.sqrt(n_seeds)
+    mean, err = _seed_stats(vals, [f"{frame} <{x}_{a}^2>" for frame in ("tetrad", "lab")
+                                   for x in "EH" for a in (1, 2, 3)]
+                            + ["the mixed moment <E1 H3> - <E3 H1>"])
     w_samples = vals[:, 0:6].sum(axis=1) / (8.0 * math.pi)
+    w, w_err = _seed_stats(w_samples, ["the energy density w"])
     return EmpiricalEnergyDensity(
         e2=mean[0:3], h2=mean[3:6], e2_err=err[0:3], h2_err=err[3:6],
         lab_e2=mean[6:9], lab_h2=mean[9:12], lab_e2_err=err[6:9], lab_h2_err=err[9:12],
-        w=float(w_samples.mean()),
-        w_err=float(w_samples.std(ddof=1) / math.sqrt(n_seeds)),
-        mixed=float(mean[12]), mixed_err=float(err[12]),
+        w=float(w), w_err=float(w_err), mixed=float(mean[12]), mixed_err=float(err[12]),
         n_seeds=n_seeds,
     )
 

@@ -14,10 +14,11 @@ six-column lab-field design checks the engine's folded design, the per-term
 Abel weights check numerics.abel_sum, and the lab-frame tensor integrand
 written term by term checks the one-product integrand of the tensor
 quadrature.  The worldline 4-velocity and acceleration, the
-projection of one field triplet, the
+projection of one field 6-vector, the
 single-direction polarization basis and angular kernel (with the Direction
-and FrameError types) and the manifest writer have no caller outside the
-tests.
+type) and the manifest writer have no caller outside the tests.  Like the
+package, they take and return plain arrays: 4-vectors on (x, y, z, ct)
+slots and fields as 6-vectors (E1, E2, E3, H1, H2, H3).
 """
 
 import json
@@ -29,16 +30,11 @@ from scipy.integrate import quad
 
 from rotvac.cf_discrete import ladder_phase
 from rotvac.constants import SI, Constants
-from rotvac.fields import (FieldTriplet, angular_weight_kernel_grid, polarization_grid,
-                           projection_matrix)
-from rotvac.kinematics import (METRIC, FourVector, RotationParams, fermi_walker_tetrad,
+from rotvac.fields import angular_weight_kernel_grid, polarization_grid, projection_matrix
+from rotvac.kinematics import (METRIC, RotationParams, fermi_walker_tetrad,
                                frenet_serret_tetrad, lab_position)
 from rotvac.montecarlo import ModeSet, draw_phases, eval_lab_fields
 from rotvac.numerics import ABEL_ETA_GRID, integrate_1d, integrate_sphere
-
-
-class FrameError(ValueError):
-    """Field triplet is in the wrong frame for the requested operation."""
 
 
 @dataclass(frozen=True)
@@ -54,31 +50,30 @@ class Direction:
         return np.array([st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)])
 
 
-def four_velocity(params: RotationParams, tau: float) -> FourVector:
+def four_velocity(params: RotationParams, tau: float) -> np.ndarray:
     """4-velocity c (-beta gamma sin a, beta gamma cos a, 0, gamma), a = omega gamma tau."""
     b, g, c = params.beta, params.gamma, params.constants.c
     a = params.alpha(tau)
-    return FourVector(-c * b * g * math.sin(a), c * b * g * math.cos(a), 0.0, c * g)
+    return np.array([-c * b * g * math.sin(a), c * b * g * math.cos(a), 0.0, c * g])
 
 
-def coordinate_acceleration(params: RotationParams, tau: float) -> FourVector:
+def coordinate_acceleration(params: RotationParams, tau: float) -> np.ndarray:
     """dU/dtau along the worldline."""
     g = params.gamma
     a = params.alpha(tau)
     mag = params.radius * params.omega**2 * g**2
-    return FourVector(-mag * math.cos(a), -mag * math.sin(a), 0.0, 0.0)
+    return np.array([-mag * math.cos(a), -mag * math.sin(a), 0.0, 0.0])
 
 
 def tetrad_acceleration(params: RotationParams, tau: float, kind: str = "frenet-serret") -> np.ndarray:
     """Acceleration components mu_(a) . dU/dtau in the chosen comoving frame."""
     if kind == "frenet-serret":
-        frame = frenet_serret_tetrad(params, tau)
+        legs = frenet_serret_tetrad(params, tau)
     elif kind == "fermi-walker":
-        frame = fermi_walker_tetrad(params, tau)
+        legs = fermi_walker_tetrad(params, tau)
     else:
         raise ValueError(f"unknown tetrad kind {kind!r}")
-    acc = coordinate_acceleration(params, tau).as_array()
-    return frame.matrix() @ METRIC @ acc
+    return legs @ METRIC @ coordinate_acceleration(params, tau)
 
 
 def angular_weight_kernel(direction: Direction, delta: float, params: RotationParams) -> float:
@@ -94,14 +89,15 @@ def write_manifest(path, manifest: dict) -> None:
         fh.write("\n")
 
 
-def field_tensor(E, H) -> np.ndarray:
-    """Antisymmetric field tensor F_ik on (x, y, z, ct) slots.
+def field_tensor(f) -> np.ndarray:
+    """Antisymmetric field tensor F_ik on (x, y, z, ct) slots of the field
+    6-vector f = (E, H).
 
     Convention fixed by the identity-frame reduction: F_4k = E_k and
     (F_23, F_31, F_12) = (H_1, H_2, H_3).
     """
-    E = np.asarray(E, dtype=float)
-    H = np.asarray(H, dtype=float)
+    f = np.asarray(f, dtype=float)
+    E, H = f[:3], f[3:]
     F = np.zeros((4, 4))
     F[3, 0], F[3, 1], F[3, 2] = E
     F[0, 3], F[1, 3], F[2, 3] = -E
@@ -111,25 +107,18 @@ def field_tensor(E, H) -> np.ndarray:
     return F
 
 
-def project_fields_to_tetrad(lab: FieldTriplet, params: RotationParams, tau: float) -> FieldTriplet:
-    """Project lab-frame (E, H) into the Frenet-Serret frame at proper time tau."""
-    if lab.frame != "lab":
-        raise FrameError("project_fields_to_tetrad expects a lab-frame triplet")
-    m = projection_matrix(params.alpha(tau), params.beta)
-    out = m @ np.concatenate([lab.E, lab.H])
-    return FieldTriplet(E=out[:3], H=out[3:], frame="tetrad", tau=tau)
+def project_fields_to_tetrad(lab, params: RotationParams, tau: float) -> np.ndarray:
+    """Project the lab-frame 6-vector (E, H) into the Frenet-Serret frame at
+    proper time tau."""
+    return projection_matrix(params.alpha(tau), params.beta) @ np.asarray(lab, dtype=float)
 
 
-def project_fields_via_tensor(lab: FieldTriplet, params: RotationParams, tau: float) -> FieldTriplet:
+def project_fields_via_tensor(lab, params: RotationParams, tau: float) -> np.ndarray:
     """Contract mu_(a) mu_(b) with the field tensor; oracle for
     project_fields_to_tetrad, which must agree to roundoff for every input."""
-    if lab.frame != "lab":
-        raise FrameError("project_fields_via_tensor expects a lab-frame triplet")
-    mu = frenet_serret_tetrad(params, tau).matrix()
-    Fab = mu @ field_tensor(lab.E, lab.H) @ mu.T
-    E = np.array([Fab[3, 0], Fab[3, 1], Fab[3, 2]])
-    H = np.array([Fab[1, 2], Fab[2, 0], Fab[0, 1]])
-    return FieldTriplet(E=E, H=H, frame="tetrad", tau=tau)
+    mu = frenet_serret_tetrad(params, tau)
+    Fab = mu @ field_tensor(lab) @ mu.T
+    return np.array([Fab[3, 0], Fab[3, 1], Fab[3, 2], Fab[1, 2], Fab[2, 0], Fab[0, 1]])
 
 
 def polarization_basis(direction: Direction):
@@ -224,8 +213,8 @@ def make_kernel(delta: float, ky: float, params: RotationParams) -> DiscreteKern
 
 
 def lab_fields_mode_sum(mode_set: ModeSet, phases: np.ndarray, params: RotationParams,
-                        tau: float):
-    """Lab (E, H) at the detector as a plain sum over modes of
+                        tau: float) -> np.ndarray:
+    """Lab 6-vector (E, H) at the detector as a plain sum over modes of
     sqrt(amp2) cos(k . r - c k t - phi) [eps, khat x eps].
 
     Reference for montecarlo.eval_lab_fields; reads neither it nor the
@@ -243,7 +232,7 @@ def lab_fields_mode_sum(mode_set: ModeSet, phases: np.ndarray, params: RotationP
                                                               - phases[m, q, lam])
                 E += a * eps
                 H += a * heps
-    return E, H
+    return np.concatenate([E, H])
 
 
 def empirical_cf_per_seed(pair, kind, tau1, tau2, params: RotationParams,
@@ -261,7 +250,7 @@ def empirical_cf_per_seed(pair, kind, tau1, tau2, params: RotationParams,
         ph = draw_phases(mode_set, seed, i)
         f1, f2 = (project_fields_to_tetrad(eval_lab_fields(mode_set, ph, params, tau),
                                            params, tau) for tau in (tau1, tau2))
-        vals[i] = getattr(f1, kind[0])[a - 1] * getattr(f2, kind[1])[b - 1]
+        vals[i] = f1[a - 1 + 3 * (kind[0] == "H")] * f2[b - 1 + 3 * (kind[1] == "H")]
     return vals
 
 

@@ -507,6 +507,11 @@ class TestInputErrors:
         (["cf", "--beta", "0.3", "--method", "monte-carlo", "--delta-min", "1e8",
           "--delta-max", "1e8", "--delta-steps", "1"],
          "float64 no longer resolves the drawn phases"),
+        (["mc-validate", "--omega", "1e38", "--beta", "0.5", "--seeds", "20"],
+         "outside the float64 range: the Monte Carlo standard error of tetrad <E_1^2> is inf"),
+        (["cf", "--omega", "1e40", "--beta", "0.3", "--method", "monte-carlo",
+          "--delta-steps", "2"],
+         "outside the float64 range: the Monte Carlo standard error of the EE CF of pair (1, 1)"),
     ], ids=["spectrum-nan-phase", "cf-nan-delta", "tetrad-nan-tau", "tetrad-span-overflow",
             "force-curve-nan-r-min", "force-curve-inf-r-max", "force-curve-r0-overflow",
             "cf-negative-beta", "mc-validate-negative-beta", "tetrad-nan-beta",
@@ -515,13 +520,30 @@ class TestInputErrors:
             "cf-monte-carlo-underflow-si", "mc-validate-underflow-si",
             "cf-monte-carlo-cutoff-overflow", "estimate-hadron-casimir-overflow",
             "estimate-hadron-radius-cube-overflow", "force-curve-radius-cube-overflow",
-            "estimate-hadron-r0-overflow", "cf-monte-carlo-phase-range"])
+            "estimate-hadron-r0-overflow", "cf-monte-carlo-phase-range",
+            "mc-validate-infinite-standard-error", "cf-monte-carlo-infinite-standard-error"])
     def test_errors_name_their_cause(self, capsys, argv, cause):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert cause in captured.err
+
+    def test_monte_carlo_overflow_flags_method_all_rows(self, capsys):
+        # the squared Monte Carlo samples overflow at this omega, while the
+        # values themselves are finite: the Monte Carlo rows say so and the
+        # other routes still print theirs
+        code, out = run_cli(capsys, "cf", "--omega", "1e40", "--beta", "0.3",
+                            "--method", "all", "--delta-steps", "2")
+        assert code == 1
+        _, _, rows = parse_table(out)
+        assert [r["method"] for r in rows] == ["closed-form", "quadrature", "monte-carlo"] * 2
+        for r in rows:
+            if r["method"] == "monte-carlo":
+                assert r["flag"].startswith("error: outside the float64 range: the Monte "
+                                            "Carlo standard error of the EE CF")
+            else:
+                assert r["flag"] == "ok"
 
     @pytest.mark.parametrize("field", ["em", "scalar"])
     @pytest.mark.parametrize("units", ["SI", "natural"])

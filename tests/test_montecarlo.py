@@ -149,10 +149,8 @@ class TestModeSetInvariants:
         for ms in (build_mode_set(params, n_max=3, n_theta=8, n_phi=16), self.hand_built()):
             ph = draw_phases(ms, seed=12, index=3)
             f = eval_lab_fields(ms, ph, params, tau)
-            E, H = lab_fields_mode_sum(ms, ph * montecarlo.LATTICE_STEP, params, tau)
-            scale = max(np.abs(E).max(), np.abs(H).max())
-            assert np.abs(f.E - E).max() <= 1e-12 * scale
-            assert np.abs(f.H - H).max() <= 1e-12 * scale
+            ref = lab_fields_mode_sum(ms, ph * montecarlo.LATTICE_STEP, params, tau)
+            assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
     def test_no_libm_cos_of_mode_size(self, params, modes, monkeypatch):
@@ -262,8 +260,8 @@ class TestFieldEvaluation:
         c = params.constants.c
         # k . r vanishes on the orbit plane, leaving the pure time phase
         expect = 2.0 * math.cos(k * z - c * t * k)
-        assert f.E == pytest.approx([expect, 0.0, 0.0])
-        assert f.H == pytest.approx([0.0, expect, 0.0])  # khat x eps1 = yhat
+        # E along eps1 = xhat, H along khat x eps1 = yhat
+        assert f == pytest.approx([expect, 0.0, 0.0, 0.0, expect, 0.0])
 
     def test_mixed_moment_matches_deterministic_expectation(self, params, modes):
         # analytic moments oracle: expectation of E1(tau1) H3(tau2) as an
@@ -286,7 +284,7 @@ class TestFieldEvaluation:
             ph = draw_phases(modes, seed=31, index=i)
             f1 = eval_lab_fields(modes, ph, params, tau1)
             f2 = eval_lab_fields(modes, ph, params, tau2)
-            vals.append(f1.E[0] * f2.H[2])
+            vals.append(f1[0] * f2[5])
         vals = np.array(vals)
         pull = abs(vals.mean() - expect) / (vals.std(ddof=1) / math.sqrt(n_seeds))
         assert pull < 3.0
@@ -299,7 +297,7 @@ class TestFieldEvaluation:
             ph = draw_phases(modes, seed=8, index=index)
             a = eval_lab_fields(modes, ph, params, 0.6)
             b = eval_lab_fields(modes, ph, params, 0.6, work=work)
-            assert np.array_equal(a.E, b.E) and np.array_equal(a.H, b.H)
+            assert np.array_equal(a, b)
 
     def test_stationary_marginals(self, params, modes):
         # distribution of a field component does not depend on tau
@@ -308,7 +306,7 @@ class TestFieldEvaluation:
         for i in range(400):
             ph = draw_phases(modes, seed=62, index=i)
             for tau in taus:
-                samples[tau].append(eval_lab_fields(modes, ph, params, tau).E[0])
+                samples[tau].append(eval_lab_fields(modes, ph, params, tau)[0])
         stat = ks_2samp(samples[taus[0]], samples[taus[1]])
         assert stat.pvalue > 0.01
 
@@ -419,7 +417,7 @@ class TestEmpiricalCF:
         for i in range(400):
             ph = draw_phases(modes, seed=99, index=i)
             f = eval_lab_fields(modes, ph, params, tau)
-            vals.append(f.E[0] * f.H[2] - f.E[2] * f.H[0])
+            vals.append(f[0] * f[5] - f[2] * f[3])
         vals = np.array(vals)
         pull = abs(vals.mean()) / (vals.std(ddof=1) / math.sqrt(len(vals)))
         assert pull < 3.0
