@@ -53,7 +53,6 @@ def _int_in(lo: int, hi: float = math.inf):
 
 SEED = _int_in(0, 2**64)     # Philox keys are uint64
 SEED_COUNT = _int_in(2)      # a standard error needs two seeds
-WORKERS = _int_in(1)
 
 
 def POSITIVE(text: str) -> float:
@@ -360,12 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--radius", type=float, default=0.0)
             group.add_argument("--beta", type=float, default=None)
 
+    def monte_carlo(sp):
+        sp.add_argument("--n-max", type=_int_in(1), default=6)
+        sp.add_argument("--seeds", type=SEED_COUNT, default=200)
+        sp.add_argument("--seed", type=SEED, default=0)
+        sp.add_argument("--mc-theta", type=_int_in(mc.MIN_THETA_NODES), default=16)
+        sp.add_argument("--mc-phi", type=_int_in(mc.MIN_PHI_NODES), default=32)
+
     sp = sub.add_parser("tetrad", help="tetrad components and orthonormality residuals")
     common(sp)
     sp.add_argument("--kind", choices=("frenet-serret", "fermi-walker"), default="frenet-serret")
     sp.add_argument("--tau-min", type=float, default=0.0)
     sp.add_argument("--tau-max", type=float, default=6.0)
-    sp.add_argument("--tau-steps", type=int, default=13)
+    sp.add_argument("--tau-steps", type=_int_in(1), default=13)
     sp.set_defaults(func=cmd_tetrad)
 
     sp = sub.add_parser("cf", help="correlation functions vs angular lag")
@@ -377,27 +383,23 @@ def build_parser() -> argparse.ArgumentParser:
                     default="closed-form")
     sp.add_argument("--delta-min", type=float, default=0.5)
     sp.add_argument("--delta-max", type=float, default=5.0)
-    sp.add_argument("--delta-steps", type=int, default=10)
+    sp.add_argument("--delta-steps", type=_int_in(1), default=10)
     sp.add_argument("--tol", type=POSITIVE, default=DEFAULT_TOL,
                     help="quadrature relative tolerance")
-    sp.add_argument("--n-max", type=int, default=6)
-    sp.add_argument("--seeds", type=SEED_COUNT, default=200)
-    sp.add_argument("--seed", type=SEED, default=0)
-    sp.add_argument("--mc-theta", type=int, default=16)
-    sp.add_argument("--mc-phi", type=int, default=32)
+    monte_carlo(sp)
     sp.set_defaults(func=cmd_cf)
 
     sp = sub.add_parser("spectrum", help="ladder sums and their zero-point/thermal split")
     common(sp)
     sp.add_argument("--phase-min", type=float, default=0.5)
     sp.add_argument("--phase-max", type=float, default=6.0)
-    sp.add_argument("--phase-steps", type=int, default=12)
+    sp.add_argument("--phase-steps", type=_int_in(1), default=12)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("energy", help="energy density report")
     common(sp)
     sp.add_argument("--field", choices=("em", "scalar"), default="em")
-    sp.add_argument("--n-max", type=int, default=10)
+    sp.add_argument("--n-max", type=_int_in(1), default=10)
     sp.set_defaults(func=cmd_energy)
 
     sp = sub.add_parser("force-curve", help="vacuum force vs orbit radius")
@@ -405,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega", type=float, required=True)
     sp.add_argument("--r-min", type=float, default=0.0, help="in units of r0 = c/omega")
     sp.add_argument("--r-max", type=float, default=1.2, help="in units of r0")
-    sp.add_argument("--r-steps", type=int, default=25)
+    sp.add_argument("--r-steps", type=_int_in(1), default=25)
     sp.add_argument("--sphere-radius", type=float, default=None)
     sp.set_defaults(func=cmd_force_curve, units="SI")
 
@@ -419,12 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mc-validate", help="Monte Carlo cross-checks")
     common(sp)
-    sp.add_argument("--n-max", type=int, default=6)
-    sp.add_argument("--seeds", type=SEED_COUNT, default=200)
-    sp.add_argument("--seed", type=SEED, default=0)
-    sp.add_argument("--workers", type=WORKERS, default=1)
-    sp.add_argument("--mc-theta", type=int, default=16)
-    sp.add_argument("--mc-phi", type=int, default=32)
+    monte_carlo(sp)
+    sp.add_argument("--workers", type=_int_in(1), default=1)
     sp.set_defaults(func=cmd_mc_validate)
 
     sp = sub.add_parser("validate", help="run the acceptance checks")

@@ -157,3 +157,31 @@ def test_a_nan_from_one_route_fails_its_row(monkeypatch, module, name, patch, ch
     monkeypatch.setattr(module, name, patch)
     (result,) = [r for r in check() if r.name == row]
     assert math.isnan(result.measured) and not result.passed
+
+
+def test_full_suite_builds_the_energy_mode_set_after_the_nullity_check(monkeypatch):
+    # the energy group's 327,680-mode ModeSet is not alive during the
+    # nullity check's peak: run_suite builds it when that group runs
+    events = []
+
+    def stub(name):
+        def check(**kwargs):
+            events.append(name)
+            return []
+        return check
+
+    for name in dir(v):
+        if name.startswith("check_"):
+            monkeypatch.setattr(v, name, stub(name))
+    real = mc.build_mode_set
+
+    def recording(params, *args, **kwargs):
+        ms = real(params, *args, **kwargs)
+        events.append(("build_mode_set", ms.mode_count))
+        return ms
+
+    monkeypatch.setattr(mc, "build_mode_set", recording)
+    v.run_suite("full")
+    energy_set = ("build_mode_set", 64 * 128 * 20 * 2)
+    assert energy_set in events
+    assert events.index(energy_set) > events.index("check_offdiagonal_nullity")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 import rotvac
 from rotvac import montecarlo
-from rotvac.cli import main
-from rotvac.constants import SI
-from rotvac.thermo import CASIMIR_MODEL_C
+from rotvac.cli import build_parser, main
+from rotvac.constants import NATURAL, SI
+from rotvac.kinematics import RotationParams
+from rotvac.thermo import CASIMIR_MODEL_C, em_energy_density
 
 
 def run_cli(capsys, *argv):
@@ -396,6 +398,19 @@ class TestMcValidate:
         for name in ("em-energy-mc-vs-ladder", "em-energy-e2-h2", "em-energy-mixed-moment"):
             assert mc_rows[name] == suite_rows[name]
 
+    def test_energy_detail_gives_the_standard_error(self, capsys):
+        code, out = run_cli(capsys, "mc-validate", "--beta", "0.3", "--seeds", "100",
+                            "--seed", "5", "--workers", "1")
+        assert code == 0
+        [detail] = [r["detail"] for r in parse_table(out)[2]
+                    if r["check"] == "em-energy-mc-vs-ladder"]
+        params = RotationParams.from_beta(1.0, 0.3, NATURAL)
+        ms = montecarlo.build_mode_set(params, n_max=6, n_theta=16, n_phi=32)
+        est = montecarlo.empirical_energy_density(params, ms, n_seeds=100, seed=5)
+        target = em_energy_density(params, 6).w_zp_cutoff
+        assert detail == (f"w {est.w:.12e} +- {est.w_err:.12e} "
+                          f"against the truncated ladder's {target:.12e}")
+
 
 class TestInputErrors:
     """Bad input exits 2 with a message, never a traceback or a NaN row."""
@@ -419,18 +434,38 @@ class TestInputErrors:
         ["cf", "--tol", "0"],
         ["cf", "--tol", "inf"],
         ["cf", "--tol=-1"],
+        ["tetrad", "--tau-steps", "0"],
+        ["cf", "--delta-steps", "-1"],
+        ["cf", "--delta-steps", "0"],
+        ["spectrum", "--phase-steps", "0"],
+        ["force-curve", "--omega", "1e3", "--r-steps", "0"],
+        ["energy", "--n-max", "0"],
+        ["cf", "--beta", "0.3", "--method", "monte-carlo", "--n-max", "0"],
+        ["mc-validate", "--n-max", "0"],
+        ["cf", "--mc-theta", "7"],
+        ["cf", "--mc-phi", "15"],
+        ["mc-validate", "--mc-theta", "7"],
+        ["mc-validate", "--mc-phi", "15"],
     ], ids=["cf-negative-seed", "validate-negative-seed", "mc-validate-one-seed",
             "energy-tol", "cf-one-digit-pair", "cf-three-digit-pair", "cf-zero-component",
             "cf-double-dash-value", "validate-nan-sigma-perturb",
             "validate-inf-sigma-perturb", "validate-zero-sigma-perturb",
             "validate-negative-sigma-perturb", "mc-validate-zero-workers",
             "mc-validate-negative-workers", "cf-nan-tol", "cf-zero-tol", "cf-inf-tol",
-            "cf-negative-tol"])
+            "cf-negative-tol", "tetrad-zero-tau-steps", "cf-negative-delta-steps",
+            "cf-zero-delta-steps", "spectrum-zero-phase-steps", "force-curve-zero-r-steps",
+            "energy-zero-n-max", "cf-zero-n-max", "mc-validate-zero-n-max",
+            "cf-coarse-mc-theta", "cf-coarse-mc-phi", "mc-validate-coarse-mc-theta",
+            "mc-validate-coarse-mc-phi"])
     def test_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        # the error line (the usage line above it lists every option) names
+        # an option of argv
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "error:" in message
+        assert any(a.split("=")[0] in message for a in argv if a.startswith("--")), message
 
     def test_closed_pipe_exits_without_traceback(self):
         # 2,000 tetrad rows overfill the pipe, so the CLI is still writing
@@ -729,3 +764,21 @@ class TestValidate:
         assert status["em-thermal-closed-form"] == "FAIL"
         assert int(meta["unexpected_failures"]) >= 1
         assert int(meta["known_failures"]) == 1
+
+
+def _readme_commands():
+    """Every line of README.md's fenced blocks that starts with `rotvac `."""
+    lines, fenced = [], False
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("rotvac "):
+            lines.append(line)
+    return lines
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_commands_parse(line):
+    # a command the parser turns away raises SystemExit; shlex drops "# ..."
+    build_parser().parse_args(shlex.split(line, comments=True)[1:])
