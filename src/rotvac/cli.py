@@ -98,6 +98,12 @@ def _mode_set(args, params: RotationParams, spectrum: str) -> mc.ModeSet:
         raise OverflowError(f"Monte Carlo modes at --omega {args.omega!r}: {exc}") from exc
 
 
+def _error(exc: Exception) -> str:
+    """The flag of a route, or the message of a command, that failed with exc."""
+    cause = "outside the float64 range: " if isinstance(exc, OverflowError) else ""
+    return f"error: {cause}{exc}"
+
+
 def _emit(args, meta: dict, header: List[str], rows: List[list], flagged: bool) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -153,83 +159,77 @@ def cmd_tetrad(args) -> int:
     return _emit(args, meta, header, rows, flagged)
 
 
+def _cf_routes(args, params: RotationParams) -> dict:
+    """label -> the CF at a lag tau2, for each deterministic route of --kind and
+    --spectrum; on the discrete spectrum closed-form and quadrature are one route."""
+    if args.spectrum == "discrete":
+        if args.kind == "scalar":
+            return {"quadrature": lambda t: cfd.scalar_cf_discrete(0.0, t, params, args.tol)}
+
+        def em_discrete(t):
+            if args.pair != (1, 1) or args.kind != "EE":
+                raise ValueError("discrete spectrum implements the (1,1) EE pair")
+            return cfd.em_cf_discrete(0.0, t, params, args.tol)
+        return {"quadrature": em_discrete}
+    if args.kind == "scalar":
+        return {"closed-form": lambda t: cfc.scalar_cf_continuous(0.0, t, params),
+                "quadrature": lambda t: cfc.scalar_cf_quadrature(0.0, t, params, args.tol)}
+    return {m: (lambda t, m=m: cfc.em_cf_continuous(args.pair, args.kind, 0.0, t, params, m,
+                                                    args.tol))
+            for m in ("closed-form", "quadrature")}
+
+
+def _cf_or_error(route, tau2):
+    """route's CF at the lag tau2, or the flag of its error."""
+    try:
+        cf = route(tau2)
+        if not math.isfinite(cf.value):
+            raise ValueError(f"value {cf.value!r} is outside the float64 range")
+        return cf
+    except (ValueError, QuadratureError) as exc:
+        return _error(exc)
+
+
 def cmd_cf(args) -> int:
     if args.omega == 0.0:
         raise ValueError("cf needs --omega > 0 (its lags are the angles omega gamma tau)")
     params = _params(args)
-    const = params.constants
-    pair = args.pair
     deltas = _sweep(args, "delta")
     if args.kind == "scalar" and args.method == "monte-carlo":
         raise ValueError("no Monte Carlo route for the scalar field")
-    header = ["delta", "method", "value", "stat_error", "flag"]
-    rows, flagged = [], False
-    ms = mc_error = None
+    tau2s = [float(delta) / (params.omega * params.gamma) for delta in deltas]
+    routes = {} if args.method == "monte-carlo" else _cf_routes(args, params)
+    if args.method in routes:     # on the discrete spectrum closed-form runs its one route
+        routes = {args.method: routes[args.method]}
+    # one column per route over the lag grid: a CFValue or that row's error
+    columns = {label: [_cf_or_error(route, t) for t in tau2s] for label, route in routes.items()}
+    ms = None
     if args.method in ("monte-carlo", "all") and args.kind != "scalar":
         try:
             ms = _mode_set(args, params, args.spectrum)
-        except OverflowError as exc:
-            if args.method == "monte-carlo":    # no route is left to print a row
-                raise
-            mc_error = f"outside the float64 range: {exc}"
-    # on the discrete spectrum closed-form and quadrature are one route
-    methods = [args.method]
-    if args.method == "all":
-        methods = ["quadrature"] if args.spectrum == "discrete" else ["closed-form", "quadrature"]
-        if args.kind != "scalar":
-            methods.append("monte-carlo")
-    tau2s = [float(delta) / (params.omega * params.gamma) for delta in deltas]
-    if ms is not None:
-        # one call for every lag: each seed is drawn and its trig done once
-        try:
-            [mc_cfs] = mc.empirical_cfs([pair], args.kind, 0.0, tau2s, params, ms,
-                                        n_seeds=args.seeds, seed=args.seed)
+            # one call for every lag: each seed is drawn and its trig done once
+            [columns["monte-carlo"]] = mc.empirical_cfs(
+                [args.pair], args.kind, 0.0, tau2s, params, ms, n_seeds=args.seeds, seed=args.seed)
         except (ValueError, OverflowError) as exc:
-            if args.method == "monte-carlo":
+            # only --method all has routes left to print; a too-coarse grid is a usage error
+            if args.method == "monte-carlo" or (ms is None and isinstance(exc, ValueError)):
                 raise
-            mc_error = (f"outside the float64 range: {exc}" if isinstance(exc, OverflowError)
-                        else str(exc))
-    for j, (delta, tau2) in enumerate(zip(deltas, tau2s)):
-        for method in methods:
-            try:
-                if method == "monte-carlo":
-                    if mc_error:
-                        raise ValueError(mc_error)
-                    cf = mc_cfs[j]
-                elif args.kind == "scalar":
-                    if args.spectrum == "discrete":
-                        cf = cfd.scalar_cf_discrete(0.0, tau2, params, args.tol)
-                    elif method == "quadrature":
-                        cf = cfc.scalar_cf_quadrature(0.0, tau2, params, args.tol)
-                    else:
-                        cf = cfc.scalar_cf_continuous(0.0, tau2, params)
-                elif args.spectrum == "discrete":
-                    if pair != (1, 1) or args.kind != "EE":
-                        raise ValueError("discrete spectrum implements the (1,1) EE pair")
-                    cf = cfd.em_cf_discrete(0.0, tau2, params, args.tol)
-                else:
-                    cf = cfc.em_cf_continuous(pair, args.kind, 0.0, tau2, params, method, args.tol)
-                if not math.isfinite(cf.value):
-                    raise ValueError(f"value {cf.value!r} is outside the float64 range")
-                rows.append([float(delta), cf.method, cf.value,
-                             cf.stat_error if cf.stat_error is not None else "", "ok"])
-            except (cfc.CoincidenceError, cfd.ResonanceError, ValueError,
-                    QuadratureError) as exc:
-                # label the route that ran, as the ok rows do
-                route = "quadrature" if args.spectrum == "discrete" else method
-                rows.append([float(delta), route, "", "", f"error: {exc}"])
-                flagged = True
+            columns["monte-carlo"] = [_error(exc)] * len(tau2s)
+    rows = [[float(delta), label, "", "", cf] if isinstance(cf, str) else
+            [float(delta), label, cf.value, "" if cf.stat_error is None else cf.stat_error, "ok"]
+            for delta, entries in zip(deltas, zip(*columns.values()))
+            for label, cf in zip(columns, entries)]
     meta = _meta_common(args, params)
     meta.update(kind=args.kind, spectrum=args.spectrum)
     if args.kind != "scalar":     # scalar rows belong to no pair
-        meta["pair"] = f"{pair[0]}{pair[1]}"
+        meta["pair"] = f"{args.pair[0]}{args.pair[1]}"
     if ms is not None:
         estimate = (f"estimate on the ladder truncated at n_max = {args.n_max}"
                     if args.spectrum == "discrete" else "band-limited estimate")
-        meta["mc_note"] = (f"{estimate} in the energy-density "
-                           "normalization (2x the correlation convention)")
-        meta["mc_modes"] = ms.mode_count
-    return _emit(args, meta, header, rows, flagged)
+        meta.update(mc_note=f"{estimate} in the energy-density normalization "
+                    "(2x the correlation convention)", mc_modes=ms.mode_count)
+    return _emit(args, meta, ["delta", "method", "value", "stat_error", "flag"], rows,
+                 any(row[-1] != "ok" for row in rows))
 
 
 def cmd_spectrum(args) -> int:
@@ -330,8 +330,10 @@ def cmd_mc_validate(args) -> int:
     params = _params(args)
     ms = _mode_set(args, params, "discrete")
     run = dict(n_seeds=args.seeds, seed=args.seed)
-    results = (check_em_energy_density(params, ms, n_workers=args.workers, **run)
-               + check_determinism(params, ms, workers=(1, max(2, args.workers)), **run))
+    est = mc.empirical_energy_density(params, ms, n_workers=args.workers, **run)
+    results = (check_em_energy_density(params, ms, estimate=est)
+               + check_determinism(params, ms, workers=(1, max(2, args.workers)),
+                                   made={args.workers: est}, **run))
     return _emit_checks(args, _meta_common(args, params), results,
                         manifest=json.dumps(mc.run_manifest(params, ms, args.seeds, args.seed)))
 
@@ -450,11 +452,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:     # the reader closed stdout; devnull takes what is buffered
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141    # the status of a process ended by SIGPIPE
-    except (ValueError, LuminalOrbitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        print(f"error: outside the float64 range: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError) as exc:
+        print(_error(exc), file=sys.stderr)
         return 2
 
 

@@ -202,20 +202,20 @@ def check_planck_identity() -> List[CheckResult]:
 
 
 def check_em_energy_density(params: RotationParams, mode_set: mc.ModeSet, n_seeds: int = 200,
-                            seed: int = 4321, n_workers: int = 1,
-                            sigma_perturb: float = 1.0) -> List[CheckResult]:
+                            seed: int = 4321, n_workers: int = 1, sigma_perturb: float = 1.0,
+                            estimate=None) -> List[CheckResult]:
     """The EM energy density on the orbit params: its thermal part by the
     Doppler quadrature against the closed form, and the Monte Carlo estimate
-    on the ladder mode_set, as pulls of w against the zero-point ladder
-    truncated at the same n_max, of each lab <E_i^2> against <H_i^2>, and of
-    the mixed moment <E1 H3> - <E3 H1> against 0."""
+    on the ladder mode_set (estimate, if already made), as pulls of w against
+    the zero-point ladder truncated at the same n_max, of each lab <E_i^2>
+    against <H_i^2>, and of the mixed moment <E1 H3> - <E3 H1> against 0."""
     rep = thermo.em_energy_density(params, cutoff_n_max=int(mode_set.harmonics[-1]))
     ident = _rel(thermo.em_thermal_density_quadrature(params), rep.w_thermal * sigma_perturb)
     rows = [_bounded("em-thermal-closed-form", [ident], 1e-10,
                      detail="Doppler quadrature vs 2 (4 g^2 - 1) / 3 sigma T^4 form")]
 
-    est = mc.empirical_energy_density(params, mode_set, n_seeds=n_seeds, seed=seed,
-                                      n_workers=n_workers)
+    est = estimate or mc.empirical_energy_density(params, mode_set, n_seeds=n_seeds, seed=seed,
+                                                  n_workers=n_workers)
     eh = np.abs(est.lab_e2 - est.lab_h2) / np.sqrt(est.lab_e2_err**2 + est.lab_h2_err**2)
     axes = "; ".join(f"E{i}^2 {e:.12e}, H{i}^2 {h:.12e}, pull {p:.12e}"
                      for i, (e, h, p) in enumerate(zip(est.lab_e2, est.lab_h2, eh), 1))
@@ -301,11 +301,11 @@ def check_hadron_estimates() -> List[CheckResult]:
 
 
 def check_determinism(params: RotationParams, mode_set: mc.ModeSet, n_seeds: int = 40,
-                      seed: int = 77, workers=(1, 4)) -> List[CheckResult]:
-    """Every field of the Monte Carlo energy estimate on the orbit params and
-    mode_set is the same for every worker count."""
-    a, *rest = [mc.empirical_energy_density(params, mode_set, n_seeds=n_seeds, seed=seed,
-                                            n_workers=k) for k in workers]
+                      seed: int = 77, workers=(1, 4), made=None) -> List[CheckResult]:
+    """Every field of the Monte Carlo energy estimate on params and mode_set is
+    the same for each worker count; made maps counts to estimates already made."""
+    a, *rest = [(made or {}).get(k) or mc.empirical_energy_density(
+        params, mode_set, n_seeds=n_seeds, seed=seed, n_workers=k) for k in workers]
     same = all(b.same_as(a) for b in rest)
     return [CheckResult("mc-determinism-workers", same, float(a.w), float(rest[-1].w), 0.0)]
 

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from rotvac.constants import NATURAL
@@ -17,12 +15,3 @@ def params_rest():
     """Non-rotating limit."""
     return RotationParams(omega=0.0, radius=0.0, constants=NATURAL)
 
-
-def delta_to_tau(params, delta):
-    """Proper-time separation giving angular lag delta."""
-    return delta / (params.omega * params.gamma)
-
-
-def fd_step(params):
-    """Central-difference step: 1e-7 of the proper rotation period."""
-    return 1e-7 * (2.0 * math.pi / (params.omega * params.gamma))

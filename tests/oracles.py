@@ -13,8 +13,9 @@ per-seed field evaluation checks the seed-block Monte Carlo CF engine, the
 six-column lab-field design checks the engine's folded design, the per-term
 Abel weights check numerics.abel_sum, and the lab-frame tensor integrand
 written term by term checks the one-product integrand of the tensor
-quadrature.  The worldline 4-velocity and acceleration, the
-projection of one field 6-vector, the
+quadrature.  The worldline 4-velocity and acceleration, the proper time
+of an angular lag, the finite-difference step, the projection of one field
+6-vector, the
 single-direction polarization basis and angular kernel (with the Direction
 type) and the manifest writer have no caller outside the tests.  Like the
 package, they take and return plain arrays: 4-vectors on (x, y, z, ct)
@@ -55,6 +56,16 @@ def four_velocity(params: RotationParams, tau: float) -> np.ndarray:
     b, g, c = params.beta, params.gamma, params.constants.c
     a = params.alpha(tau)
     return np.array([-c * b * g * math.sin(a), c * b * g * math.cos(a), 0.0, c * g])
+
+
+def delta_to_tau(params: RotationParams, delta: float) -> float:
+    """Proper-time separation giving angular lag delta."""
+    return delta / (params.omega * params.gamma)
+
+
+def fd_step(params: RotationParams) -> float:
+    """Central-difference step: 1e-7 of the proper rotation period."""
+    return 1e-7 * (2.0 * math.pi / (params.omega * params.gamma))
 
 
 def coordinate_acceleration(params: RotationParams, tau: float) -> np.ndarray:

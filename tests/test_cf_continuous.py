@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import delta_to_tau
-from oracles import lab_tensor_integrand
+from oracles import delta_to_tau, lab_tensor_integrand
 from rotvac import cf_continuous as cfc
 from rotvac.cf_continuous import (CoincidenceError, _lab_kernel,
                                   em_cf_continuous, em_cf_tensor_quadrature,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import polygamma
 
-from conftest import delta_to_tau
-from oracles import (cubic_ladder_partial_fraction, make_kernel,
+from oracles import (cubic_ladder_partial_fraction, delta_to_tau, make_kernel,
                      thermal_ladder_quadpack)
 from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous,
                                   scalar_cf_quadrature)

@@ -144,6 +144,13 @@ class TestCfCommand:
         _, _, rows = parse_table(out)
         assert [(r["method"], r["flag"][:5]) for r in rows] == [("quadrature", "error"),
                                                                 ("quadrature", "ok")]
+        # a failed Monte Carlo route under --method all keeps its own label
+        code, out = run_cli(capsys, "cf", "--omega", "1e40", "--beta", "0.3", "--spectrum",
+                            "discrete", "--method", "all", "--delta-steps", "2", "--seeds", "4")
+        assert code == 1
+        _, _, rows = parse_table(out)
+        assert [r["method"] for r in rows] == ["quadrature", "monte-carlo"] * 2
+        assert [r["flag"][:6] for r in rows] == ["ok", "error:"] * 2
 
     def test_scalar_preamble_names_no_pair(self, capsys):
         args = ["cf", "--beta", "0.3", "--kind", "scalar", "--pair", "23",
@@ -385,6 +392,21 @@ class TestMcValidate:
         assert [(r["check"], r["status"]) for r in rows if r["status"] != "pass"] == [
             ("mc-determinism-workers", "FAIL")]
         assert meta["unexpected_failures"] == "1"
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_energy_check_shares_its_estimate(self, capsys, monkeypatch, workers):
+        # the energy rows' estimate is one of the two the determinism row compares
+        real, calls = montecarlo.empirical_energy_density, []
+
+        def counted(*args, n_workers=1, **kwargs):
+            calls.append(n_workers)
+            return real(*args, n_workers=n_workers, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "empirical_energy_density", counted)
+        code, out = run_cli(capsys, "mc-validate", "--beta", "0.3", "--seeds", "20", "--n-max",
+                            "2", "--mc-theta", "8", "--mc-phi", "16", "--workers", str(workers))
+        assert code == 0
+        assert sorted(calls) == [1, max(2, workers)]
 
     def test_energy_rows_are_the_suite_rows(self, capsys):
         # the quick suite's orbit, grid, seed count and seed: mc-validate

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_step
-from oracles import coordinate_acceleration, four_velocity, tetrad_acceleration
+from oracles import coordinate_acceleration, fd_step, four_velocity, tetrad_acceleration
 from rotvac.constants import NATURAL, SI
 from rotvac.kinematics import (METRIC, LuminalOrbitError, RotationParams,
                                fermi_walker_tetrad, frenet_serret_tetrad,

@@ -7,9 +7,8 @@ import pytest
 from numpy.random import Philox
 from scipy.stats import ks_2samp
 
-from conftest import delta_to_tau
-from oracles import (empirical_cf_per_seed, lab_field_design, lab_fields_mode_sum,
-                     write_manifest)
+from oracles import (delta_to_tau, empirical_cf_per_seed, lab_field_design,
+                     lab_fields_mode_sum, write_manifest)
 from rotvac import montecarlo, validation
 from rotvac.cf_continuous import em_cf_continuous, em_cf_tensor_quadrature
 from rotvac.cf_discrete import em_cf_discrete, ladder_phase

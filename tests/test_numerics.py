@@ -197,7 +197,7 @@ class TestIntegrateSphere:
     def test_stationary_routes_take_one_call(self, monkeypatch, route):
         # the scalar and the discrete-spectrum values at beta 0.3 converge on
         # the start grid as well
-        from conftest import delta_to_tau
+        from oracles import delta_to_tau
         from rotvac import cf_continuous as cfc, cf_discrete as cfd
         from rotvac.constants import NATURAL
         from rotvac.kinematics import RotationParams
