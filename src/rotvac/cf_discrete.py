@@ -36,7 +36,7 @@ from scipy.special import gamma, zeta
 from .cf_continuous import CFValue, _closed_form_11, _lag, _scalar_closed_form
 from .fields import angular_weight_kernel_grid
 from .kinematics import RotationParams
-from .numerics import DEFAULT_TOL, integrate_sphere
+from .numerics import DEFAULT_TOL, _power, integrate_sphere
 
 __all__ = [
     "ResonanceError",
@@ -182,16 +182,18 @@ def _check_resonances(delta: float, params: RotationParams):
     return lo, hi
 
 
-def _ladder_cf(kind: str, pair, pref: float, tau1, tau2, params: RotationParams,
+def _ladder_cf(kind: str, pair, prefactor, tau1, tau2, params: RotationParams,
                tol: float, split: bool, weight, ladder, continuous,
                p: int, sign: float):
-    """CF whose value is pref times the sphere integral of
+    """CF whose value is pref = prefactor() times the sphere integral of
     weight(k_x, k_y, delta) times ladder(phase(delta, k_y)).  With
     split=True also returns a ThermalSplit of the continuous CF
     continuous(params, delta, dt_lab) and the same sphere integral of
-    sign * thermal_ladder_integral(phase, p).
+    sign * thermal_ladder_integral(phase, p).  pref is computed after the
+    lag's range check, and an OverflowError from it names its power.
     """
     delta, dt_lab = _lag(params, tau1, tau2)
+    pref = prefactor()
     lo, hi = _check_resonances(delta, params)
 
     def over_sphere(f):
@@ -228,9 +230,10 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
     range over the sphere meets 2 pi Z.
     """
     const = params.constants
-    pref = 2.0 * const.hbar * params.omega**4 / (3.0 * math.pi * const.c**3)
     return _ladder_cf(
-        "EE", (1, 1), pref, tau1, tau2, params, tol, split,
+        "EE", (1, 1),
+        lambda: 2.0 * const.hbar * _power(params.omega, 4, "omega") / (3.0 * math.pi * const.c**3),
+        tau1, tau2, params, tol, split,
         weight=lambda kx, ky, delta: angular_weight_kernel_grid(kx, ky, delta, params),
         ladder=cubic_ladder_sum_closed, continuous=_closed_form_11, p=3, sign=1.0)
 
@@ -245,8 +248,9 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams,
     """
     const = params.constants
     k0 = params.omega / const.c
-    pref = const.hbar * const.c * k0**2 / (4.0 * math.pi**2)
     return _ladder_cf(
-        "scalar", (0, 0), pref, tau1, tau2, params, tol, split,
+        "scalar", (0, 0),
+        lambda: const.hbar * const.c * _power(k0, 2, "k0 = omega / c") / (4.0 * math.pi**2),
+        tau1, tau2, params, tol, split,
         weight=lambda kx, ky, delta: 1.0,
         ladder=linear_ladder_sum_closed, continuous=_scalar_closed_form, p=1, sign=-1.0)

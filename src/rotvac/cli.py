@@ -82,18 +82,11 @@ def _sweep(args, name: str, scale: float = 1.0):
 
 
 def _mode_set(args, params: RotationParams, spectrum: str) -> mc.ModeSet:
-    """The Monte Carlo ladder or band of the options; OverflowError names --omega,
-    and --n-max as well where the band's cutoff n_max omega overflows."""
-    band = {}
-    if spectrum != "discrete":
-        cutoff = args.n_max * params.omega
-        if not math.isfinite(cutoff):
-            raise OverflowError(f"Monte Carlo band cutoff --n-max {args.n_max} x "
-                                f"--omega {args.omega!r} is {cutoff!r}")
-        band = dict(omega_cutoff=cutoff, n_radial=4 * args.n_max)
+    """The Monte Carlo ladder or band of the options (the band reaches --n-max
+    times --omega / c); OverflowError names --omega."""
     try:
         return mc.build_mode_set(params, spectrum, n_max=args.n_max, n_theta=args.mc_theta,
-                                 n_phi=args.mc_phi, **band)
+                                 n_phi=args.mc_phi)
     except OverflowError as exc:
         raise OverflowError(f"Monte Carlo modes at --omega {args.omega!r}: {exc}") from exc
 
@@ -186,7 +179,7 @@ def _cf_or_error(route, tau2):
         if not math.isfinite(cf.value):
             raise ValueError(f"value {cf.value!r} is outside the float64 range")
         return cf
-    except (ValueError, QuadratureError) as exc:
+    except (ValueError, OverflowError, QuadratureError) as exc:
         return _error(exc)
 
 

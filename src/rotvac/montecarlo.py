@@ -28,14 +28,15 @@ takes.
 
 The seed-invariant mode arrays (amplitudes, polarization columns) live on
 the ModeSet.  Both paths use cos(b - phi) = Re(amp e^{-ib} e^{i phi}), with
-b = k . r - c k t the base phase of a mode.  The two-time CFs run over node
-chunks of about CHUNK_MODES modes, so that their memory does not grow with
-the grid, and sum each seed's shares in chunk order (empirical_cfs).  The
-one-point moments compute amp e^{-ib} once per call; each seed's
-per-node sums are then one batched complex product over node chunks, so a
-worker thread keeps no array of mode size.  Times whose base phases
-k . r - c k t float64 cannot resolve against the drawn phases are a
-ValueError; a mean or standard error outside the float64 range is an
+b = k . r - c k t the base phase of a mode; both take amp e^{-ib} from one
+kernel (_field_base) and their phases from one draw (_draw_block).  The
+two-time CFs run over node chunks of about CHUNK_MODES modes, so that their
+memory does not grow with the grid, and sum each seed's shares in chunk
+order (empirical_cfs).  The one-point moments compute amp e^{-ib} once per
+call; each seed's per-node sums are then one batched complex product over
+node chunks, so a worker thread keeps no array of mode size.  Times whose
+base phases k . r - c k t float64 cannot resolve against the drawn phases
+are a ValueError; a mean or standard error outside the float64 range is an
 OverflowError.
 """
 
@@ -68,6 +69,8 @@ __all__ = [
 
 MIN_THETA_NODES = 8
 MIN_PHI_NODES = 16
+# Gauss-Legendre nodes of the continuous band per ladder rung n_max
+BAND_NODES_PER_RUNG = 4
 # phases per seed block of empirical_cf: the block size follows from the mode
 # count alone, never from the worker count, so that results are bit-identical
 # for any worker count
@@ -187,19 +190,23 @@ class EmpiricalEnergyDensity:
 
 @np.errstate(over="ignore", under="ignore")    # checked on the amplitudes
 def build_mode_set(params: RotationParams, spectrum: str = "discrete",
-                   n_max: int = 10, n_theta: int = 16, n_phi: int = 32,
-                   omega_cutoff: Optional[float] = None,
-                   n_radial: Optional[int] = None) -> ModeSet:
+                   n_max: int = 10, n_theta: int = 16, n_phi: int = 32) -> ModeSet:
     """Deterministic angular grid plus a radial ladder or band.
 
     Discrete: wavenumbers are exactly k0 n, k0 = omega / c, n = 1..n_max.
-    Continuous: Gauss-Legendre nodes on [0, omega_cutoff / c].  The azimuthal
-    resolution must resolve the worldline phase oscillation (roughly the top
-    wavenumber times the orbit diameter), otherwise construction fails.
+    Continuous: BAND_NODES_PER_RUNG n_max Gauss-Legendre nodes on
+    [0, n_max omega / c].  The azimuthal resolution must resolve the
+    worldline phase oscillation (roughly the top wavenumber times the orbit
+    diameter), otherwise construction fails.
     """
     const = params.constants
     if n_theta < MIN_THETA_NODES or n_phi < MIN_PHI_NODES:
         raise ValueError(f"angular grid below the {MIN_THETA_NODES}x{MIN_PHI_NODES} minimum")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if params.omega == 0.0:
+        raise ValueError("the Monte Carlo modes need omega > 0 (wavenumbers up to "
+                         "n_max omega / c)")
     # Gauss-Legendre in cos(theta) (its weights absorb sin(theta)) x trapezoid in phi
     x, wx = leggauss(n_theta)
     th, ph = np.meshgrid(np.arccos(x), 2.0 * np.pi * np.arange(n_phi) / n_phi, indexing="ij")
@@ -211,10 +218,6 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
     k0 = params.omega / const.c
 
     if spectrum == "discrete":
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if params.omega == 0.0:
-            raise ValueError("the discrete ladder needs omega > 0 (wavenumbers n omega / c)")
         harmonics = np.arange(1, n_max + 1, dtype=float)
         wavenumbers = k0 * harmonics
         # oscillation of k . r across the azimuth grows like n_max * beta
@@ -228,12 +231,11 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
         # numpy's power gives inf where Python's float ** would raise
         amp2 = const.hbar * const.c * np.float64(k0)**4 / math.pi**2 * np.outer(w, harmonics**3)
     elif spectrum == "continuous":
-        if omega_cutoff is None or n_radial is None:
-            raise ValueError("continuous spectrum needs omega_cutoff and n_radial")
-        if not 0.0 < omega_cutoff < math.inf:
-            raise ValueError(f"omega_cutoff must be finite and > 0, got {omega_cutoff!r}")
-        x, wx = leggauss(n_radial)
-        k_cut = omega_cutoff / const.c
+        k_cut = n_max * params.omega / const.c
+        if not k_cut < math.inf:
+            raise OverflowError(f"the band cutoff n_max omega / c at n_max = {n_max}, "
+                                f"omega = {params.omega!r} is {k_cut!r}")
+        x, wx = leggauss(BAND_NODES_PER_RUNG * n_max)
         wavenumbers = 0.5 * k_cut * (x + 1.0)
         wk = 0.5 * k_cut * wx
         harmonics = np.array([])
@@ -245,8 +247,7 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
     else:
         raise ValueError(f"unknown spectrum {spectrum!r}")
     # each is non-zero in exact arithmetic: a zero or subnormal one underflowed
-    for name, v in (("k0 = omega / c", k0 if params.omega > 0.0 else 1.0),
-                    ("mode amplitude^2", amp2)):
+    for name, v in (("k0 = omega / c", k0), ("mode amplitude^2", amp2)):
         lo, hi = float(np.min(v)), float(np.max(v))     # all >= 0; NaN fails below
         if not np.finfo(np.float64).smallest_normal <= lo <= hi < math.inf:
             raise OverflowError(f"{name} is {lo if hi < math.inf else hi!r}, not a normal float64")
@@ -264,37 +265,32 @@ def draw_phases(mode_set: ModeSet, seed: int, index: int = 0) -> np.ndarray:
     2w takes the top LATTICE_BITS bits of the low 32-bit half of the
     stream's word w, mode 2w + 1 those of its high half.
     """
-    lattice = _lattice(_philox(seed, index), mode_set.mode_count)
+    lattice = _draw_block(seed, range(index, index + 1), mode_set.mode_count, 0)
     return lattice.reshape(mode_set.amp2.shape + (2,))
 
 
-def _philox(seed: int, index: int) -> Philox:
-    """The Philox stream keyed by (seed, index); ValueError unless seed is a uint64."""
+def _draw_block(seed: int, indices: range, n_modes: int, first: int) -> np.ndarray:
+    """(len(indices), n_modes) uint32 array whose row r holds the lattice
+    indices of modes first, first + 1, ... of draw_phases(..., seed,
+    indices[r]), from one Philox re-keyed to (seed, i) for each seed i:
+    constructing a Philox costs six times as much, for OS entropy that the
+    key then replaces.  first is a multiple of 8, since one counter step
+    gives 4 words, 8 modes.  A block of one seed is its Philox words, shifted
+    in place: with a second array, whose pages were mapped afresh on every
+    call, draw_phases took 1.8-2.5 ms in place of 0.8 ms at 327,680 modes on
+    a 2-core host.  ValueError unless seed is a uint64."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
-    return Philox(key=np.array([seed, index], dtype=np.uint64))
-
-
-def _lattice(bits: Philox, n_modes: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The uint32 lattice indices of n_modes modes from the next n_modes / 2
-    words of bits, in out if given, else in place of the words."""
-    words = bits.random_raw(n_modes // 2).astype("<u8", copy=False).view("<u4")
-    return np.right_shift(words, 32 - LATTICE_BITS, out=words if out is None else out)
-
-
-def _draw_block(seed: int, indices: range, out: np.ndarray, first: int) -> None:
-    """Row r of the uint32 array out gets the lattice indices of modes first,
-    first + 1, ... of draw_phases(..., seed, indices[r]), from one Philox
-    re-keyed to (seed, i) for each seed i: constructing a Philox costs six
-    times as much, for OS entropy that the key then replaces.  first is a
-    multiple of 8, since one counter step gives 4 words, 8 modes."""
-    bits = _philox(seed, indices[0])
+    bits = Philox(key=np.array([seed, indices[0]], dtype=np.uint64))
     state = bits.state              # an empty buffer: the next word is the counter's
     state["state"]["counter"][0] = first // 8
+    out = np.empty((len(indices), n_modes), dtype=np.uint32) if len(indices) > 1 else None
     for r, i in enumerate(indices):
         state["state"]["key"][1] = i
         bits.state = state
-        _lattice(bits, out.shape[1], out[r])
+        words = bits.random_raw(n_modes // 2).astype("<u8", copy=False).view("<u4")
+        np.right_shift(words, 32 - LATTICE_BITS, out=words if out is None else out[r])
+    return words[None] if out is None else out
 
 
 def _cis(lattice: np.ndarray) -> np.ndarray:
@@ -344,15 +340,17 @@ def _base_phase(mode_set: ModeSet, params: RotationParams, tau: float,
     return out
 
 
-def _field_base(mode_set: ModeSet, params: RotationParams, tau: float) -> np.ndarray:
-    """(M, Q) complex amp e^{-ib} at tau, so that amp cos(b - phi) = Re(amp
-    e^{-ib} e^{i phi})."""
-    b = _base_phase(mode_set, params, tau, np.empty(mode_set.amp2.shape))
+def _field_base(mode_set: ModeSet, params: RotationParams, tau: float,
+                nodes: slice = slice(None)) -> np.ndarray:
+    """(M, Q) complex amp e^{-ib} at tau over the node slice nodes, so that
+    amp cos(b - phi) = Re(amp e^{-ib} e^{i phi})."""
+    amp = mode_set.amp[nodes]
+    b = _base_phase(mode_set, params, tau, np.empty(amp.shape), nodes)
     base = np.empty(b.shape, dtype=complex)
     np.cos(b, out=base.real)
     np.sin(b, out=base.imag)
     base.imag *= -1.0
-    base *= mode_set.amp
+    base *= amp
     return base
 
 
@@ -431,23 +429,21 @@ def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus,
     row[:3] + (khat x eps) . row[3:]; modes run in the (node, radial,
     polarization) order of draw_phases.
     """
-    amp = mode_set.amp[nodes]
-    # amp cos b and amp sin b, interleaved, in place of b
-    trig = np.empty(amp.shape + (2, len(taus)))
+    # amp cos b + i amp sin b = conj(amp e^{-ib}) at each time, seen as the
+    # interleaved float64 (amp cos b, amp sin b): (M, Q, 2, T)
+    base = np.empty(mode_set.amp[nodes].shape + (len(taus),), dtype=complex)
     for j, tau in enumerate(taus):
-        _base_phase(mode_set, params, tau, trig[:, :, 1, j], nodes)
-    np.cos(trig[:, :, 1], out=trig[:, :, 0])
-    np.sin(trig[:, :, 1], out=trig[:, :, 1])
-    trig *= amp[:, :, None, None]
+        np.conjugate(_field_base(mode_set, params, tau, nodes), out=base[:, :, j])
+    trig = base.view(np.float64).reshape(base.shape + (2,)).swapaxes(2, 3)
     # (M, Q, 1, 2, T) against pol . row, (M, 1, lam, 1, T); one product per
     # pair, written in place, so that a pair's design does not depend on the
     # others
     pol = np.moveaxis(mode_set.pol[:, :, nodes], 2, 0).reshape(-1, 6)     # (M lam, 6)
-    design = np.empty((len(rows),) + amp.shape + (2, 2, len(taus)))
+    design = np.empty((len(rows),) + trig.shape[:2] + (2, 2, len(taus)))
     for p, r in enumerate(rows):
         np.multiply(trig[:, :, None], (pol @ r.T).reshape(-1, 1, 2, 1, len(taus)),
                     out=design[p])
-    return design.reshape(len(rows), 4 * amp.size, len(taus))
+    return design.reshape(len(rows), -1, len(taus))
 
 
 def _chunk_components(mode_set: ModeSet, params: RotationParams, taus, rows: np.ndarray,
@@ -461,8 +457,7 @@ def _chunk_components(mode_set: ModeSet, params: RotationParams, taus, rows: np.
 
     def work(b):
         idx = range(starts[b], min(starts[b] + per_block, n_seeds))
-        lattice = np.empty((len(idx), width), dtype=np.uint32)
-        _draw_block(seed, idx, lattice, nodes.start * 2 * mode_set.amp2.shape[1])
+        lattice = _draw_block(seed, idx, width, nodes.start * 2 * mode_set.amp2.shape[1])
         trig = _cis(lattice).view(np.float64)    # (seeds, 2C): cos, sin interleaved
         return np.stack([trig @ d for d in design], axis=1)
 

@@ -88,6 +88,14 @@ class SeriesError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
+def _power(x: float, n: int, name: str) -> float:
+    """x**n, or an OverflowError naming x where Python's float ** raises one."""
+    try:
+        return x**n
+    except OverflowError:
+        raise OverflowError(f"{name} = {x!r} overflows at the power {n}") from None
+
+
 def integrate_1d(f: Callable[[float], float], a: float, b: float):
     """Adaptive integral of f over [a, b] (b may be inf), to the relative
     tolerance DEFAULT_TOL with its absolute floor, on at most 2,000

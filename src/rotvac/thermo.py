@@ -21,7 +21,7 @@ from typing import Optional
 from .constants import SI, Constants
 from .cf_discrete import rotation_temperature, thermal_ladder_integral
 from .kinematics import LuminalOrbitError, RotationParams
-from .numerics import integrate_sphere
+from .numerics import _power, integrate_sphere
 
 __all__ = [
     "ThermoReport",
@@ -112,14 +112,6 @@ def _finite(value: float, name: str, nonzero: bool = False) -> float:
     if nonzero and abs(value) < sys.float_info.min:
         raise OverflowError(f"{name} flushes to {value!r} from a non-zero value")
     return value
-
-
-def _power(x: float, n: int, name: str) -> float:
-    """x**n, or an OverflowError naming x where Python's float ** raises one."""
-    try:
-        return x**n
-    except OverflowError:
-        raise OverflowError(f"{name} = {x!r} overflows at the power {n}") from None
 
 
 def _report(field_kind: str, params: RotationParams, cutoff_n_max: int, factor: float,

@@ -201,21 +201,20 @@ def check_planck_identity() -> List[CheckResult]:
     return rows
 
 
-def check_em_energy_density(params: RotationParams, mode_set: mc.ModeSet, n_seeds: int = 200,
-                            seed: int = 4321, n_workers: int = 1, sigma_perturb: float = 1.0,
-                            estimate=None) -> List[CheckResult]:
+def check_em_energy_density(params: RotationParams, mode_set: mc.ModeSet,
+                            estimate: mc.EmpiricalEnergyDensity,
+                            sigma_perturb: float = 1.0) -> List[CheckResult]:
     """The EM energy density on the orbit params: its thermal part by the
     Doppler quadrature against the closed form, and the Monte Carlo estimate
-    on the ladder mode_set (estimate, if already made), as pulls of w against
-    the zero-point ladder truncated at the same n_max, of each lab <E_i^2>
-    against <H_i^2>, and of the mixed moment <E1 H3> - <E3 H1> against 0."""
+    on the ladder mode_set, as pulls of w against the zero-point ladder
+    truncated at the same n_max, of each lab <E_i^2> against <H_i^2>, and of
+    the mixed moment <E1 H3> - <E3 H1> against 0."""
     rep = thermo.em_energy_density(params, cutoff_n_max=int(mode_set.harmonics[-1]))
     ident = _rel(thermo.em_thermal_density_quadrature(params), rep.w_thermal * sigma_perturb)
     rows = [_bounded("em-thermal-closed-form", [ident], 1e-10,
                      detail="Doppler quadrature vs 2 (4 g^2 - 1) / 3 sigma T^4 form")]
 
-    est = estimate or mc.empirical_energy_density(params, mode_set, n_seeds=n_seeds, seed=seed,
-                                                  n_workers=n_workers)
+    est = estimate
     eh = np.abs(est.lab_e2 - est.lab_h2) / np.sqrt(est.lab_e2_err**2 + est.lab_h2_err**2)
     axes = "; ".join(f"E{i}^2 {e:.12e}, H{i}^2 {h:.12e}, pull {p:.12e}"
                      for i, (e, h, p) in enumerate(zip(est.lab_e2, est.lab_h2, eh), 1))
@@ -330,6 +329,13 @@ def run_suite(suite: str = "quick", seed: int = 20240817, sigma_perturb: float =
     cfg = SUITES[suite]
     mc_grid = dict(n_theta=cfg["mc_theta"], n_phi=cfg["mc_phi"], n_max=cfg["mc_nmax"])
     orbit = RotationParams.from_beta(1.0, 0.3, NATURAL)
+
+    def energy():
+        ms = mc.build_mode_set(orbit, **mc_grid)
+        return dict(params=orbit, mode_set=ms, sigma_perturb=sigma_perturb,
+                    estimate=mc.empirical_energy_density(orbit, ms, n_seeds=cfg["mc_seeds"],
+                                                         seed=seed))
+
     # each group's arguments are made as it runs, so no mode set outlives its group
     groups = [
         (check_sine_power_integrals, dict),
@@ -340,9 +346,7 @@ def run_suite(suite: str = "quick", seed: int = 20240817, sigma_perturb: float =
         (check_scalar_cf, dict),
         (check_abel_plana, dict),
         (check_planck_identity, dict),
-        (check_em_energy_density, lambda: dict(
-            params=orbit, mode_set=mc.build_mode_set(orbit, **mc_grid),
-            n_seeds=cfg["mc_seeds"], seed=seed, sigma_perturb=sigma_perturb)),
+        (check_em_energy_density, energy),
         (check_scalar_ratio, dict),
         (check_vacuum_force, dict),
         (check_hadron_estimates, dict),

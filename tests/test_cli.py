@@ -152,6 +152,39 @@ class TestCfCommand:
         assert [r["method"] for r in rows] == ["quadrature", "monte-carlo"] * 2
         assert [r["flag"][:6] for r in rows] == ["ok", "error:"] * 2
 
+    @pytest.mark.parametrize("kind", ["EE", "scalar"])
+    def test_discrete_overflow_flags_every_row(self, capsys, kind):
+        # omega**4 and k0**2 are computed after the lag's range check, so an
+        # overflow flags each row, as on the continuous spectrum
+        code, out = run_cli(capsys, "cf", "--kind", kind, "--omega", "1e308", "--beta", "0.3",
+                            "--spectrum", "discrete", "--method", "all", "--delta-steps", "2",
+                            "--seeds", "4")
+        assert code == 1
+        _, _, rows = parse_table(out)
+        routes = ["quadrature", "monte-carlo"] if kind == "EE" else ["quadrature"]
+        assert [r["method"] for r in rows] == routes * 2
+        assert all(r["flag"].startswith("error:") for r in rows)
+        assert "(34, " not in out
+        assert "lag c dt" in rows[0]["flag"]
+
+    def test_discrete_prefactor_overflow_names_omega(self, capsys):
+        # a lag of 1e3 keeps c dt in range at omega 1e78, where omega**4 overflows
+        code, out = run_cli(capsys, "cf", "--omega", "1e78", "--beta", "0.3", "--spectrum",
+                            "discrete", "--method", "quadrature", "--delta-min=1e3",
+                            "--delta-max=1e3", "--delta-steps", "1")
+        assert code == 1
+        [row] = parse_table(out)[2]
+        assert row["flag"] == ("error: outside the float64 range: "
+                               "omega = 1e+78 overflows at the power 4")
+
+    def test_negative_exponent_values_take_an_equals_sign(self, capsys):
+        # argparse reads "-1e3" after a space as an option; README says to
+        # write --delta-min=-1e3
+        code, out = run_cli(capsys, "cf", "--delta-min=-1e3", "--delta-max=-5",
+                            "--delta-steps", "2")
+        assert code == 0
+        assert [float(r["delta"]) for r in parse_table(out)[2]] == [-1000.0, -5.0]
+
     def test_scalar_preamble_names_no_pair(self, capsys):
         args = ["cf", "--beta", "0.3", "--kind", "scalar", "--pair", "23",
                 "--delta-steps", "1"]
@@ -555,7 +588,8 @@ class TestInputErrors:
         (["mc-validate", "--units", "SI", "--omega", "1e-300", "--seeds", "2"],
          "Monte Carlo modes at --omega 1e-300: k0 = omega / c"),
         (["cf", "--omega", "1e308", "--beta", "0.3", "--method", "monte-carlo"],
-         "outside the float64 range: Monte Carlo band cutoff --n-max 6 x --omega 1e+308 is inf"),
+         "outside the float64 range: Monte Carlo modes at --omega 1e+308: the band cutoff "
+         "n_max omega / c at n_max = 6, omega = 1e+308 is inf"),
         (["estimate-hadron", "--a", "1e-200"], "Casimir-model force at a = 1e-200 is inf"),
         (["estimate-hadron", "--a", "1e200"], "sphere radius = 1e+200 overflows at the power 3"),
         (["force-curve", "--omega", "2e3", "--sphere-radius", "1e200"],

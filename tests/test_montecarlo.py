@@ -63,10 +63,20 @@ class TestModeSet:
         # standard error would be 0
         with pytest.raises(ValueError, match="omega > 0"):
             build_mode_set(RotationParams(0.0, 1.0, NATURAL), n_max=2, n_theta=8, n_phi=16)
-        for cutoff in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="omega_cutoff"):
-                build_mode_set(params, spectrum="continuous", omega_cutoff=cutoff,
-                               n_radial=4, n_theta=8, n_phi=16)
+        with pytest.raises(ValueError, match="omega > 0"):
+            build_mode_set(RotationParams(0.0, 1.0, NATURAL), "continuous", n_max=2,
+                           n_theta=8, n_phi=16)
+        for n_max in (0, -1):
+            for spectrum in ("discrete", "continuous"):
+                with pytest.raises(ValueError, match="n_max must be >= 1"):
+                    build_mode_set(params, spectrum, n_max=n_max, n_theta=8, n_phi=16)
+
+    def test_infinite_band_cutoff_names_n_max(self):
+        # n_max omega / c overflows: an OverflowError naming both, not
+        # leggauss or ceil failing on an infinite cutoff
+        p = RotationParams(1e308, 0.0, NATURAL)
+        with pytest.raises(OverflowError, match=r"band cutoff .* n_max = 2, omega = 1e\+308"):
+            build_mode_set(p, "continuous", n_max=2, n_theta=8, n_phi=16)
 
     def test_one_point_normalization_sum_rule(self, modes, params):
         # deterministic (not statistical): the per-mode amplitudes reproduce
@@ -82,11 +92,11 @@ class TestModeSet:
             assert det == pytest.approx(target, rel=1e-10)
 
     def test_continuous_band(self, params):
-        ms = build_mode_set(params, spectrum="continuous", omega_cutoff=4.0,
-                            n_radial=12, n_theta=8, n_phi=16)
+        # BAND_NODES_PER_RUNG n_max Gauss-Legendre nodes below n_max k0
+        ms = build_mode_set(params, spectrum="continuous", n_max=3, n_theta=8, n_phi=16)
         assert ms.spectrum == "continuous"
-        assert ms.wavenumbers.max() < 4.0 / params.constants.c
-        assert ms.mode_count == 8 * 16 * 12 * 2
+        assert ms.wavenumbers.max() < 3 * params.omega / params.constants.c
+        assert ms.mode_count == 8 * 16 * (4 * 3) * 2
 
     def test_describe_roundtrip(self, modes, params):
         man = run_manifest(params, modes, n_seeds=10, seed=3)
@@ -113,9 +123,8 @@ class TestModeSet:
         # the amplitudes scale with omega^4: underflowed ones gave an ok row
         # of 0.0 with stat error 0.0, overflowed ones NaN values
         p = RotationParams(omega, 0.0, units)
-        band = {} if spectrum == "discrete" else dict(omega_cutoff=2.0 * omega, n_radial=4)
         with pytest.raises(OverflowError, match="not a normal float64"):
-            build_mode_set(p, spectrum, n_max=2, n_theta=8, n_phi=16, **band)
+            build_mode_set(p, spectrum, n_max=2, n_theta=8, n_phi=16)
 
 
 class TestModeSetInvariants:
@@ -437,8 +446,7 @@ class TestSeedBlockEngine:
 
     @pytest.fixture(scope="class")
     def band(self, params):
-        return build_mode_set(params, spectrum="continuous", omega_cutoff=4.0,
-                              n_radial=4, n_theta=8, n_phi=16)
+        return build_mode_set(params, spectrum="continuous", n_max=1, n_theta=8, n_phi=16)
 
     @pytest.mark.parametrize("spectrum", ["discrete", "continuous"])
     @pytest.mark.parametrize("taus", [(0.0, 1.1), (0.4, 0.4)], ids=["separated", "coincident"])
@@ -587,13 +595,15 @@ class TestFoldedDesign:
             built.append(kwargs)
             return real_philox(*args, **kwargs)
 
-        def recording(seed, indices, out, first):
-            real_draw(seed, indices, out, first)
-            drawn.update(((first, i), row) for i, row in zip(indices, out.copy()))
+        def recording(seed, indices, n_modes, first):
+            block = real_draw(seed, indices, n_modes, first)
+            drawn.update(((first, i), row) for i, row in zip(indices, block.copy()))
+            return block
 
         monkeypatch.setattr(montecarlo, "Philox", counting)
         monkeypatch.setattr(montecarlo, "_draw_block", recording)
         empirical_cf((1, 1), "EE", 0.0, 1.1, params, modes, n_seeds=n_seeds, seed=41)
+        monkeypatch.undo()
         firsts = [0, 1920, 3840, 5760]
         assert len(built) == 7
         assert sorted(drawn) == [(f, i) for f in firsts for i in range(n_seeds)]

@@ -54,7 +54,8 @@ class TestEmEnergyDensity:
                             lambda params: (4.0 * params.gamma**2 - 1.0) / 3.0)
         p = RotationParams.from_beta(1.0, 0.3, NATURAL)
         ladder = montecarlo.build_mode_set(p, n_max=1, n_theta=8, n_phi=16)
-        rows = check_em_energy_density(p, ladder, n_seeds=2)
+        rows = check_em_energy_density(
+            p, ladder, montecarlo.empirical_energy_density(p, ladder, n_seeds=2))
         row = next(r for r in rows if r.name == "em-thermal-closed-form")
         assert not row.passed
         assert row.measured == pytest.approx(0.5, rel=1e-12, abs=0.0)
