@@ -97,7 +97,10 @@ def _error(exc: Exception) -> str:
     return f"error: {cause}{exc}"
 
 
-def _emit(args, meta: dict, header: List[str], rows: List[list], flagged: bool) -> int:
+def _emit(args, meta: dict, header: List[str], rows: List[list]) -> int:
+    # exit 1 when a row's flag is not "ok" or its check's status is not "pass"
+    flagged = any(row[header.index(name)] != good for row in rows
+                  for name, good in (("flag", "ok"), ("status", "pass")) if name in header)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         if args.format == "json":
@@ -140,16 +143,21 @@ def cmd_tetrad(args) -> int:
     params = _params(args)
     taus = _sweep(args, "tau")
     build = fermi_walker_tetrad if args.kind == "fermi-walker" else frenet_serret_tetrad
-    header = ["tau"] + [f"mu{a}_{c}" for a in range(1, 5) for c in "xyzt"] + ["residual"]
-    rows, flagged = [], False
+    header = ["tau"] + [f"mu{a}_{c}" for a in range(1, 5) for c in "xyzt"] + ["residual", "flag"]
+    rows = []
     for tau in taus:
         legs = build(params, float(tau))
         resid = orthonormality_residual(legs)
-        rows.append([float(tau)] + [float(v) for v in legs.ravel()] + [resid])
-        flagged |= resid > 1e-10
+        rows.append([float(tau)] + [float(v) for v in legs.ravel()]
+                    + [resid, _bound_flag("residual", resid, 1e-10)])
     meta = _meta_common(args, params)
     meta["kind"] = args.kind
-    return _emit(args, meta, header, rows, flagged)
+    return _emit(args, meta, header, rows)
+
+
+def _bound_flag(name: str, value: float, bound: float) -> str:
+    """The flag of a row whose value of name may not exceed bound."""
+    return "ok" if value <= bound else f"{name} {value!r} > bound {bound!r}"
 
 
 def _cf_routes(args, params: RotationParams) -> dict:
@@ -207,7 +215,11 @@ def cmd_cf(args) -> int:
             # only --method all has routes left to print; a too-coarse grid is a usage error
             if args.method == "monte-carlo" or (ms is None and isinstance(exc, ValueError)):
                 raise
-            columns["monte-carlo"] = [_error(exc)] * len(tau2s)
+            # re-run lag by lag, so that each row's flag names its own lag
+            columns["monte-carlo"] = [_error(exc)] * len(tau2s) if ms is None else [
+                _cf_or_error(lambda t: mc.empirical_cf(args.pair, args.kind, 0.0, t, params, ms,
+                                                       n_seeds=args.seeds, seed=args.seed), t)
+                for t in tau2s]
     rows = [[float(delta), label, "", "", cf] if isinstance(cf, str) else
             [float(delta), label, cf.value, "" if cf.stat_error is None else cf.stat_error, "ok"]
             for delta, entries in zip(deltas, zip(*columns.values()))
@@ -221,8 +233,7 @@ def cmd_cf(args) -> int:
                     if args.spectrum == "discrete" else "band-limited estimate")
         meta.update(mc_note=f"{estimate} in the energy-density normalization "
                     "(2x the correlation convention)", mc_modes=ms.mode_count)
-    return _emit(args, meta, ["delta", "method", "value", "stat_error", "flag"], rows,
-                 any(row[-1] != "ok" for row in rows))
+    return _emit(args, meta, ["delta", "method", "value", "stat_error", "flag"], rows)
 
 
 def cmd_spectrum(args) -> int:
@@ -230,21 +241,19 @@ def cmd_spectrum(args) -> int:
     phases = _sweep(args, "phase")
     header = ["phase", "ladder_sum_closed", "zero_point_part", "thermal_part",
               "total", "rel_consistency", "flag"]
-    rows, flagged = [], False
+    rows = []
     for ph in phases:
         try:
             closed = cfd.cubic_ladder_sum_closed(float(ph))
             split = cfd.cubic_ladder_split(float(ph))
             rel = abs(split.total - closed) / abs(closed)
-            rows.append([float(ph), closed, split.zero_point_part,
-                         split.thermal_part, split.total, rel, "ok"])
-            flagged |= rel > 1e-8
+            rows.append([float(ph), closed, split.zero_point_part, split.thermal_part,
+                         split.total, rel, _bound_flag("rel_consistency", rel, 1e-8)])
         except cfd.ResonanceError as exc:
             rows.append([float(ph), "", "", "", "", "", f"error: {exc}"])
-            flagged = True
     meta = _meta_common(args, params)
     meta["T_rot"] = cfd.rotation_temperature(params)
-    return _emit(args, meta, header, rows, flagged)
+    return _emit(args, meta, header, rows)
 
 
 def cmd_energy(args) -> int:
@@ -254,8 +263,9 @@ def cmd_energy(args) -> int:
                if args.field == "scalar" else thermo.em_energy_density(params, args.n_max))
     except OverflowError as exc:      # every energy value scales with omega^4
         raise OverflowError(f"energy at --omega {args.omega!r}: {exc}") from exc
-    rows = [[name, value] for name, value in vars(rep).items()]
-    return _emit(args, _meta_common(args, params), ["quantity", "value"], rows, False)
+    # the scalar report carries no mixed moment
+    rows = [[name, value] for name, value in vars(rep).items() if value is not None]
+    return _emit(args, _meta_common(args, params), ["quantity", "value"], rows)
 
 
 def cmd_force_curve(args) -> int:
@@ -268,7 +278,7 @@ def cmd_force_curve(args) -> int:
         raise ValueError(f"r0 = c / omega = {r0!r} is not finite at --omega {args.omega!r}")
     rs = _sweep(args, "r", scale=r0)
     header = ["r", "x", "w_thermal", "f_vac", "F_sphere", "F_gev_per_fermi", "flag"]
-    rows, flagged = [], False
+    rows = []
     for r in rs:
         try:
             pt = thermo.vacuum_force_density(params, float(r), sphere_radius=args.sphere_radius)
@@ -280,11 +290,10 @@ def cmd_force_curve(args) -> int:
             rows.append([float(r), pt.x, wt, pt.f_vac, F, Fg, "ok"])
         except LuminalOrbitError as exc:
             rows.append([float(r), float(r) / r0, "", "", "", "", f"rejected: {exc}"])
-            flagged = True
     meta = _meta_common(args, params)
     meta.update(r0=r0, T_rot=cfd.rotation_temperature(params),
                 sphere_radius=args.sphere_radius)
-    return _emit(args, meta, header, rows, flagged)
+    return _emit(args, meta, header, rows)
 
 
 def cmd_estimate_hadron(args) -> int:
@@ -301,7 +310,7 @@ def cmd_estimate_hadron(args) -> int:
         ["quark_gluon_plasma_T_reference", thermo.QUARK_GLUON_PLASMA_T],
     ]
     meta = {"a": args.a, "r0": args.r0, "one_minus_x": args.one_minus_x, "units": "SI"}
-    return _emit(args, meta, header, rows, False)
+    return _emit(args, meta, header, rows)
 
 
 def _emit_checks(args, meta: dict, results, **tail) -> int:
@@ -316,7 +325,7 @@ def _emit_checks(args, meta: dict, results, **tail) -> int:
                 known_failures=n_known, unexpected_failures=n_unexpected,
                 known_failing=",".join(KNOWN_FAILING), **tail)
     header = ["check", "status", "measured", "target", "tolerance", "detail"]
-    return _emit(args, meta, header, rows, n_known + n_unexpected > 0)
+    return _emit(args, meta, header, rows)
 
 
 def cmd_mc_validate(args) -> int:

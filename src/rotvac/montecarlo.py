@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,52 +119,30 @@ _CIS_HI, _CIS_LO = _cis_tables()
 class ModeSet:
     """Immutable discretized plane-wave mode family.
 
-    amp2[m, q] is the squared amplitude of angular node m at radial index q
-    (identical for both polarizations); wavenumbers are k0 * harmonics for the
-    discrete ladder or the quadrature nodes of a band-limited continuum.
-
-    amp = sqrt(amp2) and pol, the polarization columns, are computed once on
-    construction: pol[lam] = (eps_lam, khat x eps_lam), each a contiguous
-    (M, 3) array, for lam = 0, 1.
+    amp[m, q] is the amplitude of angular node m at radial index q (identical
+    for both polarizations); wavenumbers are k0 n, n = 1..n_max, for the
+    discrete ladder or the quadrature nodes of a band-limited continuum up to
+    n_max k0.  pol holds the polarization columns: pol[lam] = (eps_lam,
+    khat x eps_lam), each a contiguous (M, 3) array, for lam = 0, 1.
     """
 
     spectrum: str              # "discrete" | "continuous"
-    k0: float                  # 1/m
-    wavenumbers: np.ndarray    # (Q,)
-    harmonics: np.ndarray      # (Q,) ladder indices for discrete, empty else
-    khat: np.ndarray           # (M, 3)
-    weights: np.ndarray        # (M,)
-    eps1: np.ndarray           # (M, 3)
-    eps2: np.ndarray           # (M, 3)
-    amp2: np.ndarray           # (M, Q)
+    n_max: int
     n_theta: int
     n_phi: int
-    amp: np.ndarray = field(init=False, repr=False, compare=False)   # (M, Q)
-    pol: np.ndarray = field(init=False, repr=False, compare=False)   # (2, 2, M, 3)
-
-    def __post_init__(self):
-        object.__setattr__(self, "amp", np.sqrt(self.amp2))
-        object.__setattr__(self, "pol", np.stack([
-            np.stack([eps, np.cross(self.khat, eps)]) for eps in (self.eps1, self.eps2)]))
+    k0: float                  # 1/m
+    wavenumbers: np.ndarray    # (Q,)
+    khat: np.ndarray           # (M, 3)
+    amp: np.ndarray            # (M, Q)
+    pol: np.ndarray            # (2, 2, M, 3)
 
     @property
     def mode_count(self) -> int:
-        return self.khat.shape[0] * self.wavenumbers.shape[0] * 2
+        return 2 * self.amp.size
 
     def describe(self) -> dict:
-        d = {
-            "spectrum": self.spectrum,
-            "k0": self.k0,
-            "n_theta": self.n_theta,
-            "n_phi": self.n_phi,
-            "mode_count": self.mode_count,
-        }
-        if self.spectrum == "discrete":
-            d["n_max"] = int(self.harmonics[-1])
-        else:
-            d["k_cutoff"] = float(self.wavenumbers[-1])
-            d["n_radial"] = int(self.wavenumbers.shape[0])
-        return d
+        return {"spectrum": self.spectrum, "k0": self.k0, "n_theta": self.n_theta,
+                "n_phi": self.n_phi, "mode_count": self.mode_count, "n_max": self.n_max}
 
 
 @dataclass(frozen=True)
@@ -214,7 +192,6 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
     st = np.sin(th).reshape(-1)
     khat = np.stack([st * np.cos(ph.reshape(-1)), st * np.sin(ph.reshape(-1)),
                      np.cos(th).reshape(-1)], axis=-1)
-    e1, e2 = polarization_grid(khat)
     k0 = params.omega / const.c
 
     if spectrum == "discrete":
@@ -238,7 +215,6 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
         x, wx = leggauss(BAND_NODES_PER_RUNG * n_max)
         wavenumbers = 0.5 * k_cut * (x + 1.0)
         wk = 0.5 * k_cut * wx
-        harmonics = np.array([])
         needed = max(MIN_PHI_NODES, 2 * math.ceil(k_cut * params.radius * params.gamma) + 8)
         if n_phi < needed:
             raise ValueError(f"n_phi = {n_phi} too coarse for the requested band; need {needed}")
@@ -252,9 +228,9 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
         if not np.finfo(np.float64).smallest_normal <= lo <= hi < math.inf:
             raise OverflowError(f"{name} is {lo if hi < math.inf else hi!r}, not a normal float64")
 
-    return ModeSet(spectrum=spectrum, k0=k0, wavenumbers=wavenumbers,
-                   harmonics=harmonics, khat=khat, weights=w, eps1=e1, eps2=e2,
-                   amp2=amp2, n_theta=n_theta, n_phi=n_phi)
+    pol = np.stack([np.stack([eps, np.cross(khat, eps)]) for eps in polarization_grid(khat)])
+    return ModeSet(spectrum=spectrum, n_max=n_max, n_theta=n_theta, n_phi=n_phi, k0=k0,
+                   wavenumbers=wavenumbers, khat=khat, amp=np.sqrt(amp2), pol=pol)
 
 
 def draw_phases(mode_set: ModeSet, seed: int, index: int = 0) -> np.ndarray:
@@ -266,7 +242,7 @@ def draw_phases(mode_set: ModeSet, seed: int, index: int = 0) -> np.ndarray:
     stream's word w, mode 2w + 1 those of its high half.
     """
     lattice = _draw_block(seed, range(index, index + 1), mode_set.mode_count, 0)
-    return lattice.reshape(mode_set.amp2.shape + (2,))
+    return lattice.reshape(mode_set.amp.shape + (2,))
 
 
 def _draw_block(seed: int, indices: range, n_modes: int, first: int) -> np.ndarray:
@@ -457,7 +433,7 @@ def _chunk_components(mode_set: ModeSet, params: RotationParams, taus, rows: np.
 
     def work(b):
         idx = range(starts[b], min(starts[b] + per_block, n_seeds))
-        lattice = _draw_block(seed, idx, width, nodes.start * 2 * mode_set.amp2.shape[1])
+        lattice = _draw_block(seed, idx, width, nodes.start * 2 * mode_set.amp.shape[1])
         trig = _cis(lattice).view(np.float64)    # (seeds, 2C): cos, sin interleaved
         return np.stack([trig @ d for d in design], axis=1)
 
@@ -495,7 +471,7 @@ def empirical_cfs(pairs: Sequence[Tuple[int, int]], kind: str, tau1: float,
                       for j, t in enumerate((tau1, *tau2s))] for pair in pairs])
     if n_seeds < 2:
         raise ValueError(f"a standard error needs n_seeds >= 2, got {n_seeds}")
-    n_nodes, n_radial = mode_set.amp2.shape
+    n_nodes, n_radial = mode_set.amp.shape
     step = max(1, CHUNK_MODES // (8 * n_radial)) * 4
     parts = [_chunk_components(mode_set, params, (tau1, *tau2s), rows, slice(lo, lo + step),
                                seed, n_seeds, n_workers) for lo in range(0, n_nodes, step)]

@@ -59,7 +59,7 @@ class ThermoReport:
     w_total_cutoff: float    # w_zp_cutoff + w_thermal
     anisotropy_factor: float
     cutoff_n_max: int
-    mixed_moment_residual: float = 0.0  # <E1 H3> - <E3 H1> cross-check
+    mixed_moment_residual: Optional[float] = None  # <E1 H3> - <E3 H1> cross-check; EM only
 
 
 @dataclass(frozen=True)

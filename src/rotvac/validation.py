@@ -209,7 +209,7 @@ def check_em_energy_density(params: RotationParams, mode_set: mc.ModeSet,
     on the ladder mode_set, as pulls of w against the zero-point ladder
     truncated at the same n_max, of each lab <E_i^2> against <H_i^2>, and of
     the mixed moment <E1 H3> - <E3 H1> against 0."""
-    rep = thermo.em_energy_density(params, cutoff_n_max=int(mode_set.harmonics[-1]))
+    rep = thermo.em_energy_density(params, cutoff_n_max=mode_set.n_max)
     ident = _rel(thermo.em_thermal_density_quadrature(params), rep.w_thermal * sigma_perturb)
     rows = [_bounded("em-thermal-closed-form", [ident], 1e-10,
                      detail="Doppler quadrature vs 2 (4 g^2 - 1) / 3 sigma T^4 form")]

@@ -226,21 +226,20 @@ def make_kernel(delta: float, ky: float, params: RotationParams) -> DiscreteKern
 def lab_fields_mode_sum(mode_set: ModeSet, phases: np.ndarray, params: RotationParams,
                         tau: float) -> np.ndarray:
     """Lab 6-vector (E, H) at the detector as a plain sum over modes of
-    sqrt(amp2) cos(k . r - c k t - phi) [eps, khat x eps].
+    amp cos(k . r - c k t - phi) [eps, khat x eps].
 
-    Reference for montecarlo.eval_lab_fields; reads neither it nor the
-    ModeSet's precomputed amplitudes and polarization columns.
+    Reference for montecarlo.eval_lab_fields; reads the ModeSet's amp and
+    eps columns, mode by mode, and takes khat x eps afresh.
     """
     t, x, y, z = lab_position(params, tau)
     c = params.constants.c
     E, H = np.zeros(3), np.zeros(3)
     for m, khat in enumerate(mode_set.khat):
         kr = khat[0] * x + khat[1] * y + khat[2] * z
-        for lam, eps in enumerate((mode_set.eps1[m], mode_set.eps2[m])):
+        for lam, eps in enumerate(mode_set.pol[:, 0, m]):
             heps = np.cross(khat, eps)
             for q, k in enumerate(mode_set.wavenumbers):
-                a = math.sqrt(mode_set.amp2[m, q]) * math.cos(k * kr - c * k * t
-                                                              - phases[m, q, lam])
+                a = mode_set.amp[m, q] * math.cos(k * kr - c * k * t - phases[m, q, lam])
                 E += a * eps
                 H += a * heps
     return np.concatenate([E, H])
@@ -280,14 +279,14 @@ def lab_field_design(mode_set: ModeSet, params: RotationParams, taus) -> np.ndar
     """
     const = params.constants
     k = mode_set.wavenumbers
-    base = np.empty(mode_set.amp2.shape + (len(taus),))
+    base = np.empty(mode_set.amp.shape + (len(taus),))
     for j, tau in enumerate(taus):
         t, x, y, z = lab_position(params, tau)
         base[:, :, j] = np.outer(mode_set.khat @ np.array([x, y, z]), k) - const.c * t * k
     # (M, 1, lam, 1, field, 3) against the (M, Q, 1, T, 1, 1) amplitudes
     pol = np.moveaxis(mode_set.pol, 2, 0)[:, None, :, None]
     amp = mode_set.amp[:, :, None]
-    design = np.empty(mode_set.amp2.shape + (2, 2, len(taus), 2, 3))
+    design = np.empty(mode_set.amp.shape + (2, 2, len(taus), 2, 3))
     for half, trig in enumerate((np.cos, np.sin)):
         np.multiply((amp * trig(base))[:, :, None, :, None, None], pol,
                     out=design[:, :, :, half])

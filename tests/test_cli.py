@@ -60,8 +60,24 @@ class TestTetradCommand:
     def test_residual_column_small(self, capsys):
         code, out = run_cli(capsys, "tetrad", "--beta", "0.9", "--tau-steps", "9")
         assert code == 0
-        _, _, rows = parse_table(out)
-        assert all(float(r["residual"]) < 1e-10 for r in rows)
+        _, header, rows = parse_table(out)
+        assert header[-2:] == ["residual", "flag"]
+        assert all(float(r["residual"]) < 1e-10 and r["flag"] == "ok" for r in rows)
+
+    @pytest.mark.parametrize("kind", ["frenet-serret", "fermi-walker"])
+    def test_residual_over_the_bound_is_flagged(self, capsys, kind):
+        # near the light cone the legs lose orthonormality beyond 1e-10: the
+        # rows that exit 1 say which residual and which bound
+        code, out = run_cli(capsys, "tetrad", "--beta", "0.9999999", "--tau-steps", "2",
+                            "--kind", kind)
+        assert code == 1
+        rows = parse_table(out)[2]
+        assert len(rows) == 2
+        for r in rows:
+            name, value, relation, bound = r["flag"].replace(" bound ", " ").split()
+            assert (name, relation, bound) == ("residual", ">", "1e-10")
+            assert float(value) == pytest.approx(float(r["residual"]), rel=1e-11)
+            assert float(value) > 1e-10
 
     def test_transport_kind_flag(self, capsys):
         _, out_fs = run_cli(capsys, "tetrad", "--beta", "0.5", "--tau-steps", "2",
@@ -260,17 +276,40 @@ class TestCfCommand:
 
     def test_monte_carlo_time_range_flagged(self, capsys):
         # with --method all a lag beyond the Monte Carlo's phase range flags
-        # the Monte Carlo rows; the other routes still print theirs
-        code, out = run_cli(capsys, "cf", "--beta", "0.3", "--method", "all", "--seeds", "4",
-                            "--delta-min", "1", "--delta-max", "1e8", "--delta-steps", "2")
+        # its Monte Carlo row; the other routes, and the Monte Carlo at the
+        # lag in range, still print theirs
+        args = ["cf", "--beta", "0.3", "--seeds", "4", "--delta-min", "1"]
+        code, out = run_cli(capsys, *args, "--method", "all", "--delta-max", "1e8",
+                            "--delta-steps", "2")
         assert code == 1
         _, _, rows = parse_table(out)
         assert [r["method"] for r in rows] == ["closed-form", "quadrature", "monte-carlo"] * 2
-        for r in rows:
-            if r["method"] == "monte-carlo":
-                assert "float64 no longer resolves the drawn phases" in r["flag"]
-            else:
-                assert r["flag"] == "ok"
+        assert [r["flag"] for r in rows[:5]] == ["ok"] * 5
+        tau = 1e8 / RotationParams.from_beta(1.0, 0.3, NATURAL).gamma
+        assert rows[5]["flag"].startswith(f"error: at proper time tau = {tau!r} ")
+        assert "float64 no longer resolves the drawn phases" in rows[5]["flag"]
+        # the row in range is the one-lag Monte Carlo estimate
+        _, one = run_cli(capsys, *args, "--method", "monte-carlo", "--delta-max", "1",
+                         "--delta-steps", "1")
+        [single] = parse_table(one)[2]
+        assert (rows[2]["value"], rows[2]["stat_error"]) == (single["value"],
+                                                             single["stat_error"])
+
+    def test_failed_monte_carlo_rows_name_their_own_lag(self, capsys):
+        # the Monte Carlo overflows at both lags: each row names its own
+        # tau2, not the first lag that failed
+        code, out = run_cli(capsys, "cf", "--omega", "1e70", "--beta", "0.3", "--spectrum",
+                            "discrete", "--method", "all", "--delta-min=-1e3",
+                            "--delta-max=1e3", "--delta-steps", "2", "--seeds", "4")
+        assert code == 1
+        rows = parse_table(out)[2]
+        assert [r["method"] for r in rows] == ["quadrature", "monte-carlo"] * 2
+        params = RotationParams.from_beta(1e70, 0.3, NATURAL)
+        for r in rows[1::2]:
+            tau2 = float(r["delta"]) / (params.omega * params.gamma)
+            assert r["flag"].startswith("error: outside the float64 range: ")
+            assert r["flag"].count("tau2 = ") == 1
+            assert f"tau2 = {tau2!r} " in r["flag"]
 
     def test_csv_rows_match_header(self, capsys):
         # the Monte Carlo flag at this omega holds a comma; it stays one field
@@ -374,12 +413,13 @@ class TestEnergyCommand:
     @pytest.mark.parametrize("field", ["em", "scalar"])
     def test_quantity_column(self, capsys, field):
         # the rows come from ThermoReport's fields: a new, dropped or moved
-        # field changes the printed table
+        # field changes the printed table; only the EM report computes the
+        # mixed moment
         code, out = run_cli(capsys, "energy", "--field", field, "--beta", "0.3")
         assert code == 0
         assert [r["quantity"] for r in parse_table(out)[2]] == [
             "field_kind", "T_rot", "w_zp_cutoff", "w_thermal", "w_total_cutoff",
-            "anisotropy_factor", "cutoff_n_max", "mixed_moment_residual"]
+            "anisotropy_factor", "cutoff_n_max"] + ["mixed_moment_residual"] * (field == "em")
 
 
 class TestSpectrumCommand:
@@ -388,7 +428,21 @@ class TestSpectrumCommand:
                             "--phase-max", "5.5")
         assert code == 0
         _, _, rows = parse_table(out)
-        assert all(float(r["rel_consistency"]) < 1e-8 for r in rows)
+        assert all(float(r["rel_consistency"]) < 1e-8 and r["flag"] == "ok" for r in rows)
+
+    def test_rows_over_the_bound_are_flagged(self, capsys):
+        # just below 2 pi the split loses digits against the closed form: each
+        # row over 1e-8 says so, and the command exits 1
+        code, out = run_cli(capsys, "spectrum", "--phase-min", "6.2831852",
+                            "--phase-max", "6.28318529", "--phase-steps", "3")
+        assert code == 1
+        rows = parse_table(out)[2]
+        assert len(rows) == 3
+        for r in rows:
+            name, value, relation, bound = r["flag"].replace(" bound ", " ").split()
+            assert (name, relation, bound) == ("rel_consistency", ">", "1e-08")
+            assert float(value) == pytest.approx(float(r["rel_consistency"]), rel=1e-11)
+            assert float(value) > 1e-8
 
 
 class TestMcValidate:

@@ -36,11 +36,12 @@ class TestProjection:
     def test_nonfinite_rejected(self):
         # one infinite amplitude: eval_lab_fields' own guard stops it, which
         # numpy's warnings, silenced here, would otherwise pre-empt
-        ms = ModeSet(spectrum="discrete", k0=1.0, wavenumbers=np.array([1.0]),
-                     harmonics=np.array([1.0]), khat=np.array([[0.0, 0.0, 1.0]]),
-                     weights=np.array([1.0]), eps1=np.array([[1.0, 0.0, 0.0]]),
-                     eps2=np.array([[0.0, 1.0, 0.0]]), amp2=np.array([[np.inf]]),
-                     n_theta=1, n_phi=1)
+        # eps (1, 0, 0) and (0, 1, 0) along khat = +z, each with its khat x eps
+        pol = np.array([[[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]],
+                        [[[0.0, 1.0, 0.0]], [[-1.0, 0.0, 0.0]]]])
+        ms = ModeSet(spectrum="discrete", n_max=1, n_theta=1, n_phi=1, k0=1.0,
+                     wavenumbers=np.array([1.0]), khat=np.array([[0.0, 0.0, 1.0]]),
+                     amp=np.array([[np.inf]]), pol=pol)
         p = RotationParams(omega=1.0, radius=0.5, constants=NATURAL)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             eval_lab_fields(ms, draw_phases(ms, seed=0), p, 0.3)

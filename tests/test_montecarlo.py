@@ -34,8 +34,21 @@ def modes(params):
 
 
 class TestModeSet:
-    def test_weights_sum_to_sphere(self, modes):
-        assert modes.weights.sum() == pytest.approx(4.0 * math.pi, abs=1e-12)
+    def test_weights_sum_to_sphere(self, modes, params):
+        # the first rung's amplitude^2 is (hbar c k0^4 / pi^2) times the node weight
+        const = params.constants
+        k0 = params.omega / const.c
+        weights = modes.amp[:, 0] ** 2 * math.pi**2 / (const.hbar * const.c * k0**4)
+        assert weights.sum() == pytest.approx(4.0 * math.pi, abs=1e-12)
+
+    def test_band_weights_integrate_the_spectrum(self, params):
+        # sum of amplitude^2 = (hbar c / pi^2) 4 pi int_0^K k^3 dk: the node
+        # weights sum to 4 pi and Gauss-Legendre integrates k^3 exactly
+        const = params.constants
+        ms = build_mode_set(params, "continuous", n_max=3, n_theta=8, n_phi=16)
+        k_cut = 3 * params.omega / const.c
+        assert (ms.amp**2).sum() == pytest.approx(const.hbar * const.c * k_cut**4 / math.pi,
+                                                  rel=1e-12)
 
     def test_mode_count(self, modes):
         assert modes.mode_count == 16 * 32 * 6 * 2
@@ -83,12 +96,12 @@ class TestModeSet:
         # the transverse angular moment of the truncated ladder exactly
         const = params.constants
         k0 = params.omega / const.c
-        ladder = float((modes.harmonics**3).sum())
+        ladder = float((np.arange(1, modes.n_max + 1) ** 3).sum())
         target = const.hbar * const.c * k0**4 / (2.0 * math.pi**2) \
             * (8.0 * math.pi / 3.0) * ladder
         for i in range(3):
-            det = 0.5 * (modes.amp2.sum(axis=1)
-                         * (modes.eps1[:, i] ** 2 + modes.eps2[:, i] ** 2)).sum()
+            det = 0.5 * ((modes.amp**2).sum(axis=1)
+                         * (modes.pol[0, 0, :, i] ** 2 + modes.pol[1, 0, :, i] ** 2)).sum()
             assert det == pytest.approx(target, rel=1e-10)
 
     def test_continuous_band(self, params):
@@ -104,6 +117,12 @@ class TestModeSet:
         back = json.loads(blob)
         assert back["mode_set"]["n_max"] == 6
         assert back["params"]["beta"] == pytest.approx(0.3)
+
+    def test_describe_names_n_max_on_both_spectra(self, params):
+        for spectrum in ("discrete", "continuous"):
+            ms = build_mode_set(params, spectrum, n_max=3, n_theta=8, n_phi=16)
+            assert ms.describe() == {"spectrum": spectrum, "k0": 1.0, "n_theta": 8,
+                                     "n_phi": 16, "mode_count": ms.mode_count, "n_max": 3}
 
     def test_manifest_records_the_phase_draw(self, modes, params):
         man = run_manifest(params, modes, n_seeds=10, seed=3)
@@ -128,8 +147,8 @@ class TestModeSet:
 
 
 class TestModeSetInvariants:
-    """amp and pol are computed once on construction, by hand or by
-    build_mode_set."""
+    """A ModeSet built by hand or by build_mode_set: its polarization
+    columns are (eps, khat x eps) with unit eps perpendicular to khat."""
 
     @staticmethod
     def hand_built():
@@ -138,19 +157,23 @@ class TestModeSetInvariants:
         khat /= np.linalg.norm(khat, axis=1)[:, None]
         eps1 = np.cross(khat, [0.0, 0.0, 1.0])
         eps1 /= np.linalg.norm(eps1, axis=1)[:, None]
-        return ModeSet(spectrum="continuous", k0=1.0, wavenumbers=np.array([0.5, 1.5]),
-                       harmonics=np.array([]), khat=khat, weights=np.ones(5),
-                       eps1=eps1, eps2=np.cross(khat, eps1), amp2=rng.random((5, 2)),
-                       n_theta=1, n_phi=5)
+        pol = np.stack([np.stack([eps, np.cross(khat, eps)])
+                        for eps in (eps1, np.cross(khat, eps1))])
+        return ModeSet(spectrum="continuous", n_max=1, n_theta=1, n_phi=5, k0=1.0,
+                       wavenumbers=np.array([0.5, 1.5]), khat=khat,
+                       amp=np.sqrt(rng.random((5, 2))), pol=pol)
 
-    @pytest.mark.parametrize("source", ["built", "by-hand"])
-    def test_match_their_definitions(self, modes, source):
-        ms = modes if source == "built" else self.hand_built()
-        assert np.array_equal(ms.amp, np.sqrt(ms.amp2))
-        assert ms.pol.shape == (2, 2) + ms.eps1.shape
-        for lam, eps in enumerate((ms.eps1, ms.eps2)):
-            assert np.array_equal(ms.pol[lam, 0], eps)
-            assert np.array_equal(ms.pol[lam, 1], np.cross(ms.khat, eps))
+    @pytest.mark.parametrize("spectrum", ["discrete", "continuous"])
+    def test_pol_is_eps_and_khat_cross_eps(self, params, spectrum):
+        ms = build_mode_set(params, spectrum, n_max=3, n_theta=8, n_phi=16)
+        assert ms.pol.shape == (2, 2) + ms.khat.shape
+        assert ms.amp.shape == (ms.khat.shape[0], ms.wavenumbers.size)
+        for eps, heps in ms.pol:
+            assert np.array_equal(heps, np.cross(ms.khat, eps))
+            assert np.abs(np.linalg.norm(eps, axis=1) - 1.0).max() < 1e-15
+            assert np.abs(np.einsum("mi,mi->m", eps, ms.khat)).max() < 1e-15
+        # the two polarizations are orthogonal
+        assert np.abs(np.einsum("mi,mi->m", ms.pol[0, 0], ms.pol[1, 0])).max() < 1e-15
 
     @pytest.mark.parametrize("tau", [0.0, 0.7, 3.1])
     def test_eval_lab_fields_matches_mode_sum(self, params, tau):
@@ -257,10 +280,9 @@ class TestFieldEvaluation:
         eps1 = np.array([[1.0, 0.0, 0.0]])
         eps2 = np.array([[0.0, 0.0, 0.0]])  # second polarization switched off
         k = 2.0
-        ms = ModeSet(spectrum="discrete", k0=1.0, wavenumbers=np.array([k]),
-                     harmonics=np.array([2.0]), khat=khat,
-                     weights=np.array([1.0]), eps1=eps1, eps2=eps2,
-                     amp2=np.array([[4.0]]), n_theta=1, n_phi=1)
+        pol = np.stack([np.stack([eps, np.cross(khat, eps)]) for eps in (eps1, eps2)])
+        ms = ModeSet(spectrum="discrete", n_max=2, n_theta=1, n_phi=1, k0=1.0,
+                     wavenumbers=np.array([k]), khat=khat, amp=np.array([[2.0]]), pol=pol)
         phases = np.zeros_like(draw_phases(ms, seed=0))
         tau = 0.4
         f = eval_lab_fields(ms, phases, params, tau)
@@ -282,9 +304,9 @@ class TestFieldEvaluation:
                          modes.wavenumbers)
                 - const.c * (t1 - t2) * modes.wavenumbers[None, :])
         expect = 0.0
-        for eps in (modes.eps1, modes.eps2):
+        for eps in modes.pol[:, 0]:
             heps = np.cross(modes.khat, eps)
-            expect += float((modes.amp2 * 0.5 * np.cos(dphi)).sum(axis=1)
+            expect += float((modes.amp**2 * 0.5 * np.cos(dphi)).sum(axis=1)
                             @ (eps[:, 0] * heps[:, 2]))
         n_seeds = 600
         vals = []
@@ -357,7 +379,7 @@ class TestLatticePhases:
 
     def test_draw_phases_are_exact_lattice_multiples(self, modes):
         j = draw_phases(modes, seed=5, index=2)
-        assert j.dtype == np.uint32 and j.shape == modes.amp2.shape + (2,)
+        assert j.dtype == np.uint32 and j.shape == modes.amp.shape + (2,)
         assert j.max() < self.N
         phases = j * montecarlo.LATTICE_STEP
         assert np.array_equal(phases, j * montecarlo.LATTICE_STEP)
@@ -475,7 +497,7 @@ class TestSeedBlockEngine:
             monkeypatch.setattr(np, name, counting)
         n_seeds = BLOCK_ELEMENTS // modes.mode_count + 1
         empirical_cf((1, 1), "EE", 0.0, 1.1, params, modes, n_seeds=n_seeds, seed=3)
-        base = modes.amp2.size * 2
+        base = modes.amp.size * 2
         assert counted and max(counted) <= base
         assert sum(counted) <= 2 * base
 
@@ -691,7 +713,7 @@ class TestEmpiricalEnergyDensity:
         # 768 nodes of 2 x 15 modes: a node chunk of TRIG_CHUNK // 30 = 546
         # nodes and a remainder
         ms = build_mode_set(params, n_max=15, n_theta=24, n_phi=32)
-        n_nodes, per_chunk = ms.amp2.shape[0], montecarlo.TRIG_CHUNK // (2 * 15)
+        n_nodes, per_chunk = ms.amp.shape[0], montecarlo.TRIG_CHUNK // (2 * 15)
         assert per_chunk < n_nodes < 2 * per_chunk
         runs = [empirical_energy_density(params, ms, n_seeds=9, seed=14, n_workers=k, tau=3.7)
                 for k in (1, 2, 4)]

@@ -111,6 +111,12 @@ class TestEmEnergyDensity:
 
 
 class TestScalarEnergyDensity:
+    def test_scalar_report_carries_no_mixed_moment(self):
+        # the mixed moment <E1 H3> - <E3 H1> is an EM quantity: nothing
+        # computes it for the scalar field
+        p = RotationParams.from_beta(1.0, 0.6, NATURAL)
+        assert scalar_energy_density(p, cutoff_n_max=4).mixed_moment_residual is None
+
     def test_bath_ratio_identity(self):
         # the thermal density measured by sphere quadrature of the periodic
         # CF, over the bath reference, equals (4 gamma^2 - 1) / 3; it is also
