@@ -97,6 +97,11 @@ def _error(exc: Exception) -> str:
     return f"error: {cause}{exc}"
 
 
+def _bound_flag(name: str, value: float, bound: float) -> str:
+    """The flag of a row whose value of name may not exceed bound."""
+    return "ok" if value <= bound else f"{name} {value!r} > bound {bound!r}"
+
+
 def _emit(args, meta: dict, header: List[str], rows: List[list]) -> int:
     # exit 1 when a row's flag is not "ok" or its check's status is not "pass"
     flagged = any(row[header.index(name)] != good for row in rows
@@ -153,11 +158,6 @@ def cmd_tetrad(args) -> int:
     meta = _meta_common(args, params)
     meta["kind"] = args.kind
     return _emit(args, meta, header, rows)
-
-
-def _bound_flag(name: str, value: float, bound: float) -> str:
-    """The flag of a row whose value of name may not exceed bound."""
-    return "ok" if value <= bound else f"{name} {value!r} > bound {bound!r}"
 
 
 def _cf_routes(args, params: RotationParams) -> dict:
