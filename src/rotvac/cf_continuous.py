@@ -1,6 +1,7 @@
 """Continuous-spectrum two-point correlation functions along the rotating
-worldline: printed closed forms, their angular-quadrature counterparts, and a
-fully general tensor-contraction path usable for any component pair.
+worldline: printed closed forms, and one angular quadrature for any
+component pair, the lab-frame kernel of the two projection rows
+(fields._lab_kernel) against the regularized radial factor.
 
 All two-time functions are stationary (depend on tau2 - tau1 only) and carry
 the universal (lab time difference)^-4 scaling for the electromagnetic field,
@@ -25,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .fields import diag_bracket, projection_rows
+from .fields import _lab_kernel, projection_rows
 from .kinematics import RotationParams, lab_position
 from .numerics import DEFAULT_TOL, integrate_sphere
 
@@ -138,68 +139,25 @@ def _closed_form_11(params: RotationParams, delta: float, dt_lab: float) -> floa
     )
 
 
-def _bracket_quadrature(pair, params, delta, dt_lab, tol) -> float:
-    """Stationary quadrature path: angular integral of the printed bracket
-    against the regularized radial factor (1 + k ky)^-4."""
-    k = shape_constant(params, delta)
-
-    def integrand(khat):
-        ky = khat[..., 1]
-        return diag_bracket(pair, params, delta, khat[..., 0], ky) / (1.0 + k * ky) ** 4
-
-    val, _ = integrate_sphere(integrand, tol)
-    return _em_prefactor(params, dt_lab) * val
-
-
-def _lab_kernel(row1, row2, chord):
-    """The function khat -> (row1^T M(khat) row2, khat . chord) for khat of
-    shape (..., 3), both of shape khat.shape[:-1]; rows are 6-vectors (E, H).
-
-    M is the lab-frame polarization-summed kernel: 1 - khat khat^T in the EE
-    and HH blocks, <E_i H_j> ~ eps_{ijl} khat_l in the EH block and its
-    negative transpose in the HE block.  The six projections of khat that
-    both need come from one matrix product with the columns e1, e2, h1, h2,
-    e1 x h2 - h1 x e2 and chord.
-    """
-    e1, h1, e2, h2 = row1[:3], row1[3:], row2[:3], row2[3:]
-    const = e1 @ e2 + h1 @ h2
-    # e1 x h2 - h1 x e2 by components: np.cross costs more per CF value
-    eh = [e1[1] * h2[2] - e1[2] * h2[1] - (h1[1] * e2[2] - h1[2] * e2[1]),
-          e1[2] * h2[0] - e1[0] * h2[2] - (h1[2] * e2[0] - h1[0] * e2[2]),
-          e1[0] * h2[1] - e1[1] * h2[0] - (h1[0] * e2[1] - h1[1] * e2[0])]
-    cols = np.column_stack([e1, e2, h1, h2, eh, chord])
-
-    def kernel(khat):
-        p = khat.reshape(-1, 3) @ cols
-        shape = khat.shape[:-1]
-        return ((const - p[:, 0] * p[:, 1] - p[:, 2] * p[:, 3] + p[:, 4]).reshape(shape),
-                p[:, 5].reshape(shape))
-    return kernel
-
-
-def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
-                            tol: float = DEFAULT_TOL) -> CFValue:
-    """General two-point CF via direct lab-frame tensor contraction.
-
-    Makes no use of the stationarity variable change: the two projection rows
-    are taken at their own worldline phases and the mode-phase difference is
-    evaluated from the actual lab positions.  Works for any component pair
-    and for kinds "EE", "HH", "EH"; serves as the independent oracle for the
-    closed forms and brackets.  Each integrand call takes the kernel's five
-    projections of khat and the phase's khat . chord from one (3 x 6) matrix
-    product, and the phase's fourth power by squaring twice.
-    """
-    row1, row2 = projection_rows(pair, kind, params, tau1, tau2)
-    delta, dt_lab = _lag(params, tau1, tau2)
-    const = params.constants
-
+def _chord(params: RotationParams, tau1: float, tau2: float):
+    """(chord, c dt, axis): the lab chord r(tau1) - r(tau2) over c dt = c (t(tau1)
+    - t(tau2)), and the pole of the sphere rule: the chord, or y where it vanishes."""
     t1, x1, y1, _ = lab_position(params, tau1)
     t2, x2, y2, _ = lab_position(params, tau2)
-    dr = np.array([x1 - x2, y1 - y2, 0.0])
-    cdt = const.c * (t1 - t2)
-    # the phase coefficient over c dt, so that the integrand is
-    # dimensionless and the absolute floor means the same in every unit system
-    kernel = _lab_kernel(row1, row2, dr / cdt)
+    dx, dy, cdt = x1 - x2, y1 - y2, params.constants.c * (t1 - t2)
+    return np.array([dx / cdt, dy / cdt, 0.0]), cdt, (dx, dy, 0.0) if dx or dy else (0.0, 1.0, 0.0)
+
+
+def _tensor_quadrature(rows, params: RotationParams, tau1: float, tau2: float,
+                       tol: float) -> float:
+    """hbar c / (4 pi^2 (c dt)^4) times the sphere integral of the lab kernel
+    of the rows (row1 at tau1, row2 at tau2) against the regularized radial
+    integral 6 / (khat . chord - 1)^4, whose fourth power is two squarings.
+    The integrand is dimensionless, so that the rule's absolute floor means
+    the same in every unit system.
+    """
+    chord, cdt, axis = _chord(params, tau1, tau2)
+    kernel = _lab_kernel(*rows, chord)
 
     def integrand(khat):
         value, phase = kernel(khat)
@@ -207,12 +165,23 @@ def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
         geom *= geom
         return value * 6.0 / (geom * geom)
 
-    # the phase depends on the direction only through khat . dr: put the pole
-    # of the rule on the chord (any axis at delta in 2 pi Z, where dr = 0)
-    val, _ = integrate_sphere(integrand, tol, axis=dr if dr.any() else (0.0, 1.0, 0.0))
-    value = const.hbar * const.c / (4.0 * math.pi**2) * val / cdt**4
-    return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
-                   spectrum="continuous", value=value, method="quadrature")
+    val, _ = integrate_sphere(integrand, tol, axis=axis)
+    const = params.constants
+    return const.hbar * const.c / (4.0 * math.pi**2) * val / cdt**4
+
+
+def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
+                            tol: float = DEFAULT_TOL) -> CFValue:
+    """General two-point CF via direct lab-frame tensor contraction, for any
+    component pair and kind "EE", "HH" or "EH": the projection rows at their
+    own worldline phases, and the mode phase from the actual lab positions
+    (no stationarity variable change).  The quadrature route of em_cf_continuous.
+    """
+    rows = projection_rows(pair, kind, params, tau1, tau2)
+    _lag(params, tau1, tau2)      # the coincidence guard and the range check
+    return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2, spectrum="continuous",
+                   value=_tensor_quadrature(rows, params, tau1, tau2, tol),
+                   method="quadrature")
 
 
 def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
@@ -223,15 +192,15 @@ def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
     kind is "EE", "HH" or "EH"; pair indexes tetrad components (1-based).
     The closed form exists for the (1,1) pair (EE and, by the exact electric/
     magnetic symmetry of the stationary kernel, HH).  The quadrature method
-    uses the stationary angular bracket for the diagonal pairs and falls back
-    to the tensor-contraction path otherwise.
+    integrates the lab-frame tensor kernel for every pair and kind, the
+    route of em_cf_tensor_quadrature.
 
     Note on off-diagonals: the (1,3) and (2,3) pairs vanish identically (the
     integrand is odd in the z direction); the (1,2) pair does *not* vanish
     for separated times (it is antisymmetric under swapping the component
     order and only dies at coincidence), so it is computed honestly.
     """
-    projection_rows(pair, kind, params, tau1, tau2)  # validates pair and kind
+    rows = projection_rows(pair, kind, params, tau1, tau2)
     delta, dt_lab = _lag(params, tau1, tau2)
 
     if method == "closed-form":
@@ -241,10 +210,7 @@ def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
             )
         value = _closed_form_11(params, delta, dt_lab)
     elif method == "quadrature":
-        if kind in ("EE", "HH") and pair in ((1, 1), (2, 2), (3, 3)):
-            value = _bracket_quadrature(pair, params, delta, dt_lab, tol)
-        else:
-            return em_cf_tensor_quadrature(pair, kind, tau1, tau2, params, tol)
+        value = _tensor_quadrature(rows, params, tau1, tau2, tol)
     else:
         raise ValueError(f"unknown method {method!r}")
     return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,

@@ -19,10 +19,13 @@ the same lag, which the split takes from the closed forms of cf_continuous.
 
 ``phase`` here is the direction-dependent quantity
 
-    phase(delta, ky) = delta (1 - ky beta sin(delta/2) / (delta/2)),
+    phase = delta (1 - khat . chord),   chord = (r(tau1) - r(tau2)) / c (t(tau1) - t(tau2)),
 
-with delta the angular lag and ky the y-component of the propagation
-direction; ``time_lag`` = phase / omega is its dimensional counterpart.
+with delta the angular lag and khat the propagation direction; it runs over
+delta -/+ 2 beta sin(delta/2).  Each ladder is integrated over the
+directions against the weight of the continuous CF of its field: the lab
+kernel of the projection rows (fields._lab_kernel) for the electromagnetic
+field, 1 for the scalar.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, zeta
 
-from .cf_continuous import CFValue, _closed_form_11, _lag, _scalar_closed_form
-from .fields import angular_weight_kernel_grid
+from .cf_continuous import CFValue, _chord, _closed_form_11, _lag, _scalar_closed_form
+from .fields import _lab_kernel, projection_rows
 from .kinematics import RotationParams
 from .numerics import DEFAULT_TOL, _power, integrate_sphere
 
@@ -42,7 +45,6 @@ __all__ = [
     "ResonanceError",
     "ThermalSplit",
     "rotation_temperature",
-    "ladder_phase",
     "cubic_ladder_sum_closed",
     "linear_ladder_sum_closed",
     "thermal_ladder_integral",
@@ -53,6 +55,8 @@ __all__ = [
 ]
 
 RESONANCE_TOL = 1e-9  # distance of phase to 2 pi Z treated as resonant
+TWO_PI = 2.0 * math.pi
+TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - TWO_PI
 
 
 class ResonanceError(ValueError):
@@ -75,14 +79,6 @@ def rotation_temperature(params: RotationParams) -> float:
     """Temperature hbar omega / (2 pi k_B) appearing in the Planck factor."""
     const = params.constants
     return const.hbar * params.omega / (2.0 * math.pi * const.k_B)
-
-
-def ladder_phase(delta, ky, params: RotationParams):
-    """phase(delta, ky) = delta - 2 beta ky sin(delta/2); vectorized in ky.
-    ValueError unless delta is finite."""
-    if not math.isfinite(delta):
-        raise ValueError(f"lag delta must be finite, got {delta!r}")
-    return delta - 2.0 * params.beta * np.asarray(ky) * math.sin(delta / 2.0)
 
 
 def _off_resonance(phase, name: str) -> np.ndarray:
@@ -129,22 +125,23 @@ def thermal_ladder_integral(phase, p: int = 3):
     """int_0^inf 2 u^p cosh(u phase) / (e^(2 pi u) - 1) du, |phase| < 2 pi.
 
     Evaluated in closed form, (2 pi)^-(p+1) [psi_p(1 + x) + psi_p(1 - x)]
-    with x = phase / 2 pi and psi_p the polygamma function (DLMF 5.15.1),
-    for odd p >= 1; vectorized in phase.
+    with x = |phase| / 2 pi and psi_p the polygamma function (DLMF 5.15.1),
+    for odd p >= 1; vectorized in phase.  1 - x is formed as (2 pi - |phase|)
+    / 2 pi with 2 pi carried as two floats, so that it keeps its digits as
+    |phase| nears 2 pi.
     """
     if p < 1 or p % 2 == 0:
         raise ValueError(f"closed form holds for odd p >= 1, got p = {p!r}")
-    phase = np.asarray(phase, dtype=float)
-    if not np.all(np.abs(phase) < 2.0 * math.pi):
+    phase = np.abs(np.asarray(phase, dtype=float))
+    if not np.all(phase < TWO_PI):
         raise ResonanceError(
-            f"thermal integral needs |phase| < 2 pi, got |phase| = "
-            f"{float(np.max(np.abs(phase)))!r}")
-    x = phase / (2.0 * math.pi)
+            f"thermal integral needs |phase| < 2 pi, got |phase| = {float(np.max(phase))!r}")
     # psi_p(z) = (-1)^(p+1) p! zeta(p+1, z) with p! = gamma(p + 1), as scipy's
     # polygamma evaluates it but without its Python wrapper (~10 us per call);
     # the sign is +1 for odd p
     c = gamma(p + 1.0)
-    out = (c * zeta(p + 1, 1.0 + x) + c * zeta(p + 1, 1.0 - x)) / (2.0 * math.pi) ** (p + 1)
+    out = (c * zeta(p + 1, 1.0 + phase / TWO_PI)
+           + c * zeta(p + 1, ((TWO_PI - phase) + TWO_PI_LO) / TWO_PI)) / TWO_PI ** (p + 1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -183,10 +180,11 @@ def _check_resonances(delta: float, params: RotationParams):
 
 
 def _ladder_cf(kind: str, pair, prefactor, tau1, tau2, params: RotationParams,
-               tol: float, split: bool, weight, ladder, continuous,
-               p: int, sign: float):
-    """CF whose value is pref = prefactor() times the sphere integral of
-    weight(k_x, k_y, delta) times ladder(phase(delta, k_y)).  With
+               tol: float, split: bool, ladder, continuous, p: int, sign: float):
+    """CF whose value is pref = prefactor() times the sphere integral of the
+    weight times ladder(delta (1 - khat . chord)), with the pole of the rule
+    on the chord (cf_continuous._chord).  The weight is the lab kernel of
+    the projection rows of (pair, kind), or 1 for the scalar.  With
     split=True also returns a ThermalSplit of the continuous CF
     continuous(params, delta, dt_lab) and the same sphere integral of
     sign * thermal_ladder_integral(phase, p).  pref is computed after the
@@ -195,12 +193,19 @@ def _ladder_cf(kind: str, pair, prefactor, tau1, tau2, params: RotationParams,
     delta, dt_lab = _lag(params, tau1, tau2)
     pref = prefactor()
     lo, hi = _check_resonances(delta, params)
+    chord, _, axis = _chord(params, tau1, tau2)
+    if kind == "scalar":
+        def kernel(khat):
+            # one 2-D product: matmul over the (..., 3) stack costs twice as much
+            return 1.0, (khat.reshape(-1, 3) @ chord).reshape(khat.shape[:-1])
+    else:
+        kernel = _lab_kernel(*projection_rows(pair, kind, params, tau1, tau2), chord)
 
     def over_sphere(f):
         def integrand(khat):
-            ky = khat[..., 1]
-            return weight(khat[..., 0], ky, delta) * f(ladder_phase(delta, ky, params))
-        val, _ = integrate_sphere(integrand, tol)
+            weight, proj = kernel(khat)
+            return weight * f(delta * (1.0 - proj))
+        val, _ = integrate_sphere(integrand, tol, axis=axis)
         return pref * val
 
     cf = CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
@@ -221,10 +226,11 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
                    tol: float = DEFAULT_TOL, split: bool = False):
     """Periodic electromagnetic CF (first tetrad axis, electric pair).
 
-    Value is (2 hbar omega^4 / (3 pi c^3)) times the sphere integral of the
-    angular weight kernel against the cubic ladder sum at the direction-
-    dependent phase.  With split=True also returns its zero-point part (the
-    continuous (1,1) CF) and thermal part (requires |phase| < 2 pi everywhere).
+    Value is (hbar omega^4 / (4 pi^2 c^3)) times the sphere integral of the
+    lab kernel of the (1,1) EE projection rows against the cubic ladder sum
+    at the direction-dependent phase.  With split=True also returns its
+    zero-point part (the continuous (1,1) CF) and thermal part (requires
+    |phase| < 2 pi everywhere).
 
     Periodic in delta with period 2 pi; ResonanceError where the phase
     range over the sphere meets 2 pi Z.
@@ -232,9 +238,8 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
     const = params.constants
     return _ladder_cf(
         "EE", (1, 1),
-        lambda: 2.0 * const.hbar * _power(params.omega, 4, "omega") / (3.0 * math.pi * const.c**3),
+        lambda: const.hbar * _power(params.omega, 4, "omega") / (4.0 * math.pi**2 * const.c**3),
         tau1, tau2, params, tol, split,
-        weight=lambda kx, ky, delta: angular_weight_kernel_grid(kx, ky, delta, params),
         ladder=cubic_ladder_sum_closed, continuous=_closed_form_11, p=3, sign=1.0)
 
 
@@ -252,5 +257,4 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams,
         "scalar", (0, 0),
         lambda: const.hbar * const.c * _power(k0, 2, "k0 = omega / c") / (4.0 * math.pi**2),
         tau1, tau2, params, tol, split,
-        weight=lambda kx, ky, delta: 1.0,
         ladder=linear_ladder_sum_closed, continuous=_scalar_closed_form, p=1, sign=-1.0)

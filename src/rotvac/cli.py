@@ -149,14 +149,17 @@ def cmd_tetrad(args) -> int:
     taus = _sweep(args, "tau")
     build = fermi_walker_tetrad if args.kind == "fermi-walker" else frenet_serret_tetrad
     header = ["tau"] + [f"mu{a}_{c}" for a in range(1, 5) for c in "xyzt"] + ["residual", "flag"]
+    # the legs' float64 roundoff grows like gamma^2 eps: under 4 gamma^2 eps at 40,000
+    # random (beta, tau), beta from 0.5 to 1 - 1e-12, tau from 0 to 6, both tetrads
+    bound = max(1e-10, 8.0 * params.gamma**2 * np.finfo(float).eps)
     rows = []
     for tau in taus:
         legs = build(params, float(tau))
         resid = orthonormality_residual(legs)
         rows.append([float(tau)] + [float(v) for v in legs.ravel()]
-                    + [resid, _bound_flag("residual", resid, 1e-10)])
+                    + [resid, _bound_flag("residual", resid, bound)])
     meta = _meta_common(args, params)
-    meta["kind"] = args.kind
+    meta.update(kind=args.kind, residual_bound=bound)
     return _emit(args, meta, header, rows)
 
 

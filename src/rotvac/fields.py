@@ -1,18 +1,19 @@
 """Field projection into the comoving tetrad, the polarization basis shared
-by the Monte Carlo mode grid, and the diagonal angular brackets: the bracket
-quadrature of the continuous CFs and the angular weight kernel of the
-periodic CF evaluate the same table.
+by the Monte Carlo mode grid, and the lab-frame kernel of two projection
+rows: the one angular kernel that every electromagnetic CF quadrature, on
+the continuous and on the periodic spectrum, integrates.
 
 A field is a plain 6-vector (E1, E2, E3, H1, H2, H3): projection_matrix maps
 the lab one to the tetrad one.  The projection of one 6-vector and the basis
-of one direction (with its Direction type), and the oracles that check this
-module, live with the tests (tests/oracles.py).
+of one direction (with its Direction type), the printed rotated-frame
+brackets, and the other oracles that check this module, live with the tests
+(tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+import operator
 
 import numpy as np
 
@@ -22,8 +23,6 @@ __all__ = [
     "projection_matrix",
     "projection_rows",
     "polarization_grid",
-    "diag_bracket",
-    "angular_weight_kernel_grid",
 ]
 
 POLE_TOL = 1e-8  # directions this close to +/- z use the (x, y) basis
@@ -86,40 +85,30 @@ def polarization_grid(khat):
     return e1, e2
 
 
-def diag_bracket(pair: Tuple[int, int], params: RotationParams, delta: float, kx, ky):
-    """Angular bracket c0 + cy ky + cxx kx^2 + cyy ky^2 of the diagonal pair
-    (a, a) at the unit-vector components (kx, ky); vectorized in them.
+def _lab_kernel(row1, row2, chord):
+    """The function khat -> (row1^T M(khat) row2, khat . chord) for khat of
+    shape (..., 3), both of shape khat.shape[:-1]; rows are 6-vectors (E, H).
 
-    It is the polarization-summed kernel of the tetrad components a at lags
-    0 and delta, seen in the frame rotated by delta/2 about z.  delta is the
-    angular lag omega gamma (tau2 - tau1); ValueError unless it is finite.
+    M is the lab-frame polarization-summed kernel: 1 - khat khat^T in the EE
+    and HH blocks, <E_i H_j> ~ eps_{ijl} khat_l in the EH block and its
+    negative transpose in the HE block.  The six projections of khat that
+    both need come from one matrix product with the columns e1, e2, h1, h2,
+    e1 x h2 - h1 x e2 and chord (a 3-array), built from Python floats into a
+    C-contiguous (3, 6) array, which costs less per CF value than building
+    it from numpy scalars or transposing it.
     """
-    if not math.isfinite(delta):
-        raise ValueError(f"lag delta must be finite, got {delta!r}")
-    b, g = params.beta, params.gamma
-    ch, sh = math.cos(delta / 2.0), math.sin(delta / 2.0)
-    cd = math.cos(delta)
-    if pair == (1, 1):
-        c0, cy, cxx, cyy = (g * g * cd, 2.0 * b * g * g * ch,
-                            g * g * (b * b - ch * ch), g * g * (b * b + sh * sh))
-    elif pair == (2, 2):
-        c0, cy, cxx, cyy = (cd, 0.0, sh * sh, -ch * ch)
-    elif pair == (3, 3):
-        c0, cy, cxx, cyy = (g * g * b * b * cd, 2.0 * b * g * g * ch,
-                            g * g * (1.0 - b * b * ch * ch), g * g * (1.0 + b * b * sh * sh))
-    else:
-        raise ValueError(f"no angular bracket for pair {pair!r}")
-    return c0 + cy * ky + cxx * kx * kx + cyy * ky * ky
+    r1, r2 = row1.tolist(), row2.tolist()
+    e1, h1, e2, h2 = r1[:3], r1[3:], r2[:3], r2[3:]
+    const = sum(map(operator.mul, r1, r2))
+    # e1 x h2 - h1 x e2 by components: np.cross costs more per CF value
+    eh = [e1[1] * h2[2] - e1[2] * h2[1] - (h1[1] * e2[2] - h1[2] * e2[1]),
+          e1[2] * h2[0] - e1[0] * h2[2] - (h1[2] * e2[0] - h1[0] * e2[2]),
+          e1[0] * h2[1] - e1[1] * h2[0] - (h1[0] * e2[1] - h1[1] * e2[0])]
+    cols = np.array(list(zip(e1, e2, h1, h2, eh, chord.tolist())))
 
-
-def angular_weight_kernel_grid(kx, ky, delta: float, params: RotationParams):
-    """Angular weight multiplying the spectral ladder in the periodic CF at the
-    unit-vector components (kx, ky), vectorized in them: 3 / (8 pi) times the
-    (1, 1) bracket.
-
-    delta is the dimensionless lab-angle separation omega gamma (tau2 - tau1).
-    Normalized so the beta = 0, delta = 0 kernel integrates to 1 over the
-    sphere.
-    """
-    return (3.0 / (8.0 * math.pi)) * diag_bracket((1, 1), params, delta, kx, ky)
-
+    def kernel(khat):
+        p = khat.reshape(-1, 3) @ cols
+        shape = khat.shape[:-1]
+        return ((const - p[:, 0] * p[:, 1] - p[:, 2] * p[:, 3] + p[:, 4]).reshape(shape),
+                p[:, 5].reshape(shape))
+    return kernel

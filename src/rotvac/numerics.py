@@ -191,7 +191,8 @@ def integrate_sphere(f, tol: float = DEFAULT_TOL, axis=(0.0, 1.0, 0.0)):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     abs_tol = tol / ABS_PER_REL
     a = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(a)
+    # math.hypot scales by the larger component, so no tiny axis's norm underflows
+    norm = math.hypot(a[0], a[1]) if a.shape == (3,) else 0.0
     if a.shape != (3,) or a[2] != 0.0 or not 0.0 < norm < math.inf:
         raise ValueError(f"axis must be a finite non-zero vector in the xy plane, got {axis!r}")
     a = a / norm

@@ -11,9 +11,11 @@ isotropy, the kernel record checks the ladder phase bookkeeping, the
 mode-by-mode field sum checks eval_lab_fields and the ModeSet arrays, the
 per-seed field evaluation checks the seed-block Monte Carlo CF engine, the
 six-column lab-field design checks the engine's folded design, the per-term
-Abel weights check numerics.abel_sum, and the lab-frame tensor integrand
+Abel weights check numerics.abel_sum, the lab-frame tensor integrand
 written term by term checks the one-product integrand of the tensor
-quadrature.  The worldline 4-velocity and acceleration, the proper time
+quadrature, and the printed rotated-frame brackets, their angular weight,
+ladder phase and stationary quadrature check the lab kernel that both
+spectra integrate.  The worldline 4-velocity and acceleration, the proper time
 of an angular lag, the finite-difference step, the projection of one field
 6-vector, the
 single-direction polarization basis and angular kernel (with the Direction
@@ -29,13 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from rotvac.cf_discrete import ladder_phase
+from rotvac.cf_continuous import _em_prefactor, _lag, shape_constant
 from rotvac.constants import SI, Constants
-from rotvac.fields import angular_weight_kernel_grid, polarization_grid, projection_matrix
+from rotvac.fields import polarization_grid, projection_matrix
 from rotvac.kinematics import (METRIC, RotationParams, fermi_walker_tetrad,
                                frenet_serret_tetrad, lab_position)
 from rotvac.montecarlo import ModeSet, draw_phases, eval_lab_fields
-from rotvac.numerics import ABEL_ETA_GRID, integrate_1d, integrate_sphere
+from rotvac.numerics import ABEL_ETA_GRID, DEFAULT_TOL, integrate_1d, integrate_sphere
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,71 @@ def tetrad_acceleration(params: RotationParams, tau: float, kind: str = "frenet-
     else:
         raise ValueError(f"unknown tetrad kind {kind!r}")
     return legs @ METRIC @ coordinate_acceleration(params, tau)
+
+
+def diag_bracket(pair, params: RotationParams, delta: float, kx, ky):
+    """Printed angular bracket c0 + cy ky + cxx kx^2 + cyy ky^2 of the
+    diagonal pair (a, a) at the unit-vector components (kx, ky); vectorized
+    in them.
+
+    It is the polarization-summed kernel of the tetrad components a at lags
+    0 and delta, seen in the frame rotated by delta/2 about z: the lab
+    kernel fields._lab_kernel at k = R_z(delta/2) k'.  delta is the angular
+    lag omega gamma (tau2 - tau1); ValueError unless it is finite.
+    """
+    if not math.isfinite(delta):
+        raise ValueError(f"lag delta must be finite, got {delta!r}")
+    b, g = params.beta, params.gamma
+    ch, sh = math.cos(delta / 2.0), math.sin(delta / 2.0)
+    cd = math.cos(delta)
+    if pair == (1, 1):
+        c0, cy, cxx, cyy = (g * g * cd, 2.0 * b * g * g * ch,
+                            g * g * (b * b - ch * ch), g * g * (b * b + sh * sh))
+    elif pair == (2, 2):
+        c0, cy, cxx, cyy = (cd, 0.0, sh * sh, -ch * ch)
+    elif pair == (3, 3):
+        c0, cy, cxx, cyy = (g * g * b * b * cd, 2.0 * b * g * g * ch,
+                            g * g * (1.0 - b * b * ch * ch), g * g * (1.0 + b * b * sh * sh))
+    else:
+        raise ValueError(f"no angular bracket for pair {pair!r}")
+    return c0 + cy * ky + cxx * kx * kx + cyy * ky * ky
+
+
+def angular_weight_kernel_grid(kx, ky, delta: float, params: RotationParams):
+    """Angular weight of the printed periodic CF at the unit-vector
+    components (kx, ky), vectorized in them: 3 / (8 pi) times the (1, 1)
+    bracket, so that the beta = 0, delta = 0 kernel integrates to 1 over the
+    sphere.  It multiplies the cubic ladder at ladder_phase under the
+    prefactor 2 hbar omega^4 / (3 pi c^3).
+    """
+    return (3.0 / (8.0 * math.pi)) * diag_bracket((1, 1), params, delta, kx, ky)
+
+
+def ladder_phase(delta, ky, params: RotationParams):
+    """Printed ladder phase delta - 2 beta ky sin(delta/2) in the frame of
+    diag_bracket; vectorized in ky.  ValueError unless delta is finite."""
+    if not math.isfinite(delta):
+        raise ValueError(f"lag delta must be finite, got {delta!r}")
+    return delta - 2.0 * params.beta * np.asarray(ky) * math.sin(delta / 2.0)
+
+
+def bracket_quadrature(pair, params: RotationParams, tau1: float, tau2: float,
+                       tol: float = DEFAULT_TOL) -> float:
+    """Diagonal continuous EE (or HH) CF by the stationary route: the sphere
+    integral of the printed bracket against the regularized radial factor
+    (1 + k ky)^-4, k = shape_constant, times 3 hbar c / (2 pi^2 (c dt)^4).
+
+    Independent route to the lab-kernel quadrature of em_cf_continuous.
+    """
+    delta, dt_lab = _lag(params, tau1, tau2)
+    k = shape_constant(params, delta)
+
+    def integrand(khat):
+        ky = khat[..., 1]
+        return diag_bracket(pair, params, delta, khat[..., 0], ky) / (1.0 + k * ky) ** 4
+
+    val, _ = integrate_sphere(integrand, tol)
+    return _em_prefactor(params, dt_lab) * val
 
 
 def angular_weight_kernel(direction: Direction, delta: float, params: RotationParams) -> float:
@@ -297,7 +364,7 @@ def lab_tensor_integrand(row1, row2, chord):
     """khat -> 6 row1^T M(khat) row2 / (khat . chord - 1)^4 for khat of shape
     (..., 3), from five separate products with khat, np.cross and one float
     power; M is the lab-frame polarization-summed kernel of
-    cf_continuous._lab_kernel.
+    fields._lab_kernel.
 
     Reference for the integrand of cf_continuous.em_cf_tensor_quadrature,
     which takes all six projections of khat from one matrix product.

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import delta_to_tau, lab_tensor_integrand
+from oracles import bracket_quadrature, delta_to_tau, diag_bracket, lab_tensor_integrand
 from rotvac import cf_continuous as cfc
-from rotvac.cf_continuous import (CoincidenceError, _lab_kernel,
-                                  em_cf_continuous, em_cf_tensor_quadrature,
+from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous, em_cf_tensor_quadrature,
                                   phi_kernel_integral, scalar_cf_continuous,
                                   scalar_cf_quadrature, shape_constant,
                                   sin_power_integral)
 from rotvac.constants import NATURAL, SI
-from rotvac.fields import diag_bracket, projection_matrix, projection_rows
+from rotvac.fields import _lab_kernel, projection_matrix, projection_rows
 from rotvac.kinematics import RotationParams, lab_position
 from rotvac.numerics import integrate_1d
 
@@ -184,13 +183,43 @@ class TestEmContinuous:
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.9])
     def test_bracket_quadrature_matches_tensor_route(self, beta):
+        # the stationary quadrature of the printed bracket against the lab
+        # kernel that em_cf_continuous integrates, at two orbit phases
         p = RotationParams.from_beta(1.0, beta, NATURAL)
         for delta in (0.3, 2.0):
-            tau2 = delta_to_tau(p, delta)
-            for pair in ((2, 2), (3, 3)):
-                bracket = em_cf_continuous(pair, "EE", 0.0, tau2, p, "quadrature").value
-                tensor = em_cf_tensor_quadrature(pair, "EE", 0.0, tau2, p).value
-                assert bracket == pytest.approx(tensor, rel=1e-10)
+            for tau1 in (0.0, 0.8):
+                tau2 = tau1 + delta_to_tau(p, delta)
+                for pair in ((1, 1), (2, 2), (3, 3)):
+                    bracket = bracket_quadrature(pair, p, tau1, tau2)
+                    quad = em_cf_continuous(pair, "EE", tau1, tau2, p, "quadrature").value
+                    tensor = em_cf_tensor_quadrature(pair, "HH", tau1, tau2, p).value
+                    assert quad == pytest.approx(bracket, rel=1e-10)
+                    assert tensor == pytest.approx(bracket, rel=1e-10)
+
+    def test_quadrature_route_calls_no_public_cf(self, monkeypatch):
+        # a traced run replays each public function's results in call order,
+        # which a nested public call would break
+        p = RotationParams.from_beta(1.0, 0.5, NATURAL)
+        tau2 = delta_to_tau(p, 1.0)
+        expect = {pair: em_cf_tensor_quadrature(pair, "EH", 0.0, tau2, p).value
+                  for pair in ((1, 1), (1, 3))}
+
+        def nested(*args, **kwargs):
+            raise AssertionError("em_cf_continuous called em_cf_tensor_quadrature")
+        monkeypatch.setattr(cfc, "em_cf_tensor_quadrature", nested)
+        for pair, value in expect.items():
+            assert em_cf_continuous(pair, "EH", 0.0, tau2, p, "quadrature").value == value
+
+    def test_tensor_route_on_a_chord_whose_norm_underflows(self):
+        # chords below about 1e-154 have a norm that underflows; the rule's
+        # pole still sits on them, and the value is that of the static orbit
+        p0 = RotationParams.from_beta(1.0, 0.0, NATURAL)
+        static = em_cf_tensor_quadrature((1, 1), "EE", 0.0, 1.0, p0).value
+        assert static == pytest.approx(
+            em_cf_continuous((1, 1), "EE", 0.0, 1.0, p0, "closed-form").value, rel=1e-14)
+        for p in (RotationParams.from_beta(1.0, 1e-300, NATURAL),
+                  RotationParams(omega=1.0, radius=1e-170, constants=NATURAL)):
+            assert em_cf_tensor_quadrature((1, 1), "EE", 0.0, 1.0, p).value == static
 
     def test_z_coupled_off_diagonals_vanish(self):
         p = RotationParams.from_beta(1.0, 0.5, NATURAL)

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 from scipy.special import polygamma
 
-from oracles import (cubic_ladder_partial_fraction, delta_to_tau, make_kernel,
-                     thermal_ladder_quadpack)
+from oracles import (angular_weight_kernel_grid, cubic_ladder_partial_fraction,
+                     delta_to_tau, ladder_phase, make_kernel, thermal_ladder_quadpack)
+from rotvac import cf_discrete as cfd
 from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous,
                                   scalar_cf_quadrature)
 from rotvac.cf_discrete import (ResonanceError, cubic_ladder_split,
                                 cubic_ladder_sum_closed, em_cf_discrete,
-                                ladder_phase, linear_ladder_split,
+                                linear_ladder_split,
                                 linear_ladder_sum_closed, rotation_temperature,
                                 scalar_cf_discrete, thermal_ladder_integral)
 from rotvac.constants import NATURAL, SI
 from rotvac.kinematics import RotationParams
-from rotvac.numerics import abel_sum
+from rotvac.numerics import abel_sum, integrate_sphere
 
 # frozen CODATA arithmetic: hbar / (2 pi k_B) and the r0 = 1 fm orbit
 T_ROT_AT_UNIT_OMEGA = 1.215662471951891e-12   # K s
@@ -137,12 +138,25 @@ class TestThermalSplit:
     @pytest.mark.parametrize("p", [1, 3])
     def test_bit_identical_to_polygamma(self, p):
         # the zeta form is the one scipy's polygamma evaluates, term for term,
-        # on phase / 2 pi from -0.99 to 0.99 and at 0
+        # on phase / 2 pi from -0.99 to 0.99 and at 0, at the arguments 1 + x
+        # and the reduced 1 - x, x = |phase| / 2 pi
         phases = 2.0 * math.pi * np.append(np.linspace(-0.99, 0.99, 1981), 0.0)
-        x = phases / (2.0 * math.pi)
-        ref = (polygamma(p, 1.0 + x) + polygamma(p, 1.0 - x)) / (2.0 * math.pi) ** (p + 1)
+        mag = np.abs(phases)
+        one_minus_x = ((2.0 * math.pi - mag) + 2.4492935982947064e-16) / (2.0 * math.pi)
+        ref = ((polygamma(p, 1.0 + mag / (2.0 * math.pi)) + polygamma(p, one_minus_x))
+               / (2.0 * math.pi) ** (p + 1))
         assert np.array_equal(thermal_ladder_integral(phases, p), ref)
         assert all(thermal_ladder_integral(float(ph), p) == r for ph, r in zip(phases, ref))
+
+    def test_keeps_its_digits_next_to_two_pi(self):
+        # against the split of the closed sums, whose error there is under
+        # 1e-15; 1 - x taken as 1 - |phase| / 2 pi would keep only 8 digits
+        for mag in (2.0 * math.pi - 1e-6, 6.2831852, 6.283185245, 6.28318529, 6.2831853):
+            for ph in (mag, -mag):
+                assert thermal_ladder_integral(ph, 3) == pytest.approx(
+                    cubic_ladder_sum_closed(ph) - 6.0 / ph**4, rel=2e-15)
+                assert thermal_ladder_integral(ph, 1) == pytest.approx(
+                    -linear_ladder_sum_closed(ph) - 1.0 / ph**2, rel=2e-15)
 
     def test_array_with_divergent_phase_raises(self):
         for bad in (2.0 * math.pi, -7.0):
@@ -201,8 +215,51 @@ class TestKernel:
         assert ph[1] == pytest.approx(2.0)
         assert ph[0] > ph[1] > ph[2]
 
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.9])
+    def test_integrands_are_the_printed_weight_and_phase(self, monkeypatch, beta):
+        # the periodic CFs integrate the lab kernel of the (1,1) EE rows (1
+        # for the scalar) against the ladder at delta (1 - khat . chord); at
+        # k = R_z(alpha1 + delta/2) k' that is (8 pi / 3) times the printed
+        # angular weight against the ladder at the printed phase, both at k'
+        captured = []
+        monkeypatch.setattr(cfd, "integrate_sphere",
+                            lambda f, tol, axis: captured.append(f) or (0.0, 0.0))
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        rng = np.random.default_rng(20261020)
+        k = rng.normal(size=(64, 3))
+        k /= np.linalg.norm(k, axis=1)[:, None]
+        for tau1 in (0.0, 0.8):
+            for delta in (0.3, 2.0, 4.0):
+                em_cf_discrete(tau1, tau1 + delta_to_tau(p, delta), p)
+                scalar_cf_discrete(tau1, tau1 + delta_to_tau(p, delta), p)
+                em, scalar = captured
+                captured.clear()
+                turn = p.alpha(tau1) + delta / 2.0
+                c, s = math.cos(turn), math.sin(turn)
+                lab = k @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
+                phase = ladder_phase(delta, k[:, 1], p)
+                weight = 8.0 * math.pi / 3.0 * angular_weight_kernel_grid(
+                    k[:, 0], k[:, 1], delta, p)
+                np.testing.assert_allclose(em(lab), weight * cubic_ladder_sum_closed(phase),
+                                           rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(scalar(lab), linear_ladder_sum_closed(phase),
+                                           rtol=1e-12, atol=0.0)
+
 
 class TestEmDiscrete:
+    @pytest.mark.parametrize("beta", [0.3, 0.9])
+    def test_matches_printed_weight_route(self, beta):
+        # 2 hbar omega^4 / (3 pi c^3) times the sphere integral of the printed
+        # angular weight against the cubic ladder at the printed phase
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        for delta in (1.0, 3.5):
+            def printed(k):
+                return (angular_weight_kernel_grid(k[..., 0], k[..., 1], delta, p)
+                        * cubic_ladder_sum_closed(ladder_phase(delta, k[..., 1], p)))
+            val, _ = integrate_sphere(printed)
+            value = em_cf_discrete(0.0, delta_to_tau(p, delta), p).value
+            assert value == pytest.approx(2.0 / (3.0 * math.pi) * val, rel=1e-11)
+
     def test_periodic_under_full_turns(self):
         p = RotationParams.from_beta(1.0, 0.3, NATURAL)
         base = em_cf_discrete(0.0, delta_to_tau(p, math.pi / 2.0), p)

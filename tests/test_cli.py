@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rotvac
-from rotvac import montecarlo
+from rotvac import cf_discrete, cli, montecarlo
 from rotvac.cli import build_parser, main
 from rotvac.constants import NATURAL, SI
 from rotvac.kinematics import RotationParams
@@ -65,13 +65,35 @@ class TestTetradCommand:
         assert all(float(r["residual"]) < 1e-10 and r["flag"] == "ok" for r in rows)
 
     @pytest.mark.parametrize("kind", ["frenet-serret", "fermi-walker"])
-    def test_residual_over_the_bound_is_flagged(self, capsys, kind):
-        # near the light cone the legs lose orthonormality beyond 1e-10: the
-        # rows that exit 1 say which residual and which bound
-        code, out = run_cli(capsys, "tetrad", "--beta", "0.9999999", "--tau-steps", "2",
+    def test_near_luminal_roundoff_is_within_the_bound(self, capsys, kind):
+        # at gamma 2236 the legs' float64 roundoff (of order gamma^2 eps)
+        # exceeds 1e-10; the bound max(1e-10, 8 gamma^2 eps) covers it
+        code, out = run_cli(capsys, "tetrad", "--beta", "0.9999999", "--kind", kind)
+        assert code == 0
+        meta, _, rows = parse_table(out)
+        bound = float(meta["residual_bound"])
+        assert bound == pytest.approx(8.0 * np.finfo(float).eps / (1.0 - 0.9999999**2),
+                                      rel=1e-6)
+        assert any(float(r["residual"]) > 1e-10 for r in rows)
+        assert all(float(r["residual"]) <= bound and r["flag"] == "ok" for r in rows)
+
+    @pytest.mark.parametrize("kind", ["frenet-serret", "fermi-walker"])
+    def test_residual_over_the_bound_is_flagged(self, capsys, monkeypatch, kind):
+        # a leg perturbed by 1e-9 at beta 0.5: the rows that exit 1 say which
+        # residual and which bound
+        name = kind.replace("-", "_") + "_tetrad"
+        real = getattr(cli, name)
+
+        def perturbed(params, tau):
+            legs = real(params, tau)
+            legs[1, 0] += 1e-9
+            return legs
+        monkeypatch.setattr(cli, name, perturbed)
+        code, out = run_cli(capsys, "tetrad", "--beta", "0.5", "--tau-steps", "2",
                             "--kind", kind)
         assert code == 1
-        rows = parse_table(out)[2]
+        meta, _, rows = parse_table(out)
+        assert float(meta["residual_bound"]) == 1e-10
         assert len(rows) == 2
         for r in rows:
             name, value, relation, bound = r["flag"].replace(" bound ", " ").split()
@@ -240,6 +262,15 @@ class TestCfCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no Monte Carlo route for the scalar field" in captured.err
+
+    def test_quadrature_rows_on_a_subnormal_orbit(self, capsys):
+        # a chord whose norm underflows still carries the rule's pole
+        code, out = run_cli(capsys, "cf", "--beta", "1e-310", "--pair", "12",
+                            "--method", "quadrature", "--delta-steps", "2")
+        assert code == 0
+        rows = parse_table(out)[2]
+        assert len(rows) == 2
+        assert all(r["flag"] == "ok" and math.isfinite(float(r["value"])) for r in rows)
 
     def test_near_luminal_quadrature_row(self, capsys):
         code, out = run_cli(capsys, "cf", "--beta", "0.999", "--method", "quadrature",
@@ -430,9 +461,21 @@ class TestSpectrumCommand:
         _, _, rows = parse_table(out)
         assert all(float(r["rel_consistency"]) < 1e-8 and r["flag"] == "ok" for r in rows)
 
-    def test_rows_over_the_bound_are_flagged(self, capsys):
-        # just below 2 pi the split loses digits against the closed form: each
-        # row over 1e-8 says so, and the command exits 1
+    def test_split_keeps_its_digits_next_to_two_pi(self, capsys):
+        code, out = run_cli(capsys, "spectrum", "--phase-min", "6.2831852",
+                            "--phase-max", "6.28318529", "--phase-steps", "3")
+        assert code == 0
+        rows = parse_table(out)[2]
+        assert len(rows) == 3
+        assert all(float(r["rel_consistency"]) < 1e-15 and r["flag"] == "ok" for r in rows)
+
+    def test_rows_over_the_bound_are_flagged(self, capsys, monkeypatch):
+        # a thermal part perturbed by 1e-7 puts the split off the closed form
+        # by about that much next to 2 pi: each row over 1e-8 says so, and the
+        # command exits 1
+        real = cf_discrete.thermal_ladder_integral
+        monkeypatch.setattr(cf_discrete, "thermal_ladder_integral",
+                            lambda phase, p=3: real(phase, p) * (1.0 + 1e-7))
         code, out = run_cli(capsys, "spectrum", "--phase-min", "6.2831852",
                             "--phase-max", "6.28318529", "--phase-steps", "3")
         assert code == 1

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotvac.constants import NATURAL
-from oracles import (Direction, angular_weight_kernel, polarization_basis,
-                     polarization_sum_matrix, project_fields_to_tetrad,
-                     project_fields_via_tensor)
-from rotvac.fields import angular_weight_kernel_grid
+from oracles import (Direction, angular_weight_kernel, angular_weight_kernel_grid,
+                     polarization_basis, polarization_sum_matrix,
+                     project_fields_to_tetrad, project_fields_via_tensor)
 from rotvac.kinematics import RotationParams
 from rotvac.montecarlo import ModeSet, draw_phases, eval_lab_fields
 from rotvac.numerics import integrate_sphere

@@ -7,13 +7,13 @@ import pytest
 from numpy.random import Philox
 from scipy.stats import ks_2samp
 
-from oracles import (delta_to_tau, empirical_cf_per_seed, lab_field_design,
-                     lab_fields_mode_sum, write_manifest)
+from oracles import (angular_weight_kernel_grid, delta_to_tau, empirical_cf_per_seed,
+                     lab_field_design, lab_fields_mode_sum, ladder_phase, write_manifest)
 from rotvac import montecarlo, validation
 from rotvac.cf_continuous import em_cf_continuous, em_cf_tensor_quadrature
-from rotvac.cf_discrete import em_cf_discrete, ladder_phase
+from rotvac.cf_discrete import em_cf_discrete
 from rotvac.constants import NATURAL, SI
-from rotvac.fields import angular_weight_kernel_grid, projection_rows
+from rotvac.fields import projection_rows
 from rotvac.kinematics import RotationParams, lab_position
 from rotvac.montecarlo import (BLOCK_ELEMENTS, EmpiricalEnergyDensity, ModeSet,
                                build_mode_set, draw_phases,

@@ -277,8 +277,20 @@ class TestIntegrateSphere:
         val, _ = integrate_sphere(kz4)
         assert val == pytest.approx(4.0 * math.pi / 5.0, rel=1e-12)
 
+    def test_axis_whose_norm_underflows(self):
+        # the norm of the axis is taken without squaring its components
+        def f(k):
+            return (1.0 + 0.9 * (k @ [0.6, -0.8, 0.0])) ** -4
+        unit, _ = integrate_sphere(f, axis=(0.6, -0.8, 0.0))
+        val, _ = integrate_sphere(f, axis=(3e-300, -4e-300, 0.0))
+        assert val == pytest.approx(unit, rel=1e-14)
+        # a subnormal axis carries fewer digits, so its rule is off the peak
+        val, _ = integrate_sphere(f, axis=(1.5e-311, -2e-311, 0.0))
+        assert val == pytest.approx(unit, rel=1e-10)
+
     @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0),
-                                      (0.0, 0.0, 1.0)])
+                                      (0.0, 0.0, 1.0), (math.inf, 0.0, 0.0),
+                                      (1e-320, 0.0, 1e-320)])
     def test_bad_axis_rejected(self, axis):
         with pytest.raises(ValueError):
             integrate_sphere(lambda k: k[..., 0], axis=axis)

@@ -84,7 +84,6 @@ def test_no_module_imports_perfbench(path):
 
 P = RotationParams.from_beta(1.0, 0.3, NATURAL)
 TAU = 1.3                                   # a lag of 1.36 rad at beta 0.3
-KX, KY = np.array([0.6, 0.0, -0.36]), np.array([0.0, 0.8, 0.48])   # unit-vector components
 
 
 def _from_beta(beta):
@@ -115,9 +114,6 @@ FLOAT_CALLS = {
     "fields.projection_rows": {
         "tau1": lambda x: fields.projection_rows((1, 2), "EH", P, x, TAU),
         "tau2": lambda x: fields.projection_rows((1, 2), "EH", P, 0.0, x)},
-    "fields.diag_bracket": {"delta": lambda x: fields.diag_bracket((3, 3), P, x, KX, KY)},
-    "fields.angular_weight_kernel_grid": {
-        "delta": lambda x: fields.angular_weight_kernel_grid(KX, KY, x, P)},
     "cf_continuous.shape_constant": {"delta": lambda x: cfc.shape_constant(P, x)},
     "cf_continuous.sin_power_integral": {"k": lambda x: cfc.sin_power_integral(5, x)},
     "cf_continuous.phi_kernel_integral": {"b": lambda x: cfc.phi_kernel_integral(2, x)},
@@ -139,7 +135,6 @@ FLOAT_CALLS = {
     "cf_discrete.rotation_temperature": {
         "beta": lambda x: cfd.rotation_temperature(_from_beta(x)),
         "omega": lambda x: cfd.rotation_temperature(_from_omega(x))},
-    "cf_discrete.ladder_phase": {"delta": lambda x: cfd.ladder_phase(x, KY, P)},
     "cf_discrete.cubic_ladder_sum_closed": {"phase": cfd.cubic_ladder_sum_closed},
     "cf_discrete.linear_ladder_sum_closed": {"phase": cfd.linear_ladder_sum_closed},
     "cf_discrete.thermal_ladder_integral": {
@@ -253,12 +248,9 @@ def test_float_arguments_give_finite_values_or_typed_errors(name, arg, x):
     (lambda: fields.projection_matrix(math.nan, 0.3), "finite alpha"),
     (lambda: fields.projection_matrix(1.0, math.nan), "0 <= beta < 1"),
     (lambda: fields.projection_matrix(1.0, 1.0), "0 <= beta < 1"),
-    (lambda: fields.diag_bracket((1, 1), P, math.inf, KX, KY), "lag delta"),
     (lambda: cfc.shape_constant(P, -math.inf), "lag delta"),
-    (lambda: cfd.ladder_phase(math.nan, KY, P), "lag delta"),
 ], ids=["alpha-nan", "alpha-overflow", "cf-nan-tau", "projection-nan-alpha",
-        "projection-nan-beta", "projection-luminal-beta", "diag-bracket-inf",
-        "shape-constant-inf", "ladder-phase-nan"])
+        "projection-nan-beta", "projection-luminal-beta", "shape-constant-inf"])
 def test_non_finite_time_lag_angle_or_speed_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()
