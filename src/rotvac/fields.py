@@ -28,6 +28,22 @@ __all__ = [
 POLE_TOL = 1e-8  # directions this close to +/- z use the (x, y) basis
 
 
+def _projection_entries(alpha: float, beta: float):
+    """The 36 entries of projection_matrix(alpha, beta), as six rows of six
+    floats: the one implementation of the projection, which
+    projection_matrix and projection_rows read."""
+    if not (math.isfinite(alpha) and 0.0 <= beta < 1.0):
+        raise ValueError(f"need a finite alpha and 0 <= beta < 1, got {alpha!r}, {beta!r}")
+    g = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    return ((g * ca, g * sa, 0.0, 0.0, 0.0, -beta * g),
+            (-sa, ca, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, g, beta * g * ca, beta * g * sa, 0.0),
+            (0.0, 0.0, beta * g, g * ca, g * sa, 0.0),
+            (0.0, 0.0, 0.0, -sa, ca, 0.0),
+            (-beta * g * ca, -beta * g * sa, 0.0, 0.0, 0.0, g))
+
+
 def projection_matrix(alpha: float, beta: float) -> np.ndarray:
     """6x6 map from lab (E1,E2,E3,H1,H2,H3) to tetrad (E_(1..3), H_(1..3)).
 
@@ -35,25 +51,15 @@ def projection_matrix(alpha: float, beta: float) -> np.ndarray:
     rotation phase of the tetrad, beta the orbital speed.  ValueError unless
     alpha is finite and 0 <= beta < 1.
     """
-    if not (math.isfinite(alpha) and 0.0 <= beta < 1.0):
-        raise ValueError(f"need a finite alpha and 0 <= beta < 1, got {alpha!r}, {beta!r}")
-    g = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    m = np.zeros((6, 6))
-    m[0, 0], m[0, 1], m[0, 5] = g * ca, g * sa, -beta * g
-    m[1, 0], m[1, 1] = -sa, ca
-    m[2, 2], m[2, 3], m[2, 4] = g, beta * g * ca, beta * g * sa
-    m[3, 3], m[3, 4], m[3, 2] = g * ca, g * sa, beta * g
-    m[4, 3], m[4, 4] = -sa, ca
-    m[5, 5], m[5, 0], m[5, 1] = g, -beta * g * ca, -beta * g * sa
-    return m
+    return np.array(_projection_entries(alpha, beta))
 
 
 def projection_rows(pair, kind: str, params: RotationParams, tau1: float,
                     tau2: float) -> np.ndarray:
     """The two rows of projection_matrix that a two-point function of
     (kind, pair) contracts: tetrad component pair[0] of field kind[0] at
-    tau1, and component pair[1] of field kind[1] at tau2.  Shape (2, 6).
+    tau1, and component pair[1] of field kind[1] at tau2.  Shape (2, 6);
+    no 6x6 array is built.
 
     Raises ValueError unless kind is "EE", "HH" or "EH" and both components
     are 1, 2 or 3.
@@ -63,7 +69,7 @@ def projection_rows(pair, kind: str, params: RotationParams, tau1: float,
     if len(pair) != 2 or not all(a in (1, 2, 3) for a in pair):
         raise ValueError(f"component indices must be 1..3, got {pair!r}")
     return np.array([
-        projection_matrix(params.alpha(tau), params.beta)[int(a) - 1 + (3 if field == "H" else 0)]
+        _projection_entries(params.alpha(tau), params.beta)[int(a) - 1 + (3 if field == "H" else 0)]
         for field, a, tau in zip(kind, pair, (tau1, tau2))])
 
 

@@ -17,14 +17,16 @@ resolves the near-luminal (1 + k u)^-4 peaks when the axis is the one the
 integrand depends on.  Abel summation has one route, since every series
 that the package sums diverges; it evaluates the terms once, in extended
 precision, sums a_n e^(-eta n) over a prefix of them for each eta of a
-geometric grid, and extrapolates eta -> 0 with a Neville table; the weights e^(-eta n) of each
-eta come from two short exponential ladders, in blocks of ABEL_BLOCK terms.
-The grid, 15 etas three to an octave from 0.14 down to 0.0055, was chosen by
-a scan against the closed ladder sums sum n^p cos(n phi), p = 3 and 1: on 52
-phases in [0.6, 5.7] the cubic relative error has p90 2.8e-8 and max 3.5e-8
-(the linear 2.0e-13 and 3.8e-13), and at ten phases within 0.45 of a
-resonance, from 0.1 to 2 pi - 0.08, every error is below that of the sparser,
-longer grid 0.1 * 2^-j, j < 7.
+geometric grid, and extrapolates eta -> 0 with a Neville table.  The
+weights e^(-eta n) of each eta come from two short exponential ladders, in
+blocks of ABEL_BLOCK terms; they and the 80-bit indices n, which every terms
+function receives read-only, are built once per process.  The grid, 15 etas
+three to an octave from 0.14 down to 0.0055, was chosen by a scan against
+the closed ladder sums sum n^p cos(n phi), p = 3 and 1: on 52 phases in
+[0.6, 5.7] the cubic relative error has p90 2.8e-8 and max 3.5e-8 (the
+linear 2.0e-13 and 3.8e-13), and at ten phases within 0.45 of a resonance,
+from 0.1 to 2 pi - 0.08, every error is below that of the sparser, longer
+grid 0.1 * 2^-j, j < 7.
 """
 
 from __future__ import annotations
@@ -276,29 +278,44 @@ def _abel_weights(eta: float, stop: int) -> np.ndarray:
     return w.ravel()[1:stop + 1]
 
 
-def _abel_sums(terms: Callable) -> list:
-    """sum_{n <= stop} a_n e^(-eta n) for each eta of ABEL_ETA_GRID, with the
-    terms evaluated once, in extended precision, on the longest prefix."""
+@functools.lru_cache(maxsize=1)
+def _abel_table():
+    """The indices n = 1..max(stop), in extended precision, and the weights
+    _abel_weights(eta, stop) of each eta of ABEL_ETA_GRID.  They depend on the
+    grid alone, so they are built once per process, on the first call.
+    Cached, so read-only."""
     # each eta sums a prefix of the terms, up to eta n = 3 ln(3 / eta) + 50: the
     # tail of a cubic-growth series beyond it is below the 80-bit roundoff of
     # the sum of |a_n| e^(-eta n)
     stops = [int((3.0 * math.log(max(4.0, 3.0 / eta)) + 50.0) / eta) + 10
              for eta in ABEL_ETA_GRID]
     n = np.arange(1, max(stops) + 1, dtype=np.longdouble)
+    weights = tuple(_abel_weights(eta, stop) for eta, stop in zip(ABEL_ETA_GRID, stops))
+    for arr in (n, *weights):
+        arr.flags.writeable = False
+    return n, weights
+
+
+def _abel_sums(terms: Callable) -> list:
+    """sum_{n <= stop} a_n e^(-eta n) for each eta of ABEL_ETA_GRID, with the
+    terms evaluated once, in extended precision, on the longest prefix."""
+    n, weights = _abel_table()
     a = np.asarray(terms(n), dtype=np.longdouble)
-    return [(a[:stop] * _abel_weights(eta, stop)).sum(dtype=np.longdouble)
-            for eta, stop in zip(ABEL_ETA_GRID, stops)]
+    return [(a[:w.size] * w).sum(dtype=np.longdouble) for w in weights]
 
 
 def abel_sum(terms: Callable) -> SeriesSumResult:
     """Abel-regularized value of sum_{n>=1} a_n for polynomially bounded a_n.
 
-    ``terms`` maps an array of indices n to a_n.  abel_sum evaluates
-    sum a_n e^(-eta n) on a decreasing eta grid and extrapolates eta -> 0; a
-    convergent series gets its ordinary sum.  The terms are evaluated once,
-    in extended precision; each eta weighs its prefix by _abel_weights:
-    stop / ABEL_BLOCK + ABEL_BLOCK exps, not stop.  The n = 0 term of the
-    target ladders vanishes identically and is omitted.  SeriesError when the
+    ``terms`` maps an array of indices n to a_n; it receives one read-only
+    extended-precision array n = 1, 2, ... and must not write into it.
+    abel_sum evaluates sum a_n e^(-eta n) on a decreasing eta grid and
+    extrapolates eta -> 0; a convergent series gets its ordinary sum.  The
+    terms are evaluated once, in extended precision; each eta weighs its
+    prefix by _abel_weights (stop / ABEL_BLOCK + ABEL_BLOCK exps, not stop),
+    and the indices and weights are memoised (_abel_table), so they are
+    built once per process, not per call.  The n = 0 term of the target
+    ladders vanishes identically and is omitted.  SeriesError when the
     extrapolation does not stabilize.
     """
     sums = _abel_sums(terms)

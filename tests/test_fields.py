@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotvac.constants import NATURAL
+from rotvac.fields import projection_matrix, projection_rows
 from oracles import (Direction, angular_weight_kernel, angular_weight_kernel_grid,
                      polarization_basis, polarization_sum_matrix,
                      project_fields_to_tetrad, project_fields_via_tensor)
@@ -66,6 +68,20 @@ class TestProjection:
         direct = project_fields_to_tetrad(lab, p, tau)
         tensor = project_fields_via_tensor(lab, p, tau)
         assert np.max(np.abs(direct - tensor)) < 1e-12
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0 - 1e-6])
+    @pytest.mark.parametrize("kind", ["EE", "HH", "EH"])
+    def test_rows_are_rows_of_the_matrix(self, kind, beta):
+        # bit for bit, signed zeros included (alpha 0 and beta 0 give -0.0)
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        taus = [a / (p.omega * p.gamma) for a in (0.0, 0.7, math.pi / 2, math.pi, 5.0)]
+        for pair in itertools.product((1, 2, 3), repeat=2):
+            for tau1, tau2 in itertools.product(taus, repeat=2):
+                rows = projection_rows(pair, kind, p, tau1, tau2)
+                ref = np.array([projection_matrix(p.alpha(tau), p.beta)[a - 1 + 3 * (f == "H")]
+                                for f, a, tau in zip(kind, pair, (tau1, tau2))])
+                assert np.array_equal(rows, ref), (pair, tau1, tau2)
+                assert np.array_equal(np.signbit(rows), np.signbit(ref)), (pair, tau1, tau2)
 
 
 class TestPolarization:

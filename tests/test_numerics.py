@@ -325,8 +325,10 @@ class TestAbelSum:
         assert len(calls) == 1
 
     def test_exp_elements_per_call(self, monkeypatch):
-        # two ladders of about sqrt(stop) exponentials per eta; one 80-bit
-        # exp per term and eta would pass sum(stops) = 56,851 elements
+        # cold: two ladders of about sqrt(stop) exponentials per eta; one
+        # 80-bit exp per term and eta would pass sum(stops) = 56,851 elements.
+        # Warm: the weights are memoised, so a second call takes no exp
+        numerics._abel_table.cache_clear()
         counted = []
         exp = np.exp
 
@@ -340,6 +342,48 @@ class TestAbelSum:
         abel_sum(lambda n: n**3 * np.cos(n * 2.0))
         assert 0 < sum(counted) <= 4096
         assert len(counted) == 2 * len(ABEL_ETA_GRID)
+        counted.clear()
+        abel_sum(lambda n: n**3 * np.cos(n * 2.0))
+        assert sum(counted) == 0
+
+    @pytest.mark.parametrize("p", [3, 1], ids=["cubic", "linear"])
+    def test_cold_and_warm_table_agree(self, p):
+        def sums_and_value(ph):
+            def terms(n):
+                return n**p * np.cos(n * ph)
+            res = abel_sum(terms)
+            return numerics._abel_sums(terms), res.value, res.extrapolation_error_estimate
+
+        phases = [0.15, 0.6, 2.0, 3.7, 6.1]
+        cold = []
+        for ph in phases:
+            numerics._abel_table.cache_clear()
+            cold.append(sums_and_value(ph))
+        assert cold == [sums_and_value(ph) for ph in phases]
+
+    def test_cached_sums_equal_per_call_composition(self):
+        # the prefix of each eta, up to eta n = 3 ln(3 / eta) + 50, with its
+        # weights built on the spot, not read from the table
+        stops = [int((3.0 * math.log(max(4.0, 3.0 / eta)) + 50.0) / eta) + 10
+                 for eta in ABEL_ETA_GRID]
+        n = np.arange(1, max(stops) + 1, dtype=np.longdouble)
+        for p, ph in [(3, 0.4), (3, 2.0), (1, 5.9), (1, math.pi)]:
+            def terms(n, p=p, ph=ph):
+                return n**p * np.cos(n * ph)
+            a = np.asarray(terms(n), dtype=np.longdouble)
+            direct = [(a[:stop] * numerics._abel_weights(eta, stop)).sum(dtype=np.longdouble)
+                      for eta, stop in zip(ABEL_ETA_GRID, stops)]
+            assert numerics._abel_sums(terms) == direct
+
+    def test_cached_table_is_read_only(self):
+        n, weights = numerics._abel_table()
+        assert n.dtype == np.longdouble and len(weights) == len(ABEL_ETA_GRID)
+        for arr in (n, *weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        seen = []
+        abel_sum(lambda n: seen.append(n.flags.writeable) or n * np.cos(n * 2.0))
+        assert seen == [False]
 
     def test_weights_match_extended_exp(self):
         # every eta over its full prefix, against e^(-eta n) with the
