@@ -1,7 +1,10 @@
 """Continuous-spectrum two-point correlation functions along the rotating
 worldline: printed closed forms, and one angular quadrature for any
-component pair, the lab-frame kernel of the two projection rows
-(fields._lab_kernel) against the regularized radial factor.
+component pair and for the scalar.  Every CF quadrature, here and in
+cf_discrete, integrates the one sphere integrand of _cf_sphere: a weight,
+the lab-frame kernel of the two projection rows (fields._lab_kernel) or 1
+for the scalar, times a radial factor of khat . chord, with the pole of the
+sphere rule on the chord.
 
 All two-time functions are stationary (depend on tau2 - tau1 only) and carry
 the universal (lab time difference)^-4 scaling for the electromagnetic field,
@@ -139,35 +142,54 @@ def _closed_form_11(params: RotationParams, delta: float, dt_lab: float) -> floa
     )
 
 
-def _chord(params: RotationParams, tau1: float, tau2: float):
-    """(chord, c dt, axis): the lab chord r(tau1) - r(tau2) over c dt = c (t(tau1)
-    - t(tau2)), and the pole of the sphere rule: the chord, or y where it vanishes."""
+def _cf_sphere(rows, params: RotationParams, tau1: float, tau2: float):
+    """(delta, dt_lab, axis, weighted), the one sphere integrand of every CF
+    quadrature: weighted(radial) is khat -> weight(khat) radial(khat . chord),
+    chord = (r(tau1) - r(tau2)) / c (t(tau1) - t(tau2)), with the weight the
+    lab kernel of rows (projection_rows) or 1 for rows None, the scalar; axis,
+    the rule's pole, is the chord, or y where it vanishes.  Callers form the
+    rows in the call, so the pair and kind are checked before the lag (_lag),
+    and the lag before the chord, whose c dt it keeps non-zero."""
+    delta, dt_lab = _lag(params, tau1, tau2)
     t1, x1, y1, _ = lab_position(params, tau1)
     t2, x2, y2, _ = lab_position(params, tau2)
     dx, dy, cdt = x1 - x2, y1 - y2, params.constants.c * (t1 - t2)
-    return np.array([dx / cdt, dy / cdt, 0.0]), cdt, (dx, dy, 0.0) if dx or dy else (0.0, 1.0, 0.0)
+    chord = np.array([dx / cdt, dy / cdt, 0.0])
+    axis = (dx, dy, 0.0) if dx or dy else (0.0, 1.0, 0.0)
+    if rows is None:
+        def weighted(radial):
+            # one 2-D product: matmul over the (..., 3) stack costs twice as much
+            return lambda khat: radial((khat.reshape(-1, 3) @ chord).reshape(khat.shape[:-1]))
+    else:
+        kernel = _lab_kernel(*rows, chord)
+
+        def weighted(radial):
+            def integrand(khat):
+                weight, proj = kernel(khat)
+                return weight * radial(proj)
+            return integrand
+    return delta, dt_lab, axis, weighted
 
 
-def _tensor_quadrature(rows, params: RotationParams, tau1: float, tau2: float,
-                       tol: float) -> float:
-    """hbar c / (4 pi^2 (c dt)^4) times the sphere integral of the lab kernel
-    of the rows (row1 at tau1, row2 at tau2) against the regularized radial
-    integral 6 / (khat . chord - 1)^4, whose fourth power is two squarings.
-    The integrand is dimensionless, so that the rule's absolute floor means
-    the same in every unit system.
+def _quadrature(pair, kind: str, rows, params: RotationParams, tau1: float, tau2: float,
+                tol: float) -> CFValue:
+    """hbar c / (4 pi^2 (c dt)^q) times the sphere integral of the weight of
+    rows (_cf_sphere) against the regularized radial integral of its field:
+    6 / (khat . chord - 1)^4 and q = 4 for the electromagnetic field,
+    -1 / (1 - khat . chord)^2 and q = 2 for the scalar (rows None).  The
+    integrand is dimensionless, so that the rule's absolute floor means the
+    same in every unit system.
     """
-    chord, cdt, axis = _chord(params, tau1, tau2)
-    kernel = _lab_kernel(*rows, chord)
-
-    def integrand(khat):
-        value, phase = kernel(khat)
-        geom = phase - 1.0
-        geom *= geom
-        return value * 6.0 / (geom * geom)
-
-    val, _ = integrate_sphere(integrand, tol, axis=axis)
+    _, dt_lab, axis, weighted = _cf_sphere(rows, params, tau1, tau2)
+    if rows is None:
+        q, radial = 2, lambda proj: -1.0 / (1.0 - proj) ** 2
+    else:   # the fourth power as two squarings
+        q, radial = 4, lambda proj: 6.0 / ((proj - 1.0) ** 2) ** 2
+    val, _ = integrate_sphere(weighted(radial), tol, axis=axis)
     const = params.constants
-    return const.hbar * const.c / (4.0 * math.pi**2) * val / cdt**4
+    value = const.hbar * const.c / (4.0 * math.pi**2) * val / (const.c * dt_lab) ** q
+    return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2, spectrum="continuous",
+                   value=value, method="quadrature")
 
 
 def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
@@ -177,11 +199,8 @@ def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
     own worldline phases, and the mode phase from the actual lab positions
     (no stationarity variable change).  The quadrature route of em_cf_continuous.
     """
-    rows = projection_rows(pair, kind, params, tau1, tau2)
-    _lag(params, tau1, tau2)      # the coincidence guard and the range check
-    return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2, spectrum="continuous",
-                   value=_tensor_quadrature(rows, params, tau1, tau2, tol),
-                   method="quadrature")
+    return _quadrature(pair, kind, projection_rows(pair, kind, params, tau1, tau2),
+                       params, tau1, tau2, tol)
 
 
 def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
@@ -200,19 +219,15 @@ def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
     for separated times (it is antisymmetric under swapping the component
     order and only dies at coincidence), so it is computed honestly.
     """
-    rows = projection_rows(pair, kind, params, tau1, tau2)
-    delta, dt_lab = _lag(params, tau1, tau2)
-
-    if method == "closed-form":
-        if pair != (1, 1) or kind == "EH":
-            raise ValueError(
-                f"no closed form for pair {pair!r} kind {kind!r}; use method='quadrature'"
-            )
-        value = _closed_form_11(params, delta, dt_lab)
-    elif method == "quadrature":
-        value = _tensor_quadrature(rows, params, tau1, tau2, tol)
-    else:
+    if method == "quadrature":
+        return _quadrature(pair, kind, projection_rows(pair, kind, params, tau1, tau2),
+                           params, tau1, tau2, tol)
+    if method != "closed-form":
         raise ValueError(f"unknown method {method!r}")
+    if not (pair == (1, 1) and kind in ("EE", "HH")):
+        raise ValueError(f"no closed form for pair {pair!r} kind {kind!r}; "
+                         "use method='quadrature'")
+    value = _closed_form_11(params, *_lag(params, tau1, tau2))
     return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
                    spectrum="continuous", value=value, method=method)
 
@@ -240,19 +255,9 @@ def scalar_cf_quadrature(tau1, tau2, params: RotationParams,
     """Scalar CF via angular quadrature of the regularized radial integral.
 
     The radial integral int_0^inf k cos(k G) dk carries its regularized value
-    -1/G^2 with G the direction-dependent phase coefficient; the directions
-    are integrated numerically.  Oracle for scalar_cf_continuous.
+    -1/G^2 with G = c dt (1 - khat . chord) the direction-dependent phase
+    coefficient; the directions are integrated numerically, with the pole of
+    the rule on the chord as for every CF quadrature.  Oracle for
+    scalar_cf_continuous.
     """
-    delta, dt_lab = _lag(params, tau1, tau2)
-    const = params.constants
-    B = const.c * dt_lab
-    E0 = 2.0 * params.radius * math.sin(delta / 2.0)
-
-    def integrand(khat):
-        # G / B, dimensionless as in em_cf_tensor_quadrature
-        return -1.0 / (1.0 - (E0 / B) * khat[..., 1]) ** 2
-
-    val, _ = integrate_sphere(integrand, tol)
-    value = const.hbar * const.c / (4.0 * math.pi**2) * val / B**2
-    return CFValue(kind="scalar", pair=(0, 0), tau1=tau1, tau2=tau2,
-                   spectrum="continuous", value=value, method="quadrature")
+    return _quadrature((0, 0), "scalar", None, params, tau1, tau2, tol)

@@ -22,10 +22,11 @@ the same lag, which the split takes from the closed forms of cf_continuous.
     phase = delta (1 - khat . chord),   chord = (r(tau1) - r(tau2)) / c (t(tau1) - t(tau2)),
 
 with delta the angular lag and khat the propagation direction; it runs over
-delta -/+ 2 beta sin(delta/2).  Each ladder is integrated over the
-directions against the weight of the continuous CF of its field: the lab
-kernel of the projection rows (fields._lab_kernel) for the electromagnetic
-field, 1 for the scalar.
+delta -/+ 2 beta sin(delta/2).  Each ladder is the radial factor of the
+one CF sphere integrand (cf_continuous._cf_sphere), so it is integrated
+over the directions against the weight of the continuous CF of its field:
+the lab kernel of the projection rows for the electromagnetic field, 1 for
+the scalar.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, zeta
 
-from .cf_continuous import CFValue, _chord, _closed_form_11, _lag, _scalar_closed_form
-from .fields import _lab_kernel, projection_rows
+from .cf_continuous import CFValue, _cf_sphere, _closed_form_11, _scalar_closed_form
+from .fields import projection_rows
 from .kinematics import RotationParams
 from .numerics import DEFAULT_TOL, _power, integrate_sphere
 
@@ -128,10 +129,10 @@ def thermal_ladder_integral(phase, p: int = 3):
     with x = |phase| / 2 pi and psi_p the polygamma function (DLMF 5.15.1),
     for odd p >= 1; vectorized in phase.  1 - x is formed as (2 pi - |phase|)
     / 2 pi with 2 pi carried as two floats, so that it keeps its digits as
-    |phase| nears 2 pi.
+    |phase| nears 2 pi.  ValueError unless p is an odd integer >= 1.
     """
-    if p < 1 or p % 2 == 0:
-        raise ValueError(f"closed form holds for odd p >= 1, got p = {p!r}")
+    if not (p >= 1 and p % 2 == 1):     # False for a fraction and for NaN
+        raise ValueError(f"closed form holds for odd integers p >= 1, got p = {p!r}")
     phase = np.abs(np.asarray(phase, dtype=float))
     if not np.all(phase < TWO_PI):
         raise ResonanceError(
@@ -179,33 +180,22 @@ def _check_resonances(delta: float, params: RotationParams):
     return lo, hi
 
 
-def _ladder_cf(kind: str, pair, prefactor, tau1, tau2, params: RotationParams,
+def _ladder_cf(kind: str, pair, rows, prefactor, tau1, tau2, params: RotationParams,
                tol: float, split: bool, ladder, continuous, p: int, sign: float):
     """CF whose value is pref = prefactor() times the sphere integral of the
-    weight times ladder(delta (1 - khat . chord)), with the pole of the rule
-    on the chord (cf_continuous._chord).  The weight is the lab kernel of
-    the projection rows of (pair, kind), or 1 for the scalar.  With
-    split=True also returns a ThermalSplit of the continuous CF
-    continuous(params, delta, dt_lab) and the same sphere integral of
-    sign * thermal_ladder_integral(phase, p).  pref is computed after the
-    lag's range check, and an OverflowError from it names its power.
+    weight of rows times ladder(delta (1 - khat . chord)), the integrand of
+    cf_continuous._cf_sphere.  With split=True also returns a
+    ThermalSplit of the continuous CF continuous(params, delta, dt_lab) and
+    the same sphere integral of sign * thermal_ladder_integral(phase, p).
+    pref is computed after the lag's range check, and an OverflowError from
+    it names its power.
     """
-    delta, dt_lab = _lag(params, tau1, tau2)
+    delta, dt_lab, axis, weighted = _cf_sphere(rows, params, tau1, tau2)
     pref = prefactor()
     lo, hi = _check_resonances(delta, params)
-    chord, _, axis = _chord(params, tau1, tau2)
-    if kind == "scalar":
-        def kernel(khat):
-            # one 2-D product: matmul over the (..., 3) stack costs twice as much
-            return 1.0, (khat.reshape(-1, 3) @ chord).reshape(khat.shape[:-1])
-    else:
-        kernel = _lab_kernel(*projection_rows(pair, kind, params, tau1, tau2), chord)
 
     def over_sphere(f):
-        def integrand(khat):
-            weight, proj = kernel(khat)
-            return weight * f(delta * (1.0 - proj))
-        val, _ = integrate_sphere(integrand, tol, axis=axis)
+        val, _ = integrate_sphere(weighted(lambda proj: f(delta * (1.0 - proj))), tol, axis=axis)
         return pref * val
 
     cf = CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
@@ -237,7 +227,7 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
     """
     const = params.constants
     return _ladder_cf(
-        "EE", (1, 1),
+        "EE", (1, 1), projection_rows((1, 1), "EE", params, tau1, tau2),
         lambda: const.hbar * _power(params.omega, 4, "omega") / (4.0 * math.pi**2 * const.c**3),
         tau1, tau2, params, tol, split,
         ladder=cubic_ladder_sum_closed, continuous=_closed_form_11, p=3, sign=1.0)
@@ -254,7 +244,7 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams,
     const = params.constants
     k0 = params.omega / const.c
     return _ladder_cf(
-        "scalar", (0, 0),
+        "scalar", (0, 0), None,
         lambda: const.hbar * const.c * _power(k0, 2, "k0 = omega / c") / (4.0 * math.pi**2),
         tau1, tau2, params, tol, split,
         ladder=linear_ladder_sum_closed, continuous=_scalar_closed_form, p=1, sign=-1.0)

@@ -239,8 +239,11 @@ def draw_phases(mode_set: ModeSet, seed: int, index: int = 0) -> np.ndarray:
     Returns the (M, Q, 2) uint32 lattice indices j of the phases
     phi = j LATTICE_STEP, one per (node, radial, polarization) mode.  Mode
     2w takes the top LATTICE_BITS bits of the low 32-bit half of the
-    stream's word w, mode 2w + 1 those of its high half.
+    stream's word w, mode 2w + 1 those of its high half.  ValueError unless
+    seed and index are uint64s.
     """
+    if not 0 <= index < 2**64:
+        raise ValueError(f"index must be in [0, 2**64), got {index!r}")
     lattice = _draw_block(seed, range(index, index + 1), mode_set.mode_count, 0)
     return lattice.reshape(mode_set.amp.shape + (2,))
 

@@ -212,14 +212,18 @@ class TestEmContinuous:
 
     def test_tensor_route_on_a_chord_whose_norm_underflows(self):
         # chords below about 1e-154 have a norm that underflows; the rule's
-        # pole still sits on them, and the value is that of the static orbit
+        # pole still sits on them, and the value is that of the static orbit,
+        # for the electromagnetic and the scalar quadrature
         p0 = RotationParams.from_beta(1.0, 0.0, NATURAL)
-        static = em_cf_tensor_quadrature((1, 1), "EE", 0.0, 1.0, p0).value
-        assert static == pytest.approx(
-            em_cf_continuous((1, 1), "EE", 0.0, 1.0, p0, "closed-form").value, rel=1e-14)
-        for p in (RotationParams.from_beta(1.0, 1e-300, NATURAL),
-                  RotationParams(omega=1.0, radius=1e-170, constants=NATURAL)):
-            assert em_cf_tensor_quadrature((1, 1), "EE", 0.0, 1.0, p).value == static
+        routes = ((lambda p: em_cf_tensor_quadrature((1, 1), "EE", 0.0, 1.0, p),
+                   em_cf_continuous((1, 1), "EE", 0.0, 1.0, p0, "closed-form")),
+                  (lambda p: scalar_cf_quadrature(0.0, 1.0, p), scalar_cf_continuous(0.0, 1.0, p0)))
+        for route, closed in routes:
+            static = route(p0).value
+            assert static == pytest.approx(closed.value, rel=1e-14)
+            for p in (RotationParams.from_beta(1.0, 1e-300, NATURAL),
+                      RotationParams(omega=1.0, radius=1e-170, constants=NATURAL)):
+                assert route(p).value == static
 
     def test_z_coupled_off_diagonals_vanish(self):
         p = RotationParams.from_beta(1.0, 0.5, NATURAL)
@@ -326,6 +330,41 @@ class TestScalarContinuous:
         closed = scalar_cf_continuous(0.0, tau2, p)
         quad = scalar_cf_quadrature(0.0, tau2, p)
         assert quad.value == pytest.approx(closed.value, rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.9, 1.0 - 1e-8])
+    def test_quadrature_integrand_has_its_pole_on_the_chord(self, monkeypatch, beta):
+        # as for the tensor route: the rule's axis lies along the chord, and
+        # the integrand is -1 / (1 - khat . chord)^2 at random directions and
+        # along +/- the axis, at orbit phase 0 and away from it.  The bound is
+        # 1e-13 of the rounding scale of 1 - khat . chord, squared
+        captured = []
+        monkeypatch.setattr(
+            cfc, "integrate_sphere",
+            lambda f, tol, axis=(0.0, 1.0, 0.0): captured.append((f, axis)) or (0.0, 0.0))
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        rng = np.random.default_rng(20261021)
+        u = 1.0 - np.logspace(-16, -0.01, 64)
+        for tau1 in (0.0, 0.8):
+            for delta in (0.1, 1.0, 3.0, 6.0):
+                tau2 = tau1 + delta_to_tau(p, delta)
+                t1, x1, y1, _ = lab_position(p, tau1)
+                t2, x2, y2, _ = lab_position(p, tau2)
+                chord = np.array([x1 - x2, y1 - y2, 0.0]) / (t1 - t2)
+                scalar_cf_quadrature(tau1, tau2, p)
+                integrand, axis = captured.pop()
+                a = np.asarray(axis) / np.linalg.norm(axis)
+                assert a[2] == 0.0
+                assert abs(a[0] * chord[1] - a[1] * chord[0]) <= 1e-15 * np.linalg.norm(chord)
+                along = u[:, None] * a + np.sqrt(1.0 - u * u)[:, None] * [a[1], -a[0], 0.0]
+                k = rng.normal(size=(4, 16, 3))
+                k /= np.linalg.norm(k, axis=-1, keepdims=True)
+                for kh in (k, along, -along):
+                    proj = kh @ chord
+                    ref = -1.0 / (1.0 - proj) ** 2
+                    got = integrand(kh)
+                    assert got.shape == kh.shape[:-1]
+                    scale = np.abs(ref) * (1.0 + 2.0 * (1.0 + np.abs(proj)) / np.abs(1.0 - proj))
+                    assert np.all(np.abs(got - ref) <= 1e-13 * scale), (tau1, delta)
 
     def test_azimuthal_identity(self):
         # int dphi (B - E sin phi)^-2 = 2 pi B / (B^2 - E^2)^(3/2)

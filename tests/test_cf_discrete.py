@@ -163,10 +163,12 @@ class TestThermalSplit:
             with pytest.raises(ResonanceError):
                 thermal_ladder_integral(np.array([0.5, 1.0, bad]), p=3)
 
-    def test_even_power_rejected(self):
-        # the polygamma form holds for odd powers only
-        with pytest.raises(ValueError):
-            thermal_ladder_integral(1.0, p=2)
+    @pytest.mark.parametrize("p", [2, 0, -1, 3.5, math.nan, math.inf])
+    def test_power_other_than_odd_integer_rejected(self, p):
+        # the polygamma form holds for odd integer powers only: a fraction
+        # or a NaN would return a number
+        with pytest.raises(ValueError, match="odd integers"):
+            thermal_ladder_integral(1.0, p=p)
 
     def test_linear_parts_signs(self):
         split = linear_ladder_split(2.0)

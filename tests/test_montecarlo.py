@@ -245,6 +245,13 @@ class TestPhases:
             with pytest.raises(ValueError):
                 draw_phases(modes, seed=seed)
 
+    def test_index_outside_uint64_rejected(self, modes):
+        # a ValueError that names the index, as for the seed
+        for index in (-1, 2**64):
+            with pytest.raises(ValueError, match="index"):
+                draw_phases(modes, seed=1, index=index)
+        assert draw_phases(modes, seed=1, index=2**64 - 1).shape == modes.amp.shape + (2,)
+
     def test_moment_laws(self, params):
         # >= 1e4 iid phases: <cos> -> 0 and <cos^2> -> 1/2 within 5 sigma
         big = build_mode_set(params, n_max=10, n_theta=16, n_phi=32)
@@ -657,7 +664,9 @@ class TestFoldedDesign:
 
 
 class TestPairValidation:
-    """Every CF route rejects a component outside 1..3 and an unknown kind."""
+    """Every CF route rejects a component outside 1..3 and an unknown kind,
+    the scalar's included: the electromagnetic routes do not fall back to
+    the scalar integrand."""
 
     ROUTES = {
         "monte-carlo": lambda pair, kind, params, ms: empirical_cf(
@@ -666,11 +675,14 @@ class TestPairValidation:
             pair, kind, 0.0, 1.0, params),
         "continuous": lambda pair, kind, params, ms: em_cf_continuous(
             pair, kind, 0.0, 1.0, params, "quadrature"),
+        "closed-form": lambda pair, kind, params, ms: em_cf_continuous(
+            pair, kind, 0.0, 1.0, params, "closed-form"),
     }
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("pair, kind", [((4, 1), "HH"), ((0, 1), "EE"), ((1, -1), "EE"),
-                                            ((1, 2, 3), "EE"), ((1, 1), "XX"), ((1, 1), "HE")])
+                                            ((1, 2, 3), "EE"), ((1, 1), "XX"), ((1, 1), "HE"),
+                                            ((0, 0), "scalar")])
     def test_rejected(self, params, modes, route, pair, kind):
         with pytest.raises(ValueError):
             self.ROUTES[route](pair, kind, params, modes)
