@@ -3,8 +3,8 @@ worldline: printed closed forms, and one angular quadrature for any
 component pair and for the scalar.  Every CF quadrature, here and in
 cf_discrete, integrates the one sphere integrand of _cf_sphere: a weight,
 the lab-frame kernel of the two projection rows (fields._lab_kernel) or 1
-for the scalar, times a radial factor of khat . chord, with the pole of the
-sphere rule on the chord.
+for the scalar, times a radial factor of 1 - khat . chord, with the pole of
+the sphere rule on the chord.
 
 All two-time functions are stationary (depend on tau2 - tau1 only) and carry
 the universal (lab time difference)^-4 scaling for the electromagnetic field,
@@ -142,49 +142,63 @@ def _closed_form_11(params: RotationParams, delta: float, dt_lab: float) -> floa
     )
 
 
-def _cf_sphere(rows, params: RotationParams, tau1: float, tau2: float):
+def _cf_sphere(rows, params: RotationParams, tau1: float, tau2: float,
+               stationary: bool = False):
     """(delta, dt_lab, axis, weighted), the one sphere integrand of every CF
-    quadrature: weighted(radial) is khat -> weight(khat) radial(khat . chord),
+    quadrature: weighted(radial) is khat -> weight(khat) radial(1 - khat . chord),
     chord = (r(tau1) - r(tau2)) / c (t(tau1) - t(tau2)), with the weight the
     lab kernel of rows (projection_rows) or 1 for rows None, the scalar; axis,
     the rule's pole, is the chord, or y where it vanishes.  Callers form the
     rows in the call, so the pair and kind are checked before the lag (_lag),
-    and the lag before the chord, whose c dt it keeps non-zero."""
+    and the lag before the chord, whose c dt it keeps non-zero.  stationary
+    (rows None) forms 1 - khat . chord as (1 - n) + n |khat - chord / n|^2 / 2,
+    n = 2 r sin(delta/2) / (c dt): the continuous scalar, -4 pi / (1 - n^2)
+    times its scale, is made of the digits of 1 - n, which the product loses
+    next to the pole, and the lab chord away from orbit phase 0."""
     delta, dt_lab = _lag(params, tau1, tau2)
     t1, x1, y1, _ = lab_position(params, tau1)
     t2, x2, y2, _ = lab_position(params, tau2)
     dx, dy, cdt = x1 - x2, y1 - y2, params.constants.c * (t1 - t2)
-    chord = np.array([dx / cdt, dy / cdt, 0.0])
     axis = (dx, dy, 0.0) if dx or dy else (0.0, 1.0, 0.0)
-    if rows is None:
-        def weighted(radial):
-            # one 2-D product: matmul over the (..., 3) stack costs twice as much
-            return lambda khat: radial((khat.reshape(-1, 3) @ chord).reshape(khat.shape[:-1]))
-    else:
-        kernel = _lab_kernel(*rows, chord)
+    if rows is not None:
+        kernel = _lab_kernel(*rows, np.array([dx / cdt, dy / cdt, 0.0]))
 
         def weighted(radial):
             def integrand(khat):
                 weight, proj = kernel(khat)
-                return weight * radial(proj)
+                return weight * radial(1.0 - proj)
             return integrand
-    return delta, dt_lab, axis, weighted
+        return delta, dt_lab, axis, weighted
+    if stationary:
+        n = 2.0 * params.radius * math.sin(delta / 2.0) / (params.constants.c * dt_lab)
+        norm = math.copysign(math.hypot(axis[0], axis[1]), cdt)
+        cx, cy = axis[0] / norm, axis[1] / norm     # the rule's axis, along the chord
+
+        def g(k):       # 1 - k . chord for k of shape (m, 3)
+            return (1.0 - n) + 0.5 * n * ((k[:, 0] - cx) ** 2 + (k[:, 1] - cy) ** 2 + k[:, 2] ** 2)
+    else:
+        chord = np.array([dx / cdt, dy / cdt, 0.0])
+
+        def g(k):       # one 2-D product: matmul over the (..., 3) stack costs twice as much
+            return 1.0 - k @ chord
+    return delta, dt_lab, axis, (
+        lambda radial: lambda khat: radial(g(khat.reshape(-1, 3))).reshape(khat.shape[:-1]))
 
 
 def _quadrature(pair, kind: str, rows, params: RotationParams, tau1: float, tau2: float,
                 tol: float) -> CFValue:
     """hbar c / (4 pi^2 (c dt)^q) times the sphere integral of the weight of
-    rows (_cf_sphere) against the regularized radial integral of its field:
-    6 / (khat . chord - 1)^4 and q = 4 for the electromagnetic field,
-    -1 / (1 - khat . chord)^2 and q = 2 for the scalar (rows None).  The
-    integrand is dimensionless, so that the rule's absolute floor means the
-    same in every unit system.
+    rows (_cf_sphere, stationary) against the regularized radial integral of
+    its field at g = 1 - khat . chord: 6 / g^4 and q = 4 for the
+    electromagnetic field, -1 / g^2 and q = 2 for the scalar (rows None).
+    The integrand is dimensionless, so that the rule's absolute floor means
+    the same in every unit system.
     """
-    _, dt_lab, axis, weighted = _cf_sphere(rows, params, tau1, tau2)
+    _, dt_lab, axis, weighted = _cf_sphere(rows, params, tau1, tau2, stationary=True)
     if rows is None:
-        q, radial = 2, lambda proj: -1.0 / (1.0 - proj) ** 2
+        q, radial = 2, lambda g: -1.0 / g**2
     else:   # the fourth power as two squarings
-        q, radial = 4, lambda proj: 6.0 / ((proj - 1.0) ** 2) ** 2
+        q, radial = 4, lambda g: 6.0 / (g**2) ** 2
     val, _ = integrate_sphere(weighted(radial), tol, axis=axis)
     const = params.constants
     value = const.hbar * const.c / (4.0 * math.pi**2) * val / (const.c * dt_lab) ** q

@@ -195,7 +195,7 @@ def _ladder_cf(kind: str, pair, rows, prefactor, tau1, tau2, params: RotationPar
     lo, hi = _check_resonances(delta, params)
 
     def over_sphere(f):
-        val, _ = integrate_sphere(weighted(lambda proj: f(delta * (1.0 - proj))), tol, axis=axis)
+        val, _ = integrate_sphere(weighted(lambda g: f(delta * g)), tol, axis=axis)
         return pref * val
 
     cf = CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,

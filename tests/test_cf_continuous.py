@@ -335,8 +335,10 @@ class TestScalarContinuous:
     def test_quadrature_integrand_has_its_pole_on_the_chord(self, monkeypatch, beta):
         # as for the tensor route: the rule's axis lies along the chord, and
         # the integrand is -1 / (1 - khat . chord)^2 at random directions and
-        # along +/- the axis, at orbit phase 0 and away from it.  The bound is
-        # 1e-13 of the rounding scale of 1 - khat . chord, squared
+        # along +/- the axis, at orbit phase 0 and away from it.  The chord's
+        # c dt is the lag's gamma (tau2 - tau1), as in the closed form: the lab
+        # times t1 - t2 cancel at beta 1 - 1e-8, tau1 0.8 (orbit phase 5657).
+        # The bound is 1e-13 of the rounding scale of 1 - khat . chord, squared
         captured = []
         monkeypatch.setattr(
             cfc, "integrate_sphere",
@@ -349,7 +351,7 @@ class TestScalarContinuous:
                 tau2 = tau1 + delta_to_tau(p, delta)
                 t1, x1, y1, _ = lab_position(p, tau1)
                 t2, x2, y2, _ = lab_position(p, tau2)
-                chord = np.array([x1 - x2, y1 - y2, 0.0]) / (t1 - t2)
+                chord = np.array([x1 - x2, y1 - y2, 0.0]) / (p.gamma * (tau1 - tau2))
                 scalar_cf_quadrature(tau1, tau2, p)
                 integrand, axis = captured.pop()
                 a = np.asarray(axis) / np.linalg.norm(axis)
@@ -411,12 +413,19 @@ class TestNearLuminal:
         assert bracket == pytest.approx(closed, rel=1e-11)
         assert tensor == pytest.approx(closed, rel=1e-11)
 
-    @pytest.mark.parametrize("beta,delta", NEAR_LUMINAL)
-    def test_scalar_quadrature(self, beta, delta):
-        p = RotationParams.from_beta(1.0, beta, NATURAL)
-        tau2 = delta_to_tau(p, delta)
-        closed = scalar_cf_continuous(0.0, tau2, p).value
-        assert scalar_cf_quadrature(0.0, tau2, p).value == pytest.approx(closed, rel=1e-11)
+    @pytest.mark.parametrize("beta,delta", [(0.99999, 0.05)] + NEAR_LUMINAL)
+    @pytest.mark.parametrize("phase", [0.0, 0.8, 5.3, 5657.0])
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_scalar_quadrature(self, units, phase, beta, delta):
+        # at every orbit phase the lag starts from: the digits of 1 - |chord|
+        # (1.1e-4 at beta 0.99999, delta 0.05) do not depend on it
+        const, omega = (NATURAL, 1.0) if units == "natural" else (SI, 2.0e3)
+        p = RotationParams.from_beta(omega, beta, const)
+        tau1 = phase / (p.omega * p.gamma)
+        tau2 = tau1 + delta_to_tau(p, delta)
+        closed = scalar_cf_continuous(tau1, tau2, p).value
+        assert scalar_cf_quadrature(tau1, tau2, p).value == pytest.approx(closed, rel=1e-11,
+                                                                          abs=0.0)
 
     @pytest.mark.parametrize("beta,delta", [(0.99, 0.1)] + NEAR_LUMINAL)
     def test_routes_in_si_units(self, beta, delta):
