@@ -4,7 +4,9 @@ component pair and for the scalar.  Every CF quadrature, here and in
 cf_discrete, integrates the one sphere integrand of _cf_sphere: a weight,
 the lab-frame kernel of the two projection rows (fields._lab_kernel) or 1
 for the scalar, times a radial factor of 1 - khat . chord, with the pole of
-the sphere rule on the chord.
+the sphere rule on the chord.  Every CF is evaluated in the lag frame, at
+the times 0 and s = tau2 - tau1, where the chord is -shape_k (-sin(delta/2),
+cos(delta/2), 0) in closed form.
 
 All two-time functions are stationary (depend on tau2 - tau1 only) and carry
 the universal (lab time difference)^-4 scaling for the electromagnetic field,
@@ -27,11 +29,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .fields import _lab_kernel, projection_rows
-from .kinematics import RotationParams, lab_position
-from .numerics import DEFAULT_TOL, integrate_sphere
+from .kinematics import RotationParams
+from .numerics import DEFAULT_TOL, QuadratureError, integrate_sphere
 
 __all__ = [
     "CoincidenceError",
@@ -66,10 +66,11 @@ class CFValue:
 
 def shape_constant(params: RotationParams, delta: float) -> float:
     """The constant -beta sin(delta/2)/(delta/2) entering all radial integrals,
-    with np.sinc stable near delta = 0; ValueError unless delta is finite."""
+    1 at delta = 0; ValueError unless delta is finite."""
     if not math.isfinite(delta):
         raise ValueError(f"lag delta must be finite, got {delta!r}")
-    return -params.beta * float(np.sinc(delta / (2.0 * math.pi)))
+    h = delta / 2.0
+    return -params.beta * (math.sin(h) / h if h else 1.0)
 
 
 def sin_power_integral(p: int, k: float) -> float:
@@ -104,13 +105,16 @@ def phi_kernel_integral(m: int, b: float) -> float:
 
 
 def _lag(params: RotationParams, tau1: float, tau2: float):
-    delta = params.alpha(tau2) - params.alpha(tau1)
+    """(delta, dt_lab) = (omega gamma s, gamma s), both from the one lag
+    s = tau2 - tau1, so that no orbit phase enters a CF."""
+    s = tau2 - tau1
+    delta = params.alpha(s)
     if abs(delta) < COINCIDENCE_TOL:
         raise CoincidenceError(
             f"|delta| = {abs(delta)!r} below the coincidence guard; "
             "two-point functions diverge there"
         )
-    dt_lab = params.gamma * (tau2 - tau1)
+    dt_lab = params.gamma * s
     # every CF carries hbar c / (c dt)^p, p <= 4: keep (c dt)^4 and the EM scale in range
     hbar_c, cdt = params.constants.hbar * params.constants.c, params.constants.c * dt_lab
     log_cdt4 = 4.0 * math.log2(abs(cdt))
@@ -142,66 +146,60 @@ def _closed_form_11(params: RotationParams, delta: float, dt_lab: float) -> floa
     )
 
 
-def _cf_sphere(rows, params: RotationParams, tau1: float, tau2: float,
-               stationary: bool = False):
+def _cf_sphere(field, params: RotationParams, tau1: float, tau2: float, tol: float):
     """(delta, dt_lab, axis, weighted), the one sphere integrand of every CF
-    quadrature: weighted(radial) is khat -> weight(khat) radial(1 - khat . chord),
-    chord = (r(tau1) - r(tau2)) / c (t(tau1) - t(tau2)), with the weight the
-    lab kernel of rows (projection_rows) or 1 for rows None, the scalar; axis,
-    the rule's pole, is the chord, or y where it vanishes.  Callers form the
-    rows in the call, so the pair and kind are checked before the lag (_lag),
-    and the lag before the chord, whose c dt it keeps non-zero.  stationary
-    (rows None) forms 1 - khat . chord as (1 - n) + n |khat - chord / n|^2 / 2,
-    n = 2 r sin(delta/2) / (c dt): the continuous scalar, -4 pi / (1 - n^2)
-    times its scale, is made of the digits of 1 - n, which the product loses
-    next to the pole, and the lab chord away from orbit phase 0."""
+    quadrature, in the lag frame: times 0 and s = tau2 - tau1 (_lag).  field
+    is the public caller's (pair, kind) of the electromagnetic field, never
+    None there, so that no EM route takes the scalar's weight, or None for
+    the scalar; its rows, projection_rows(pair, kind, params, 0.0, s), are
+    checked before the lag.  The chord (r(0) - r(s)) / c (t(0) - t(s)) is
+    n chat, n = -shape_constant = 2 r sin(delta/2) / (c dt), and axis, the
+    rule's pole, is chat = (-sin(delta/2), cos(delta/2), 0).
+    weighted(radial) is khat -> weight(khat) radial(g), the weight the lab
+    kernel of the rows or 1, with g = 1 - khat . chord formed as (1 - n) +
+    n |khat - chat|^2 / 2, which keeps the digits of 1 - n next to the pole.
+    QuadratureError when tol is below q eps |n| / (1 - |n|), q 4 (EM) or 2,
+    the error that the rounding of g puts into g^-q there, which the rule's
+    error estimate does not see."""
+    kernel = None if field is None else _lab_kernel(
+        *projection_rows(*field, params, 0.0, tau2 - tau1))
     delta, dt_lab = _lag(params, tau1, tau2)
-    t1, x1, y1, _ = lab_position(params, tau1)
-    t2, x2, y2, _ = lab_position(params, tau2)
-    dx, dy, cdt = x1 - x2, y1 - y2, params.constants.c * (t1 - t2)
-    axis = (dx, dy, 0.0) if dx or dy else (0.0, 1.0, 0.0)
-    if rows is not None:
-        kernel = _lab_kernel(*rows, np.array([dx / cdt, dy / cdt, 0.0]))
+    n = -shape_constant(params, delta)
+    floor = (2 if field is None else 4) * math.ulp(1.0) * abs(n) / (1.0 - abs(n))
+    if 0.0 < tol < floor:      # a tol out of range is integrate_sphere's ValueError
+        raise QuadratureError(
+            f"sphere quadrature did not converge: tol {tol!r} is below the conditioning "
+            f"floor {floor:.3g} of 1 - khat . chord at |chord| = {abs(n)!r}")
+    cx, cy = -math.sin(delta / 2.0), math.cos(delta / 2.0)
 
-        def weighted(radial):
-            def integrand(khat):
-                weight, proj = kernel(khat)
-                return weight * radial(1.0 - proj)
-            return integrand
-        return delta, dt_lab, axis, weighted
-    if stationary:
-        n = 2.0 * params.radius * math.sin(delta / 2.0) / (params.constants.c * dt_lab)
-        norm = math.copysign(math.hypot(axis[0], axis[1]), cdt)
-        cx, cy = axis[0] / norm, axis[1] / norm     # the rule's axis, along the chord
-
-        def g(k):       # 1 - k . chord for k of shape (m, 3)
-            return (1.0 - n) + 0.5 * n * ((k[:, 0] - cx) ** 2 + (k[:, 1] - cy) ** 2 + k[:, 2] ** 2)
-    else:
-        chord = np.array([dx / cdt, dy / cdt, 0.0])
-
-        def g(k):       # one 2-D product: matmul over the (..., 3) stack costs twice as much
-            return 1.0 - k @ chord
-    return delta, dt_lab, axis, (
-        lambda radial: lambda khat: radial(g(khat.reshape(-1, 3))).reshape(khat.shape[:-1]))
+    def weighted(radial):
+        def integrand(khat):
+            k = khat.reshape(-1, 3)
+            f = radial((1.0 - n) + 0.5 * n * ((k[:, 0] - cx) ** 2 + (k[:, 1] - cy) ** 2
+                                              + k[:, 2] ** 2))
+            return (f if kernel is None else kernel(k) * f).reshape(khat.shape[:-1])
+        return integrand
+    return delta, dt_lab, (cx, cy, 0.0), weighted
 
 
-def _quadrature(pair, kind: str, rows, params: RotationParams, tau1: float, tau2: float,
+def _quadrature(field, params: RotationParams, tau1: float, tau2: float,
                 tol: float) -> CFValue:
     """hbar c / (4 pi^2 (c dt)^q) times the sphere integral of the weight of
-    rows (_cf_sphere, stationary) against the regularized radial integral of
-    its field at g = 1 - khat . chord: 6 / g^4 and q = 4 for the
-    electromagnetic field, -1 / g^2 and q = 2 for the scalar (rows None).
-    The integrand is dimensionless, so that the rule's absolute floor means
-    the same in every unit system.
+    field (_cf_sphere) against the regularized radial integral of that field
+    at g = 1 - khat . chord: 6 / g^4 and q = 4 for the electromagnetic
+    field (pair, kind), -1 / g^2 and q = 2 for the scalar (None).  The
+    integrand is dimensionless, so that the rule's absolute floor means the
+    same in every unit system.
     """
-    _, dt_lab, axis, weighted = _cf_sphere(rows, params, tau1, tau2, stationary=True)
-    if rows is None:
+    _, dt_lab, axis, weighted = _cf_sphere(field, params, tau1, tau2, tol)
+    if field is None:
         q, radial = 2, lambda g: -1.0 / g**2
     else:   # the fourth power as two squarings
         q, radial = 4, lambda g: 6.0 / (g**2) ** 2
     val, _ = integrate_sphere(weighted(radial), tol, axis=axis)
     const = params.constants
     value = const.hbar * const.c / (4.0 * math.pi**2) * val / (const.c * dt_lab) ** q
+    pair, kind = field or ((0, 0), "scalar")
     return CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2, spectrum="continuous",
                    value=value, method="quadrature")
 
@@ -209,12 +207,10 @@ def _quadrature(pair, kind: str, rows, params: RotationParams, tau1: float, tau2
 def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
                             tol: float = DEFAULT_TOL) -> CFValue:
     """General two-point CF via direct lab-frame tensor contraction, for any
-    component pair and kind "EE", "HH" or "EH": the projection rows at their
-    own worldline phases, and the mode phase from the actual lab positions
-    (no stationarity variable change).  The quadrature route of em_cf_continuous.
+    component pair and kind "EE", "HH" or "EH", in the lag frame of
+    _cf_sphere.  The quadrature route of em_cf_continuous.
     """
-    return _quadrature(pair, kind, projection_rows(pair, kind, params, tau1, tau2),
-                       params, tau1, tau2, tol)
+    return _quadrature((pair, kind), params, tau1, tau2, tol)
 
 
 def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
@@ -234,8 +230,7 @@ def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
     order and only dies at coincidence), so it is computed honestly.
     """
     if method == "quadrature":
-        return _quadrature(pair, kind, projection_rows(pair, kind, params, tau1, tau2),
-                           params, tau1, tau2, tol)
+        return _quadrature((pair, kind), params, tau1, tau2, tol)
     if method != "closed-form":
         raise ValueError(f"unknown method {method!r}")
     if not (pair == (1, 1) and kind in ("EE", "HH")):
@@ -274,4 +269,4 @@ def scalar_cf_quadrature(tau1, tau2, params: RotationParams,
     the rule on the chord as for every CF quadrature.  Oracle for
     scalar_cf_continuous.
     """
-    return _quadrature((0, 0), "scalar", None, params, tau1, tau2, tol)
+    return _quadrature(None, params, tau1, tau2, tol)

@@ -19,11 +19,12 @@ the same lag, which the split takes from the closed forms of cf_continuous.
 
 ``phase`` here is the direction-dependent quantity
 
-    phase = delta (1 - khat . chord),   chord = (r(tau1) - r(tau2)) / c (t(tau1) - t(tau2)),
+    phase = delta (1 - khat . chord),   chord = (r(0) - r(s)) / c (t(0) - t(s)),
 
-with delta the angular lag and khat the propagation direction; it runs over
-delta -/+ 2 beta sin(delta/2).  Each ladder is the radial factor of the
-one CF sphere integrand (cf_continuous._cf_sphere), so it is integrated
+with delta the angular lag, s = tau2 - tau1 and khat the propagation
+direction; it runs over delta -/+ 2 beta sin(delta/2).  Each ladder is the
+radial factor of the one CF sphere integrand (cf_continuous._cf_sphere, in
+the lag frame, where the chord is in closed form), so it is integrated
 over the directions against the weight of the continuous CF of its field:
 the lab kernel of the projection rows for the electromagnetic field, 1 for
 the scalar.
@@ -38,7 +39,6 @@ import numpy as np
 from scipy.special import gamma, zeta
 
 from .cf_continuous import CFValue, _cf_sphere, _closed_form_11, _scalar_closed_form
-from .fields import projection_rows
 from .kinematics import RotationParams
 from .numerics import DEFAULT_TOL, _power, integrate_sphere
 
@@ -180,17 +180,18 @@ def _check_resonances(delta: float, params: RotationParams):
     return lo, hi
 
 
-def _ladder_cf(kind: str, pair, rows, prefactor, tau1, tau2, params: RotationParams,
+def _ladder_cf(field, prefactor, tau1, tau2, params: RotationParams,
                tol: float, split: bool, ladder, continuous, p: int, sign: float):
     """CF whose value is pref = prefactor() times the sphere integral of the
-    weight of rows times ladder(delta (1 - khat . chord)), the integrand of
-    cf_continuous._cf_sphere.  With split=True also returns a
-    ThermalSplit of the continuous CF continuous(params, delta, dt_lab) and
-    the same sphere integral of sign * thermal_ladder_integral(phase, p).
+    weight of field ((pair, kind), or None for the scalar) times
+    ladder(delta (1 - khat . chord)), the integrand of
+    cf_continuous._cf_sphere.  With split=True also returns a ThermalSplit
+    of the continuous CF continuous(params, delta, dt_lab) and the same
+    sphere integral of sign * thermal_ladder_integral(phase, p).
     pref is computed after the lag's range check, and an OverflowError from
     it names its power.
     """
-    delta, dt_lab, axis, weighted = _cf_sphere(rows, params, tau1, tau2)
+    delta, dt_lab, axis, weighted = _cf_sphere(field, params, tau1, tau2, tol)
     pref = prefactor()
     lo, hi = _check_resonances(delta, params)
 
@@ -198,6 +199,7 @@ def _ladder_cf(kind: str, pair, rows, prefactor, tau1, tau2, params: RotationPar
         val, _ = integrate_sphere(weighted(lambda g: f(delta * g)), tol, axis=axis)
         return pref * val
 
+    pair, kind = field or ((0, 0), "scalar")
     cf = CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
                  spectrum="discrete", value=over_sphere(ladder), method="quadrature")
     if not split:
@@ -227,7 +229,7 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
     """
     const = params.constants
     return _ladder_cf(
-        "EE", (1, 1), projection_rows((1, 1), "EE", params, tau1, tau2),
+        ((1, 1), "EE"),
         lambda: const.hbar * _power(params.omega, 4, "omega") / (4.0 * math.pi**2 * const.c**3),
         tau1, tau2, params, tol, split,
         ladder=cubic_ladder_sum_closed, continuous=_closed_form_11, p=3, sign=1.0)
@@ -244,7 +246,7 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams,
     const = params.constants
     k0 = params.omega / const.c
     return _ladder_cf(
-        "scalar", (0, 0), None,
+        None,
         lambda: const.hbar * const.c * _power(k0, 2, "k0 = omega / c") / (4.0 * math.pi**2),
         tau1, tau2, params, tol, split,
         ladder=linear_ladder_sum_closed, continuous=_scalar_closed_form, p=1, sign=-1.0)

@@ -91,17 +91,17 @@ def polarization_grid(khat):
     return e1, e2
 
 
-def _lab_kernel(row1, row2, chord):
-    """The function khat -> (row1^T M(khat) row2, khat . chord) for khat of
-    shape (..., 3), both of shape khat.shape[:-1]; rows are 6-vectors (E, H).
+def _lab_kernel(row1, row2):
+    """The function khat -> row1^T M(khat) row2 for khat of shape (..., 3),
+    of shape khat.shape[:-1]; rows are 6-vectors (E, H).
 
     M is the lab-frame polarization-summed kernel: 1 - khat khat^T in the EE
     and HH blocks, <E_i H_j> ~ eps_{ijl} khat_l in the EH block and its
-    negative transpose in the HE block.  The six projections of khat that
-    both need come from one matrix product with the columns e1, e2, h1, h2,
-    e1 x h2 - h1 x e2 and chord (a 3-array), built from Python floats into a
-    C-contiguous (3, 6) array, which costs less per CF value than building
-    it from numpy scalars or transposing it.
+    negative transpose in the HE block.  The five projections of khat that
+    it needs come from one matrix product with the columns e1, e2, h1, h2
+    and e1 x h2 - h1 x e2, built from Python floats into a C-contiguous
+    (3, 5) array, which costs less per CF value than building it from numpy
+    scalars or transposing it.
     """
     r1, r2 = row1.tolist(), row2.tolist()
     e1, h1, e2, h2 = r1[:3], r1[3:], r2[:3], r2[3:]
@@ -110,11 +110,9 @@ def _lab_kernel(row1, row2, chord):
     eh = [e1[1] * h2[2] - e1[2] * h2[1] - (h1[1] * e2[2] - h1[2] * e2[1]),
           e1[2] * h2[0] - e1[0] * h2[2] - (h1[2] * e2[0] - h1[0] * e2[2]),
           e1[0] * h2[1] - e1[1] * h2[0] - (h1[0] * e2[1] - h1[1] * e2[0])]
-    cols = np.array(list(zip(e1, e2, h1, h2, eh, chord.tolist())))
+    cols = np.array(list(zip(e1, e2, h1, h2, eh)))
 
     def kernel(khat):
         p = khat.reshape(-1, 3) @ cols
-        shape = khat.shape[:-1]
-        return ((const - p[:, 0] * p[:, 1] - p[:, 2] * p[:, 3] + p[:, 4]).reshape(shape),
-                p[:, 5].reshape(shape))
+        return (const - p[:, 0] * p[:, 1] - p[:, 2] * p[:, 3] + p[:, 4]).reshape(khat.shape[:-1])
     return kernel

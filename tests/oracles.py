@@ -15,7 +15,10 @@ Abel weights check numerics.abel_sum, the lab-frame tensor integrand
 written term by term checks the one-product integrand of the tensor
 quadrature, and the printed rotated-frame brackets, their angular weight,
 ladder phase and stationary quadrature check the lab kernel that both
-spectra integrate.  The worldline 4-velocity and acceleration, the proper time
+spectra integrate, and 40-digit mpmath values of the continuous scalar and
+EE CFs and of the periodic scalar CF, from the lab positions at the
+caller's orbit phases, check the digits of the lag-frame routes near the
+light cylinder.  The worldline 4-velocity and acceleration, the proper time
 of an angular lag, the finite-difference step, the projection of one field
 6-vector, the
 single-direction polarization basis and angular kernel (with the Direction
@@ -28,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -418,3 +422,83 @@ def abel_weights_compensated(eta: float, stop: int) -> np.ndarray:
     hi = x + y
     lo = (x - hi) + y                   # Fast2Sum, |x| >= |y|
     return np.exp(-hi) * (1 - lo)
+
+
+def _mp_chord(params: RotationParams, tau1: float, tau2: float):
+    """beta, gamma, the two orbit phases, the lab chord (r1 - r2) / c (t1 -
+    t2) as (x, y) and c (t2 - t1) of the float inputs, from the lab positions
+    at the caller's orbit phases, in mpmath at the working precision."""
+    c, omega, r = (mpmath.mpf(v) for v in (params.constants.c, params.omega, params.radius))
+    beta = omega * r / c
+    gam = 1 / mpmath.sqrt(1 - beta**2)
+    a1, a2 = omega * gam * mpmath.mpf(tau1), omega * gam * mpmath.mpf(tau2)
+    cdt = c * gam * (mpmath.mpf(tau2) - mpmath.mpf(tau1))
+    chord = (r * (mpmath.cos(a2) - mpmath.cos(a1)) / cdt,
+             r * (mpmath.sin(a2) - mpmath.sin(a1)) / cdt)
+    return beta, gam, (a1, a2), chord, cdt
+
+
+def scalar_cf_mp(params: RotationParams, tau1: float, tau2: float) -> float:
+    """The continuous scalar CF -(hbar c / pi) / ((c dt)^2 - |r1 - r2|^2) of
+    the float inputs, to 40 digits (mpmath at 50).
+
+    Reference for the digits of scalar_cf_continuous and scalar_cf_quadrature
+    near the light cylinder, where 1 - |chord| is small."""
+    with mpmath.workdps(50):
+        _, _, _, (cx, cy), cdt = _mp_chord(params, tau1, tau2)
+        hbar_c = mpmath.mpf(params.constants.hbar) * mpmath.mpf(params.constants.c)
+        return float(-hbar_c / mpmath.pi / (cdt**2 * (1 - cx**2 - cy**2)))
+
+
+def em_cf_ee_mp(pair, params: RotationParams, tau1: float, tau2: float) -> float:
+    """The continuous EE CF of the tetrad components pair at the float inputs,
+    to 40 digits (mpmath at 50): hbar c / (4 pi^2 (c dt)^4) times 2 pi int du
+    (a0 + a1 u + a2 u^2) 6 / (1 - n u)^4 over [-1, 1], the sphere integral
+    of the lab kernel reduced along the lab chord n chat by its circle
+    averages <k> = u chat and <k_i k_j> = u^2 chat_i chat_j + (1 - u^2)/2
+    (delta_ij - chat_i chat_j).  The electric rows are those of
+    projection_matrix at the caller's orbit phases.
+
+    Reference for the digits of the tensor route near the light cylinder."""
+    with mpmath.workdps(50):
+        beta, gam, phases, chord, cdt = _mp_chord(params, tau1, tau2)
+
+        def e_row(a, alpha):     # (E, H) lab components of tetrad E_(a)
+            ca, sa = mpmath.cos(alpha), mpmath.sin(alpha)
+            return [[gam * ca, gam * sa, 0, 0, 0, -beta * gam], [-sa, ca, 0, 0, 0, 0],
+                    [0, 0, gam, beta * gam * ca, beta * gam * sa, 0]][a - 1]
+        r1, r2 = (e_row(a, alpha) for a, alpha in zip(pair, phases))
+        n = mpmath.sqrt(chord[0] ** 2 + chord[1] ** 2)
+        chat = [chord[0] / n, chord[1] / n, 0]
+
+        def dot(a, b):
+            return sum(x * y for x, y in zip(a, b))
+        e1, h1, e2, h2 = r1[:3], r1[3:], r2[:3], r2[3:]
+        eh = [e1[1] * h2[2] - e1[2] * h2[1] - h1[1] * e2[2] + h1[2] * e2[1],
+              e1[2] * h2[0] - e1[0] * h2[2] - h1[2] * e2[0] + h1[0] * e2[2],
+              e1[0] * h2[1] - e1[1] * h2[0] - h1[0] * e2[1] + h1[1] * e2[0]]
+        along = dot(e1, chat) * dot(e2, chat) + dot(h1, chat) * dot(h2, chat)
+        across = dot(e1, e2) + dot(h1, h2) - along
+        a0 = dot(r1, r2) - across / 2
+        a1 = dot(eh, chat)
+        a2 = across / 2 - along
+        val = mpmath.quad(lambda u: (a0 + a1 * u + a2 * u * u) * 6 / (1 - n * u) ** 4, [-1, 1])
+        hbar_c = mpmath.mpf(params.constants.hbar) * mpmath.mpf(params.constants.c)
+        return float(hbar_c / (4 * mpmath.pi**2 * cdt**4) * 2 * mpmath.pi * val)
+
+
+def scalar_cf_discrete_mp(params: RotationParams, tau1: float, tau2: float) -> float:
+    """The periodic scalar CF of the float inputs in closed form, to 40
+    digits (mpmath at 50): hbar c k0^2 (-1 / 2 pi) [cot((delta - a)/2) -
+    cot((delta + a)/2)] / (2 a), the sphere integral of the linear ladder at
+    the phase delta - a u, u = khat . chat, a = delta |chord|.
+
+    Reference for scalar_cf_discrete at every orbit phase."""
+    with mpmath.workdps(50):
+        _, _, (a1, a2), chord, _ = _mp_chord(params, tau1, tau2)
+        delta = a2 - a1
+        a = delta * mpmath.sqrt(chord[0] ** 2 + chord[1] ** 2)
+        k0 = mpmath.mpf(params.omega) / mpmath.mpf(params.constants.c)
+        hbar_c = mpmath.mpf(params.constants.hbar) * mpmath.mpf(params.constants.c)
+        return float(-hbar_c * k0**2 / (2 * mpmath.pi)
+                     * (mpmath.cot((delta - a) / 2) - mpmath.cot((delta + a) / 2)) / (2 * a))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bracket_quadrature, delta_to_tau, diag_bracket, lab_tensor_integrand
+from oracles import (bracket_quadrature, delta_to_tau, diag_bracket, em_cf_ee_mp,
+                     lab_tensor_integrand, scalar_cf_mp)
 from rotvac import cf_continuous as cfc
 from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous, em_cf_tensor_quadrature,
                                   phi_kernel_integral, scalar_cf_continuous,
@@ -14,7 +15,7 @@ from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous, em_cf_tens
 from rotvac.constants import NATURAL, SI
 from rotvac.fields import _lab_kernel, projection_matrix, projection_rows
 from rotvac.kinematics import RotationParams, lab_position
-from rotvac.numerics import integrate_1d
+from rotvac.numerics import QuadratureError, integrate_1d, integrate_sphere
 
 SINE_POWER_P1_K05 = 1624.0 / 405.0
 
@@ -134,9 +135,8 @@ class TestEmContinuous:
             for delta in (0.3, 1.3, 4.0):
                 c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
                 rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-                lab, _ = _lab_kernel(projection_matrix(0.0, beta)[row],
-                                     projection_matrix(delta, beta)[row],
-                                     np.zeros(3))(k @ rot.T)
+                lab = _lab_kernel(projection_matrix(0.0, beta)[row],
+                                  projection_matrix(delta, beta)[row])(k @ rot.T)
                 bracket = diag_bracket(pair, p, delta, k[:, 0], k[:, 1])
                 assert np.max(np.abs(bracket - lab)) < 1e-13
 
@@ -279,6 +279,30 @@ class TestEmContinuous:
         b = em_cf_tensor_quadrature((1, 2), "EE", shift, tau2 + shift, p)
         assert b.value == pytest.approx(a.value, rel=1e-9)
 
+    @pytest.mark.parametrize("beta", [0.3, 0.9])
+    @pytest.mark.parametrize("tau1", [0.8, 5.3])
+    def test_routes_equal_the_integral_at_the_callers_orbit_phases(self, tau1, beta):
+        # the routes integrate in the lag frame, from time 0; the stationarity
+        # oracle integrates at the caller's own times: the projection rows at
+        # tau1 and tau2, and the chord between the two lab positions
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        for delta in (0.3, 2.0):
+            tau2 = tau1 + delta_to_tau(p, delta)
+            t1, x1, y1, _ = lab_position(p, tau1)
+            t2, x2, y2, _ = lab_position(p, tau2)
+            chord = np.array([x1 - x2, y1 - y2, 0.0]) / (t1 - t2)
+            for pair, kind in (((1, 1), "EE"), ((1, 2), "EE"), ((1, 3), "EH")):
+                integrand = lab_tensor_integrand(*projection_rows(pair, kind, p, tau1, tau2), chord)
+                val, _ = integrate_sphere(integrand, axis=tuple(chord))
+                ref = val / (4.0 * math.pi**2 * (t2 - t1) ** 4)
+                for route in (em_cf_tensor_quadrature(pair, kind, tau1, tau2, p),
+                              em_cf_continuous(pair, kind, tau1, tau2, p, "quadrature")):
+                    assert route.value == pytest.approx(ref, rel=1e-12, abs=0.0), (delta, pair)
+            val, _ = integrate_sphere(lambda k: -1.0 / (1.0 - k @ chord) ** 2, axis=tuple(chord))
+            ref = val / (4.0 * math.pi**2 * (t2 - t1) ** 2)
+            assert scalar_cf_quadrature(tau1, tau2, p).value == pytest.approx(ref, rel=1e-12,
+                                                                             abs=0.0)
+
     def test_exchange_symmetry(self):
         # I_(ab)(tau1, tau2) = I_(ba)(tau2, tau1): same classical product
         p = RotationParams.from_beta(1.0, 0.4, NATURAL)
@@ -313,6 +337,13 @@ class TestEmContinuous:
             em_cf_continuous((0, 1), "EE", 0.0, tau2, p)
         with pytest.raises(ValueError):
             em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "variational")
+        # a tolerance out of range is a bad request, not one below the
+        # conditioning floor
+        for tol in (0.0, -1e-10):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                em_cf_tensor_quadrature((1, 1), "EE", 0.0, tau2, p, tol)
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                scalar_cf_quadrature(0.0, tau2, p, tol)
 
 
 class TestScalarContinuous:
@@ -333,12 +364,13 @@ class TestScalarContinuous:
 
     @pytest.mark.parametrize("beta", [0.3, 0.9, 1.0 - 1e-8])
     def test_quadrature_integrand_has_its_pole_on_the_chord(self, monkeypatch, beta):
-        # as for the tensor route: the rule's axis lies along the chord, and
-        # the integrand is -1 / (1 - khat . chord)^2 at random directions and
-        # along +/- the axis, at orbit phase 0 and away from it.  The chord's
-        # c dt is the lag's gamma (tau2 - tau1), as in the closed form: the lab
-        # times t1 - t2 cancel at beta 1 - 1e-8, tau1 0.8 (orbit phase 5657).
-        # The bound is 1e-13 of the rounding scale of 1 - khat . chord, squared
+        # as for the tensor route: the rule's axis lies along the chord of the
+        # lag frame, between the lab positions at 0 and tau2 - tau1, and the
+        # integrand is -1 / (1 - khat . chord)^2 at random directions and
+        # along +/- the axis, for a lag that starts at orbit phase 0 and one
+        # that starts away from it (5657 at beta 1 - 1e-8, tau1 0.8), and for
+        # a negative lag and one beyond a turn.  The bound is 1e-13 of the
+        # rounding scale of 1 - khat . chord, squared
         captured = []
         monkeypatch.setattr(
             cfc, "integrate_sphere",
@@ -347,11 +379,11 @@ class TestScalarContinuous:
         rng = np.random.default_rng(20261021)
         u = 1.0 - np.logspace(-16, -0.01, 64)
         for tau1 in (0.0, 0.8):
-            for delta in (0.1, 1.0, 3.0, 6.0):
+            for delta in (0.1, 1.0, 3.0, 6.0, -2.0, 8.0):
                 tau2 = tau1 + delta_to_tau(p, delta)
-                t1, x1, y1, _ = lab_position(p, tau1)
-                t2, x2, y2, _ = lab_position(p, tau2)
-                chord = np.array([x1 - x2, y1 - y2, 0.0]) / (p.gamma * (tau1 - tau2))
+                t1, x1, y1, _ = lab_position(p, 0.0)
+                t2, x2, y2, _ = lab_position(p, tau2 - tau1)
+                chord = np.array([x1 - x2, y1 - y2, 0.0]) / (t1 - t2)
                 scalar_cf_quadrature(tau1, tau2, p)
                 integrand, axis = captured.pop()
                 a = np.asarray(axis) / np.linalg.norm(axis)
@@ -440,6 +472,54 @@ class TestNearLuminal:
         scalar = scalar_cf_continuous(0.0, tau2, p).value
         assert scalar_cf_quadrature(0.0, tau2, p).value == pytest.approx(scalar, rel=1e-11,
                                                                          abs=0.0)
+
+
+# 40-digit grid (tests/oracles.py): lag 0.1 from four orbit phases, NATURAL
+# units at omega 1, where from_beta keeps beta exact; 1 - |chord| is 4.2e-4
+DIGITS = [(beta, tau1) for beta in (1.0 - 1e-8, 0.99999) for tau1 in (0.0, 0.8, 5.3, 100.0)]
+
+
+def _digits_case(beta, tau1):
+    p = RotationParams.from_beta(1.0, beta, NATURAL)
+    return p, tau1 + delta_to_tau(p, 0.1)
+
+
+class TestFortyDigits:
+    @pytest.mark.parametrize("beta,tau1", DIGITS)
+    def test_scalar_routes(self, beta, tau1):
+        p, tau2 = _digits_case(beta, tau1)
+        exact = scalar_cf_mp(p, tau1, tau2)
+        for route in (scalar_cf_continuous(tau1, tau2, p), scalar_cf_quadrature(tau1, tau2, p)):
+            assert route.value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta,tau1", DIGITS)
+    def test_tensor_route_equals_the_closed_form(self, beta, tau1):
+        # both take 1 - |chord| from shape_constant, so they share its rounding
+        p, tau2 = _digits_case(beta, tau1)
+        closed = em_cf_continuous((1, 1), "EE", tau1, tau2, p).value
+        tensor = em_cf_tensor_quadrature((1, 1), "EE", tau1, tau2, p).value
+        assert tensor == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("beta,tau1", DIGITS)
+    def test_conditioning_floor(self, beta, tau1):
+        # every tolerance at or above q eps n / (1 - n) is met to that floor,
+        # and every one below it is refused
+        p, tau2 = _digits_case(beta, tau1)
+        n = beta * math.sin(0.05) / 0.05
+        routes = ((2, scalar_cf_mp(p, tau1, tau2),
+                   lambda tol: scalar_cf_quadrature(tau1, tau2, p, tol)),
+                  (4, em_cf_ee_mp((1, 1), p, tau1, tau2),
+                   lambda tol: em_cf_tensor_quadrature((1, 1), "EE", tau1, tau2, p, tol)),
+                  (4, em_cf_ee_mp((1, 2), p, tau1, tau2),
+                   lambda tol: em_cf_tensor_quadrature((1, 2), "EE", tau1, tau2, p, tol)))
+        for q, exact, route in routes:
+            floor = q * np.finfo(float).eps * n / (1.0 - n)
+            for tol in (1e-10, 1e-11, 3e-12, 1e-12, 1e-13):
+                if tol >= floor:
+                    assert abs(route(tol).value - exact) <= floor * abs(exact), (q, tol)
+                else:
+                    with pytest.raises(QuadratureError, match="conditioning floor"):
+                        route(tol)
 
 
 def em_11_size(p, delta):

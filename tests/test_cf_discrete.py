@@ -5,7 +5,8 @@ import pytest
 from scipy.special import polygamma
 
 from oracles import (angular_weight_kernel_grid, cubic_ladder_partial_fraction,
-                     delta_to_tau, ladder_phase, make_kernel, thermal_ladder_quadpack)
+                     delta_to_tau, ladder_phase, make_kernel, scalar_cf_discrete_mp,
+                     thermal_ladder_quadpack)
 from rotvac import cf_discrete as cfd
 from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous,
                                   scalar_cf_quadrature)
@@ -220,9 +221,10 @@ class TestKernel:
     @pytest.mark.parametrize("beta", [0.0, 0.3, 0.9])
     def test_integrands_are_the_printed_weight_and_phase(self, monkeypatch, beta):
         # the periodic CFs integrate the lab kernel of the (1,1) EE rows (1
-        # for the scalar) against the ladder at delta (1 - khat . chord); at
-        # k = R_z(alpha1 + delta/2) k' that is (8 pi / 3) times the printed
-        # angular weight against the ladder at the printed phase, both at k'
+        # for the scalar) against the ladder at delta (1 - khat . chord), in
+        # the lag frame, whatever the orbit phase the lag starts from; at
+        # k = R_z(delta/2) k' that is (8 pi / 3) times the printed angular
+        # weight against the ladder at the printed phase, both at k'
         captured = []
         monkeypatch.setattr(cfd, "integrate_sphere",
                             lambda f, tol, axis: captured.append(f) or (0.0, 0.0))
@@ -236,8 +238,7 @@ class TestKernel:
                 scalar_cf_discrete(tau1, tau1 + delta_to_tau(p, delta), p)
                 em, scalar = captured
                 captured.clear()
-                turn = p.alpha(tau1) + delta / 2.0
-                c, s = math.cos(turn), math.sin(turn)
+                c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
                 lab = k @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
                 phase = ladder_phase(delta, k[:, 1], p)
                 weight = 8.0 * math.pi / 3.0 * angular_weight_kernel_grid(
@@ -343,6 +344,20 @@ class TestScalarDiscrete:
         expect = (p.constants.hbar * p.constants.c * k0**2 / (4.0 * math.pi**2)
                   * 4.0 * math.pi * linear_ladder_sum_closed(delta))
         assert cf.value == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.9, 0.99, 0.99999])
+    def test_forty_digit_closed_form(self, beta):
+        # at every orbit phase the lag starts from, against the closed form
+        # of the float inputs to 40 digits (tests/oracles.py); next to
+        # 2 pi Z the ladder magnifies the rounding of delta itself
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        for delta in (0.05, 1.0, 3.5, 6.2):
+            for phase in (0.0, 0.8, 5.3, 500.0):
+                tau1 = delta_to_tau(p, phase)
+                tau2 = tau1 + delta_to_tau(p, delta)
+                exact = scalar_cf_discrete_mp(p, tau1, tau2)
+                assert scalar_cf_discrete(tau1, tau2, p).value == pytest.approx(
+                    exact, rel=1e-11, abs=0.0), (delta, phase)
 
 
 @pytest.mark.parametrize("const", [NATURAL, SI], ids=["natural", "SI"])

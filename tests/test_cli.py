@@ -351,17 +351,20 @@ class TestCfCommand:
         assert len(rows) == 6 and header[-1] == "flag"
         assert any("," in r["flag"] for r in rows if r["method"] == "monte-carlo")
 
-    def test_sign_definite_tight_tolerance_flagged(self, capsys):
-        # the rounding floor covers only the cancelled share of the mass: at
-        # beta = 0.999 the (1,2) tensor route cannot reach 1e-15, and the row
-        # says so instead of passing at about 3e-13
-        code, out = run_cli(capsys, "cf", "--beta", "0.999", "--pair", "12",
-                            "--method", "quadrature", "--tol", "1e-15",
+    @pytest.mark.parametrize("beta, tol", [("0.999", "1e-15"), ("0.99999", "1e-13")])
+    def test_sign_definite_tight_tolerance_flagged(self, capsys, beta, tol):
+        # the (1,2) tensor route cannot reach a tolerance below its
+        # conditioning floor 4 eps |chord| / (1 - |chord|) (6.3e-13 at beta
+        # 0.999, 2.1e-12 at 0.99999), and the row says so instead of passing
+        # about 3e-13 and 5.5e-13 off the exact value
+        code, out = run_cli(capsys, "cf", "--beta", beta, "--pair", "12",
+                            "--method", "quadrature", "--tol", tol,
                             "--delta-min", "0.1", "--delta-max", "0.1", "--delta-steps", "1")
         assert code == 1
         _, _, rows = parse_table(out)
         assert rows[0]["value"] == ""
         assert rows[0]["flag"].startswith("error: sphere quadrature did not converge")
+        assert "conditioning floor" in rows[0]["flag"]
 
 
 class TestForceCurve:
