@@ -22,12 +22,12 @@ the same lag, which the split takes from the closed forms of cf_continuous.
     phase = delta (1 - khat . chord),   chord = (r(0) - r(s)) / c (t(0) - t(s)),
 
 with delta the angular lag, s = tau2 - tau1 and khat the propagation
-direction; it runs over delta -/+ 2 beta sin(delta/2).  Each ladder is the
-radial factor of the one CF sphere integrand (cf_continuous._cf_sphere, in
-the lag frame, where the chord is in closed form), so it is integrated
-over the directions against the weight of the continuous CF of its field:
-the lab kernel of the projection rows for the electromagnetic field, 1 for
-the scalar.
+direction; it runs over delta (1 -/+ n), n chat the chord of the lag record
+(cf_continuous._lag).  Each ladder is the radial factor of the one CF sphere
+integrand (cf_continuous._cf_sphere), integrated over the directions against
+the weight of the continuous CF of its field: the lab kernel of the
+projection rows for the electromagnetic field, 1 for the scalar.  The
+prefactor hbar c k0^q / (4 pi^2) is delta^q times the CF scale of _scaled.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, zeta
 
-from .cf_continuous import CFValue, _cf_sphere, _closed_form_11, _scalar_closed_form
+from .cf_continuous import CFValue, _cf_sphere, _closed_form_11, _scalar_closed_form, _scaled
 from .kinematics import RotationParams
-from .numerics import DEFAULT_TOL, _power, integrate_sphere
+from .numerics import DEFAULT_TOL, integrate_sphere
 
 __all__ = [
     "ResonanceError",
@@ -153,8 +153,9 @@ def cubic_ladder_split(phase: float) -> ThermalSplit:
     thermal_part is the convergent Planck-weighted integral; the total
     reproduces cubic_ladder_sum_closed(phase).
     """
-    return ThermalSplit(zero_point_part=_zero_point_part(6.0, phase, 4),
-                        thermal_part=thermal_ladder_integral(phase, p=3))
+    # the thermal part checks |phase| < 2 pi before phase^4 can overflow
+    return ThermalSplit(thermal_part=thermal_ladder_integral(phase, p=3),
+                        zero_point_part=_zero_point_part(6.0, phase, 4))
 
 
 def linear_ladder_split(phase: float) -> ThermalSplit:
@@ -163,15 +164,15 @@ def linear_ladder_split(phase: float) -> ThermalSplit:
     The zero-point part carries the regularized value -1/phase^2 and the
     thermal part enters with a minus sign.
     """
-    return ThermalSplit(zero_point_part=_zero_point_part(-1.0, phase, 2),
-                        thermal_part=-thermal_ladder_integral(phase, p=1))
+    return ThermalSplit(thermal_part=-thermal_ladder_integral(phase, p=1),
+                        zero_point_part=_zero_point_part(-1.0, phase, 2))
 
 
-def _check_resonances(delta: float, params: RotationParams):
-    """Range (lo, hi) of phase over the sphere; ResonanceError if it comes
-    within RESONANCE_TOL of a multiple of 2 pi.  Its half-width is at most
-    2 < pi, so only the multiple nearest to delta can be met."""
-    half = 2.0 * abs(params.beta * math.sin(delta / 2.0))
+def _check_resonances(delta: float, n: float):
+    """Range (lo, hi) of phase over the sphere at |chord| = |n|; ResonanceError
+    if it comes within RESONANCE_TOL of a multiple of 2 pi.  Its half-width
+    is at most 2 < pi, so only the multiple nearest to delta can be met."""
+    half = abs(delta * n)
     lo, hi = delta - half, delta + half
     if abs(delta - 2.0 * math.pi * round(delta / (2.0 * math.pi))) <= half + RESONANCE_TOL:
         raise ResonanceError(
@@ -180,28 +181,27 @@ def _check_resonances(delta: float, params: RotationParams):
     return lo, hi
 
 
-def _ladder_cf(field, prefactor, tau1, tau2, params: RotationParams,
-               tol: float, split: bool, ladder, continuous, p: int, sign: float):
-    """CF whose value is pref = prefactor() times the sphere integral of the
+def _ladder_cf(field, tau1, tau2, params: RotationParams, tol: float, split: bool,
+               ladder, continuous, p: int, sign: float):
+    """CF whose value is delta^q, q = p + 1, times the sphere integral of the
     weight of field ((pair, kind), or None for the scalar) times
     ladder(delta (1 - khat . chord)), the integrand of
-    cf_continuous._cf_sphere.  With split=True also returns a ThermalSplit
-    of the continuous CF continuous(params, delta, dt_lab) and the same
-    sphere integral of sign * thermal_ladder_integral(phase, p).
-    pref is computed after the lag's range check, and an OverflowError from
-    it names its power.
-    """
-    delta, dt_lab, axis, weighted = _cf_sphere(field, params, tau1, tau2, tol)
-    pref = prefactor()
-    lo, hi = _check_resonances(delta, params)
+    cf_continuous._cf_sphere, scaled by _scaled: hbar c k0^q / (4 pi^2),
+    since k0 c dt = delta.  With split=True also returns a ThermalSplit of
+    the continuous CF continuous(params, lag) and the same CF of
+    sign * thermal_ladder_integral(phase, p)."""
+    lag, weighted = _cf_sphere(field, params, tau1, tau2, tol)
+    lo, hi = _check_resonances(lag.delta, lag.n)
+    dq = math.prod([lag.delta] * (p + 1))   # overflows to inf, which _scaled names
 
-    def over_sphere(f):
-        val, _ = integrate_sphere(weighted(lambda g: f(delta * g)), tol, axis=axis)
-        return pref * val
+    def over_sphere(f, what):
+        val, _ = integrate_sphere(weighted(lambda g: f(lag.delta * g)), tol, axis=lag.chat)
+        return _scaled(params, lag, p + 1, dq * val, what)
 
     pair, kind = field or ((0, 0), "scalar")
+    what = f"periodic {kind} {pair} CF"
     cf = CFValue(kind=kind, pair=pair, tau1=tau1, tau2=tau2,
-                 spectrum="discrete", value=over_sphere(ladder), method="quadrature")
+                 spectrum="discrete", value=over_sphere(ladder, what), method="quadrature")
     if not split:
         return cf
     if max(abs(lo), abs(hi)) >= 2.0 * math.pi:
@@ -210,8 +210,9 @@ def _ladder_cf(field, prefactor, tau1, tau2, params: RotationParams,
             f"(range [{lo:.6f}, {hi:.6f}]); the closed-form total remains valid"
         )
     return cf, ThermalSplit(
-        zero_point_part=continuous(params, delta, dt_lab),
-        thermal_part=over_sphere(lambda ph: sign * thermal_ladder_integral(ph, p)))
+        zero_point_part=continuous(params, lag),
+        thermal_part=over_sphere(lambda ph: sign * thermal_ladder_integral(ph, p),
+                                 f"thermal part of the {what}"))
 
 
 def em_cf_discrete(tau1, tau2, params: RotationParams,
@@ -227,12 +228,8 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
     Periodic in delta with period 2 pi; ResonanceError where the phase
     range over the sphere meets 2 pi Z.
     """
-    const = params.constants
-    return _ladder_cf(
-        ((1, 1), "EE"),
-        lambda: const.hbar * _power(params.omega, 4, "omega") / (4.0 * math.pi**2 * const.c**3),
-        tau1, tau2, params, tol, split,
-        ladder=cubic_ladder_sum_closed, continuous=_closed_form_11, p=3, sign=1.0)
+    return _ladder_cf(((1, 1), "EE"), tau1, tau2, params, tol, split,
+                      ladder=cubic_ladder_sum_closed, continuous=_closed_form_11, p=3, sign=1.0)
 
 
 def scalar_cf_discrete(tau1, tau2, params: RotationParams,
@@ -243,10 +240,6 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams,
     sum; the split exposes the zero-point part, the continuous scalar CF, and
     the (negative) Planck-weighted thermal part.
     """
-    const = params.constants
-    k0 = params.omega / const.c
-    return _ladder_cf(
-        None,
-        lambda: const.hbar * const.c * _power(k0, 2, "k0 = omega / c") / (4.0 * math.pi**2),
-        tau1, tau2, params, tol, split,
-        ladder=linear_ladder_sum_closed, continuous=_scalar_closed_form, p=1, sign=-1.0)
+    return _ladder_cf(None, tau1, tau2, params, tol, split,
+                      ladder=linear_ladder_sum_closed, continuous=_scalar_closed_form, p=1,
+                      sign=-1.0)

@@ -186,10 +186,7 @@ def _cf_routes(args, params: RotationParams) -> dict:
 def _cf_or_error(route, tau2):
     """route's CF at the lag tau2, or the flag of its error."""
     try:
-        cf = route(tau2)
-        if not math.isfinite(cf.value):
-            raise ValueError(f"value {cf.value!r} is outside the float64 range")
-        return cf
+        return route(tau2)
     except (ValueError, OverflowError, QuadratureError) as exc:
         return _error(exc)
 

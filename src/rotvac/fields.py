@@ -4,10 +4,10 @@ rows: the one angular kernel that every electromagnetic CF quadrature, on
 the continuous and on the periodic spectrum, integrates.
 
 A field is a plain 6-vector (E1, E2, E3, H1, H2, H3): projection_matrix maps
-the lab one to the tetrad one.  The projection of one 6-vector and the basis
-of one direction (with its Direction type), the printed rotated-frame
-brackets, and the other oracles that check this module, live with the tests
-(tests/oracles.py).
+the lab one to the tetrad one at a proper time, from the orbit's own beta and
+gamma.  The projection of one 6-vector and the basis of one direction (with
+its Direction type), the printed rotated-frame brackets, and the other
+oracles that check this module, live with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -28,30 +28,26 @@ __all__ = [
 POLE_TOL = 1e-8  # directions this close to +/- z use the (x, y) basis
 
 
-def _projection_entries(alpha: float, beta: float):
-    """The 36 entries of projection_matrix(alpha, beta), as six rows of six
+def _projection_entries(params: RotationParams, tau: float):
+    """The 36 entries of projection_matrix(params, tau), as six rows of six
     floats: the one implementation of the projection, which
     projection_matrix and projection_rows read."""
-    if not (math.isfinite(alpha) and 0.0 <= beta < 1.0):
-        raise ValueError(f"need a finite alpha and 0 <= beta < 1, got {alpha!r}, {beta!r}")
-    g = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    return ((g * ca, g * sa, 0.0, 0.0, 0.0, -beta * g),
+    b, g = params.beta, params.gamma
+    a = params.alpha(tau)
+    ca, sa = math.cos(a), math.sin(a)
+    return ((g * ca, g * sa, 0.0, 0.0, 0.0, -b * g),
             (-sa, ca, 0.0, 0.0, 0.0, 0.0),
-            (0.0, 0.0, g, beta * g * ca, beta * g * sa, 0.0),
-            (0.0, 0.0, beta * g, g * ca, g * sa, 0.0),
+            (0.0, 0.0, g, b * g * ca, b * g * sa, 0.0),
+            (0.0, 0.0, b * g, g * ca, g * sa, 0.0),
             (0.0, 0.0, 0.0, -sa, ca, 0.0),
-            (-beta * g * ca, -beta * g * sa, 0.0, 0.0, 0.0, g))
+            (-b * g * ca, -b * g * sa, 0.0, 0.0, 0.0, g))
 
 
-def projection_matrix(alpha: float, beta: float) -> np.ndarray:
-    """6x6 map from lab (E1,E2,E3,H1,H2,H3) to tetrad (E_(1..3), H_(1..3)).
-
-    Row layout follows the comoving-frame component order; alpha is the
-    rotation phase of the tetrad, beta the orbital speed.  ValueError unless
-    alpha is finite and 0 <= beta < 1.
-    """
-    return np.array(_projection_entries(alpha, beta))
+def projection_matrix(params: RotationParams, tau: float) -> np.ndarray:
+    """6x6 map from lab (E1,E2,E3,H1,H2,H3) to tetrad (E_(1..3), H_(1..3))
+    at proper time tau, rows in the comoving-frame component order.
+    ValueError unless the rotation phase params.alpha(tau) is finite."""
+    return np.array(_projection_entries(params, tau))
 
 
 def projection_rows(pair, kind: str, params: RotationParams, tau1: float,
@@ -69,7 +65,7 @@ def projection_rows(pair, kind: str, params: RotationParams, tau1: float,
     if len(pair) != 2 or not all(a in (1, 2, 3) for a in pair):
         raise ValueError(f"component indices must be 1..3, got {pair!r}")
     return np.array([
-        _projection_entries(params.alpha(tau), params.beta)[int(a) - 1 + (3 if field == "H" else 0)]
+        _projection_entries(params, tau)[int(a) - 1 + (3 if field == "H" else 0)]
         for field, a, tau in zip(kind, pair, (tau1, tau2))])
 
 

@@ -4,7 +4,7 @@ Conventions: 4-vector slots are (x, y, z, ct) with metric diag(1, 1, 1, -1).
 The worldline is a circle of radius ``r`` traversed with angular velocity
 ``omega`` in the lab frame; proper time tau relates to lab time by t = gamma
 tau, and the rotation phase seen along the worldline is alpha = omega gamma
-tau.
+tau.  RotationParams computes beta and gamma once, when it is built.
 
 Two comoving tetrads are provided, each a (4, 4) array whose rows are the
 legs mu1..mu4 on those slots.  The Frenet-Serret frame keeps the
@@ -16,7 +16,7 @@ acceleration direction precesses in it at the rate omega gamma^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,29 +45,27 @@ class LuminalOrbitError(ValueError):
 
 @dataclass(frozen=True)
 class RotationParams:
-    """Angular velocity (rad/s) and orbit radius (m), plus the unit system."""
+    """Angular velocity (rad/s) and orbit radius (m), plus the unit system;
+    beta = omega radius / c and gamma are computed once, at construction."""
 
     omega: float
     radius: float
     constants: Constants = SI
+    beta: float = field(init=False, repr=False)
+    gamma: float = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("omega", "radius"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, "
                                  f"got {getattr(self, name)!r}")
-        if self.beta >= 1.0 - BETA_GUARD:
+        beta = self.omega * self.radius / self.constants.c
+        if beta >= 1.0 - BETA_GUARD:
             raise LuminalOrbitError(
-                f"orbital speed beta = omega radius / c = {self.beta!r} too close to 1"
+                f"orbital speed beta = omega radius / c = {beta!r} too close to 1"
             )
-
-    @property
-    def beta(self) -> float:
-        return self.omega * self.radius / self.constants.c
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / math.sqrt((1.0 - self.beta) * (1.0 + self.beta))
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta)))
 
     @classmethod
     def from_beta(cls, omega: float, beta: float, constants: Constants = SI):

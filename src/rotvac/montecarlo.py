@@ -514,7 +514,7 @@ def empirical_energy_density(params: RotationParams, mode_set: ModeSet,
     if n_seeds < 2:
         raise ValueError(f"a standard error needs n_seeds >= 2, got {n_seeds}")
     base = _field_base(mode_set, params, tau)
-    m = projection_matrix(params.alpha(tau), params.beta)
+    m = projection_matrix(params, tau)
 
     @np.errstate(over="ignore")      # _seed_stats names an overflow
     def work(i):

@@ -35,7 +35,6 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from rotvac.cf_continuous import _em_prefactor, _lag, shape_constant
 from rotvac.constants import SI, Constants
 from rotvac.fields import polarization_grid, projection_matrix
 from rotvac.kinematics import (METRIC, RotationParams, fermi_walker_tetrad,
@@ -143,19 +142,25 @@ def bracket_quadrature(pair, params: RotationParams, tau1: float, tau2: float,
                        tol: float = DEFAULT_TOL) -> float:
     """Diagonal continuous EE (or HH) CF by the stationary route: the sphere
     integral of the printed bracket against the regularized radial factor
-    (1 + k ky)^-4, k = shape_constant, times 3 hbar c / (2 pi^2 (c dt)^4).
+    (1 + k ky)^-4, k = -beta sin(delta/2) / (delta/2), times
+    3 hbar c / (2 pi^2 (c dt)^4), with delta = omega gamma s and
+    c dt = c gamma s at the lag s = tau2 - tau1.
 
-    Independent route to the lab-kernel quadrature of em_cf_continuous.
+    Independent route to the lab-kernel quadrature of em_cf_continuous: it
+    forms its lag, chord and scale from params alone.
     """
-    delta, dt_lab = _lag(params, tau1, tau2)
-    k = shape_constant(params, delta)
+    const = params.constants
+    s = tau2 - tau1
+    delta = params.omega * params.gamma * s
+    k = -params.beta * math.sin(delta / 2.0) / (delta / 2.0)
 
     def integrand(khat):
         ky = khat[..., 1]
         return diag_bracket(pair, params, delta, khat[..., 0], ky) / (1.0 + k * ky) ** 4
 
     val, _ = integrate_sphere(integrand, tol)
-    return _em_prefactor(params, dt_lab) * val
+    cdt = const.c * params.gamma * s
+    return 3.0 * const.hbar * const.c / (2.0 * math.pi**2 * cdt**4) * val
 
 
 def angular_weight_kernel(direction: Direction, delta: float, params: RotationParams) -> float:
@@ -192,7 +197,7 @@ def field_tensor(f) -> np.ndarray:
 def project_fields_to_tetrad(lab, params: RotationParams, tau: float) -> np.ndarray:
     """Project the lab-frame 6-vector (E, H) into the Frenet-Serret frame at
     proper time tau."""
-    return projection_matrix(params.alpha(tau), params.beta) @ np.asarray(lab, dtype=float)
+    return projection_matrix(params, tau) @ np.asarray(lab, dtype=float)
 
 
 def project_fields_via_tensor(lab, params: RotationParams, tau: float) -> np.ndarray:

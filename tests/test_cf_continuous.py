@@ -10,8 +10,7 @@ from oracles import (bracket_quadrature, delta_to_tau, diag_bracket, em_cf_ee_mp
 from rotvac import cf_continuous as cfc
 from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous, em_cf_tensor_quadrature,
                                   phi_kernel_integral, scalar_cf_continuous,
-                                  scalar_cf_quadrature, shape_constant,
-                                  sin_power_integral)
+                                  scalar_cf_quadrature, sin_power_integral)
 from rotvac.constants import NATURAL, SI
 from rotvac.fields import _lab_kernel, projection_matrix, projection_rows
 from rotvac.kinematics import RotationParams, lab_position
@@ -87,7 +86,7 @@ class TestEmContinuous:
             for delta in (0.5, 2.0, 5.0):
                 tau2 = delta_to_tau(p, delta)
                 closed = em_cf_continuous((1, 1), "EE", 0.0, tau2, p, "closed-form").value
-                k = shape_constant(p, delta)
+                k = -beta * math.sin(delta / 2.0) / (delta / 2.0)
                 ch = math.cos(delta / 2.0)
                 c0 = math.cos(delta)
                 amp = beta * beta - ch * ch
@@ -135,8 +134,8 @@ class TestEmContinuous:
             for delta in (0.3, 1.3, 4.0):
                 c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
                 rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-                lab = _lab_kernel(projection_matrix(0.0, beta)[row],
-                                  projection_matrix(delta, beta)[row])(k @ rot.T)
+                rows = (projection_matrix(p, tau)[row] for tau in (0.0, delta_to_tau(p, delta)))
+                lab = _lab_kernel(*rows)(k @ rot.T)
                 bracket = diag_bracket(pair, p, delta, k[:, 0], k[:, 1])
                 assert np.max(np.abs(bracket - lab)) < 1e-13
 
@@ -494,11 +493,25 @@ class TestFortyDigits:
 
     @pytest.mark.parametrize("beta,tau1", DIGITS)
     def test_tensor_route_equals_the_closed_form(self, beta, tau1):
-        # both take 1 - |chord| from shape_constant, so they share its rounding
+        # both take 1 - |chord| from the one lag record, so they share its rounding
         p, tau2 = _digits_case(beta, tau1)
         closed = em_cf_continuous((1, 1), "EE", tau1, tau2, p).value
         tensor = em_cf_tensor_quadrature((1, 1), "EE", tau1, tau2, p).value
         assert tensor == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("one_minus_beta", [10.0**-e for e in range(5, 12)])
+    def test_closed_forms_at_small_lags(self, one_minus_beta):
+        # the scalar denominator (c dt)^2 gap (1 + n) and the (1,1) form's
+        # 1 / (1 - k^2) = 1 / (gap (1 + n)) keep their digits where 1 - n
+        # cancels (1e-9 at delta 1e-4): gap is the lag record's, without
+        # cancellation
+        p = RotationParams.from_beta(1.0, 1.0 - one_minus_beta, NATURAL)
+        for delta in (1e-4, 1e-3, 0.01, 0.1, 1.0, 3.0):
+            tau2 = delta_to_tau(p, delta)
+            assert scalar_cf_continuous(0.0, tau2, p).value == pytest.approx(
+                scalar_cf_mp(p, 0.0, tau2), rel=1e-14, abs=0.0), delta
+            assert em_cf_continuous((1, 1), "EE", 0.0, tau2, p).value == pytest.approx(
+                em_cf_ee_mp((1, 1), p, 0.0, tau2), rel=1e-14, abs=0.0), delta
 
     @pytest.mark.parametrize("beta,tau1", DIGITS)
     def test_conditioning_floor(self, beta, tau1):
@@ -525,7 +538,7 @@ class TestFortyDigits:
 def em_11_size(p, delta):
     """Size of the (1,1) CF at lag delta: the bracket-quadrature prefactor
     times gamma^2 times the integral of (1 + k k_y)^-4 over the sphere."""
-    k = shape_constant(p, delta)
+    k = -p.beta * math.sin(delta / 2.0) / (delta / 2.0)
     mass = (4.0 * math.pi if k == 0.0 else
             2.0 * math.pi * ((1.0 - k) ** -3 - (1.0 + k) ** -3) / (3.0 * k))
     dt_lab = delta / p.omega

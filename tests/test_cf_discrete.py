@@ -115,6 +115,14 @@ class TestThermalSplit:
         with pytest.raises(ResonanceError):
             cubic_ladder_split(6.5)
 
+    @pytest.mark.parametrize("phase", [1e78, -1e155, 1e300])
+    @pytest.mark.parametrize("split", [cubic_ladder_split, linear_ladder_split])
+    def test_huge_phase_is_resonance_error(self, split, phase):
+        # the domain |phase| < 2 pi is checked before phase^4 or phase^2 can
+        # overflow into Python's nameless OverflowError
+        with pytest.raises(ResonanceError, match=r"needs \|phase\| < 2 pi"):
+            split(phase)
+
     @pytest.mark.parametrize("phase", [1e-3, 0.5, 2.0, math.pi, 5.0])
     def test_linear_total_matches_closed(self, phase):
         split = linear_ladder_split(phase)

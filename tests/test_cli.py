@@ -192,8 +192,8 @@ class TestCfCommand:
 
     @pytest.mark.parametrize("kind", ["EE", "scalar"])
     def test_discrete_overflow_flags_every_row(self, capsys, kind):
-        # omega**4 and k0**2 are computed after the lag's range check, so an
-        # overflow flags each row, as on the continuous spectrum
+        # the lag's range check comes first and names c dt, so an overflow
+        # flags each row, as on the continuous spectrum
         code, out = run_cli(capsys, "cf", "--kind", kind, "--omega", "1e308", "--beta", "0.3",
                             "--spectrum", "discrete", "--method", "all", "--delta-steps", "2",
                             "--seeds", "4")
@@ -205,15 +205,16 @@ class TestCfCommand:
         assert "(34, " not in out
         assert "lag c dt" in rows[0]["flag"]
 
-    def test_discrete_prefactor_overflow_names_omega(self, capsys):
-        # a lag of 1e3 keeps c dt in range at omega 1e78, where omega**4 overflows
+    def test_discrete_overflow_names_the_cf_and_its_lag(self, capsys):
+        # a lag of 1e3 keeps c dt in range at omega 1e78, where the value
+        # hbar c delta^4 / (4 pi^2 (c dt)^4) times the sphere integral overflows
         code, out = run_cli(capsys, "cf", "--omega", "1e78", "--beta", "0.3", "--spectrum",
                             "discrete", "--method", "quadrature", "--delta-min=1e3",
                             "--delta-max=1e3", "--delta-steps", "1")
         assert code == 1
         [row] = parse_table(out)[2]
         assert row["flag"] == ("error: outside the float64 range: "
-                               "omega = 1e+78 overflows at the power 4")
+                               "periodic EE (1, 1) CF = inf at delta = 1000.0")
 
     def test_negative_exponent_values_take_an_equals_sign(self, capsys):
         # argparse reads "-1e3" after a space as an option; README says to
@@ -471,6 +472,18 @@ class TestSpectrumCommand:
         rows = parse_table(out)[2]
         assert len(rows) == 3
         assert all(float(r["rel_consistency"]) < 1e-15 and r["flag"] == "ok" for r in rows)
+
+    def test_huge_phases_flag_their_rows(self, capsys):
+        # each split past 2 pi is a ResonanceError, however far: the row at
+        # phase 1 prints, and the rows at 5e99 and 1e100 are flagged
+        code, out = run_cli(capsys, "spectrum", "--phase-min", "1", "--phase-max", "1e100",
+                            "--phase-steps", "3")
+        assert code == 1
+        rows = parse_table(out)[2]
+        assert [r["flag"] for r in rows[1:]] == [
+            f"error: thermal integral needs |phase| < 2 pi, got |phase| = {ph}"
+            for ph in ("5e+99", "1e+100")]
+        assert rows[0]["flag"] == "ok"
 
     def test_rows_over_the_bound_are_flagged(self, capsys, monkeypatch):
         # a thermal part perturbed by 1e-7 puts the split off the closed form

@@ -78,7 +78,7 @@ class TestProjection:
         for pair in itertools.product((1, 2, 3), repeat=2):
             for tau1, tau2 in itertools.product(taus, repeat=2):
                 rows = projection_rows(pair, kind, p, tau1, tau2)
-                ref = np.array([projection_matrix(p.alpha(tau), p.beta)[a - 1 + 3 * (f == "H")]
+                ref = np.array([projection_matrix(p, tau)[a - 1 + 3 * (f == "H")]
                                 for f, a, tau in zip(kind, pair, (tau1, tau2))])
                 assert np.array_equal(rows, ref), (pair, tau1, tau2)
                 assert np.array_equal(np.signbit(rows), np.signbit(ref)), (pair, tau1, tau2)

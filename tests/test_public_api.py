@@ -108,13 +108,10 @@ FLOAT_CALLS = {
     "kinematics.lab_position": {"tau": lambda x: kinematics.lab_position(P, x)},
     "kinematics.frenet_serret_tetrad": {"tau": lambda x: kinematics.frenet_serret_tetrad(P, x)},
     "kinematics.fermi_walker_tetrad": {"tau": lambda x: kinematics.fermi_walker_tetrad(P, x)},
-    "fields.projection_matrix": {
-        "alpha": lambda x: fields.projection_matrix(x, 0.3),
-        "beta": lambda x: fields.projection_matrix(1.0, x)},
+    "fields.projection_matrix": {"tau": lambda x: fields.projection_matrix(P, x)},
     "fields.projection_rows": {
         "tau1": lambda x: fields.projection_rows((1, 2), "EH", P, x, TAU),
         "tau2": lambda x: fields.projection_rows((1, 2), "EH", P, 0.0, x)},
-    "cf_continuous.shape_constant": {"delta": lambda x: cfc.shape_constant(P, x)},
     "cf_continuous.sin_power_integral": {"k": lambda x: cfc.sin_power_integral(5, x)},
     "cf_continuous.phi_kernel_integral": {"b": lambda x: cfc.phi_kernel_integral(2, x)},
     "cf_continuous.em_cf_continuous": {
@@ -245,12 +242,25 @@ def test_float_arguments_give_finite_values_or_typed_errors(name, arg, x):
     (lambda: P.alpha(math.nan), "rotation phase"),
     (lambda: P.alpha(1.75e308), "rotation phase"),
     (lambda: cfc.em_cf_continuous((1, 1), "EE", 0.0, math.nan, P), "rotation phase"),
-    (lambda: fields.projection_matrix(math.nan, 0.3), "finite alpha"),
-    (lambda: fields.projection_matrix(1.0, math.nan), "0 <= beta < 1"),
-    (lambda: fields.projection_matrix(1.0, 1.0), "0 <= beta < 1"),
-    (lambda: cfc.shape_constant(P, -math.inf), "lag delta"),
-], ids=["alpha-nan", "alpha-overflow", "cf-nan-tau", "projection-nan-alpha",
-        "projection-nan-beta", "projection-luminal-beta", "shape-constant-inf"])
+    (lambda: fields.projection_matrix(P, math.nan), "rotation phase"),
+    (lambda: RotationParams.from_beta(1.0, math.nan, NATURAL), "beta must be finite"),
+    (lambda: RotationParams.from_beta(1.0, 1.0, NATURAL), "too close to 1"),
+], ids=["alpha-nan", "alpha-overflow", "cf-nan-tau", "projection-nan-tau",
+        "params-nan-beta", "params-luminal-beta"])
 def test_non_finite_time_lag_angle_or_speed_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, t: cfc.em_cf_continuous((1, 1), "EE", 0.0, t, p),
+    lambda p, t: cfc.em_cf_continuous((1, 1), "EE", 0.0, t, p, "quadrature"),
+    lambda p, t: cfc.em_cf_tensor_quadrature((1, 1), "EE", 0.0, t, p),
+    lambda p, t: cfd.em_cf_discrete(0.0, t, p),
+], ids=["closed-form", "quadrature", "tensor", "discrete"])
+def test_cf_beyond_the_float64_range_raises_overflow(call):
+    # the lag's c dt is in range, but the near-luminal value is not; the
+    # error names the CF and its lag instead of returning inf
+    p = RotationParams.from_beta(1e72, 0.99999, NATURAL)
+    with pytest.raises(OverflowError, match="CF = inf at delta = 0.05"):
+        call(p, 0.05 / (p.omega * p.gamma))
