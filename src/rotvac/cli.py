@@ -83,12 +83,16 @@ def _sweep(args, name: str, scale: float = 1.0):
 
 def _mode_set(args, params: RotationParams, spectrum: str) -> mc.ModeSet:
     """The Monte Carlo ladder or band of the options (the band reaches --n-max
-    times --omega / c); OverflowError names --omega."""
+    times --omega / c); OverflowError names --omega, and ValueError (such as
+    a grid too coarse for --n-max) names --n-max, --mc-theta and --mc-phi."""
     try:
         return mc.build_mode_set(params, spectrum, n_max=args.n_max, n_theta=args.mc_theta,
                                  n_phi=args.mc_phi)
     except OverflowError as exc:
         raise OverflowError(f"Monte Carlo modes at --omega {args.omega!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"Monte Carlo modes at --n-max {args.n_max}, --mc-theta "
+                         f"{args.mc_theta}, --mc-phi {args.mc_phi}: {exc}") from exc
 
 
 def _error(exc: Exception) -> str:

@@ -3,13 +3,14 @@ zero-point field evaluated along the rotating worldline.
 
 The angular part is a deterministic Gauss-Legendre x uniform-azimuth
 quadrature grid; only the mode phases are random, so statistical error comes
-solely from the phase ensemble.  The per-mode amplitude is fixed so the
-ensemble average of one-point quadratic observables reproduces the truncated
-harmonic-ladder energy density identically in expectation (the
-"energy-density normalization").  Two-time correlation functions built from
-this field therefore carry twice the spectral weight of the
-correlation-function convention used by the analytic periodic CFs;
-comparisons against those include an explicit factor 2.
+solely from the phase ensemble.  A spectrum chooses only its radial rule
+(build_mode_set); one amplitude formula and one angular-resolution rule
+serve both.  The amplitudes make the ensemble average of one-point
+quadratic observables reproduce the truncated energy density identically
+in expectation (the "energy-density normalization").  Two-time correlation
+functions built from this field therefore carry twice the spectral weight of
+the analytic CFs' convention; comparisons against those include an explicit
+factor 2.
 
 Phases are drawn from counter-based Philox streams keyed by
 (master seed, seed index), so any parallel split over seeds is
@@ -32,12 +33,13 @@ b = k . r - c k t the base phase of a mode; both take amp e^{-ib} from one
 kernel (_field_base) and their phases from one draw (_draw_block).  The
 two-time CFs run over node chunks of about CHUNK_MODES modes, so that their
 memory does not grow with the grid, and sum each seed's shares in chunk
-order (empirical_cfs).  The one-point moments compute amp e^{-ib} once per
-call; each seed's per-node sums are then one batched complex product over
-node chunks, so a worker thread keeps no array of mode size.  Times whose
-base phases k . r - c k t float64 cannot resolve against the drawn phases
-are a ValueError; a mean or standard error outside the float64 range is an
-OverflowError.
+order (empirical_cfs); no seed block has one row, so that the bits do not
+depend on the BLAS thread count either.  The one-point moments compute
+amp e^{-ib} once per call; each seed's per-node sums are then one batched
+complex product over node chunks, so a worker thread keeps no array of mode
+size.  Times whose base phases k . r - c k t float64 cannot resolve against
+the drawn phases are a ValueError; a mean or standard error outside the
+float64 range is an OverflowError.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ BAND_NODES_PER_RUNG = 4
 BLOCK_ELEMENTS = 2**16
 # modes per node chunk of empirical_cfs, about: a chunk is a multiple of 4
 # whole nodes, so that it starts on a Philox counter step (4 words, 8 modes),
-# and its design takes 2 float64 per mode, pair and time, whatever the grid
-CHUNK_MODES = 2**17
+# its design takes 2 float64 per mode, pair and time, whatever the grid, and a
+# seed block holds >= 2 seeds (OpenBLAS threads the sum of a one-row product)
+CHUNK_MODES = BLOCK_ELEMENTS // 2
 # eval_lab_fields takes the e^{i phi} of its modes in node chunks of about
 # TRIG_CHUNK modes, and _cis works in chunks of TRIG_CHUNK: shorter chunks
 # lose time to GIL handoffs between worker threads.  At 2**15, the 512 KB
@@ -169,22 +172,37 @@ class EmpiricalEnergyDensity:
 @np.errstate(over="ignore", under="ignore")    # checked on the amplitudes
 def build_mode_set(params: RotationParams, spectrum: str = "discrete",
                    n_max: int = 10, n_theta: int = 16, n_phi: int = 32) -> ModeSet:
-    """Deterministic angular grid plus a radial ladder or band.
+    """Deterministic angular grid times a radial rule in units of k0 = omega / c.
 
-    Discrete: wavenumbers are exactly k0 n, k0 = omega / c, n = 1..n_max.
-    Continuous: BAND_NODES_PER_RUNG n_max Gauss-Legendre nodes on
-    [0, n_max omega / c].  The azimuthal resolution must resolve the
-    worldline phase oscillation (roughly the top wavenumber times the orbit
-    diameter), otherwise construction fails.
+    Discrete: nodes n = 1..n_max, weight 1, so the wavenumbers are exactly
+    k0 n.  Continuous: BAND_NODES_PER_RUNG n_max Gauss-Legendre nodes n on
+    [0, n_max] with weights w_n.  Either way amp^2 = (hbar c k0^4 / pi^2) w
+    w_n n^3 for an angular weight w.  Over the sphere a two-time CF term
+    swings through the phase k . (r1 - r2), up to 2 n_max beta rad (k0 r =
+    beta); ValueError unless n_theta >= ceil(n_max beta) + 6 and n_phi >=
+    ceil(3 n_max beta) + 10 resolve it, and the grid is at least
+    MIN_THETA_NODES x MIN_PHI_NODES.  OverflowError where k0, the top
+    wavenumber n_max k0 or an amplitude is not a normal float64.
     """
     const = params.constants
-    if n_theta < MIN_THETA_NODES or n_phi < MIN_PHI_NODES:
-        raise ValueError(f"angular grid below the {MIN_THETA_NODES}x{MIN_PHI_NODES} minimum")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    need = (max(MIN_THETA_NODES, math.ceil(n_max * params.beta) + 6),
+            max(MIN_PHI_NODES, math.ceil(3 * n_max * params.beta) + 10))
+    if n_theta < need[0] or n_phi < need[1]:
+        raise ValueError(f"the {n_theta} x {n_phi} angular grid is too coarse for n_max = {n_max} "
+                         f"at beta = {params.beta!r}: it needs n_theta >= {need[0]} and "
+                         f"n_phi >= {need[1]}")
     if params.omega == 0.0:
         raise ValueError("the Monte Carlo modes need omega > 0 (wavenumbers up to "
                          "n_max omega / c)")
+    if spectrum == "discrete":
+        nodes, weights = np.arange(1, n_max + 1, dtype=float), np.ones(n_max)
+    elif spectrum == "continuous":
+        x, wx = leggauss(BAND_NODES_PER_RUNG * n_max)
+        nodes, weights = 0.5 * n_max * (x + 1.0), 0.5 * n_max * wx
+    else:
+        raise ValueError(f"unknown spectrum {spectrum!r}")
     # Gauss-Legendre in cos(theta) (its weights absorb sin(theta)) x trapezoid in phi
     x, wx = leggauss(n_theta)
     th, ph = np.meshgrid(np.arccos(x), 2.0 * np.pi * np.arange(n_phi) / n_phi, indexing="ij")
@@ -193,44 +211,19 @@ def build_mode_set(params: RotationParams, spectrum: str = "discrete",
     khat = np.stack([st * np.cos(ph.reshape(-1)), st * np.sin(ph.reshape(-1)),
                      np.cos(th).reshape(-1)], axis=-1)
     k0 = params.omega / const.c
-
-    if spectrum == "discrete":
-        harmonics = np.arange(1, n_max + 1, dtype=float)
-        wavenumbers = k0 * harmonics
-        # oscillation of k . r across the azimuth grows like n_max * beta
-        needed = max(MIN_PHI_NODES, 2 * math.ceil(n_max * params.beta) + 8)
-        if n_phi < needed:
-            raise ValueError(
-                f"n_phi = {n_phi} too coarse for n_max = {n_max} at beta = {params.beta:.3f}; "
-                f"need at least {needed}"
-            )
-        # energy-density normalization: amplitude^2 = (hbar c k0^4 / pi^2) w n^3;
-        # numpy's power gives inf where Python's float ** would raise
-        amp2 = const.hbar * const.c * np.float64(k0)**4 / math.pi**2 * np.outer(w, harmonics**3)
-    elif spectrum == "continuous":
-        k_cut = n_max * params.omega / const.c
-        if not k_cut < math.inf:
-            raise OverflowError(f"the band cutoff n_max omega / c at n_max = {n_max}, "
-                                f"omega = {params.omega!r} is {k_cut!r}")
-        x, wx = leggauss(BAND_NODES_PER_RUNG * n_max)
-        wavenumbers = 0.5 * k_cut * (x + 1.0)
-        wk = 0.5 * k_cut * wx
-        needed = max(MIN_PHI_NODES, 2 * math.ceil(k_cut * params.radius * params.gamma) + 8)
-        if n_phi < needed:
-            raise ValueError(f"n_phi = {n_phi} too coarse for the requested band; need {needed}")
-        # same convention: amplitude^2 = (hbar c / pi^2) w w_k k^3
-        amp2 = const.hbar * const.c / math.pi**2 * np.outer(w, wk * wavenumbers**3)
-    else:
-        raise ValueError(f"unknown spectrum {spectrum!r}")
+    # numpy's power gives inf where Python's float ** would raise
+    amp2 = const.hbar * const.c * np.float64(k0)**4 / math.pi**2 * np.outer(w, weights * nodes**3)
     # each is non-zero in exact arithmetic: a zero or subnormal one underflowed
-    for name, v in (("k0 = omega / c", k0), ("mode amplitude^2", amp2)):
+    for name, v in (("k0 = omega / c", k0),
+                    (f"the top wavenumber at n_max = {n_max}, omega = {params.omega!r}",
+                     n_max * k0), ("mode amplitude^2", amp2)):
         lo, hi = float(np.min(v)), float(np.max(v))     # all >= 0; NaN fails below
         if not np.finfo(np.float64).smallest_normal <= lo <= hi < math.inf:
             raise OverflowError(f"{name} is {lo if hi < math.inf else hi!r}, not a normal float64")
 
     pol = np.stack([np.stack([eps, np.cross(khat, eps)]) for eps in polarization_grid(khat)])
     return ModeSet(spectrum=spectrum, n_max=n_max, n_theta=n_theta, n_phi=n_phi, k0=k0,
-                   wavenumbers=wavenumbers, khat=khat, amp=np.sqrt(amp2), pol=pol)
+                   wavenumbers=k0 * nodes, khat=khat, amp=np.sqrt(amp2), pol=pol)
 
 
 def draw_phases(mode_set: ModeSet, seed: int, index: int = 0) -> np.ndarray:
@@ -428,14 +421,15 @@ def _lab_field_design(mode_set: ModeSet, params: RotationParams, taus,
 def _chunk_components(mode_set: ModeSet, params: RotationParams, taus, rows: np.ndarray,
                       nodes: slice, seed: int, n_seeds: int, n_workers: int) -> np.ndarray:
     """(n_seeds, P, T) shares of the components along rows from the modes of
-    the node slice nodes, seeds in blocks of about BLOCK_ELEMENTS phases."""
+    the node slice nodes, seeds in blocks of about BLOCK_ELEMENTS phases; the
+    last block takes up a lone last seed, so that no block has one row."""
     design = _lab_field_design(mode_set, params, taus, rows, nodes)
     width = design.shape[1] // 2
-    per_block = max(1, BLOCK_ELEMENTS // width)
-    starts = range(0, n_seeds, per_block)
+    per_block = max(2, BLOCK_ELEMENTS // width)
+    starts = range(0, n_seeds - 1, per_block)
 
     def work(b):
-        idx = range(starts[b], min(starts[b] + per_block, n_seeds))
+        idx = range(starts[b], n_seeds if b == len(starts) - 1 else starts[b] + per_block)
         lattice = _draw_block(seed, idx, width, nodes.start * 2 * mode_set.amp.shape[1])
         trig = _cis(lattice).view(np.float64)    # (seeds, 2C): cos, sin interleaved
         return np.stack([trig @ d for d in design], axis=1)

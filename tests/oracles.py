@@ -10,7 +10,9 @@ the quadrature stress moments check the scalar
 isotropy, the kernel record checks the ladder phase bookkeeping, the
 mode-by-mode field sum checks eval_lab_fields and the ModeSet arrays, the
 per-seed field evaluation checks the seed-block Monte Carlo CF engine, the
-six-column lab-field design checks the engine's folded design, the per-term
+six-column lab-field design checks the engine's folded design, the exact
+phase-ensemble mean checks the Monte Carlo CFs, their design and the
+angular resolution of the mode grid, the per-term
 Abel weights check numerics.abel_sum, the lab-frame tensor integrand
 written term by term checks the one-product integrand of the tensor
 quadrature, and the printed rotated-frame brackets, their angular weight,
@@ -36,7 +38,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from rotvac.constants import SI, Constants
-from rotvac.fields import polarization_grid, projection_matrix
+from rotvac.fields import polarization_grid, projection_matrix, projection_rows
 from rotvac.kinematics import (METRIC, RotationParams, fermi_walker_tetrad,
                                frenet_serret_tetrad, lab_position)
 from rotvac.montecarlo import ModeSet, draw_phases, eval_lab_fields
@@ -367,6 +369,34 @@ def lab_field_design(mode_set: ModeSet, params: RotationParams, taus) -> np.ndar
         np.multiply((amp * trig(base))[:, :, None, :, None, None], pol,
                     out=design[:, :, :, half])
     return design.reshape(2 * mode_set.mode_count, 6 * len(taus))
+
+
+def mc_exact_cf_mean(mode_set: ModeSet, params: RotationParams, pair, kind: str,
+                     tau1: float, tau2: float):
+    """Phase-ensemble mean of one seed's Monte Carlo CF value, with no draws,
+    and its Cauchy-Schwarz scale: (mean, scale), |mean| <= scale.
+
+    A seed's components are c_j = sum_n amp_n (pol_n . row_j) cos(b_n(tau_j)
+    - phi_n), with independent uniform phases phi_n, so E c_1 c_2 = 1/2
+    sum_n amp_n^2 (pol_n . row_1)(pol_n . row_2) cos(b_n(tau1) - b_n(tau2)),
+    and b_n(tau1) - b_n(tau2) = k (khat . (r1 - r2) - c (t1 - t2)).  The
+    scale is 1/2 (sum amp^2 (pol . row_1)^2 sum amp^2 (pol . row_2)^2)^(1/2).
+
+    Reference for the mean of montecarlo.empirical_cfs and the design of
+    montecarlo._lab_field_design; reads the ModeSet arrays, projection_rows
+    and lab_position only.
+    """
+    rows = projection_rows(pair, kind, params, tau1, tau2)
+    # pol . row of each polarization and node: (2, M) per row
+    proj = [np.einsum("lfmi,fi->lm", mode_set.pol, row.reshape(2, 3)) for row in rows]
+    (t1, *r1), (t2, *r2) = (lab_position(params, tau) for tau in (tau1, tau2))
+    k = mode_set.wavenumbers
+    db = (np.outer(mode_set.khat @ (np.array(r1) - np.array(r2)), k)
+          - params.constants.c * (t1 - t2) * k)
+    amp2 = mode_set.amp**2
+    mean = 0.5 * np.sum(amp2 * np.cos(db) * (proj[0] * proj[1]).sum(axis=0)[:, None])
+    power = [np.sum(amp2 * (p**2).sum(axis=0)[:, None]) for p in proj]
+    return float(mean), 0.5 * math.sqrt(power[0] * power[1])
 
 
 def lab_tensor_integrand(row1, row2, chord):

@@ -264,6 +264,23 @@ class TestCfCommand:
         assert captured.out == ""
         assert "no Monte Carlo route for the scalar field" in captured.err
 
+    def test_default_band_runs_at_high_beta(self, capsys):
+        # the default 16 x 32 grid resolves the default band (--n-max 6) at
+        # any beta < 1
+        code, out = run_cli(capsys, "cf", "--beta", "0.9", "--method", "all")
+        assert code == 0
+        rows = parse_table(out)[2]
+        assert [r["method"] for r in rows[:3]] == ["closed-form", "quadrature", "monte-carlo"]
+        assert all(r["flag"] == "ok" for r in rows)
+
+    def test_coarse_grid_names_its_options(self, capsys):
+        code = main(["cf", "--beta", "0.9", "--n-max", "12", "--method", "monte-carlo"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: Monte Carlo modes at --n-max 12, --mc-theta 16, --mc-phi 32: the 16 x 32 "
+            "angular grid is too coarse for n_max = 12 at beta = 0.9: it needs n_theta >= 17 "
+            "and n_phi >= 43\n")
+
     def test_quadrature_rows_on_a_subnormal_orbit(self, capsys):
         # a chord whose norm underflows still carries the rule's pole
         code, out = run_cli(capsys, "cf", "--beta", "1e-310", "--pair", "12",
@@ -701,8 +718,8 @@ class TestInputErrors:
         (["mc-validate", "--units", "SI", "--omega", "1e-300", "--seeds", "2"],
          "Monte Carlo modes at --omega 1e-300: k0 = omega / c"),
         (["cf", "--omega", "1e308", "--beta", "0.3", "--method", "monte-carlo"],
-         "outside the float64 range: Monte Carlo modes at --omega 1e+308: the band cutoff "
-         "n_max omega / c at n_max = 6, omega = 1e+308 is inf"),
+         "outside the float64 range: Monte Carlo modes at --omega 1e+308: the top wavenumber "
+         "at n_max = 6, omega = 1e+308 is inf"),
         (["estimate-hadron", "--a", "1e-200"], "Casimir-model force at a = 1e-200 is inf"),
         (["estimate-hadron", "--a", "1e200"], "sphere radius = 1e+200 overflows at the power 3"),
         (["force-curve", "--omega", "2e3", "--sphere-radius", "1e200"],

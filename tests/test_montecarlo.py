@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ from numpy.random import Philox
 from scipy.stats import ks_2samp
 
 from oracles import (angular_weight_kernel_grid, delta_to_tau, empirical_cf_per_seed,
-                     lab_field_design, lab_fields_mode_sum, ladder_phase, write_manifest)
+                     lab_field_design, lab_fields_mode_sum, ladder_phase, mc_exact_cf_mean,
+                     write_manifest)
 from rotvac import montecarlo, validation
 from rotvac.cf_continuous import em_cf_continuous, em_cf_tensor_quadrature
 from rotvac.cf_discrete import em_cf_discrete
@@ -85,11 +90,12 @@ class TestModeSet:
                     build_mode_set(params, spectrum, n_max=n_max, n_theta=8, n_phi=16)
 
     def test_infinite_band_cutoff_names_n_max(self):
-        # n_max omega / c overflows: an OverflowError naming both, not
-        # leggauss or ceil failing on an infinite cutoff
+        # n_max omega / c overflows: an OverflowError naming both, on either
+        # spectrum, before the amplitudes are checked
         p = RotationParams(1e308, 0.0, NATURAL)
-        with pytest.raises(OverflowError, match=r"band cutoff .* n_max = 2, omega = 1e\+308"):
-            build_mode_set(p, "continuous", n_max=2, n_theta=8, n_phi=16)
+        for spectrum in ("discrete", "continuous"):
+            with pytest.raises(OverflowError, match=r"top wavenumber at n_max = 2, omega = 1e\+308"):
+                build_mode_set(p, spectrum, n_max=2, n_theta=8, n_phi=16)
 
     def test_one_point_normalization_sum_rule(self, modes, params):
         # deterministic (not statistical): the per-mode amplitudes reproduce
@@ -483,8 +489,8 @@ class TestSeedBlockEngine:
     @pytest.mark.parametrize("kind", ["EE", "HH", "EH"])
     def test_matches_per_seed_oracle(self, params, modes, band, spectrum, taus, pair, kind):
         ms = modes if spectrum == "discrete" else band
-        # one block plus one seed: the seeds span two blocks
-        n_seeds = BLOCK_ELEMENTS // ms.mode_count + 1
+        # one block plus two seeds: the seeds span two blocks
+        n_seeds = BLOCK_ELEMENTS // ms.mode_count + 2
         cf = empirical_cf(pair, kind, *taus, params, ms, n_seeds=n_seeds, seed=17)
         vals = empirical_cf_per_seed(pair, kind, *taus, params, ms, n_seeds, 17)
         assert abs(cf.value - vals.mean()) <= 1e-12 * cf.stat_error
@@ -534,14 +540,14 @@ class TestSharedDrawEngine:
     def test_lags_over_chunks_match_per_seed_oracle(self, params, modes, monkeypatch):
         # 512 nodes of 2 x 6 modes; room for 161 nodes rounds down to chunks
         # of 160, a multiple of 4: three chunks and a remainder of 32.  One
-        # block plus one seed spans two blocks of a chunk
+        # block plus two seeds spans two blocks of a chunk
         monkeypatch.setattr(montecarlo, "CHUNK_MODES", 161 * 12)
         chunks = []
         build = montecarlo._lab_field_design
         monkeypatch.setattr(montecarlo, "_lab_field_design",
                             lambda *a: chunks.append(a[4]) or build(*a))
         pairs, lags = [(1, 1), (2, 3)], [0.3, 0.9, 2.2]
-        n_seeds = BLOCK_ELEMENTS // (160 * 12) + 1
+        n_seeds = BLOCK_ELEMENTS // (160 * 12) + 2
         batch = empirical_cfs(pairs, "EE", 0.1, lags, params, modes, n_seeds=n_seeds,
                               seed=23)
         assert [(c.start, c.stop) for c in chunks] == [(0, 160), (160, 320), (320, 480),
@@ -581,12 +587,97 @@ class TestSharedDrawEngine:
         assert [[(c.value, c.stat_error) for c in row] for row in a] == \
             [[(c.value, c.stat_error) for c in row] for row in b]
 
+    def test_no_seed_block_has_one_row(self, params, modes, monkeypatch):
+        # OpenBLAS threads the sum of a one-row product, whose bits would
+        # then follow the BLAS thread count: a lone last seed joins the
+        # block before it, and a block narrower than a chunk's modes takes
+        # 2 seeds
+        sizes = []
+        draw = montecarlo._draw_block
+        monkeypatch.setattr(montecarlo, "_draw_block",
+                            lambda seed, idx, *a: sizes.append(len(idx)) or draw(seed, idx, *a))
+        per_block = BLOCK_ELEMENTS // modes.mode_count
+        empirical_cf((1, 1), "EE", 0.0, 1.1, params, modes, n_seeds=per_block + 1, seed=3)
+        assert sizes == [per_block + 1]
+        sizes.clear()
+        monkeypatch.setattr(montecarlo, "BLOCK_ELEMENTS", modes.mode_count // 2)
+        empirical_cf((1, 1), "EE", 0.0, 1.1, params, modes, n_seeds=5, seed=3)
+        assert sizes == [2, 3]
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # 128,000 modes in chunks of about CHUNK_MODES: a block of one seed
+        # in a chunk this wide is a one-row product whose sum OpenBLAS splits
+        # across its threads, and its last digits follow the thread count
+        script = (
+            "from rotvac import montecarlo as mc, RotationParams, NATURAL\n"
+            "p = RotationParams.from_beta(1.0, 0.3, NATURAL)\n"
+            "ms = mc.build_mode_set(p, n_max=20, n_theta=40, n_phi=80)\n"
+            "cfs = mc.empirical_cfs([(1, 3), (2, 3)], 'EE', 0.0, [1.1], p, ms, n_seeds=5, seed=8)\n"
+            "print([(c.value.hex(), c.stat_error.hex()) for (c,) in cfs])\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
+        out = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, env=dict(env, OPENBLAS_NUM_THREADS=str(n))).stdout
+               for n in (1, 2)]
+        assert out[0] and out[0] == out[1]
+
     def test_bit_identical_across_workers(self, params, modes):
         n_seeds = 3 * (BLOCK_ELEMENTS // modes.mode_count) + 2
         a, b = (empirical_cfs([(1, 2), (3, 3)], "HH", 0.0, [0.4, 1.7, 5.0], params, modes,
                               n_seeds=n_seeds, seed=6, n_workers=k) for k in (1, 3))
         assert [[(c.value, c.stat_error) for c in row] for row in a] == \
             [[(c.value, c.stat_error) for c in row] for row in b]
+
+
+class TestExactMean:
+    """oracles.mc_exact_cf_mean, the phase-ensemble mean of one seed's CF
+    value, against the angular-resolution rule, the engine's design and
+    its estimates."""
+
+    # the worst cases of a probe over beta {0.3, 0.5, 0.9, 0.99, 0.999},
+    # n_max {2, 6, 12, 20}, both spectra, (1,1) EE, (2,2) HH, (3,3) EE,
+    # (1,2) EE, (1,3) EH, (2,3) HH and lags {0.3, 1, 2, 3, 5}; an
+    # azimuth-only rule's 8 x 48 grid put the (1,1) case at beta 0.99 2e-2 off
+    @pytest.mark.parametrize("beta, n_max, spectrum, pair, kind", [
+        (0.999, 20, "discrete", (1, 1), "EE"), (0.9, 20, "discrete", (1, 3), "EH"),
+        (0.999, 20, "continuous", (3, 3), "EE"), (0.999, 6, "discrete", (2, 2), "HH")])
+    def test_minimum_grid_resolves_the_swing(self, beta, n_max, spectrum, pair, kind):
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        # the least grid build_mode_set accepts
+        n_theta, n_phi = math.ceil(n_max * beta) + 6, math.ceil(3 * n_max * beta) + 10
+        coarse = build_mode_set(p, spectrum, n_max=n_max, n_theta=n_theta, n_phi=n_phi)
+        fine = build_mode_set(p, spectrum, n_max=n_max, n_theta=96,
+                              n_phi=math.ceil(4 * n_max * beta) + 48)
+        tau2 = delta_to_tau(p, 3.0)
+        mean, _ = mc_exact_cf_mean(coarse, p, pair, kind, 0.0, tau2)
+        want, scale = mc_exact_cf_mean(fine, p, pair, kind, 0.0, tau2)
+        assert abs(mean - want) <= 1e-5 * scale
+        for grid in ((n_theta - 1, n_phi), (n_theta, n_phi - 1)):
+            with pytest.raises(ValueError, match="too coarse"):
+                build_mode_set(p, spectrum, n_max=n_max, n_theta=grid[0], n_phi=grid[1])
+
+    @pytest.mark.parametrize("spectrum, beta", [("discrete", 0.3), ("continuous", 0.9)])
+    def test_design_products_are_the_exact_mean(self, spectrum, beta):
+        # half the product of a pair's design columns at tau1 and at a lag
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        ms = build_mode_set(p, spectrum, n_max=3, n_theta=16, n_phi=32)
+        pairs, kind, tau1, tau2s = [(1, 1), (1, 3), (2, 3)], "EH", 0.2, [0.5, 1.7]
+        rows = np.array([[projection_rows(pair, kind, p, tau1, tau2s[0])[0]]
+                         + [projection_rows(pair, kind, p, tau1, t)[1] for t in tau2s]
+                         for pair in pairs])
+        design = montecarlo._lab_field_design(ms, p, (tau1, *tau2s), rows)
+        for pair, d in zip(pairs, design):
+            for j, tau2 in enumerate(tau2s, 1):
+                mean, scale = mc_exact_cf_mean(ms, p, pair, kind, tau1, tau2)
+                assert abs(0.5 * d[:, 0] @ d[:, j] - mean) <= 1e-12 * scale
+
+    def test_estimates_pull_against_the_exact_mean(self, params, modes):
+        pairs = [(1, 1), (1, 3), (2, 3)]
+        lags = [delta_to_tau(params, delta) for delta in (0.5, math.pi / 2.0, 3.0)]
+        cfs = empirical_cfs(pairs, "EE", 0.0, lags, params, modes, n_seeds=400, seed=12)
+        for pair, row in zip(pairs, cfs):
+            for tau2, cf in zip(lags, row):
+                mean, _ = mc_exact_cf_mean(modes, params, pair, "EE", 0.0, tau2)
+                assert abs(cf.value - mean) < 4.0 * cf.stat_error
 
 
 class TestFoldedDesign:
@@ -612,11 +703,11 @@ class TestFoldedDesign:
 
     def test_block_draw_matches_draw_phases(self, params, modes, monkeypatch):
         # chunks of 160 nodes of 12 modes (room for 161 rounds down to a
-        # multiple of 4), and one block plus one seed: the seeds span two
+        # multiple of 4), and one block plus two seeds: the seeds span two
         # blocks in each of the three whole chunks and one in the remainder,
         # and the engine constructs one Philox per block, not one per seed
         monkeypatch.setattr(montecarlo, "CHUNK_MODES", 161 * 12)
-        n_seeds = BLOCK_ELEMENTS // (160 * 12) + 1
+        n_seeds = BLOCK_ELEMENTS // (160 * 12) + 2
         built, drawn = [], {}
         real_philox, real_draw = montecarlo.Philox, montecarlo._draw_block
 
