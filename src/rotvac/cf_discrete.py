@@ -13,21 +13,18 @@ splits each into a divergent zero-point integral (carried by its regularized
 value) plus a convergent integral whose weight is exactly the Planck
 occupancy at the rotation temperature T = hbar omega / (2 pi k_B).  That
 thermal integral is evaluated in closed form through the polygamma function;
-its QUADPACK evaluation is the oracle of the tests and of c07.  Over the
-directions the zero-point part integrates to the continuous-spectrum CF at
-the same lag, which the split takes from the closed forms of cf_continuous.
+its QUADPACK evaluation is the oracle of the tests and of c07.
 
-``phase`` here is the direction-dependent quantity
-
-    phase = delta (1 - khat . chord),   chord = (r(0) - r(s)) / c (t(0) - t(s)),
-
-with delta the angular lag, s = tau2 - tau1 and khat the propagation
-direction; it runs over delta (1 -/+ n), n chat the chord of the lag record
-(cf_continuous._lag).  Each ladder is the radial factor of the one CF sphere
-integrand (cf_continuous._cf_sphere), integrated over the directions against
-the weight of the continuous CF of its field: the lab kernel of the
-projection rows for the electromagnetic field, 1 for the scalar.  The
-prefactor hbar c k0^q / (4 pi^2) is delta^q times the CF scale of _scaled.
+``phase`` here is the direction-dependent quantity delta (1 - khat . chord),
+with delta the angular lag and khat the propagation direction; it runs over
+delta (1 -/+ n), n yhat the chord of the lag record (cf_continuous._lag).
+Each ladder is the radial factor of the one CF sphere integrand
+(cf_continuous._cf_sphere), against the weight of the continuous CF of its
+field: the lab kernel of the projection rows for the electromagnetic field,
+1 for the scalar.  Over the directions the zero-point part integrates to that
+continuous CF at the same lag, which the split takes from its closed form
+(cf_continuous._closed_form).  The prefactor hbar c k0^q / (4 pi^2) is
+delta^q times the CF scale of _scaled.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, zeta
 
-from .cf_continuous import CFValue, _cf_sphere, _closed_form_11, _scalar_closed_form, _scaled
+from .cf_continuous import CFValue, _cf_sphere, _closed_form, _scaled
 from .kinematics import RotationParams
 from .numerics import DEFAULT_TOL, integrate_sphere
 
@@ -181,22 +178,24 @@ def _check_resonances(delta: float, n: float):
     return lo, hi
 
 
-def _ladder_cf(field, tau1, tau2, params: RotationParams, tol: float, split: bool,
-               ladder, continuous, p: int, sign: float):
-    """CF whose value is delta^q, q = p + 1, times the sphere integral of the
-    weight of field ((pair, kind), or None for the scalar) times
-    ladder(delta (1 - khat . chord)), the integrand of
-    cf_continuous._cf_sphere, scaled by _scaled: hbar c k0^q / (4 pi^2),
-    since k0 c dt = delta.  With split=True also returns a ThermalSplit of
-    the continuous CF continuous(params, lag) and the same CF of
+def _ladder_cf(field, tau1, tau2, params: RotationParams, tol: float, split: bool):
+    """CF whose value is delta^q times the sphere integral of the weight of
+    field ((pair, kind), or None for the scalar) times ladder(delta (1 -
+    khat . chord)), the integrand of cf_continuous._cf_sphere, scaled by
+    _scaled: hbar c k0^q / (4 pi^2), since k0 c dt = delta.  The field sets
+    the ladder, p = q - 1 and sign: cubic, 3 and +1 for the electromagnetic
+    field, linear, 1 and -1 for the scalar.  With split=True also returns a
+    ThermalSplit of the continuous CF at the same lag and the same CF of
     sign * thermal_ladder_integral(phase, p)."""
+    ladder, p, sign = ((linear_ladder_sum_closed, 1, -1.0) if field is None
+                       else (cubic_ladder_sum_closed, 3, 1.0))
     lag, weighted = _cf_sphere(field, params, tau1, tau2, tol)
     lo, hi = _check_resonances(lag.delta, lag.n)
     dq = math.prod([lag.delta] * (p + 1))   # overflows to inf, which _scaled names
 
     def over_sphere(f, what):
-        val, _ = integrate_sphere(weighted(lambda g: f(lag.delta * g)), tol, axis=lag.chat)
-        return _scaled(params, lag, p + 1, dq * val, what)
+        val, _ = integrate_sphere(weighted(lambda g: f(lag.delta * g)), tol)
+        return _scaled(params, lag, dq * val, what)
 
     pair, kind = field or ((0, 0), "scalar")
     what = f"periodic {kind} {pair} CF"
@@ -210,7 +209,7 @@ def _ladder_cf(field, tau1, tau2, params: RotationParams, tol: float, split: boo
             f"(range [{lo:.6f}, {hi:.6f}]); the closed-form total remains valid"
         )
     return cf, ThermalSplit(
-        zero_point_part=continuous(params, lag),
+        zero_point_part=_scaled(params, lag, _closed_form(lag), f"zero-point part of the {what}"),
         thermal_part=over_sphere(lambda ph: sign * thermal_ladder_integral(ph, p),
                                  f"thermal part of the {what}"))
 
@@ -228,8 +227,7 @@ def em_cf_discrete(tau1, tau2, params: RotationParams,
     Periodic in delta with period 2 pi; ResonanceError where the phase
     range over the sphere meets 2 pi Z.
     """
-    return _ladder_cf(((1, 1), "EE"), tau1, tau2, params, tol, split,
-                      ladder=cubic_ladder_sum_closed, continuous=_closed_form_11, p=3, sign=1.0)
+    return _ladder_cf(((1, 1), "EE"), tau1, tau2, params, tol, split)
 
 
 def scalar_cf_discrete(tau1, tau2, params: RotationParams,
@@ -240,6 +238,4 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams,
     sum; the split exposes the zero-point part, the continuous scalar CF, and
     the (negative) Planck-weighted thermal part.
     """
-    return _ladder_cf(None, tau1, tau2, params, tol, split,
-                      ladder=linear_ladder_sum_closed, continuous=_scalar_closed_form, p=1,
-                      sign=-1.0)
+    return _ladder_cf(None, tau1, tau2, params, tol, split)

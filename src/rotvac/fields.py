@@ -1,13 +1,14 @@
 """Field projection into the comoving tetrad, the polarization basis shared
 by the Monte Carlo mode grid, and the lab-frame kernel of two projection
-rows: the one angular kernel that every electromagnetic CF quadrature, on
-the continuous and on the periodic spectrum, integrates.
+rows: the one angular kernel that every electromagnetic CF integrates, by
+quadrature or in closed form, on the continuous and the periodic spectrum.
 
 A field is a plain 6-vector (E1, E2, E3, H1, H2, H3): projection_matrix maps
 the lab one to the tetrad one at a proper time, from the orbit's own beta and
-gamma.  The projection of one 6-vector and the basis of one direction (with
-its Direction type), the printed rotated-frame brackets, and the other
-oracles that check this module, live with the tests (tests/oracles.py).
+gamma; the CFs read their two rows as floats (_row_entries).  The
+projection of one 6-vector and the basis of one direction (with its
+Direction type), the printed rotated-frame brackets, and the other oracles
+that check this module, live with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ POLE_TOL = 1e-8  # directions this close to +/- z use the (x, y) basis
 def _projection_entries(params: RotationParams, tau: float):
     """The 36 entries of projection_matrix(params, tau), as six rows of six
     floats: the one implementation of the projection, which
-    projection_matrix and projection_rows read."""
+    projection_matrix and the projection rows read."""
     b, g = params.beta, params.gamma
     a = params.alpha(tau)
     ca, sa = math.cos(a), math.sin(a)
@@ -50,6 +51,16 @@ def projection_matrix(params: RotationParams, tau: float) -> np.ndarray:
     return np.array(_projection_entries(params, tau))
 
 
+def _row_entries(pair, kind: str, params: RotationParams, tau1: float, tau2: float):
+    """projection_rows as two tuples of six floats, with its checks."""
+    if kind not in ("EE", "HH", "EH"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if len(pair) != 2 or not all(a in (1, 2, 3) for a in pair):
+        raise ValueError(f"component indices must be 1..3, got {pair!r}")
+    return tuple(_projection_entries(params, tau)[int(a) - 1 + (3 if field == "H" else 0)]
+                 for field, a, tau in zip(kind, pair, (tau1, tau2)))
+
+
 def projection_rows(pair, kind: str, params: RotationParams, tau1: float,
                     tau2: float) -> np.ndarray:
     """The two rows of projection_matrix that a two-point function of
@@ -60,13 +71,7 @@ def projection_rows(pair, kind: str, params: RotationParams, tau1: float,
     Raises ValueError unless kind is "EE", "HH" or "EH" and both components
     are 1, 2 or 3.
     """
-    if kind not in ("EE", "HH", "EH"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if len(pair) != 2 or not all(a in (1, 2, 3) for a in pair):
-        raise ValueError(f"component indices must be 1..3, got {pair!r}")
-    return np.array([
-        _projection_entries(params, tau)[int(a) - 1 + (3 if field == "H" else 0)]
-        for field, a, tau in zip(kind, pair, (tau1, tau2))])
+    return np.array(_row_entries(pair, kind, params, tau1, tau2))
 
 
 def polarization_grid(khat):
@@ -89,7 +94,8 @@ def polarization_grid(khat):
 
 def _lab_kernel(row1, row2):
     """The function khat -> row1^T M(khat) row2 for khat of shape (..., 3),
-    of shape khat.shape[:-1]; rows are 6-vectors (E, H).
+    of shape khat.shape[:-1]; rows are 6-vectors (E, H), sequences of six
+    floats.
 
     M is the lab-frame polarization-summed kernel: 1 - khat khat^T in the EE
     and HH blocks, <E_i H_j> ~ eps_{ijl} khat_l in the EH block and its
@@ -99,9 +105,8 @@ def _lab_kernel(row1, row2):
     (3, 5) array, which costs less per CF value than building it from numpy
     scalars or transposing it.
     """
-    r1, r2 = row1.tolist(), row2.tolist()
-    e1, h1, e2, h2 = r1[:3], r1[3:], r2[:3], r2[3:]
-    const = sum(map(operator.mul, r1, r2))
+    e1, h1, e2, h2 = row1[:3], row1[3:], row2[:3], row2[3:]
+    const = sum(map(operator.mul, row1, row2))
     # e1 x h2 - h1 x e2 by components: np.cross costs more per CF value
     eh = [e1[1] * h2[2] - e1[2] * h2[1] - (h1[1] * e2[2] - h1[2] * e2[1]),
           e1[2] * h2[0] - e1[0] * h2[2] - (h1[2] * e2[0] - h1[0] * e2[2]),

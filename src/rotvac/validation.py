@@ -17,6 +17,7 @@ section on known check failures).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -102,6 +103,17 @@ def check_em_cf_continuous() -> List[CheckResult]:
             quad_val = cfc.em_cf_continuous((1, 1), "EE", 0.0, tau2, params, "quadrature")
             errors.append(_rel(closed.value, quad_val.value))
     rows = [_bounded("em-cf-closed-vs-quadrature", errors, 1e-8)]
+
+    errors = []     # every pair and kind against the tensor route, over the (1,1) CF
+    for beta in (0.3, 0.9, 0.99):
+        params = RotationParams.from_beta(1.0, beta, NATURAL)
+        for tau2 in (delta / (params.omega * params.gamma) for delta in (0.5, 2.0, 5.0)):
+            size = abs(cfc.em_cf_continuous((1, 1), "EE", 0.0, tau2, params).value)
+            errors += [abs(cfc.em_cf_continuous(pair, kind, 0.0, tau2, params).value
+                           - cfc.em_cf_tensor_quadrature(pair, kind, 0.0, tau2, params).value)
+                       / size for pair in itertools.product((1, 2, 3), repeat=2)
+                       for kind in ("EE", "HH", "EH")]
+    rows.append(_bounded("em-cf-closed-vs-quadrature-pairs", errors, 1e-12))
 
     # the lag-frame route against the sphere integral at the caller's orbit phases
     params = RotationParams.from_beta(1.0, 0.5, NATURAL)

@@ -537,3 +537,36 @@ def scalar_cf_discrete_mp(params: RotationParams, tau1: float, tau2: float) -> f
         hbar_c = mpmath.mpf(params.constants.hbar) * mpmath.mpf(params.constants.c)
         return float(-hbar_c * k0**2 / (2 * mpmath.pi)
                      * (mpmath.cot((delta - a) / 2) - mpmath.cot((delta + a) / 2)) / (2 * a))
+
+
+def em_cf_11_printed(params: RotationParams, tau1: float, tau2: float) -> float:
+    """The printed closed form of the continuous (1,1) EE CF, which is also
+    the HH one, at the float inputs in mpmath at 30 digits: 3 hbar c
+    gamma^2 / (2 pi^2 (c dt)^4) times the brackets 2 pi cos(delta), pi (3 k^2
+    cos(delta) - 2 c^2 + 2 beta^2 - 8 beta k c + 1) and pi (-3 k^2 c^2 + 3
+    beta^2 k^2 - 2 beta k^3 c + 4 k^2) against the sine-power integrals
+    int_0^pi sin^p / (1 - k^2 sin^2)^(7/2), p = 1, 3, 5, rational in om = 1
+    / (1 - k^2), with c = cos(delta/2), k = -beta sin(delta/2) / (delta/2),
+    delta = omega gamma s and c dt = c gamma s at the lag s = tau2 - tau1.
+
+    Reference for the (1,1) rows of the general closed form of
+    em_cf_continuous; it forms its lag, k and scale from params alone, and
+    1 - k^2 with the digits that a float k would lose near the light
+    cylinder."""
+    with mpmath.workdps(30):
+        b, g = mpmath.mpf(params.beta), mpmath.mpf(params.gamma)
+        s = mpmath.mpf(tau2) - mpmath.mpf(tau1)
+        delta = mpmath.mpf(params.omega * params.gamma * (tau2 - tau1))
+        k = -b * mpmath.sin(delta / 2) / (delta / 2)
+        ch, cd = mpmath.cos(delta / 2), mpmath.cos(delta)
+        om = 1 / (1 - k * k)
+        sin_powers = (2 * om / 5 + 8 * om**2 / 15 + 16 * om**3 / 15,
+                      4 * om**2 / 15 + 16 * om**3 / 15, 16 * om**3 / 15)
+        brackets = (2 * mpmath.pi * cd,
+                    mpmath.pi * (3 * k * k * cd - 2 * ch * ch + 2 * b * b - 8 * b * k * ch + 1),
+                    mpmath.pi * (-3 * k * k * ch * ch + 3 * b * b * k * k - 2 * b * k**3 * ch
+                                 + 4 * k * k))
+        hbar_c = mpmath.mpf(params.constants.hbar) * mpmath.mpf(params.constants.c)
+        cdt = mpmath.mpf(params.constants.c) * g * s
+        return float(3 * hbar_c * g * g / (2 * mpmath.pi**2 * cdt**4)
+                     * sum(br * sp for br, sp in zip(brackets, sin_powers)))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (bracket_quadrature, delta_to_tau, diag_bracket, em_cf_ee_mp,
-                     lab_tensor_integrand, scalar_cf_mp)
+from oracles import (bracket_quadrature, delta_to_tau, diag_bracket, em_cf_11_printed,
+                     em_cf_ee_mp, lab_tensor_integrand, scalar_cf_mp)
 from rotvac import cf_continuous as cfc
 from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous, em_cf_tensor_quadrature,
                                   phi_kernel_integral, scalar_cf_continuous,
@@ -104,6 +104,32 @@ class TestEmContinuous:
                 assembled = 3.0 / (2.0 * math.pi**2 * dt_lab**4) * p.gamma**2 * val
                 assert assembled == pytest.approx(closed, rel=1e-9)
 
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.9, 0.99, 0.99999])
+    def test_closed_form_matches_tensor_quadrature_for_every_pair(self, beta):
+        # one closed form for every pair and kind, null pairs included, held
+        # to 1e-13 of the size of the (1,1) CF
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        for delta in (0.3, 1.0, 2.0, 5.0, -2.0, 7.5):
+            tau2 = delta_to_tau(p, delta)
+            size = em_11_size(p, delta)
+            for pair in [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]:
+                for kind in ("EE", "HH", "EH"):
+                    closed = em_cf_continuous(pair, kind, 0.0, tau2, p, "closed-form")
+                    tensor = em_cf_tensor_quadrature(pair, kind, 0.0, tau2, p).value
+                    assert (closed.pair, closed.kind, closed.method) == (pair, kind,
+                                                                         "closed-form")
+                    assert abs(closed.value - tensor) <= 1e-13 * size, (delta, pair, kind)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05, 0.3, 0.9, 0.99, 0.99999])
+    def test_11_rows_are_the_printed_form(self, beta):
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        for delta in (0.05, 0.3, 1.0, 2.0, 5.0, -2.0, 7.5):
+            tau2 = delta_to_tau(p, delta)
+            printed = em_cf_11_printed(p, 0.0, tau2)
+            for kind in ("EE", "HH"):
+                assert em_cf_continuous((1, 1), kind, 0.0, tau2, p).value == pytest.approx(
+                    printed, rel=1e-14, abs=0.0), (delta, kind)
+
     def test_small_beta_continuity(self):
         # beta -> 0 limit approaches the non-rotating evaluation smoothly
         delta = 1.3
@@ -143,30 +169,30 @@ class TestEmContinuous:
     def test_tensor_integrand_matches_term_by_term_oracle(self, monkeypatch, beta):
         # the one-product integrand against five separate products, np.cross
         # and a float power, at random directions and along +/- the rule's
-        # axis (the chord), where near beta = 1 the kernel's O(gamma^2) terms
-        # cancel and khat . chord - 1 is small.  The bound is 1e-13 of the
-        # rounding scale of both: the kernel's terms in absolute value, and
-        # the conditioning of the fourth power of khat . chord - 1
+        # default axis yhat, the chord of the lag frame at -s/2 and s/2, where
+        # near beta = 1 the kernel's O(gamma^2) terms cancel and khat . chord
+        # - 1 is small.  The bound is 1e-13 of the rounding scale of both: the
+        # kernel's terms in absolute value, and the conditioning of the fourth
+        # power of khat . chord - 1
         captured = []
         monkeypatch.setattr(cfc, "integrate_sphere",
-                            lambda f, tol, axis: captured.append((f, axis)) or (0.0, 0.0))
+                            lambda f, tol: captured.append(f) or (0.0, 0.0))
         p = RotationParams.from_beta(1.0, beta, NATURAL)
         rng = np.random.default_rng(20261019)
         u = 1.0 - np.logspace(-16, -0.01, 64)
+        along = u[:, None] * [0.0, 1.0, 0.0] + np.sqrt(1.0 - u * u)[:, None] * [1.0, 0.0, 0.0]
         for delta in (0.1, 1.0, 3.0, 6.0):
-            tau2 = delta_to_tau(p, delta)
-            t1, x1, y1, _ = lab_position(p, 0.0)
-            t2, x2, y2, _ = lab_position(p, tau2)
+            s = delta_to_tau(p, delta)
+            t1, x1, y1, _ = lab_position(p, -s / 2)
+            t2, x2, y2, _ = lab_position(p, s / 2)
             chord = np.array([x1 - x2, y1 - y2, 0.0]) / (t1 - t2)
             for pair, kind in (((1, 1), "EE"), ((1, 2), "EE"), ((2, 1), "HH"),
                                ((1, 3), "EE"), ((2, 3), "EH"), ((3, 3), "HH")):
-                em_cf_tensor_quadrature(pair, kind, 0.0, tau2, p)
-                integrand, axis = captured.pop()
-                a = np.asarray(axis) / np.linalg.norm(axis)
-                along = u[:, None] * a + np.sqrt(1.0 - u * u)[:, None] * [a[1], -a[0], 0.0]
+                em_cf_tensor_quadrature(pair, kind, 0.0, s, p)
+                integrand = captured.pop()
                 k = rng.normal(size=(4, 16, 3))
                 k /= np.linalg.norm(k, axis=-1, keepdims=True)
-                row1, row2 = projection_rows(pair, kind, p, 0.0, tau2)
+                row1, row2 = projection_rows(pair, kind, p, -s / 2, s / 2)
                 e1, h1, e2, h2 = row1[:3], row1[3:], row2[:3], row2[3:]
                 eh = np.cross(e1, h2) - np.cross(h1, e2)
                 for kh in (k, along, -along):
@@ -328,8 +354,10 @@ class TestEmContinuous:
     def test_bad_requests(self):
         p = RotationParams.from_beta(1.0, 0.5, NATURAL)
         tau2 = delta_to_tau(p, 1.0)
-        with pytest.raises(ValueError):
-            em_cf_continuous((1, 2), "EE", 0.0, tau2, p, "closed-form")
+        # every pair has a closed form, the (1,2) one among them
+        closed = em_cf_continuous((1, 2), "EE", 0.0, tau2, p, "closed-form").value
+        quad = em_cf_continuous((1, 2), "EE", 0.0, tau2, p, "quadrature").value
+        assert abs(closed - quad) <= 1e-12 * em_11_size(p, 1.0)
         with pytest.raises(ValueError):
             em_cf_continuous((1, 1), "XX", 0.0, tau2, p)
         with pytest.raises(ValueError):
@@ -364,7 +392,7 @@ class TestScalarContinuous:
     @pytest.mark.parametrize("beta", [0.3, 0.9, 1.0 - 1e-8])
     def test_quadrature_integrand_has_its_pole_on_the_chord(self, monkeypatch, beta):
         # as for the tensor route: the rule's axis lies along the chord of the
-        # lag frame, between the lab positions at 0 and tau2 - tau1, and the
+        # lag frame, between the lab positions at -s/2 and s/2, and the
         # integrand is -1 / (1 - khat . chord)^2 at random directions and
         # along +/- the axis, for a lag that starts at orbit phase 0 and one
         # that starts away from it (5657 at beta 1 - 1e-8, tau1 0.8), and for
@@ -380,8 +408,9 @@ class TestScalarContinuous:
         for tau1 in (0.0, 0.8):
             for delta in (0.1, 1.0, 3.0, 6.0, -2.0, 8.0):
                 tau2 = tau1 + delta_to_tau(p, delta)
-                t1, x1, y1, _ = lab_position(p, 0.0)
-                t2, x2, y2, _ = lab_position(p, tau2 - tau1)
+                s = tau2 - tau1
+                t1, x1, y1, _ = lab_position(p, -s / 2)
+                t2, x2, y2, _ = lab_position(p, s / 2)
                 chord = np.array([x1 - x2, y1 - y2, 0.0]) / (t1 - t2)
                 scalar_cf_quadrature(tau1, tau2, p)
                 integrand, axis = captured.pop()
@@ -501,17 +530,20 @@ class TestFortyDigits:
 
     @pytest.mark.parametrize("one_minus_beta", [10.0**-e for e in range(5, 12)])
     def test_closed_forms_at_small_lags(self, one_minus_beta):
-        # the scalar denominator (c dt)^2 gap (1 + n) and the (1,1) form's
-        # 1 / (1 - k^2) = 1 / (gap (1 + n)) keep their digits where 1 - n
+        # the scalar denominator (c dt)^2 gap (1 + n) and the EM form's
+        # 1 / (1 - n^2)^3 = 1 / (gap (1 + n))^3 keep their digits where 1 - n
         # cancels (1e-9 at delta 1e-4): gap is the lag record's, without
-        # cancellation
+        # cancellation, and the numerator reads the rows in the frame whose
+        # chord is n yhat, where the (2,2) one cancels only between its two
+        # terms
         p = RotationParams.from_beta(1.0, 1.0 - one_minus_beta, NATURAL)
         for delta in (1e-4, 1e-3, 0.01, 0.1, 1.0, 3.0):
             tau2 = delta_to_tau(p, delta)
             assert scalar_cf_continuous(0.0, tau2, p).value == pytest.approx(
                 scalar_cf_mp(p, 0.0, tau2), rel=1e-14, abs=0.0), delta
-            assert em_cf_continuous((1, 1), "EE", 0.0, tau2, p).value == pytest.approx(
-                em_cf_ee_mp((1, 1), p, 0.0, tau2), rel=1e-14, abs=0.0), delta
+            for pair in ((1, 1), (2, 2), (3, 3), (1, 2), (2, 1)):
+                assert em_cf_continuous(pair, "EE", 0.0, tau2, p).value == pytest.approx(
+                    em_cf_ee_mp(pair, p, 0.0, tau2), rel=1e-14, abs=0.0), (delta, pair)
 
     @pytest.mark.parametrize("beta,tau1", DIGITS)
     def test_conditioning_floor(self, beta, tau1):

@@ -230,12 +230,13 @@ class TestKernel:
     def test_integrands_are_the_printed_weight_and_phase(self, monkeypatch, beta):
         # the periodic CFs integrate the lab kernel of the (1,1) EE rows (1
         # for the scalar) against the ladder at delta (1 - khat . chord), in
-        # the lag frame, whatever the orbit phase the lag starts from; at
-        # k = R_z(delta/2) k' that is (8 pi / 3) times the printed angular
-        # weight against the ladder at the printed phase, both at k'
+        # the lag frame at -s/2 and s/2, whatever the orbit phase the lag
+        # starts from; that frame is the printed one, so the integrand at k
+        # is (8 pi / 3) times the printed angular weight against the ladder
+        # at the printed phase, both at k
         captured = []
         monkeypatch.setattr(cfd, "integrate_sphere",
-                            lambda f, tol, axis: captured.append(f) or (0.0, 0.0))
+                            lambda f, tol: captured.append(f) or (0.0, 0.0))
         p = RotationParams.from_beta(1.0, beta, NATURAL)
         rng = np.random.default_rng(20261020)
         k = rng.normal(size=(64, 3))
@@ -246,14 +247,12 @@ class TestKernel:
                 scalar_cf_discrete(tau1, tau1 + delta_to_tau(p, delta), p)
                 em, scalar = captured
                 captured.clear()
-                c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
-                lab = k @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
                 phase = ladder_phase(delta, k[:, 1], p)
                 weight = 8.0 * math.pi / 3.0 * angular_weight_kernel_grid(
                     k[:, 0], k[:, 1], delta, p)
-                np.testing.assert_allclose(em(lab), weight * cubic_ladder_sum_closed(phase),
+                np.testing.assert_allclose(em(k), weight * cubic_ladder_sum_closed(phase),
                                            rtol=1e-12, atol=0.0)
-                np.testing.assert_allclose(scalar(lab), linear_ladder_sum_closed(phase),
+                np.testing.assert_allclose(scalar(k), linear_ladder_sum_closed(phase),
                                            rtol=1e-12, atol=0.0)
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import rotvac
 from rotvac import cf_discrete, cli, montecarlo
 from rotvac.cli import build_parser, main
+from rotvac.cf_continuous import em_cf_continuous
 from rotvac.constants import NATURAL, SI
 from rotvac.kinematics import RotationParams
 from rotvac.thermo import CASIMIR_MODEL_C, em_energy_density
@@ -114,6 +115,22 @@ class TestTetradCommand:
 
 
 class TestCfCommand:
+    @pytest.mark.parametrize("pair, kind", [("12", "EE"), ("13", "EH"), ("23", "HH")])
+    def test_every_pair_has_a_closed_form_row(self, capsys, pair, kind):
+        # a closed-form row for every pair and kind, equal to the quadrature
+        # row to 1e-12 of the (1,1) CF at the same lag
+        code, out = run_cli(capsys, "cf", "--beta", "0.5", "--pair", pair, "--kind", kind,
+                            "--method", "all", "--delta-steps", "2", "--seeds", "50",
+                            "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [(r[1], r[4]) for r in rows] == [(m, "ok") for m in (
+            "closed-form", "quadrature", "monte-carlo")] * 2
+        p = RotationParams.from_beta(1.0, 0.5, NATURAL)
+        for (delta, _, closed, *_), (_, _, quad, *_) in zip(rows[::3], rows[1::3]):
+            size = em_cf_continuous((1, 1), "EE", 0.0, delta / (p.omega * p.gamma), p).value
+            assert abs(closed - quad) <= 1e-12 * abs(size), delta
+
     def test_closed_and_quadrature_agree(self, capsys):
         code, out = run_cli(capsys, "cf", "--beta", "0.5", "--method", "all",
                             "--delta-steps", "3", "--delta-min", "0.5",
@@ -934,6 +951,9 @@ class TestValidate:
         for name in ("offdiag-quadrature-null", "offdiag-mc-null",
                      "offdiag-mc-null-coincidence"):
             assert status[name] == "pass"
+        # the closed form of every pair and kind against the tensor quadrature
+        assert status["em-cf-closed-vs-quadrature-pairs"] == "pass"
+        assert len(doc["rows"]) == 31
         assert doc["meta"]["checks"] == len(doc["rows"])
         assert doc["meta"]["known_failures"] == 1
         assert doc["meta"]["unexpected_failures"] == 0

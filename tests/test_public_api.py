@@ -118,6 +118,7 @@ FLOAT_CALLS = {
         "tau1": lambda x: cfc.em_cf_continuous((1, 1), "EE", x, TAU, P),
         "tau2": lambda x: cfc.em_cf_continuous((1, 1), "EE", 0.0, x, P),
         "tau2-quadrature": lambda x: cfc.em_cf_continuous((2, 2), "HH", 0.0, x, P, "quadrature"),
+        "tau2-closed-form-23-EH": lambda x: cfc.em_cf_continuous((2, 3), "EH", 0.0, x, P),
         "tol": lambda x: cfc.em_cf_continuous((1, 1), "EE", 0.0, TAU, P, "quadrature", x)},
     "cf_continuous.em_cf_tensor_quadrature": {
         "tau1": lambda x: cfc.em_cf_tensor_quadrature((1, 2), "EH", x, TAU, P),
@@ -252,15 +253,18 @@ def test_non_finite_time_lag_angle_or_speed_raises(call, match):
         call()
 
 
-@pytest.mark.parametrize("call", [
-    lambda p, t: cfc.em_cf_continuous((1, 1), "EE", 0.0, t, p),
-    lambda p, t: cfc.em_cf_continuous((1, 1), "EE", 0.0, t, p, "quadrature"),
-    lambda p, t: cfc.em_cf_tensor_quadrature((1, 1), "EE", 0.0, t, p),
-    lambda p, t: cfd.em_cf_discrete(0.0, t, p),
-], ids=["closed-form", "quadrature", "tensor", "discrete"])
-def test_cf_beyond_the_float64_range_raises_overflow(call):
+@pytest.mark.parametrize("call, omega", [
+    (lambda p, t: cfc.em_cf_continuous((1, 1), "EE", 0.0, t, p), 1e72),
+    # without the gamma^2 of the (1,1) CF the (2,2) one leaves the range
+    # only at a larger omega, which keeps c dt in range
+    (lambda p, t: cfc.em_cf_continuous((2, 2), "HH", 0.0, t, p), 7e73),
+    (lambda p, t: cfc.em_cf_continuous((1, 1), "EE", 0.0, t, p, "quadrature"), 1e72),
+    (lambda p, t: cfc.em_cf_tensor_quadrature((1, 1), "EE", 0.0, t, p), 1e72),
+    (lambda p, t: cfd.em_cf_discrete(0.0, t, p), 1e72),
+], ids=["closed-form", "closed-form-22-HH", "quadrature", "tensor", "discrete"])
+def test_cf_beyond_the_float64_range_raises_overflow(call, omega):
     # the lag's c dt is in range, but the near-luminal value is not; the
-    # error names the CF and its lag instead of returning inf
-    p = RotationParams.from_beta(1e72, 0.99999, NATURAL)
-    with pytest.raises(OverflowError, match="CF = inf at delta = 0.05"):
+    # error names the CF and its lag instead of returning +/- inf
+    p = RotationParams.from_beta(omega, 0.99999, NATURAL)
+    with pytest.raises(OverflowError, match="CF = -?inf at delta = 0.05"):
         call(p, 0.05 / (p.omega * p.gamma))
