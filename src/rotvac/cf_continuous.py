@@ -97,11 +97,9 @@ _Lag = namedtuple("_Lag", "delta cdt n gap rows")
 
 def _lag(field, params: RotationParams, tau1: float, tau2: float) -> _Lag:
     """The lag record of a CF of field at tau1, tau2, in the frame at -s/2
-    and s/2, so that no orbit phase enters it.  gap is (1 - beta) + beta (1
-    - sin(h) / h), h = delta / 2, by its series where |h| < 1, which keeps
-    the digits of 1 - n; 1 - n elsewhere, which keeps the bits of periodic
-    values next to 2 pi.  rows are the projection rows of field, (pair,
-    kind), as tuples of floats, checked first, or None for the scalar.
+    and s/2, so that no orbit phase enters it; n and gap are _chord's.  rows
+    are the projection rows of field, (pair, kind), as tuples of floats,
+    checked first, or None for the scalar.
     CoincidenceError where |delta| < COINCIDENCE_TOL; ValueError where the
     CF scale hbar c / (c dt)^4 leaves the float64 range."""
     s = tau2 - tau1
@@ -118,15 +116,22 @@ def _lag(field, params: RotationParams, tau1: float, tau2: float) -> _Lag:
     if not (abs(log_cdt4) < 1000.0 and abs(math.log2(hbar_c) - log_cdt4) < 1000.0):
         raise ValueError(f"lag c dt = c delta / (omega gamma) = {cdt!r} puts the CF "
                          "scale hbar c / (c dt)^4 outside the float64 range")
+    return _Lag(delta, cdt, *_chord(params.beta, delta), rows)
+
+
+def _chord(beta: float, delta: float):
+    """(n, gap): n = beta sin(h) / h, h = delta / 2, and gap = 1 - n, by the
+    series of (1 - beta) + beta (1 - sin(h) / h) where |h| < 1, which keeps
+    its digits; 1 - n elsewhere, which keeps the bits next to 2 pi."""
     h = delta / 2.0
-    n = params.beta * (math.sin(h) / h)
+    n = beta * (math.sin(h) / h)
     gap = 1.0 - n
     if abs(h) < 1.0:
         x, series = h * h, 1.0
         for d in (342.0, 272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):  # (2j)(2j + 1)
             series = 1.0 - x / d * series
-        gap = (1.0 - params.beta) + params.beta * (x / 6.0 * series)
-    return _Lag(delta, cdt, n, gap, rows)
+        gap = (1.0 - beta) + beta * (x / 6.0 * series)
+    return n, gap
 
 
 def _scaled(params: RotationParams, lag: _Lag, x: float, what: str) -> float:
@@ -150,14 +155,24 @@ def _closed_form(lag: _Lag) -> float:
 
     and those of -1 / g^2 give -4 pi / (1 - n^2) for the scalar (no rows);
     1 - n^2 is gap (1 + n), which keeps its digits where n nears 1."""
-    n, m = lag.n, lag.gap * (1.0 + lag.n)        # m = 1 - n^2
-    if lag.rows is None:
+    return _image_form(_row_sums(lag.rows), lag.n, lag.gap * (1.0 + lag.n))
+
+
+def _row_sums(rows):
+    """The three sums of N, or None for the scalar (rows None)."""
+    if rows is None:
+        return None
+    (e1x, e1y, e1z, h1x, h1y, h1z), (e2x, e2y, e2z, h2x, h2y, h2z) = rows
+    return (e1x * e2x + e1z * e2z + h1x * h2x + h1z * h2z, e1y * e2y + h1y * h2y,
+            e1z * h2x - e1x * h2z - (h1z * e2x - h1x * e2z))
+
+
+def _image_form(sums, n, m):
+    """_closed_form at the chord n yhat, m = 1 - n^2, from the _row_sums."""
+    if sums is None:
         return -4.0 * math.pi / m
-    (e1x, e1y, e1z, h1x, h1y, h1z), (e2x, e2y, e2z, h2x, h2y, h2z) = lag.rows
-    num = ((1.0 + n * n) * (e1x * e2x + e1z * e2z + h1x * h2x + h1z * h2z)
-           + m * (e1y * e2y + h1y * h2y)
-           + 2.0 * n * (e1z * h2x - e1x * h2z - (h1z * e2x - h1x * e2z)))
-    return 16.0 * math.pi * num / m**3
+    axz, ay, cy = sums
+    return 16.0 * math.pi * ((1.0 + n * n) * axz + m * ay + 2.0 * n * cy) / m**3
 
 
 def _cf_sphere(field, params: RotationParams, tau1: float, tau2: float, tol: float):

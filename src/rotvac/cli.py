@@ -169,22 +169,19 @@ def cmd_tetrad(args) -> int:
 
 def _cf_routes(args, params: RotationParams) -> dict:
     """label -> the CF at a lag tau2, for each deterministic route of --kind and
-    --spectrum; on the discrete spectrum closed-form and quadrature are one route."""
-    if args.spectrum == "discrete":
-        if args.kind == "scalar":
-            return {"quadrature": lambda t: cfd.scalar_cf_discrete(0.0, t, params, args.tol)}
-
-        def em_discrete(t):
+    --spectrum: closed-form and quadrature on both spectra."""
+    def route(t, m):
+        if args.spectrum == "discrete" and args.kind == "scalar":
+            return cfd.scalar_cf_discrete(0.0, t, params, args.tol, method=m)
+        if args.spectrum == "discrete":
             if args.pair != (1, 1) or args.kind != "EE":
                 raise ValueError("discrete spectrum implements the (1,1) EE pair")
-            return cfd.em_cf_discrete(0.0, t, params, args.tol)
-        return {"quadrature": em_discrete}
-    if args.kind == "scalar":
-        return {"closed-form": lambda t: cfc.scalar_cf_continuous(0.0, t, params),
-                "quadrature": lambda t: cfc.scalar_cf_quadrature(0.0, t, params, args.tol)}
-    return {m: (lambda t, m=m: cfc.em_cf_continuous(args.pair, args.kind, 0.0, t, params, m,
-                                                    args.tol))
-            for m in ("closed-form", "quadrature")}
+            return cfd.em_cf_discrete(0.0, t, params, args.tol, method=m)
+        if args.kind == "scalar":
+            return (cfc.scalar_cf_continuous(0.0, t, params) if m == "closed-form"
+                    else cfc.scalar_cf_quadrature(0.0, t, params, args.tol))
+        return cfc.em_cf_continuous(args.pair, args.kind, 0.0, t, params, m, args.tol)
+    return {m: (lambda t, m=m: route(t, m)) for m in ("closed-form", "quadrature")}
 
 
 def _cf_or_error(route, tau2):
@@ -204,7 +201,7 @@ def cmd_cf(args) -> int:
         raise ValueError("no Monte Carlo route for the scalar field")
     tau2s = [float(delta) / (params.omega * params.gamma) for delta in deltas]
     routes = {} if args.method == "monte-carlo" else _cf_routes(args, params)
-    if args.method in routes:     # on the discrete spectrum closed-form runs its one route
+    if args.method in routes:
         routes = {args.method: routes[args.method]}
     # one column per route over the lag grid: a CFValue or that row's error
     columns = {label: [_cf_or_error(route, t) for t in tau2s] for label, route in routes.items()}

@@ -181,6 +181,20 @@ def check_scalar_cf() -> List[CheckResult]:
     return rows
 
 
+def check_periodic_cf() -> List[CheckResult]:
+    """Both periodic CFs and their splits, closed form against quadrature."""
+    errors = []
+    for beta, delta in itertools.product((0.05, 0.3, 0.9, 0.99), (0.5, 2.0, 5.0)):
+        params = RotationParams.from_beta(1.0, beta, NATURAL)
+        tau2 = delta / (params.omega * params.gamma)
+        for cf in (cfd.em_cf_discrete, cfd.scalar_cf_discrete):
+            (a, sa), (b, sb) = (cf(0.0, tau2, params, split=True, method=m)
+                                for m in ("closed-form", "quadrature"))
+            errors += [_rel(a.value, b.value), _rel(sa.zero_point_part, sb.zero_point_part),
+                       _rel(sa.thermal_part, sb.thermal_part)]
+    return [_bounded("periodic-cf-closed-vs-quadrature", errors, 1e-12)]
+
+
 def check_abel_plana() -> List[CheckResult]:
     residuals = [abel_plana_check(lambda x, s=s: x**3 * np.exp(-s * x)) for s in (0.5, 1.0, 2.0)]
     rows = [_bounded("abel-plana-residual", residuals, 1e-8)]
@@ -360,6 +374,7 @@ def run_suite(suite: str = "quick", seed: int = 20240817, sigma_perturb: float =
         (check_offdiagonal_nullity, lambda: dict(seed=seed, **mc_grid)),
         (check_coincidence_nullity, dict),
         (check_scalar_cf, dict),
+        (check_periodic_cf, dict),
         (check_abel_plana, dict),
         (check_planck_identity, dict),
         (check_em_energy_density, energy),

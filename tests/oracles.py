@@ -20,7 +20,8 @@ ladder phase and stationary quadrature check the lab kernel that both
 spectra integrate, and 40-digit mpmath values of the continuous scalar and
 EE CFs and of the periodic scalar CF, from the lab positions at the
 caller's orbit phases, check the digits of the lag-frame routes near the
-light cylinder.  The worldline 4-velocity and acceleration, the proper time
+light cylinder, as the mpmath image sum of the continuous EE form checks
+the periodic closed form.  The worldline 4-velocity and acceleration, the proper time
 of an angular lag, the finite-difference step, the projection of one field
 6-vector, the
 single-direction polarization basis and angular kernel (with the Direction
@@ -459,15 +460,21 @@ def abel_weights_compensated(eta: float, stop: int) -> np.ndarray:
     return np.exp(-hi) * (1 - lo)
 
 
-def _mp_chord(params: RotationParams, tau1: float, tau2: float):
+def _mp_chord(params: RotationParams, tau1: float, tau2: float, delta=None):
     """beta, gamma, the two orbit phases, the lab chord (r1 - r2) / c (t1 -
     t2) as (x, y) and c (t2 - t1) of the float inputs, from the lab positions
-    at the caller's orbit phases, in mpmath at the working precision."""
+    at the caller's orbit phases, in mpmath at the working precision.  A
+    float delta replaces the lag omega gamma (tau2 - tau1), with c (t2 - t1)
+    = c delta / omega: the package's float lag rounds by up to eps |delta|,
+    which moves a periodic CF by about that much at any lag, whatever the
+    route."""
     c, omega, r = (mpmath.mpf(v) for v in (params.constants.c, params.omega, params.radius))
     beta = omega * r / c
     gam = 1 / mpmath.sqrt(1 - beta**2)
     a1, a2 = omega * gam * mpmath.mpf(tau1), omega * gam * mpmath.mpf(tau2)
     cdt = c * gam * (mpmath.mpf(tau2) - mpmath.mpf(tau1))
+    if delta is not None:
+        a2, cdt = a1 + mpmath.mpf(delta), c * mpmath.mpf(delta) / omega
     chord = (r * (mpmath.cos(a2) - mpmath.cos(a1)) / cdt,
              r * (mpmath.sin(a2) - mpmath.sin(a1)) / cdt)
     return beta, gam, (a1, a2), chord, cdt
@@ -485,6 +492,14 @@ def scalar_cf_mp(params: RotationParams, tau1: float, tau2: float) -> float:
         return float(-hbar_c / mpmath.pi / (cdt**2 * (1 - cx**2 - cy**2)))
 
 
+def _mp_e_row(a: int, alpha, beta, gam):
+    """The (E, H) lab components of the tetrad's electric component E_(a) at
+    the orbit phase alpha, in mpmath."""
+    ca, sa = mpmath.cos(alpha), mpmath.sin(alpha)
+    return [[gam * ca, gam * sa, 0, 0, 0, -beta * gam], [-sa, ca, 0, 0, 0, 0],
+            [0, 0, gam, beta * gam * ca, beta * gam * sa, 0]][a - 1]
+
+
 def em_cf_ee_mp(pair, params: RotationParams, tau1: float, tau2: float) -> float:
     """The continuous EE CF of the tetrad components pair at the float inputs,
     to 40 digits (mpmath at 50): hbar c / (4 pi^2 (c dt)^4) times 2 pi int du
@@ -497,12 +512,7 @@ def em_cf_ee_mp(pair, params: RotationParams, tau1: float, tau2: float) -> float
     Reference for the digits of the tensor route near the light cylinder."""
     with mpmath.workdps(50):
         beta, gam, phases, chord, cdt = _mp_chord(params, tau1, tau2)
-
-        def e_row(a, alpha):     # (E, H) lab components of tetrad E_(a)
-            ca, sa = mpmath.cos(alpha), mpmath.sin(alpha)
-            return [[gam * ca, gam * sa, 0, 0, 0, -beta * gam], [-sa, ca, 0, 0, 0, 0],
-                    [0, 0, gam, beta * gam * ca, beta * gam * sa, 0]][a - 1]
-        r1, r2 = (e_row(a, alpha) for a, alpha in zip(pair, phases))
+        r1, r2 = (_mp_e_row(a, alpha, beta, gam) for a, alpha in zip(pair, phases))
         n = mpmath.sqrt(chord[0] ** 2 + chord[1] ** 2)
         chat = [chord[0] / n, chord[1] / n, 0]
 
@@ -522,21 +532,64 @@ def em_cf_ee_mp(pair, params: RotationParams, tau1: float, tau2: float) -> float
         return float(hbar_c / (4 * mpmath.pi**2 * cdt**4) * 2 * mpmath.pi * val)
 
 
-def scalar_cf_discrete_mp(params: RotationParams, tau1: float, tau2: float) -> float:
+def scalar_cf_discrete_mp(params: RotationParams, tau1: float, tau2: float,
+                          delta=None) -> float:
     """The periodic scalar CF of the float inputs in closed form, to 40
     digits (mpmath at 50): hbar c k0^2 (-1 / 2 pi) [cot((delta - a)/2) -
     cot((delta + a)/2)] / (2 a), the sphere integral of the linear ladder at
-    the phase delta - a u, u = khat . chat, a = delta |chord|.
+    the phase delta - a u, u = khat . chat, a = delta |chord|; delta as for
+    _mp_chord.
 
     Reference for scalar_cf_discrete at every orbit phase."""
     with mpmath.workdps(50):
-        _, _, (a1, a2), chord, _ = _mp_chord(params, tau1, tau2)
+        _, _, (a1, a2), chord, _ = _mp_chord(params, tau1, tau2, delta)
         delta = a2 - a1
         a = delta * mpmath.sqrt(chord[0] ** 2 + chord[1] ** 2)
         k0 = mpmath.mpf(params.omega) / mpmath.mpf(params.constants.c)
         hbar_c = mpmath.mpf(params.constants.hbar) * mpmath.mpf(params.constants.c)
         return float(-hbar_c * k0**2 / (2 * mpmath.pi)
                      * (mpmath.cot((delta - a) / 2) - mpmath.cot((delta + a) / 2)) / (2 * a))
+
+
+def em_cf_discrete_mp(pair, params: RotationParams, tau1: float, tau2: float,
+                      delta=None) -> float:
+    """The periodic EE CF of the tetrad components pair at the float inputs,
+    to about 30 digits (mpmath at 50): the sum over the images m of the lag,
+    the proper-time lags s + m T with T = 2 pi / (omega gamma), of the
+    continuous form hbar c / (4 pi^2 (c dt_m)^4) 16 pi [(1 + u^2) A - 2 B +
+    2 C] / (1 - u^2)^3.  Image m brings back the positions and rows of the
+    lag, so c dt_m = c dt D_m / delta with D_m = delta + 2 pi m, and its
+    chord is u = chord delta / D_m; A = e1 . e2 + h1 . h2, B = (e1 . u)(e2 .
+    u) + (h1 . u)(h2 . u) and C = (e1 x h2 - h1 x e2) . u, from the electric
+    rows at the caller's orbit phases; the images other than the one
+    nearest to D = 0 are summed in pairs about it by mpmath.nsum.  delta as
+    for _mp_chord.
+
+    Reference for the closed form of em_cf_discrete."""
+    with mpmath.workdps(50):
+        beta, gam, phases, (cx, cy), cdt = _mp_chord(params, tau1, tau2, delta)
+        lag = phases[1] - phases[0]
+        (e1, h1), (e2, h2) = ((row[:3], row[3:]) for row in
+                              (_mp_e_row(a, alpha, beta, gam) for a, alpha in zip(pair, phases)))
+
+        def dot(a, b):
+            return sum(x * y for x, y in zip(a, b))
+        a = dot(e1, e2) + dot(h1, h2)
+        eh = [e1[1] * h2[2] - e1[2] * h2[1] - h1[1] * e2[2] + h1[2] * e2[1],
+              e1[2] * h2[0] - e1[0] * h2[2] - h1[2] * e2[0] + h1[0] * e2[2]]
+        hbar_c = mpmath.mpf(params.constants.hbar) * mpmath.mpf(params.constants.c)
+
+        def image(m):
+            d = lag + 2 * mpmath.pi * m
+            u = (cx * lag / d, cy * lag / d, 0)
+            u2 = u[0] ** 2 + u[1] ** 2
+            b = dot(e1, u) * dot(e2, u) + dot(h1, u) * dot(h2, u)
+            c = eh[0] * u[0] + eh[1] * u[1]
+            return (hbar_c * 4 / (mpmath.pi * (cdt * d / lag) ** 4)
+                    * ((1 + u2) * a - 2 * b + 2 * c) / (1 - u2) ** 3)
+        m0 = -int(mpmath.nint(lag / (2 * mpmath.pi)))      # the image nearest to 0
+        return float(image(m0) + mpmath.nsum(lambda j: image(m0 + j) + image(m0 - j),
+                                             [1, mpmath.inf]))
 
 
 def em_cf_11_printed(params: RotationParams, tau1: float, tau2: float) -> float:

@@ -5,10 +5,10 @@ import pytest
 from scipy.special import polygamma
 
 from oracles import (angular_weight_kernel_grid, cubic_ladder_partial_fraction,
-                     delta_to_tau, ladder_phase, make_kernel, scalar_cf_discrete_mp,
-                     thermal_ladder_quadpack)
+                     delta_to_tau, em_cf_discrete_mp, ladder_phase, make_kernel,
+                     scalar_cf_discrete_mp, thermal_ladder_quadpack)
 from rotvac import cf_discrete as cfd
-from rotvac.cf_continuous import (CoincidenceError, em_cf_continuous,
+from rotvac.cf_continuous import (CoincidenceError, _lag, _scaled, em_cf_continuous,
                                   scalar_cf_quadrature)
 from rotvac.cf_discrete import (ResonanceError, cubic_ladder_split,
                                 cubic_ladder_sum_closed, em_cf_discrete,
@@ -228,8 +228,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 0.9])
     def test_integrands_are_the_printed_weight_and_phase(self, monkeypatch, beta):
-        # the periodic CFs integrate the lab kernel of the (1,1) EE rows (1
-        # for the scalar) against the ladder at delta (1 - khat . chord), in
+        # the quadrature routes of the periodic CFs integrate the lab
+        # kernel of the (1,1) EE rows (1 for the scalar) against the ladder at delta (1 - khat . chord), in
         # the lag frame at -s/2 and s/2, whatever the orbit phase the lag
         # starts from; that frame is the printed one, so the integrand at k
         # is (8 pi / 3) times the printed angular weight against the ladder
@@ -243,8 +243,8 @@ class TestKernel:
         k /= np.linalg.norm(k, axis=1)[:, None]
         for tau1 in (0.0, 0.8):
             for delta in (0.3, 2.0, 4.0):
-                em_cf_discrete(tau1, tau1 + delta_to_tau(p, delta), p)
-                scalar_cf_discrete(tau1, tau1 + delta_to_tau(p, delta), p)
+                em_cf_discrete(tau1, tau1 + delta_to_tau(p, delta), p, method="quadrature")
+                scalar_cf_discrete(tau1, tau1 + delta_to_tau(p, delta), p, method="quadrature")
                 em, scalar = captured
                 captured.clear()
                 phase = ladder_phase(delta, k[:, 1], p)
@@ -382,3 +382,116 @@ def test_split_zero_point_is_continuous_quadrature(const, beta, delta):
     _, scalar = scalar_cf_discrete(0.0, tau2, p, split=True)
     assert scalar.zero_point_part == pytest.approx(scalar_cf_quadrature(0.0, tau2, p).value,
                                                    rel=1e-12, abs=0.0)
+
+
+# every field of the periodic closed form: 9 pairs x EE, HH, EH, and the scalar
+PERIODIC_FIELDS = [((a, b), kind) for a in (1, 2, 3) for b in (1, 2, 3)
+                   for kind in ("EE", "HH", "EH")] + [None]
+PERIODIC_LAGS = (0.3, 1.0, 2.0, 3.5, 5.0, 6.0, -2.0, 7.5)
+
+
+def _quadrature_tol(lag):
+    """1e-14, or twice the sphere rule's conditioning floor where that is
+    higher (beta 0.99 at lags below 2), so that the ladder quadrature is
+    good to about 1e-13 next to 2 pi as well."""
+    return max(1e-14, 8.0 * math.ulp(1.0) * abs(lag.n) / lag.gap)
+
+
+class TestClosedForm:
+    """The periodic CF as the sum of the continuous closed form over the
+    images delta + 2 pi m of the lag, against the ladder over the sphere and
+    the 40-digit image sums of tests/oracles.py."""
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.9, 0.99])
+    def test_every_pair_and_kind_matches_the_ladder_quadrature(self, beta):
+        # the closed form is within 1.2e-16 of em_cf_discrete_mp where the
+        # quadrature is 6.4e-14 off (beta 0.99, lag 6, phase 2 pi - 3.8e-3)
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        for delta in PERIODIC_LAGS:
+            tau2 = delta_to_tau(p, delta)
+            size = abs(em_cf_discrete(0.0, tau2, p).value)
+            for field in PERIODIC_FIELDS:
+                lag = _lag(field, p, 0.0, tau2)
+                closed = _scaled(p, lag, lag.delta ** (2 if field is None else 4)
+                                 * cfd._periodic_closed_form(lag, p.beta), "closed form")
+                quad = cfd._periodic(field, 0.0, tau2, p, _quadrature_tol(lag), False,
+                                     "quadrature").value
+                scale = abs(quad) if field is None else size
+                assert abs(closed - quad) <= 1e-13 * scale, (delta, field)
+
+    @pytest.mark.parametrize("beta", [1e-6, 1e-4])
+    def test_small_chords_take_the_series(self, beta):
+        # w = 2 beta sin(delta / 2) is below 2e-4: sigma, tau1 and tau2 come
+        # from their series in w^2, where the closed forms of the last two
+        # would keep no digit
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        for delta in PERIODIC_LAGS:
+            tau2 = delta_to_tau(p, delta)
+            assert em_cf_discrete(0.0, tau2, p).value == pytest.approx(
+                em_cf_discrete_mp((1, 1), p, 0.0, tau2), rel=1e-13, abs=0.0), delta
+            assert scalar_cf_discrete(0.0, tau2, p).value == pytest.approx(
+                scalar_cf_discrete_mp(p, 0.0, tau2), rel=1e-13, abs=0.0), delta
+
+    @pytest.mark.parametrize("one_minus_beta", [10.0**-e for e in range(6, 12)])
+    def test_near_luminal_digits(self, one_minus_beta):
+        # delta - w is delta gap at the image m = 0, as in the continuous
+        # closed form, so 1 - n keeps its digits where it is 1e-11
+        p = RotationParams.from_beta(1.0, 1.0 - one_minus_beta, NATURAL)
+        for delta in (1e-4, 1e-3, 0.01, 0.1, 1.0, 3.0):
+            tau2 = delta_to_tau(p, delta)
+            assert em_cf_discrete(0.0, tau2, p).value == pytest.approx(
+                em_cf_discrete_mp((1, 1), p, 0.0, tau2), rel=1e-13, abs=0.0), delta
+            assert scalar_cf_discrete(0.0, tau2, p).value == pytest.approx(
+                scalar_cf_discrete_mp(p, 0.0, tau2), rel=1e-13, abs=0.0), delta
+
+    @pytest.mark.parametrize("one_minus_beta", [1e-9, 1e-10, 1e-11])
+    def test_no_false_resonance_at_small_lags(self, one_minus_beta):
+        # delta - 2 beta sin(delta / 2) is about 4e-11 at delta 1e-3, inside
+        # RESONANCE_TOL, but it is the m = 0 image's distance to its light
+        # cone, the coincidence, and the CF is finite; the ladder quadrature
+        # keeps the check of its phase range and still refuses the lag at a
+        # tol above its conditioning floor (2.1e-8 here)
+        p = RotationParams.from_beta(1.0, 1.0 - one_minus_beta, NATURAL)
+        tau2 = delta_to_tau(p, 1e-3)
+        value = em_cf_discrete(0.0, tau2, p).value
+        assert value == pytest.approx(em_cf_discrete_mp((1, 1), p, 0.0, tau2), rel=1e-13,
+                                      abs=0.0)
+        with pytest.raises(ResonanceError, match="meets the resonance manifold"):
+            em_cf_discrete(0.0, tau2, p, 1e-6, method="quadrature")
+
+    @pytest.mark.parametrize("delta", [1.0, 1000.5, 1e6 + 0.5])
+    def test_large_lags_keep_their_digits(self, delta):
+        # the closed form reads the lag through its exact reduction mod 2 pi
+        # and sin(delta / 2), so it loses nothing in proportion to the lag;
+        # the oracles take the package's float lag, whose own rounding, up to
+        # eps delta (8e-11 at 1e6), no route can undo
+        p = RotationParams.from_beta(1.0, 0.3, NATURAL)
+        tau2 = delta_to_tau(p, delta)
+        lag = p.alpha(tau2)
+        assert scalar_cf_discrete(0.0, tau2, p).value == pytest.approx(
+            scalar_cf_discrete_mp(p, 0.0, tau2, delta=lag), rel=1e-13, abs=0.0)
+        assert em_cf_discrete(0.0, tau2, p).value == pytest.approx(
+            em_cf_discrete_mp((1, 1), p, 0.0, tau2, delta=lag), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.9, 0.99, 0.999])
+    def test_thermal_part_matches_the_ladder_quadrature(self, beta):
+        # the images m != 0 summed as they stand, against the sphere integral
+        # of the thermal ladder, wherever |phase| < 2 pi; the zero-point
+        # parts are the same continuous closed form
+        p = RotationParams.from_beta(1.0, beta, NATURAL)
+        for delta in (1e-3, 0.3, 1.0, 2.0, 3.1, 3.2, 5.0, -2.0, -4.0):
+            tau2 = delta_to_tau(p, delta)
+            for cf, field in ((em_cf_discrete, ((1, 1), "EE")), (scalar_cf_discrete, None)):
+                value, parts = cf(0.0, tau2, p, split=True)
+                _, quad = cf(0.0, tau2, p, _quadrature_tol(_lag(field, p, 0.0, tau2)),
+                             split=True, method="quadrature")
+                assert parts.thermal_part == pytest.approx(quad.thermal_part, rel=1e-12,
+                                                           abs=0.0), (delta, field)
+                assert parts.zero_point_part == quad.zero_point_part
+                assert parts.total == pytest.approx(value.value, rel=1e-14, abs=0.0)
+
+    def test_unknown_method_is_a_value_error(self):
+        p = RotationParams.from_beta(1.0, 0.3, NATURAL)
+        for cf in (em_cf_discrete, scalar_cf_discrete):
+            with pytest.raises(ValueError, match="unknown method 'ladder'"):
+                cf(0.0, 1.0, p, method="ladder")

@@ -170,42 +170,45 @@ class TestCfCommand:
         assert rows[0]["flag"].startswith("error")
 
     def test_discrete_all_runs_each_route_once(self, capsys):
-        # on the discrete spectrum closed-form and quadrature are one route,
-        # the ladder quadrature; Monte Carlo is the second (EM only)
+        # on the discrete spectrum closed-form (the image sum) and quadrature
+        # (the ladder over the sphere) are two routes; Monte Carlo is the
+        # third (EM only)
         args = ["cf", "--beta", "0.3", "--spectrum", "discrete", "--method", "all",
                 "--delta-steps", "2", "--delta-min", "0.5", "--delta-max", "2.0"]
         code, out = run_cli(capsys, *args, "--seeds", "4", "--n-max", "2",
                             "--mc-theta", "8", "--mc-phi", "16")
         assert code == 0
         meta, _, rows = parse_table(out)
-        assert [r["method"] for r in rows] == ["quadrature", "monte-carlo"] * 2
+        assert [r["method"] for r in rows] == ["closed-form", "quadrature", "monte-carlo"] * 2
         assert meta["mc_note"].startswith("estimate on the ladder truncated at n_max = 2")
+        for closed, quad in zip(rows[::3], rows[1::3]):
+            assert float(closed["value"]) == pytest.approx(float(quad["value"]), rel=1e-12)
         code, out = run_cli(capsys, *args, "--kind", "scalar")
         assert code == 0
-        assert [r["method"] for r in parse_table(out)[2]] == ["quadrature"] * 2
+        assert [r["method"] for r in parse_table(out)[2]] == ["closed-form", "quadrature"] * 2
 
     def test_discrete_error_rows_name_the_route_that_ran(self, capsys):
-        # the default closed-form request runs the ladder quadrature on the
-        # discrete spectrum, so its resonant row is labelled like its ok row
+        # the default closed-form request runs the image sum on the discrete
+        # spectrum, and its resonant row is labelled like its ok row
         code, out = run_cli(capsys, "cf", "--beta", "0.3", "--spectrum", "discrete",
                             "--delta-min", "0", "--delta-max", str(2.0 * math.pi),
                             "--delta-steps", "2")
         assert code == 1
         _, _, rows = parse_table(out)
-        assert [r["method"] for r in rows] == ["quadrature", "quadrature"]
+        assert [r["method"] for r in rows] == ["closed-form", "closed-form"]
         assert all(r["flag"].startswith("error") for r in rows)
         code, out = run_cli(capsys, "cf", "--beta", "0.3", "--spectrum", "discrete",
                             "--delta-min", "0", "--delta-max", "1.5", "--delta-steps", "2")
         _, _, rows = parse_table(out)
-        assert [(r["method"], r["flag"][:5]) for r in rows] == [("quadrature", "error"),
-                                                                ("quadrature", "ok")]
+        assert [(r["method"], r["flag"][:5]) for r in rows] == [("closed-form", "error"),
+                                                                ("closed-form", "ok")]
         # a failed Monte Carlo route under --method all keeps its own label
         code, out = run_cli(capsys, "cf", "--omega", "1e40", "--beta", "0.3", "--spectrum",
                             "discrete", "--method", "all", "--delta-steps", "2", "--seeds", "4")
         assert code == 1
         _, _, rows = parse_table(out)
-        assert [r["method"] for r in rows] == ["quadrature", "monte-carlo"] * 2
-        assert [r["flag"][:6] for r in rows] == ["ok", "error:"] * 2
+        assert [r["method"] for r in rows] == ["closed-form", "quadrature", "monte-carlo"] * 2
+        assert [r["flag"][:6] for r in rows] == ["ok", "ok", "error:"] * 2
 
     @pytest.mark.parametrize("kind", ["EE", "scalar"])
     def test_discrete_overflow_flags_every_row(self, capsys, kind):
@@ -216,7 +219,7 @@ class TestCfCommand:
                             "--seeds", "4")
         assert code == 1
         _, _, rows = parse_table(out)
-        routes = ["quadrature", "monte-carlo"] if kind == "EE" else ["quadrature"]
+        routes = ["closed-form", "quadrature"] + (["monte-carlo"] if kind == "EE" else [])
         assert [r["method"] for r in rows] == routes * 2
         assert all(r["flag"].startswith("error:") for r in rows)
         assert "(34, " not in out
@@ -369,9 +372,9 @@ class TestCfCommand:
                             "--delta-max=1e3", "--delta-steps", "2", "--seeds", "4")
         assert code == 1
         rows = parse_table(out)[2]
-        assert [r["method"] for r in rows] == ["quadrature", "monte-carlo"] * 2
+        assert [r["method"] for r in rows] == ["closed-form", "quadrature", "monte-carlo"] * 2
         params = RotationParams.from_beta(1e70, 0.3, NATURAL)
-        for r in rows[1::2]:
+        for r in rows[2::3]:
             tau2 = float(r["delta"]) / (params.omega * params.gamma)
             assert r["flag"].startswith("error: outside the float64 range: ")
             assert r["flag"].count("tau2 = ") == 1
@@ -940,7 +943,7 @@ class TestValidate:
         # one preamble line with the wall time of every check group
         [line] = [ln for ln in out.splitlines() if ln.startswith("# check_seconds = ")]
         groups = dict(item.split("=") for item in line.split(" = ", 1)[1].split())
-        assert "offdiagonal_nullity" in groups and len(groups) == 13
+        assert "offdiagonal_nullity" in groups and len(groups) == 14
         assert all(float(t) >= 0.0 for t in groups.values())
 
     def test_quick_suite_runs_every_criterion_4_row(self, capsys):
@@ -953,13 +956,15 @@ class TestValidate:
             assert status[name] == "pass"
         # the closed form of every pair and kind against the tensor quadrature
         assert status["em-cf-closed-vs-quadrature-pairs"] == "pass"
-        assert len(doc["rows"]) == 31
+        # the periodic closed forms and their splits against the ladder quadrature
+        assert status["periodic-cf-closed-vs-quadrature"] == "pass"
+        assert len(doc["rows"]) == 32
         assert doc["meta"]["checks"] == len(doc["rows"])
         assert doc["meta"]["known_failures"] == 1
         assert doc["meta"]["unexpected_failures"] == 0
         assert doc["meta"]["failures"] == 1
         seconds = doc["meta"]["check_seconds"]
-        assert len(seconds) == 13 and all(t >= 0.0 for t in seconds.values())
+        assert len(seconds) == 14 and all(t >= 0.0 for t in seconds.values())
         assert seconds["em_energy_density"] > 0.0
 
     def test_sigma_perturbation_negative_control(self, capsys):

@@ -209,7 +209,7 @@ class TestIntegrateSphere:
             cfc.scalar_cf_quadrature(0.0, tau2, params)
         else:
             seen = _count_calls(monkeypatch, cfd)
-            cfd.em_cf_discrete(0.0, tau2, params)
+            cfd.em_cf_discrete(0.0, tau2, params, method="quadrature")
         assert [k.shape for k in seen] == [(129, 8, 3)]
 
     def test_azimuth_error_does_not_refine_t(self):
