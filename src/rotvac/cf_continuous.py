@@ -217,11 +217,11 @@ def _quadrature(field, params: RotationParams, tau1: float, tau2: float, tol: fl
     return lag, integrate_sphere(weighted(radial), tol)[0]
 
 
-def _continuous(field, params: RotationParams, tau1: float, tau2: float, method: str,
+def _continuous(field, tau1: float, tau2: float, params: RotationParams, method: str,
                 tol: float = DEFAULT_TOL) -> CFValue:
     """The continuous CF of field, (pair, kind) or None for the scalar, by
     method, "closed-form" (_closed_form) or "quadrature" (_quadrature),
-    scaled by _scaled."""
+    scaled by _scaled; cf_discrete._periodic takes the same arguments."""
     if method == "quadrature":
         lag, x = _quadrature(field, params, tau1, tau2, tol)
     elif method == "closed-form":
@@ -239,7 +239,7 @@ def em_cf_tensor_quadrature(pair, kind, tau1, tau2, params: RotationParams,
     """General two-point CF via direct lab-frame tensor contraction, for any
     component pair and kind "EE", "HH" or "EH": the quadrature route of
     em_cf_continuous."""
-    return _continuous((pair, kind), params, tau1, tau2, "quadrature", tol)
+    return _continuous((pair, kind), tau1, tau2, params, "quadrature", tol)
 
 
 def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
@@ -256,7 +256,7 @@ def em_cf_continuous(pair, kind, tau1, tau2, params: RotationParams,
     vanish for separated times (it is antisymmetric under swapping the
     component order and only dies at coincidence), so it is computed honestly.
     """
-    return _continuous((pair, kind), params, tau1, tau2, method, tol)
+    return _continuous((pair, kind), tau1, tau2, params, method, tol)
 
 
 def scalar_cf_continuous(tau1, tau2, params: RotationParams) -> CFValue:
@@ -266,7 +266,7 @@ def scalar_cf_continuous(tau1, tau2, params: RotationParams) -> CFValue:
                        - 4 r^2 sin^2(omega gamma (tau2 - tau1) / 2) ].
     The denominator is positive for all separations while beta < 1.
     """
-    return _continuous(None, params, tau1, tau2, "closed-form")
+    return _continuous(None, tau1, tau2, params, "closed-form")
 
 
 def scalar_cf_quadrature(tau1, tau2, params: RotationParams,
@@ -279,4 +279,4 @@ def scalar_cf_quadrature(tau1, tau2, params: RotationParams,
     the rule on the chord as for every CF quadrature.  Oracle for
     scalar_cf_continuous.
     """
-    return _continuous(None, params, tau1, tau2, "quadrature", tol)
+    return _continuous(None, tau1, tau2, params, "quadrature", tol)

@@ -243,8 +243,8 @@ def _thermal_images(lag, beta: float) -> float:
                                                        + (i + 2) * w * cy * z[3::2])))
 
 
-def _periodic(field, tau1, tau2, params: RotationParams, tol: float, split: bool,
-              method: str):
+def _periodic(field, tau1, tau2, params: RotationParams, method: str, tol: float,
+              split: bool = False):
     """The periodic CF of field ((pair, kind), or None for the scalar) by
     method, "closed-form" or "quadrature" (_cf_sphere's integral of the
     ladder: cubic, p = 3, sign +1 for EM; linear, 1, -1 for the scalar),
@@ -286,7 +286,8 @@ def _periodic(field, tau1, tau2, params: RotationParams, tol: float, split: bool
 
 def em_cf_discrete(tau1, tau2, params: RotationParams, tol: float = DEFAULT_TOL,
                    split: bool = False, method: str = "closed-form"):
-    """Periodic electromagnetic CF (first tetrad axis, electric pair).
+    """Periodic electromagnetic CF (first tetrad axis, electric pair); the
+    other pairs and kinds are reached through rotvac cf --spectrum discrete.
 
     Value is (hbar omega^4 / (4 pi^2 c^3)) times the sphere integral of the
     lab kernel of the (1,1) EE projection rows against the cubic ladder sum
@@ -300,7 +301,7 @@ def em_cf_discrete(tau1, tau2, params: RotationParams, tol: float = DEFAULT_TOL,
     of an image m != 0 meets the lag (for the quadrature, where the phase
     range over the sphere meets 2 pi Z).
     """
-    return _periodic(((1, 1), "EE"), tau1, tau2, params, tol, split, method)
+    return _periodic(((1, 1), "EE"), tau1, tau2, params, method, tol, split)
 
 
 def scalar_cf_discrete(tau1, tau2, params: RotationParams, tol: float = DEFAULT_TOL,
@@ -312,4 +313,4 @@ def scalar_cf_discrete(tau1, tau2, params: RotationParams, tol: float = DEFAULT_
     part, the continuous scalar CF, and the (negative) Planck-weighted
     thermal part.
     """
-    return _periodic(None, tau1, tau2, params, tol, split, method)
+    return _periodic(None, tau1, tau2, params, method, tol, split)

@@ -167,27 +167,10 @@ def cmd_tetrad(args) -> int:
     return _emit(args, meta, header, rows)
 
 
-def _cf_routes(args, params: RotationParams) -> dict:
-    """label -> the CF at a lag tau2, for each deterministic route of --kind and
-    --spectrum: closed-form and quadrature on both spectra."""
-    def route(t, m):
-        if args.spectrum == "discrete" and args.kind == "scalar":
-            return cfd.scalar_cf_discrete(0.0, t, params, args.tol, method=m)
-        if args.spectrum == "discrete":
-            if args.pair != (1, 1) or args.kind != "EE":
-                raise ValueError("discrete spectrum implements the (1,1) EE pair")
-            return cfd.em_cf_discrete(0.0, t, params, args.tol, method=m)
-        if args.kind == "scalar":
-            return (cfc.scalar_cf_continuous(0.0, t, params) if m == "closed-form"
-                    else cfc.scalar_cf_quadrature(0.0, t, params, args.tol))
-        return cfc.em_cf_continuous(args.pair, args.kind, 0.0, t, params, m, args.tol)
-    return {m: (lambda t, m=m: route(t, m)) for m in ("closed-form", "quadrature")}
-
-
-def _cf_or_error(route, tau2):
-    """route's CF at the lag tau2, or the flag of its error."""
+def _cf_or_error(route, *args, **kwargs):
+    """route(*args, **kwargs), a CF, or the flag of its error."""
     try:
-        return route(tau2)
+        return route(*args, **kwargs)
     except (ValueError, OverflowError, QuadratureError) as exc:
         return _error(exc)
 
@@ -200,11 +183,14 @@ def cmd_cf(args) -> int:
     if args.kind == "scalar" and args.method == "monte-carlo":
         raise ValueError("no Monte Carlo route for the scalar field")
     tau2s = [float(delta) / (params.omega * params.gamma) for delta in deltas]
-    routes = {} if args.method == "monte-carlo" else _cf_routes(args, params)
-    if args.method in routes:
-        routes = {args.method: routes[args.method]}
-    # one column per route over the lag grid: a CFValue or that row's error
-    columns = {label: [_cf_or_error(route, t) for t in tau2s] for label, route in routes.items()}
+    # the spectrum's module maps the field, (pair, kind) or None, and the method to a route
+    field = None if args.kind == "scalar" else (args.pair, args.kind)
+    route = cfd._periodic if args.spectrum == "discrete" else cfc._continuous
+    methods = (("closed-form", "quadrature") if args.method == "all"
+               else () if args.method == "monte-carlo" else (args.method,))
+    # one column per method over the lag grid: a CFValue or that row's error
+    columns = {m: [_cf_or_error(route, field, 0.0, t, params, m, args.tol) for t in tau2s]
+               for m in methods}
     ms = None
     if args.method in ("monte-carlo", "all") and args.kind != "scalar":
         try:
@@ -218,9 +204,8 @@ def cmd_cf(args) -> int:
                 raise
             # re-run lag by lag, so that each row's flag names its own lag
             columns["monte-carlo"] = [_error(exc)] * len(tau2s) if ms is None else [
-                _cf_or_error(lambda t: mc.empirical_cf(args.pair, args.kind, 0.0, t, params, ms,
-                                                       n_seeds=args.seeds, seed=args.seed), t)
-                for t in tau2s]
+                _cf_or_error(mc.empirical_cf, args.pair, args.kind, 0.0, t, params, ms,
+                             n_seeds=args.seeds, seed=args.seed) for t in tau2s]
     rows = [[float(delta), label, "", "", cf] if isinstance(cf, str) else
             [float(delta), label, cf.value, "" if cf.stat_error is None else cf.stat_error, "ok"]
             for delta, entries in zip(deltas, zip(*columns.values()))

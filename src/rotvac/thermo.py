@@ -181,7 +181,7 @@ def em_thermal_density_quadrature(params: RotationParams) -> float:
     sphere average (the 1 / 4 pi).  OverflowError when it leaves the float64
     range."""
     const = params.constants
-    w_t = (const.hbar * params.omega**4 / (2.0 * math.pi**2 * const.c**3)
+    w_t = (const.hbar * _power(params.omega, 4, "omega") / (2.0 * math.pi**2 * const.c**3)
            * 2.0 / (4.0 * math.pi) * _doppler_ladder_integral(params))
     return _finite(w_t, "Doppler-quadrature w_thermal")
 
@@ -204,8 +204,8 @@ def scalar_thermal_density_quadrature(params: RotationParams) -> float:
     oracle for scalar_bath_factor.  OverflowError when it leaves the float64
     range."""
     const = params.constants
-    k0 = params.omega / const.c
-    w_t = const.hbar * const.c * k0**4 / (4.0 * math.pi**2) * _doppler_ladder_integral(params)
+    k0_4 = _power(params.omega / const.c, 4, "k0 = omega / c")
+    w_t = const.hbar * const.c * k0_4 / (4.0 * math.pi**2) * _doppler_ladder_integral(params)
     return _finite(w_t, "Doppler-quadrature scalar w_thermal")
 
 
@@ -255,8 +255,8 @@ def vacuum_force_density(params: RotationParams, r: float,
         raise LuminalOrbitError(f"no orbit at r = {r!r} >= c/omega = {r0!r}")
     T = rotation_temperature(params)
     x = r / r0
-    f = _blackbody(-(8.0 / 3.0) * (omega / const.c) ** 2 * 2.0 * r / (1.0 - x * x) ** 2,
-                   T, const)
+    f = _blackbody(-(8.0 / 3.0) * _power(omega / const.c, 2, "omega / c") * 2.0 * r
+                   / (1.0 - x * x) ** 2, T, const)
     F = (None if sphere_radius is None
          else f * (4.0 / 3.0) * math.pi * _power(sphere_radius, 3, "sphere radius"))
     return ForcePoint(r=r, x=x, f_vac=_finite(f, "f_vac"),

@@ -162,6 +162,11 @@ def test_a_nan_from_one_route_fails_its_row(monkeypatch, module, name, patch, ch
     assert math.isnan(result.measured) and not result.passed
 
 
+def test_unknown_suite_is_rejected():
+    with pytest.raises(ValueError, match="unknown suite 'medium'"):
+        v.run_suite("medium")
+
+
 def test_full_suite_builds_the_energy_mode_set_after_the_nullity_check(monkeypatch):
     # the energy group's 327,680-mode ModeSet is not alive during the
     # nullity check's peak: run_suite builds it when that group runs

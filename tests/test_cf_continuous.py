@@ -68,6 +68,8 @@ class TestPhiKernelIntegral:
         for b in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="must be < 1"):
                 phi_kernel_integral(1, b)
+        with pytest.raises(ValueError, match="m must be 0, 1 or 2, got 3"):
+            phi_kernel_integral(3, 0.3)
 
 
 class TestEmContinuous:

@@ -414,8 +414,8 @@ class TestClosedForm:
                 lag = _lag(field, p, 0.0, tau2)
                 closed = _scaled(p, lag, lag.delta ** (2 if field is None else 4)
                                  * cfd._periodic_closed_form(lag, p.beta), "closed form")
-                quad = cfd._periodic(field, 0.0, tau2, p, _quadrature_tol(lag), False,
-                                     "quadrature").value
+                quad = cfd._periodic(field, 0.0, tau2, p, "quadrature",
+                                     _quadrature_tol(lag)).value
                 scale = abs(quad) if field is None else size
                 assert abs(closed - quad) <= 1e-13 * scale, (delta, field)
 

@@ -115,21 +115,27 @@ class TestTetradCommand:
 
 
 class TestCfCommand:
-    @pytest.mark.parametrize("pair, kind", [("12", "EE"), ("13", "EH"), ("23", "HH")])
-    def test_every_pair_has_a_closed_form_row(self, capsys, pair, kind):
-        # a closed-form row for every pair and kind, equal to the quadrature
-        # row to 1e-12 of the (1,1) CF at the same lag
-        code, out = run_cli(capsys, "cf", "--beta", "0.5", "--pair", pair, "--kind", kind,
-                            "--method", "all", "--delta-steps", "2", "--seeds", "50",
-                            "--format", "json")
-        assert code == 0
-        rows = json.loads(out)["rows"]
-        assert [(r[1], r[4]) for r in rows] == [(m, "ok") for m in (
-            "closed-form", "quadrature", "monte-carlo")] * 2
-        p = RotationParams.from_beta(1.0, 0.5, NATURAL)
-        for (delta, _, closed, *_), (_, _, quad, *_) in zip(rows[::3], rows[1::3]):
-            size = em_cf_continuous((1, 1), "EE", 0.0, delta / (p.omega * p.gamma), p).value
-            assert abs(closed - quad) <= 1e-12 * abs(size), delta
+    @pytest.mark.parametrize("beta", ["0.3", "0.99"])
+    @pytest.mark.parametrize("spectrum", ["continuous", "discrete"])
+    def test_every_pair_has_a_closed_form_row(self, capsys, spectrum, beta):
+        # closed-form, quadrature and Monte Carlo rows for every pair and kind
+        # on both spectra, the first two equal to 1e-12 of the (1,1) EE CF of
+        # the spectrum at the same lag
+        p = RotationParams.from_beta(1.0, float(beta), NATURAL)
+        for pair in (f"{a}{b}" for a in "123" for b in "123"):
+            for kind in ("EE", "HH", "EH"):
+                code, out = run_cli(capsys, "cf", "--beta", beta, "--spectrum", spectrum,
+                                    "--pair", pair, "--kind", kind, "--method", "all",
+                                    "--delta-steps", "2", "--seeds", "50", "--format", "json")
+                assert code == 0, (pair, kind)
+                rows = json.loads(out)["rows"]
+                assert [(r[1], r[4]) for r in rows] == [(m, "ok") for m in (
+                    "closed-form", "quadrature", "monte-carlo")] * 2
+                for (delta, _, closed, *_), (_, _, quad, *_) in zip(rows[::3], rows[1::3]):
+                    tau2 = delta / (p.omega * p.gamma)
+                    size = (cf_discrete.em_cf_discrete(0.0, tau2, p) if spectrum == "discrete"
+                            else em_cf_continuous((1, 1), "EE", 0.0, tau2, p)).value
+                    assert abs(closed - quad) <= 1e-12 * abs(size), (pair, kind, delta)
 
     def test_closed_and_quadrature_agree(self, capsys):
         code, out = run_cli(capsys, "cf", "--beta", "0.5", "--method", "all",
@@ -753,6 +759,8 @@ class TestInputErrors:
         (["cf", "--omega", "1e40", "--beta", "0.3", "--method", "monte-carlo",
           "--delta-steps", "2"],
          "outside the float64 range: the Monte Carlo standard error of the EE CF of pair (1, 1)"),
+        (["force-curve", "--omega", "1e160", "--units", "natural"],
+         "outside the float64 range: omega / c = 1e+160 overflows at the power 2"),
     ], ids=["spectrum-nan-phase", "cf-nan-delta", "tetrad-nan-tau", "tetrad-span-overflow",
             "force-curve-nan-r-min", "force-curve-inf-r-max", "force-curve-r0-overflow",
             "cf-negative-beta", "mc-validate-negative-beta", "tetrad-nan-beta",
@@ -762,7 +770,8 @@ class TestInputErrors:
             "cf-monte-carlo-cutoff-overflow", "estimate-hadron-casimir-overflow",
             "estimate-hadron-radius-cube-overflow", "force-curve-radius-cube-overflow",
             "estimate-hadron-r0-overflow", "cf-monte-carlo-phase-range",
-            "mc-validate-infinite-standard-error", "cf-monte-carlo-infinite-standard-error"])
+            "mc-validate-infinite-standard-error", "cf-monte-carlo-infinite-standard-error",
+            "force-curve-omega-over-c-overflow"])
     def test_errors_name_their_cause(self, capsys, argv, cause):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -797,20 +806,21 @@ class TestInputErrors:
             assert float(vals[name]) == 0.0
 
 
+@pytest.mark.parametrize("spectrum", ["continuous", "discrete"])
 @pytest.mark.parametrize("kind", ["EE", "HH", "EH", "scalar"])
 @pytest.mark.parametrize("method", ["monte-carlo", "quadrature"])
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(pair=st.text(alphabet="01234", min_size=2, max_size=2) | st.text(min_size=2, max_size=2))
-def test_cf_pair_property(method, kind, pair):
+def test_cf_pair_property(method, kind, spectrum, pair):
     # no traceback, an exit code in {0, 1, 2}, and an ok row only for a
     # pair in {1,2,3}^2, with a finite value
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         try:
             code = main(["cf", "--beta", "0.3", "--kind", kind, f"--pair={pair}",
-                         "--method", method, "--delta-steps", "1", "--delta-min", "1.0",
-                         "--delta-max", "1.0", "--seeds", "2", "--n-max", "1",
-                         "--mc-theta", "8", "--mc-phi", "16"])
+                         "--spectrum", spectrum, "--method", method, "--delta-steps", "1",
+                         "--delta-min", "1.0", "--delta-max", "1.0", "--seeds", "2",
+                         "--n-max", "1", "--mc-theta", "8", "--mc-phi", "16"])
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)

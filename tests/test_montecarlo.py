@@ -88,6 +88,8 @@ class TestModeSet:
             for spectrum in ("discrete", "continuous"):
                 with pytest.raises(ValueError, match="n_max must be >= 1"):
                     build_mode_set(params, spectrum, n_max=n_max, n_theta=8, n_phi=16)
+        with pytest.raises(ValueError, match="unknown spectrum 'band'"):
+            build_mode_set(params, "band", n_max=2, n_theta=8, n_phi=16)
 
     def test_infinite_band_cutoff_names_n_max(self):
         # n_max omega / c overflows: an OverflowError naming both, on either

@@ -483,6 +483,8 @@ def test_neville_extrapolation_linear():
     val, err = neville_to_zero(xs, ys)
     assert val == pytest.approx(3.0, rel=1e-12)
     assert err < 1e-10
+    # one point has no previous column: its value, with an infinite error
+    assert neville_to_zero(xs[:1], ys[:1]) == (ys[0], math.inf)
 
 
 def test_quadrature_spec_validation():

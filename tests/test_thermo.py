@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,11 +104,18 @@ class TestEmEnergyDensity:
         # omega^4 is finite, and gamma^2 ~ 5e8 carries the density past it
         with pytest.raises(OverflowError, match="Doppler-quadrature"):
             route(RotationParams.from_beta(1e77, 0.999999999, NATURAL))
+        # omega^4 (EM) or k0^4 (scalar) itself overflows, and the message names it
+        name = ("omega = 1e+100" if route is em_thermal_density_quadrature
+                else "k0 = omega / c = 3.3356409519815206e+91")
+        with pytest.raises(OverflowError, match=re.escape(f"{name} overflows at the power 4")):
+            route(RotationParams(1e100, 0.0, SI))
 
     def test_cutoff_validation(self):
         p = RotationParams.from_beta(1.0, 0.5, NATURAL)
         with pytest.raises(ValueError):
             em_energy_density(p, cutoff_n_max=0)
+        with pytest.raises(ValueError, match="cutoff_n_max must be >= 1"):
+            scalar_energy_density(p, cutoff_n_max=0)
 
 
 class TestScalarEnergyDensity:
